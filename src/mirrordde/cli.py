@@ -8,7 +8,7 @@ with that code:
 code   meaning
 =====  ==========================================================
 0      success
-2      flag or input validation failed
+2      flag or input validation failed, or a float64 overflow
 3      wrong regime or resonant forcing
 4      degenerate fitting stage (singular normal equations)
 5      zero-variance feature column during ranking
@@ -503,6 +503,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_ZERO_VARIANCE
     except (MirrorDdeError, ValueError, KeyError) as exc:
         _error_line(EXIT_USAGE, str(exc))
+        return EXIT_USAGE
+    except OverflowError as exc:
+        _error_line(EXIT_USAGE, f"result exceeds the float64 range ({exc})")
         return EXIT_USAGE
 
 

@@ -5,15 +5,15 @@ The problems this package actually solves are small — matrices with a
 handful of columns, trajectories with a few thousand steps — so each kernel
 is written directly for that size class instead of pulling in a large
 solver: one-sided Jacobi rotations for singular values, Cramer's rule for
-2x2 systems, cyclic coordinate descent for the l1 fit, and the classical
-fourth-order Runge-Kutta scheme for trajectories.  numpy supplies array
-storage and elementwise arithmetic only.
+2x2 systems, cyclic coordinate descent with covariance updates for the l1
+fit (one Gram product per call, then O(k) work per coordinate step), and
+the classical fourth-order Runge-Kutta scheme for trajectories.  numpy
+supplies array storage and elementwise arithmetic only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, Sequence
 
@@ -44,48 +44,7 @@ LASSO_TOL = 1e-8
 LASSO_MAX_SWEEPS = 10_000
 
 
-@dataclass(frozen=True)
-class DenseMatrix:
-    """A small row-major dense matrix of float64 entries."""
-
-    rows: int
-    cols: int
-    entries: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries",
-                           tuple(float(x) for x in self.entries))
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError(
-                f"rows and cols must be positive, got {self.rows}x{self.cols}"
-            )
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
-        for x in self.entries:
-            if not math.isfinite(x):
-                raise NonFiniteValue(f"matrix entry {x!r} is not finite")
-
-    @classmethod
-    def from_array(cls, a) -> "DenseMatrix":
-        arr = np.asarray(a, dtype=float)
-        if arr.ndim != 2:
-            raise DimensionMismatch(f"expected a 2-d array, got shape {arr.shape}")
-        return cls(rows=arr.shape[0], cols=arr.shape[1],
-                   entries=tuple(arr.ravel().tolist()))
-
-    def as_array(self) -> NDArray[np.float64]:
-        return np.asarray(self.entries, dtype=float).reshape(self.rows, self.cols)
-
-    def __array__(self, dtype=None, copy=None):
-        a = self.as_array()
-        return a.astype(dtype) if dtype is not None else a
-
-
 def _as_matrix_array(m) -> NDArray[np.float64]:
-    if isinstance(m, DenseMatrix):
-        return m.as_array()
     arr = np.array(m, dtype=float)
     if arr.ndim != 2:
         raise DimensionMismatch(f"expected a 2-d array, got shape {arr.shape}")
@@ -99,9 +58,9 @@ def _as_matrix_array(m) -> NDArray[np.float64]:
 def svd_values(matrix) -> list[float]:
     """Singular values of a matrix, descending, via one-sided Jacobi.
 
-    The matrix (a :class:`DenseMatrix` or anything array-like) is first
-    oriented tall, then pairs of columns are rotated until every pair is
-    orthogonal to within :data:`JACOBI_TOL` relative to the column norms.
+    The matrix (anything array-like) is first oriented tall, then pairs of
+    columns are rotated until every pair is orthogonal to within
+    :data:`JACOBI_TOL` relative to the column norms.
     The singular values are the final column norms.  Rotations preserve the
     Frobenius norm, so ``sum(s**2 for s in result)`` equals the squared
     Frobenius norm of the input up to rounding.
@@ -174,29 +133,40 @@ def _soft_threshold(v: float, lam: float) -> float:
 
 
 def _lasso_sweeps(X: NDArray[np.float64], y: NDArray[np.float64],
-                  lam: float) -> Iterator[NDArray[np.float64]]:
+                  lam: float) -> Iterator[list[float]]:
     """Yield the coefficient vector after each coordinate-descent sweep.
 
-    The iterator stops on its own once the largest single-coefficient change
-    in a sweep drops to :data:`LASSO_TOL` or below; the caller enforces the
-    sweep cap.  Columns with zero sum of squares keep a zero coefficient.
+    Covariance updates (Friedman, Hastie & Tibshirani, JSS 2010, sec. 2.2):
+    ``G = X^T X`` and ``c = X^T y`` are formed once, after which each
+    coordinate's correlation with the partial residual,
+    ``c_j - sum_{i != j} G_ji w_i``, costs O(k) instead of O(m).  Up to
+    rounding, the iterates are those of the residual-update form from the
+    same zero start.  The iterator stops on its own once the largest
+    single-coefficient change in a sweep drops to :data:`LASSO_TOL` or
+    below; the caller enforces the sweep cap.  Columns with zero sum of
+    squares keep a zero coefficient.
     """
     m, k = X.shape
-    w = np.zeros(k)
-    resid = y.astype(float).copy()
-    col_sq = np.einsum("ij,ij->j", X, X)
+    G = X.T @ X
+    col_sq = G.diagonal().tolist()
+    G[np.diag_indices(k)] = 0.0  # so the row sums skip i == j
+    G = G.tolist()
+    c = (X.T @ y).tolist()
+    active = [j for j in range(k) if col_sq[j] != 0.0]
+    w = [0.0] * k
     while True:
         delta = 0.0
-        for j in range(k):
-            if col_sq[j] == 0.0:
-                continue
-            rho = float(X[:, j] @ resid) + w[j] * col_sq[j]
+        for j in active:
+            rho = c[j]
+            for g, wi in zip(G[j], w):
+                rho -= g * wi
             wj = _soft_threshold(rho / m, lam) / (col_sq[j] / m)
-            if wj != w[j]:
-                resid += X[:, j] * (w[j] - wj)
-                delta = max(delta, abs(wj - w[j]))
+            change = abs(wj - w[j])
+            if change != 0.0:
                 w[j] = wj
-        yield w.copy()
+                if change > delta:
+                    delta = change
+        yield list(w)
         if delta <= LASSO_TOL:
             return
 
@@ -242,7 +212,7 @@ def lasso_fit(X, y, lam: float) -> list[float]:
                 f"{LASSO_MAX_SWEEPS} sweeps"
             )
     assert w is not None
-    return [float(v) for v in w]
+    return w
 
 
 def lasso_objective(X, y, lam: float, w) -> float:

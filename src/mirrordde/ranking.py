@@ -16,10 +16,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.typing import NDArray
 
 from .core import FeatureMatrix, RankingEntry, RankingResult
-from .errors import UnknownResponseFeature, ZeroVarianceColumn
-from .numerics import DenseMatrix, lasso_fit, svd_values
+from .errors import (
+    ConvergenceFailure,
+    UnknownResponseFeature,
+    ZeroVarianceColumn,
+)
+from .numerics import lasso_fit
 
 #: Relative threshold below which a column's spread counts as zero.
 STD_RTOL = 1e-12
@@ -63,24 +68,36 @@ class EliminationTrace:
             raise ValueError("each journal is eliminated exactly once")
 
 
+def _standardized(block: NDArray[np.float64],
+                  feature_names: tuple[str, ...]) -> NDArray[np.float64]:
+    """Standardize the columns of a journals-by-features array.
+
+    Checks and rounding are those of :func:`standardize`.  The block is
+    copied to Fortran order first: there each column reduction sums the
+    contiguous column in numpy's pairwise order, as a 1-d column view does,
+    whereas on a C-ordered block numpy sums row by row and the last bit
+    differs.
+    """
+    block = np.asfortranarray(block)
+    mu = block.mean(axis=0)
+    sigma = np.sqrt(((block - mu) ** 2).mean(axis=0))
+    flat = sigma <= STD_RTOL * np.maximum(1.0, np.abs(mu))
+    if flat.any():
+        name = feature_names[int(flat.argmax())]
+        raise ZeroVarianceColumn(f"feature {name!r} has zero variance",
+                                 column=name)
+    return (block - mu) / sigma
+
+
 def standardize(matrix: FeatureMatrix) -> FeatureMatrix:
     """Center and scale every feature column to mean 0, variance 1.
 
     Uses the population standard deviation (divide by m, not m-1).  A column
     whose spread is at or below 1e-12 relative to its mean magnitude cannot
-    be scaled and raises :class:`ZeroVarianceColumn` naming the feature.
+    be scaled and raises :class:`ZeroVarianceColumn` naming the first such
+    feature.
     """
-    data = matrix.data
-    out = np.empty_like(data)
-    for j, name in enumerate(matrix.feature_names):
-        col = data[:, j]
-        mu = float(col.mean())
-        sigma = float(np.sqrt(np.mean((col - mu) ** 2)))
-        if sigma <= STD_RTOL * max(1.0, abs(mu)):
-            raise ZeroVarianceColumn(
-                f"feature {name!r} has zero variance", column=name
-            )
-        out[:, j] = (col - mu) / sigma
+    out = _standardized(matrix.data, matrix.feature_names)
     return FeatureMatrix(journal_names=matrix.journal_names,
                          feature_names=matrix.feature_names,
                          data=out)
@@ -95,8 +112,9 @@ def rank_journals(matrix: FeatureMatrix, response_feature: str,
     1. standardize the submatrix column-wise;
     2. regress the response feature on the remaining features with an
        l1 penalty ``lam`` (coefficients of the n-1 predictor columns);
-    3. score the coefficient row by its singular value and record the mean
-       absolute coefficient (the row norm);
+    3. score the coefficient row by its singular value (for one row, its
+       Euclidean norm) and record the mean absolute coefficient (the row
+       norm);
     4. give every journal a column norm — the mean absolute value of its
        standardized feature row — and eliminate the journal whose column
        norm is closest to the row norm, preferring the lowest current row
@@ -108,7 +126,8 @@ def rank_journals(matrix: FeatureMatrix, response_feature: str,
 
     Returns the ranking together with the full elimination trace.  A
     feature column going flat mid-elimination raises
-    :class:`ZeroVarianceColumn` carrying the step index.
+    :class:`ZeroVarianceColumn`, and a regression that does not converge
+    raises :class:`ConvergenceFailure`; both messages start with the step.
     """
     if response_feature not in matrix.feature_names:
         raise UnknownResponseFeature(
@@ -121,10 +140,13 @@ def rank_journals(matrix: FeatureMatrix, response_feature: str,
     pred_idx = [j for j in range(matrix.n_features) if j != resp_idx]
     n = matrix.n_features
     m = matrix.n_journals
+    data = matrix.data
+    names = matrix.journal_names
 
     remaining = list(range(m))
     steps: list[TraceStep] = []
     singval_by_journal: dict[int, float] = {}
+    step_by_journal: dict[int, int] = {}
     last_singval = 0.0
     last_row_norm = 0.0
     survivor_col_norm = 0.0
@@ -132,41 +154,34 @@ def rank_journals(matrix: FeatureMatrix, response_feature: str,
     step = 0
     while len(remaining) > 1:
         step += 1
-        sub = matrix.take_journals(remaining)
         try:
-            std = standardize(sub)
+            std = _standardized(data[remaining], matrix.feature_names)
+            coeffs = lasso_fit(std[:, pred_idx], std[:, resp_idx], lam)
         except ZeroVarianceColumn as exc:
             raise ZeroVarianceColumn(
                 f"step {step}: {exc}", column=exc.column, step=step
             ) from exc
+        except ConvergenceFailure as exc:
+            raise ConvergenceFailure(f"step {step}: {exc}") from exc
 
-        X = std.data[:, pred_idx]
-        y = std.data[:, resp_idx]
-        coeffs = lasso_fit(X, y, lam)
-        row = DenseMatrix(rows=1, cols=len(coeffs),
-                          entries=tuple(coeffs))
-        singval = svd_values(row)[0]
+        w = np.array(coeffs)
+        singval = math.sqrt(float(w @ w))
         row_norm = sum(abs(c) for c in coeffs) / (n - 1)
 
-        col_norms = [float(np.abs(std.data[i, :]).sum()) / n
-                     for i in range(len(remaining))]
-        best = 0
-        best_gap = abs(col_norms[0] - row_norm)
-        for i in range(1, len(remaining)):
-            gap = abs(col_norms[i] - row_norm)
-            if gap < best_gap:
-                best = i
-                best_gap = gap
+        # C order sums each row in pairwise order, as a 1-d row view would
+        col_norms = np.abs(std, order="C").sum(axis=1) / n
+        best = int(np.argmin(np.abs(col_norms - row_norm)))
 
         if len(remaining) == 2:
-            survivor_col_norm = col_norms[1 - best]
+            survivor_col_norm = float(col_norms[1 - best])
         journal = remaining.pop(best)
         singval_by_journal[journal] = singval
+        step_by_journal[journal] = step
         steps.append(TraceStep(
             step_index=step,
-            journal_name=matrix.journal_names[journal],
+            journal_name=names[journal],
             row_norm=row_norm,
-            chosen_col_norm=col_norms[best],
+            chosen_col_norm=float(col_norms[best]),
             singval=singval,
         ))
         last_singval = singval
@@ -175,22 +190,20 @@ def rank_journals(matrix: FeatureMatrix, response_feature: str,
     # The survivor inherits the score of the last regression it was part of.
     survivor = remaining[0]
     singval_by_journal[survivor] = last_singval
+    step_by_journal[survivor] = m
     steps.append(TraceStep(
         step_index=m,
-        journal_name=matrix.journal_names[survivor],
+        journal_name=names[survivor],
         row_norm=last_row_norm,
         chosen_col_norm=survivor_col_norm,
         singval=last_singval,
     ))
 
-    step_by_journal = {
-        matrix.journal_names.index(s.journal_name): s.step_index for s in steps
-    }
     order = sorted(range(m),
                    key=lambda i: (singval_by_journal[i], step_by_journal[i]))
     entries = tuple(
         RankingEntry(
-            journal_name=matrix.journal_names[i],
+            journal_name=names[i],
             elimination_step=step_by_journal[i],
             singval=singval_by_journal[i],
             rank=rank,

@@ -7,6 +7,8 @@ import math
 
 import pytest
 
+from mirrordde import numerics
+
 from helpers import run_cli, run_cli_bytes
 
 
@@ -257,6 +259,31 @@ class TestRank:
         assert code == 0
         assert out == (data_dir / "golden_rank_m8.csv").read_text()
 
+    def test_matches_golden_m60(self, data_dir):
+        """60 journals, so standardization sums columns longer than 8 rows.
+
+        numpy sums such columns in pairwise order, which a row-by-row
+        reduction does not reproduce in the last bit.  The table is
+        ``numpy.random.default_rng(0).lognormal(0.0, 0.75, size=(60, 7))``
+        printed with ``%.6g`` (journals ``Journal 01``..``Journal 60``); the
+        golden is ``rank --input rank_m60.csv --lambda 0.05``.  Seed 0 ranks
+        without error, so no seed was skipped.
+        """
+        code, out, err = run_cli_bytes("rank", "--input",
+                                       str(data_dir / "rank_m60.csv"),
+                                       "--lambda", "0.05")
+        assert code == 0, err
+        assert out == (data_dir / "golden_rank_m60.csv").read_bytes()
+
+    def test_convergence_failure_names_the_step(self, data_dir, monkeypatch):
+        monkeypatch.setattr(numerics, "LASSO_MAX_SWEEPS", 1)
+        code, out, err = run_cli("rank", "--input",
+                                 str(data_dir / "rank_m8.csv"))
+        assert code == 2 and out == ""
+        assert err.strip().splitlines()[-1] == (
+            "ERROR 2: step 1: coordinate descent did not converge within "
+            "1 sweeps")
+
     def test_explicit_response_and_lambda(self, data_dir):
         code, _, err = run_cli("rank", "--input",
                                str(data_dir / "rank_m5.csv"),
@@ -382,6 +409,19 @@ class TestDispatch:
                       "--b", "0")):
             _, _, err = run_cli(*args)
             assert err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--a", "0", "--b", "1000", "--p0", "1", "--steps", "10"),
+        ("fit", "--predict", "1e6"),
+    ])
+    def test_overflow_is_an_error_line(self, tmp_path, argv):
+        if argv[0] == "fit":
+            argv = ("fit", "--input", exponential_csv(tmp_path / "s.csv"),
+                    *argv[1:])
+        code, out, err = run_cli_bytes(*argv)
+        assert code == 2 and out == b""
+        assert b"Traceback" not in err
+        assert err.count(b"ERROR 2: ") == 1 and err.count(b"\n") == 1
 
     def test_module_entry_point(self, data_dir):
         code, out, err = run_cli_bytes("rank", "--input",

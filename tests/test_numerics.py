@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mirrordde import (
-    DenseMatrix,
     DimensionMismatch,
     FdMode,
     NonFiniteState,
@@ -30,27 +29,7 @@ from mirrordde import (
 )
 from mirrordde.numerics import _lasso_sweeps, lasso_objective
 
-from oracles import charpoly_singular_values
-
-
-# ---------------------------------------------------------------------------
-# DenseMatrix
-# ---------------------------------------------------------------------------
-
-class TestDenseMatrix:
-    def test_roundtrip(self):
-        m = DenseMatrix.from_array([[1.0, 2.0], [3.0, 4.0]])
-        assert m.rows == 2 and m.cols == 2
-        np.testing.assert_array_equal(m.as_array(), [[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(np.asarray(m), [[1.0, 2.0], [3.0, 4.0]])
-
-    def test_flat_entries_checked(self):
-        with pytest.raises(ValueError):
-            DenseMatrix(rows=2, cols=2, entries=(1.0, 2.0, 3.0))
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(NonFiniteValue):
-            svd_values([[1.0, math.nan], [0.0, 1.0]])
+from oracles import charpoly_singular_values, residual_lasso_sweeps
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +37,10 @@ class TestDenseMatrix:
 # ---------------------------------------------------------------------------
 
 class TestSvdValues:
+    def test_non_finite_rejected(self):
+        with pytest.raises(NonFiniteValue):
+            svd_values([[1.0, math.nan], [0.0, 1.0]])
+
     def test_identity(self):
         assert svd_values([[1.0, 0.0], [0.0, 1.0]]) == [1.0, 1.0]
 
@@ -206,6 +189,42 @@ class TestLasso:
             lasso_fit(X, y, -0.1)
         with pytest.raises(DimensionMismatch):
             lasso_fit(X, y[:-1], 0.1)
+
+
+def standardized_design(seed, m, k):
+    """Population z-scored lognormal columns: a response and k predictors."""
+    rng = np.random.default_rng(seed)
+    raw = rng.lognormal(0.0, 0.75, size=(m, k + 1))
+    z = (raw - raw.mean(axis=0)) / raw.std(axis=0)
+    return z[:, 1:], z[:, 0]
+
+
+class TestLassoAgainstResidualReference:
+    """The Gram-matrix kernel against residual-update coordinate descent.
+
+    Both take the same iterates from the same zero start, so they must stop
+    at the same sweep with coefficients equal up to rounding.  Underdetermined
+    designs (rows <= predictors) are the late elimination steps of a
+    ranking, where convergence is slowest and rounding has longest to grow.
+    """
+
+    @pytest.mark.parametrize("m, k, lam", [
+        (40, 6, 0.05),     # tall
+        (150, 7, 0.1),     # tall, ranking-sized
+        (3, 6, 0.1),       # underdetermined
+        (4, 6, 0.05),
+        (5, 6, 0.02),
+        (40, 6, 0.0),      # ordinary least squares
+        (5, 6, 0.0),
+    ])
+    def test_same_sweeps_and_coefficients(self, m, k, lam):
+        for seed in range(25):
+            X, y = standardized_design(seed, m, k)
+            want = list(residual_lasso_sweeps(X, y, lam))
+            got = list(_lasso_sweeps(X, y, lam))
+            assert len(got) == len(want), f"seed {seed}"
+            assert got[-1] == pytest.approx(want[-1], rel=0, abs=1e-10)
+            assert lasso_fit(X, y, lam) == got[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,29 @@ class TestStandardize:
             standardize(m)
         assert excinfo.value.column == "x"
 
+    def test_first_flat_column_is_named(self):
+        m = FeatureMatrix(("A", "B", "C"), ("x", "y", "z"),
+                          [[1.0, 5.0, 7.0], [2.0, 5.0, 7.0], [3.0, 5.0, 7.0]])
+        with pytest.raises(ZeroVarianceColumn) as excinfo:
+            standardize(m)
+        assert excinfo.value.column == "y"
+
+    def test_bitwise_equal_to_per_column_reduction(self, data_dir):
+        # 60 rows: numpy sums columns this long in pairwise order, and only
+        # a reduction over each contiguous column reproduces a 1-d column's
+        # mean to the last bit; the goldens depend on that order
+        data = np.loadtxt(data_dir / "rank_m60.csv", delimiter=",",
+                          skiprows=1, usecols=range(1, 8))
+        want = np.empty_like(data)
+        for j in range(data.shape[1]):
+            col = data[:, j]
+            mu = float(col.mean())
+            sigma = float(np.sqrt(np.mean((col - mu) ** 2)))
+            want[:, j] = (col - mu) / sigma
+        names = tuple(f"J{i}" for i in range(data.shape[0]))
+        got = standardize(FeatureMatrix(names, tuple("abcdefg"), data)).data
+        assert np.array_equal(got, want)
+
     def test_names_preserved(self):
         out = standardize(matrix(M3_NAMES, M3_FEATS, M3_DATA))
         assert out.journal_names == M3_NAMES
