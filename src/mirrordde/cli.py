@@ -54,14 +54,11 @@ from .fitting import fit_pipeline
 from .numerics import FdMode
 from .ranking import rank_journals
 from .solver import (
-    base_solution,
+    _require_regime,
     classify,
-    control_solution,
-    degenerate_solution,
     eta_article,
-    initial_conditions_to_modes,
+    evaluate,
     oracle_solution,
-    oscillatory_solution,
 )
 
 EXIT_OK = 0
@@ -203,32 +200,28 @@ def build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 
 def _sim_params(args) -> DdeParams:
-    half_width = max(abs(args.t_min), abs(args.t_max))
-    if half_width == 0.0:
-        half_width = 1.0
+    half_width = max(abs(args.t_min), abs(args.t_max)) or 1.0
     return DdeParams(a=args.a, b=args.b, p0=args.p0, half_width=half_width)
 
 
 def _sim_control(args) -> ControlConfig | None:
-    """The ControlConfig implied by forcing flags, or None when absent."""
+    """The ControlConfig of forcing flags or explicit modes, else None."""
     theta = None
     if args.theta_const is not None:
         theta = ThetaConstant(args.theta_const)
     elif args.theta_lin is not None:
-        slope, intercept = args.theta_lin
-        theta = ThetaLinear(slope=slope, intercept=intercept)
+        theta = ThetaLinear(*args.theta_lin)        # SLOPE,INTERCEPT
     elif args.theta_exp is not None:
         theta = ThetaExponential(rate=args.theta_exp)
 
     eta = None
     if args.eta_exp is not None:
-        k, k1 = args.eta_exp
-        eta = EtaTimeExponential(k=k, k1=k1)
+        eta = EtaTimeExponential(*args.eta_exp)     # K,K1
     elif args.eta_article is not None:
         art, alpha = args.eta_article
         eta = EtaArticleBased(alpha=alpha, art=art)
 
-    if theta is None and eta is None:
+    if theta is None and eta is None and args.c1 is None:
         return None
     return ControlConfig(theta=theta if theta is not None else ThetaConstant(0.0),
                          eta=eta)
@@ -247,51 +240,31 @@ def cmd_simulate(args) -> int:
 
     params = _sim_params(args)
     config = _sim_control(args)
-    explicit_modes = args.c1 is not None
+    modes = None if args.c1 is None else (args.c1, args.c2)
     steps = args.steps
     # Endpoint-exact affine blend; keeps symmetric windows exactly symmetric.
     times = [(args.t_min * (steps - i) + args.t_max * i) / steps
              for i in range(steps + 1)]
 
     warning_flag = None
-    if config is not None or explicit_modes:
-        config = config if config is not None else ControlConfig()
-        if explicit_modes:
-            c1, c2 = args.c1, args.c2
-        else:
-            c1, c2 = initial_conditions_to_modes(params, config)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            values = [control_solution(params, config, c1, c2, t)
-                      for t in times]
-        if any(isinstance(w.message, NegativeInfluenceWarning) for w in caught):
-            warning_flag = "negative-influence"
-    else:
-        regime = classify(params)
-        if regime.tag is RegimeTag.OSCILLATORY:
-            if not args.allow_oscillatory:
-                raise WrongRegime(
-                    f"a={args.a}, b={args.b} falls in the oscillatory regime, "
-                    f"which is infeasible for influence modelling; pass "
-                    f"--allow-oscillatory to inspect the branch"
-                )
-            values = [oscillatory_solution(params, t).value for t in times]
-            warning_flag = "infeasible"
-        elif regime.tag is RegimeTag.DEGENERATE:
-            values = [degenerate_solution(params, t) for t in times]
-        else:
-            values = [base_solution(params, t) for t in times]
+    if config is None and classify(params).tag is RegimeTag.OSCILLATORY:
+        if not args.allow_oscillatory:
+            raise WrongRegime(
+                f"a={args.a}, b={args.b} falls in the oscillatory regime, "
+                f"which is infeasible for influence modelling; pass "
+                f"--allow-oscillatory to inspect the branch"
+            )
+        warning_flag = "infeasible"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        values = evaluate(params, times, config, modes)
+    if any(isinstance(w.message, NegativeInfluenceWarning) for w in caught):
+        warning_flag = "negative-influence"
 
-    lines = []
-    if warning_flag is None:
-        lines.append("t,p")
-        for t, p in zip(times, values):
-            lines.append(f"{fmt(t)},{fmt(p)}")
-    else:
-        lines.append("t,p,warning")
-        for t, p in zip(times, values):
-            lines.append(f"{fmt(t)},{fmt(p)},{warning_flag}")
-    text = "\n".join(lines) + "\n"
+    header, flag = ("t,p", "") if warning_flag is None else (
+        "t,p,warning", "," + warning_flag)
+    lines = [f"{fmt(t)},{fmt(p)}{flag}" for t, p in zip(times, values)]
+    text = header + "\n" + "\n".join(lines) + "\n"
 
     if args.out is None:
         sys.stdout.write(text)
@@ -301,15 +274,20 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _read_series_csv(path: str) -> tuple[list[float], list[float]]:
+def _csv_rows(path: str) -> list[list[str]]:
+    """Non-empty rows of a CSV file; unreadable or empty files are ERROR 2."""
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            reader = csv.reader(fh)
-            rows = [row for row in reader if row]
+            rows = [row for row in csv.reader(fh) if row]
     except OSError as exc:
         raise _CliError(EXIT_USAGE, f"cannot read {path!r}: {exc}") from exc
     if not rows:
         raise _CliError(EXIT_USAGE, f"{path!r} is empty")
+    return rows
+
+
+def _read_series_csv(path: str) -> tuple[list[float], list[float]]:
+    rows = _csv_rows(path)
     header = [cell.strip() for cell in rows[0][:2]]
     if header != ["t", "p"] or len(rows[0]) < 2:
         raise _CliError(
@@ -355,36 +333,18 @@ def cmd_fit(args) -> int:
         "n_points": report.n_points,
     }
     if args.predict is not None:
-        out["prediction"] = _predict(report, args.predict)
+        modes = report.modes
+        out["prediction"] = evaluate(
+            report.params, (args.predict,),
+            modes=(modes.w1, modes.w2) if modes else None)[0]
     if report.modes_note:
         print(report.modes_note, file=sys.stderr)
     sys.stdout.write(json.dumps(out) + "\n")
     return EXIT_OK
 
 
-def _predict(report, t: float) -> float:
-    tag = report.regime.tag
-    params = report.params
-    if tag is RegimeTag.EXPONENTIAL:
-        r = report.regime.r
-        return (report.modes.w1 * math.exp(r * t)
-                + report.modes.w2 * math.exp(-r * t))
-    if tag is RegimeTag.DEGENERATE:
-        return params.p0 * (1.0 + (params.a + params.b) * t)
-    w = report.regime.r
-    return params.p0 * (math.cos(w * t)
-                        + ((params.a + params.b) / w) * math.sin(w * t))
-
-
 def _read_journals_csv(path: str) -> FeatureMatrix:
-    try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            reader = csv.reader(fh)
-            rows = [row for row in reader if row]
-    except OSError as exc:
-        raise _CliError(EXIT_USAGE, f"cannot read {path!r}: {exc}") from exc
-    if not rows:
-        raise _CliError(EXIT_USAGE, f"{path!r} is empty")
+    rows = _csv_rows(path)
     header = rows[0]
     if not header or header[0].strip() != "journal" or len(header) < 3:
         raise _CliError(
@@ -447,12 +407,14 @@ def cmd_verify(args) -> int:
     if not (args.t_max > 0.0):
         raise _CliError(EXIT_USAGE, f"--t-max must be positive, got {args.t_max}")
     params = DdeParams(a=args.a, b=args.b, p0=args.p0, half_width=args.t_max)
+    # The closed form is base_solution's: refuse its regime before integrating.
+    _require_regime(params, "base_solution")
 
-    deviation = 0.0
-    for sample in oracle_solution(params, args.t_max, args.step):
-        closed = base_solution(params, sample.t)
-        gap = abs(closed - sample.p) / max(1.0, abs(closed))
-        deviation = max(deviation, gap)
+    samples = oracle_solution(params, args.t_max, args.step)
+    closed_values = evaluate(params, [sample.t for sample in samples])
+    deviation = max((abs(closed - sample.p) / max(1.0, abs(closed))
+                     for closed, sample in zip(closed_values, samples)),
+                    default=0.0)
     sys.stdout.write(fmt(deviation) + "\n")
     if deviation <= VERIFY_TOL:
         return EXIT_OK

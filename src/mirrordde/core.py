@@ -246,6 +246,9 @@ class ModeCoefficients:
 # ---------------------------------------------------------------------------
 # control terms
 # ---------------------------------------------------------------------------
+# Each term supplies its share of the forced solution: ``particular(params,
+# t)`` is its particular solution P(t), ``particular_deriv(params, t)`` is
+# P'(t), and ``at_zero(params)`` is its value as it enters the slope p'(0).
 
 @dataclass(frozen=True)
 class ThetaConstant:
@@ -255,6 +258,15 @@ class ThetaConstant:
 
     def __post_init__(self) -> None:
         _require_finite("ThetaConstant", self.value)
+
+    def particular(self, params: DdeParams, t: float) -> float:
+        return self.value / (params.a - params.b)
+
+    def particular_deriv(self, params: DdeParams, t: float) -> float:
+        return 0.0
+
+    def at_zero(self, params: DdeParams) -> float:
+        return self.value
 
 
 @dataclass(frozen=True)
@@ -267,6 +279,15 @@ class ThetaLinear:
     def __post_init__(self) -> None:
         _require_finite("ThetaLinear", self.slope, self.intercept)
 
+    def particular(self, params: DdeParams, t: float) -> float:
+        return (self.slope * t + self.intercept) / (params.a - params.b)
+
+    def particular_deriv(self, params: DdeParams, t: float) -> float:
+        return self.slope / (params.a - params.b)
+
+    def at_zero(self, params: DdeParams) -> float:
+        return self.intercept
+
 
 @dataclass(frozen=True)
 class ThetaExponential:
@@ -276,6 +297,19 @@ class ThetaExponential:
 
     def __post_init__(self) -> None:
         _require_finite("ThetaExponential", self.rate)
+
+    def particular(self, params: DdeParams, t: float) -> float:
+        A = self.rate
+        return ((params.a + params.b) * math.exp(A * t)
+                / (A * A - params.discriminant))
+
+    def particular_deriv(self, params: DdeParams, t: float) -> float:
+        A = self.rate
+        return (A * (params.a + params.b) * math.exp(A * t)
+                / (A * A - params.discriminant))
+
+    def at_zero(self, params: DdeParams) -> float:
+        return 1.0
 
 
 ThetaTerm = Union[ThetaConstant, ThetaLinear, ThetaExponential]
@@ -299,6 +333,16 @@ class EtaArticleBased:
                 f"art must lie in [0, 1], got {self.art!r}"
             )
 
+    def particular(self, params: DdeParams, t: float) -> float:
+        return self.at_zero(params) / (params.a - params.b)
+
+    def particular_deriv(self, params: DdeParams, t: float) -> float:
+        return 0.0
+
+    def at_zero(self, params: DdeParams) -> float:
+        """The term's value, the same at every t: exp(-art) + alpha (a - b)."""
+        return math.exp(-self.art) + self.alpha * (params.a - params.b)
+
 
 @dataclass(frozen=True)
 class EtaTimeExponential:
@@ -309,6 +353,19 @@ class EtaTimeExponential:
 
     def __post_init__(self) -> None:
         _require_finite("EtaTimeExponential", self.k, self.k1)
+
+    def particular(self, params: DdeParams, t: float) -> float:
+        k, k1 = self.k, self.k1
+        return k * math.exp(k1 * t) / (k1 * k1 - params.discriminant)
+
+    def particular_deriv(self, params: DdeParams, t: float) -> float:
+        k, k1 = self.k, self.k1
+        return k1 * k * math.exp(k1 * t) / (k1 * k1 - params.discriminant)
+
+    def at_zero(self, params: DdeParams) -> float:
+        # The pulse enters p'(0) through the (a+b) factor of the homogeneous
+        # slope, so dividing it out keeps p'(0) = (a+b) p0 + theta(0) + eta(0).
+        return self.k / (params.a + params.b)
 
 
 EtaTerm = Union[EtaArticleBased, EtaTimeExponential]

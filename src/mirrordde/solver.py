@@ -21,6 +21,10 @@ b**2 - a**2 therefore selects the character of the solution:
 
 All branches satisfy p(0) = p0 and p'(0) = (a + b) p0.
 
+:func:`evaluate` settles regime, forcing checks and mode amplitudes once per
+trajectory, then applies one closed form per t.  The scalar solutions are
+one-point wrappers around it, so each formula is written once.
+
 The oracle integrates the equivalent mirror system u' = b u + a v,
 v' = -(b v + a u) with u(0) = v(0) = p0, where u(t) = p(t) and v(t) = p(-t);
 it shares no code path with the closed forms beyond elementary arithmetic.
@@ -32,7 +36,7 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .core import (
     DEGENERACY_RTOL,
@@ -42,14 +46,11 @@ from .core import (
     EtaTimeExponential,
     Regime,
     RegimeTag,
-    ThetaConstant,
     ThetaExponential,
-    ThetaLinear,
 )
 from .errors import (
     NegativeInfluenceWarning,
     NonFiniteValue,
-    OutOfRange,
     ResonantForcing,
     WrongRegime,
     ZeroCoefficient,
@@ -77,11 +78,19 @@ def classify(params: DdeParams) -> Regime:
     return Regime(tag=RegimeTag.OSCILLATORY, r=r)
 
 
-def _require_exponential(params: DdeParams, what: str) -> Regime:
+_REGIME_RULES = {
+    RegimeTag.EXPONENTIAL: "the exponential regime (b**2 > a**2)",
+    RegimeTag.DEGENERATE: "b**2 = a**2",
+    RegimeTag.OSCILLATORY: "b**2 < a**2",
+}
+
+
+def _require_regime(params: DdeParams, what: str,
+                    tag: RegimeTag = RegimeTag.EXPONENTIAL) -> Regime:
     regime = classify(params)
-    if regime.tag is not RegimeTag.EXPONENTIAL:
+    if regime.tag is not tag:
         raise WrongRegime(
-            f"{what} requires the exponential regime (b**2 > a**2); "
+            f"{what} requires {_REGIME_RULES[tag]}; "
             f"a={params.a!r}, b={params.b!r} is {regime.tag.value}"
         )
     return regime
@@ -94,21 +103,14 @@ def base_solution(params: DdeParams, t: float) -> float:
     the two-mode solution; at t=0 this returns p0 exactly.  Raises
     :class:`WrongRegime` outside the exponential regime.
     """
-    regime = _require_exponential(params, "base_solution")
-    r = regime.r
-    rt = r * t
-    return params.p0 * (math.cosh(rt) + ((params.a + params.b) / r) * math.sinh(rt))
+    _require_regime(params, "base_solution")
+    return evaluate(params, (t,))[0]
 
 
 def degenerate_solution(params: DdeParams, t: float) -> float:
     """Boundary-case solution p0 * (1 + (a+b) t), the r -> 0 limit."""
-    regime = classify(params)
-    if regime.tag is not RegimeTag.DEGENERATE:
-        raise WrongRegime(
-            f"degenerate_solution requires b**2 = a**2; "
-            f"a={params.a!r}, b={params.b!r} is {regime.tag.value}"
-        )
-    return params.p0 * (1.0 + (params.a + params.b) * t)
+    _require_regime(params, "degenerate_solution", RegimeTag.DEGENERATE)
+    return evaluate(params, (t,))[0]
 
 
 class OscillatoryValue(NamedTuple):
@@ -125,16 +127,8 @@ def oscillatory_solution(params: DdeParams, t: float) -> OscillatoryValue:
     zero cannot describe a journal's influence, which is non-negative by
     nature.  The value is still computed so the branch can be inspected.
     """
-    regime = classify(params)
-    if regime.tag is not RegimeTag.OSCILLATORY:
-        raise WrongRegime(
-            f"oscillatory_solution requires b**2 < a**2; "
-            f"a={params.a!r}, b={params.b!r} is {regime.tag.value}"
-        )
-    w = regime.r
-    wt = w * t
-    value = params.p0 * (math.cos(wt) + ((params.a + params.b) / w) * math.sin(wt))
-    return OscillatoryValue(value=value, infeasible=True)
+    _require_regime(params, "oscillatory_solution", RegimeTag.OSCILLATORY)
+    return OscillatoryValue(value=evaluate(params, (t,))[0], infeasible=True)
 
 
 class GrowthKind(enum.Enum):
@@ -159,12 +153,7 @@ def nonsymmetric_solution(a_c: float, b_c: float, c_c: float,
     p0 + (b_c/a_c) t.  ``a_c = 0`` leaves no derivative to solve for and
     raises :class:`ZeroCoefficient`.
     """
-    for name, v in (("a_c", a_c), ("b_c", b_c), ("c_c", c_c),
-                    ("p0", p0), ("t", t)):
-        if not math.isfinite(v):
-            raise NonFiniteValue(f"{name} must be finite, got {v!r}")
-    if a_c == 0.0:
-        raise ZeroCoefficient("a_c must be nonzero in a_c * p' = b_c + c_c * p")
+    _check_first_order(a_c, b_c, c_c, p0, t)
     if c_c == 0.0:
         return NonsymmetricValue(value=p0 + (b_c / a_c) * t,
                                  kind=GrowthKind.LINEAR)
@@ -180,13 +169,17 @@ def linear_growth_solution(a_c: float, b_c: float, c_c: float,
     Expanding the exponential branch to first order around t=0 gives the
     straight line p0 + (b_c/a_c + (c_c/a_c) p0) t, exact when c_c = 0.
     """
+    _check_first_order(a_c, b_c, c_c, p0, t)
+    return p0 + (b_c / a_c + (c_c / a_c) * p0) * t
+
+
+def _check_first_order(a_c, b_c, c_c, p0, t) -> None:
     for name, v in (("a_c", a_c), ("b_c", b_c), ("c_c", c_c),
                     ("p0", p0), ("t", t)):
         if not math.isfinite(v):
             raise NonFiniteValue(f"{name} must be finite, got {v!r}")
     if a_c == 0.0:
         raise ZeroCoefficient("a_c must be nonzero in a_c * p' = b_c + c_c * p")
-    return p0 + (b_c / a_c + (c_c / a_c) * p0) * t
 
 
 # ---------------------------------------------------------------------------
@@ -200,110 +193,42 @@ def _check_resonance(params: DdeParams, config: ControlConfig) -> None:
     mode and its coefficient would divide by zero.
     """
     disc = params.discriminant
-
-    def resonant(rate: float) -> bool:
+    rates = []
+    if isinstance(config.theta, ThetaExponential):
+        rates.append(("theta", config.theta.rate))
+    if isinstance(config.eta, EtaTimeExponential):
+        rates.append(("eta", config.eta.k1))
+    for name, rate in rates:
         gap = rate * rate - disc
-        return abs(gap) <= RESONANCE_RTOL * max(1.0, rate * rate, abs(disc))
-
-    theta = config.theta
-    if isinstance(theta, ThetaExponential) and resonant(theta.rate):
-        raise ResonantForcing(
-            f"theta rate {theta.rate!r} squared coincides with "
-            f"b**2 - a**2 = {disc!r}"
-        )
-    eta = config.eta
-    if isinstance(eta, EtaTimeExponential) and resonant(eta.k1):
-        raise ResonantForcing(
-            f"eta rate {eta.k1!r} squared coincides with "
-            f"b**2 - a**2 = {disc!r}"
-        )
+        if abs(gap) <= RESONANCE_RTOL * max(1.0, rate * rate, abs(disc)):
+            raise ResonantForcing(
+                f"{name} rate {rate!r} squared coincides with "
+                f"b**2 - a**2 = {disc!r}"
+            )
 
 
-def _theta_particular(theta, params: DdeParams, t: float) -> float:
-    a, b = params.a, params.b
-    if isinstance(theta, ThetaConstant):
-        return theta.value / (a - b)
-    if isinstance(theta, ThetaLinear):
-        return (theta.slope * t + theta.intercept) / (a - b)
-    if isinstance(theta, ThetaExponential):
-        A = theta.rate
-        return (a + b) * math.exp(A * t) / (A * A - params.discriminant)
-    raise TypeError(f"unsupported theta term: {theta!r}")
+class _NoEta:
+    """Stands in for ``eta=None``: no external influence at any time."""
 
-
-def _theta_particular_deriv(theta, params: DdeParams, t: float) -> float:
-    a, b = params.a, params.b
-    if isinstance(theta, ThetaConstant):
+    def particular(self, params: DdeParams, t: float) -> float:
         return 0.0
-    if isinstance(theta, ThetaLinear):
-        return theta.slope / (a - b)
-    if isinstance(theta, ThetaExponential):
-        A = theta.rate
-        return A * (a + b) * math.exp(A * t) / (A * A - params.discriminant)
-    raise TypeError(f"unsupported theta term: {theta!r}")
 
+    particular_deriv = particular
 
-def _theta_at_zero(theta) -> float:
-    """theta(0), as it enters the first-order slope p'(0)."""
-    if isinstance(theta, ThetaConstant):
-        return theta.value
-    if isinstance(theta, ThetaLinear):
-        return theta.intercept
-    if isinstance(theta, ThetaExponential):
-        return 1.0
-    raise TypeError(f"unsupported theta term: {theta!r}")
-
-
-def _eta_particular(eta, params: DdeParams, t: float) -> float:
-    if eta is None:
+    def at_zero(self, params: DdeParams) -> float:
         return 0.0
-    if isinstance(eta, EtaArticleBased):
-        value = eta_article(eta.art, eta.alpha, params)
-        return value / (params.a - params.b)
-    if isinstance(eta, EtaTimeExponential):
-        k, k1 = eta.k, eta.k1
-        return k * math.exp(k1 * t) / (k1 * k1 - params.discriminant)
-    raise TypeError(f"unsupported eta term: {eta!r}")
 
 
-def _eta_particular_deriv(eta, params: DdeParams, t: float) -> float:
-    if eta is None or isinstance(eta, EtaArticleBased):
-        return 0.0
-    if isinstance(eta, EtaTimeExponential):
-        k, k1 = eta.k, eta.k1
-        return k1 * k * math.exp(k1 * t) / (k1 * k1 - params.discriminant)
-    raise TypeError(f"unsupported eta term: {eta!r}")
-
-
-def _eta_at_zero(eta, params: DdeParams) -> float:
-    """eta(0), as it enters the first-order slope p'(0).
-
-    For the time-exponential pulse k e^{k1 t} the relevant first-order
-    contribution is k/(a+b): the pulse enters the slope through the same
-    (a+b) factor that scales the homogeneous slope, so dividing it out here
-    keeps p'(0) = (a+b) p0 + theta(0) + eta(0) uniform across terms.
-    """
-    if eta is None:
-        return 0.0
-    if isinstance(eta, EtaArticleBased):
-        return eta_article(eta.art, eta.alpha, params)
-    if isinstance(eta, EtaTimeExponential):
-        return eta.k / (params.a + params.b)
-    raise TypeError(f"unsupported eta term: {eta!r}")
+_NO_ETA = _NoEta()
 
 
 def eta_article(art: float, alpha: float, params: DdeParams) -> float:
     """Article-share external influence: exp(-art) + alpha * (a - b).
 
-    ``art`` is the accepted-article fraction and must lie in [0, 1].
+    ``art`` is the accepted-article fraction and must lie in [0, 1]; the
+    :class:`EtaArticleBased` term it builds checks both inputs.
     """
-    if not math.isfinite(art):
-        raise NonFiniteValue(f"art must be finite, got {art!r}")
-    if not math.isfinite(alpha):
-        raise NonFiniteValue(f"alpha must be finite, got {alpha!r}")
-    if not 0.0 <= art <= 1.0:
-        raise OutOfRange(f"art must lie in [0, 1], got {art!r}")
-    return math.exp(-art) + alpha * (params.a - params.b)
+    return EtaArticleBased(alpha=alpha, art=art).at_zero(params)
 
 
 def control_solution(params: DdeParams, config: ControlConfig,
@@ -317,25 +242,7 @@ def control_solution(params: DdeParams, config: ControlConfig,
     negative at t=0, a :class:`NegativeInfluenceWarning` is emitted — the
     value is still returned.
     """
-    for name, v in (("c1", c1), ("c2", c2), ("t", t)):
-        if not math.isfinite(v):
-            raise NonFiniteValue(f"{name} must be finite, got {v!r}")
-    regime = _require_exponential(params, "control_solution")
-    _check_resonance(params, config)
-    r = regime.r
-
-    def particular(at: float) -> float:
-        return (_theta_particular(config.theta, params, at)
-                + _eta_particular(config.eta, params, at))
-
-    p_zero = c1 + c2 + particular(0.0)
-    if p_zero < 0.0:
-        warnings.warn(
-            f"influence at t=0 is negative ({p_zero!r})",
-            NegativeInfluenceWarning,
-            stacklevel=2,
-        )
-    return c1 * math.exp(r * t) + c2 * math.exp(-r * t) + particular(t)
+    return evaluate(params, (t,), config, (c1, c2))[0]
 
 
 def initial_conditions_to_modes(params: DdeParams,
@@ -353,19 +260,90 @@ def initial_conditions_to_modes(params: DdeParams,
     amplitudes of the homogeneous solution, (p0/2r)(r + a + b) and
     (p0/2r)(r - a - b).
     """
-    regime = _require_exponential(params, "initial_conditions_to_modes")
+    r = _require_regime(params, "initial_conditions_to_modes").r
     _check_resonance(params, config)
-    r = regime.r
-
-    part0 = (_theta_particular(config.theta, params, 0.0)
-             + _eta_particular(config.eta, params, 0.0))
-    part0_d = (_theta_particular_deriv(config.theta, params, 0.0)
-               + _eta_particular_deriv(config.eta, params, 0.0))
+    theta = config.theta
+    eta = config.eta if config.eta is not None else _NO_ETA
+    part0 = theta.particular(params, 0.0) + eta.particular(params, 0.0)
+    part0_d = (theta.particular_deriv(params, 0.0)
+               + eta.particular_deriv(params, 0.0))
     slope0 = ((params.a + params.b) * params.p0
-              + _theta_at_zero(config.theta)
-              + _eta_at_zero(config.eta, params))
+              + theta.at_zero(params)
+              + eta.at_zero(params))
     return solve_2x2(1.0, 1.0, r, -r,
                      params.p0 - part0, slope0 - part0_d)
+
+
+# ---------------------------------------------------------------------------
+# whole trajectories
+# ---------------------------------------------------------------------------
+
+def evaluate(params: DdeParams, times: Sequence[float],
+             config: ControlConfig | None = None,
+             modes: tuple[float, float] | None = None) -> list[float]:
+    """The trajectory p(t) at every t of ``times``.
+
+    With neither ``config`` nor ``modes``: the homogeneous solution of the
+    regime :func:`classify` finds, oscillatory included.  Otherwise
+    c1 e^{rt} + c2 e^{-rt} + P(t) as in :func:`control_solution`, with P from
+    ``config`` (none without one) and ``modes`` = (c1, c2) defaulting to
+    :func:`initial_conditions_to_modes`; a forced run negative at t=0 warns
+    once per call.  Raises :class:`NonFiniteValue` on a non-finite t or p.
+    """
+    if modes is not None:
+        for name, v in zip(("c1", "c2"), modes):
+            if not math.isfinite(v):
+                raise NonFiniteValue(f"{name} must be finite, got {v!r}")
+    if not all(map(math.isfinite, times)):
+        bad = next(t for t in times if not math.isfinite(t))
+        raise NonFiniteValue(f"t must be finite, got {bad!r}")
+
+    if config is None and modes is None:
+        values = _homogeneous(params, times)
+    else:
+        values = _two_mode(params, times, config, modes)
+
+    if not all(map(math.isfinite, values)):
+        t, p = next((t, p) for t, p in zip(times, values)
+                    if not math.isfinite(p))
+        raise NonFiniteValue(f"p({t!r}) = {p!r} overflows float64")
+    return values
+
+
+def _homogeneous(params: DdeParams, times: Sequence[float]) -> list[float]:
+    regime = classify(params)
+    p0, s = params.p0, params.a + params.b
+    if regime.tag is RegimeTag.DEGENERATE:
+        return [p0 * (1.0 + s * t) for t in times]
+    r, k = regime.r, s / regime.r
+    if regime.tag is RegimeTag.EXPONENTIAL:
+        return [p0 * (math.cosh(rt := r * t) + k * math.sinh(rt))
+                for t in times]
+    return [p0 * (math.cos(wt := r * t) + k * math.sin(wt)) for t in times]
+
+
+def _two_mode(params: DdeParams, times: Sequence[float],
+              config: ControlConfig | None,
+              modes: tuple[float, float] | None) -> list[float]:
+    if modes is None:
+        modes = initial_conditions_to_modes(params, config)
+    c1, c2 = modes
+    r = _require_regime(params, "control_solution").r
+    if config is None:
+        return [c1 * math.exp(r * t) + c2 * math.exp(-r * t) for t in times]
+
+    _check_resonance(params, config)
+    theta_p = config.theta.particular
+    eta_p = (config.eta if config.eta is not None else _NO_ETA).particular
+    p_zero = c1 + c2 + (theta_p(params, 0.0) + eta_p(params, 0.0))
+    if p_zero < 0.0:
+        warnings.warn(
+            f"influence at t=0 is negative ({p_zero!r})",
+            NegativeInfluenceWarning,
+            stacklevel=3,
+        )
+    return [c1 * math.exp(r * t) + c2 * math.exp(-r * t)
+            + (theta_p(params, t) + eta_p(params, t)) for t in times]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from mirrordde import numerics
+from mirrordde import cli, numerics
 
 from helpers import run_cli, run_cli_bytes
 
@@ -137,6 +137,60 @@ class TestSimulate:
         assert code == 3
         assert err.startswith("ERROR 3: ")
 
+    @pytest.mark.parametrize("kind,argv", [
+        ("exponential", ("--a=0.23", "--b=0.61", "--p0=1.3")),
+        ("degenerate", ("--a=0.37", "--b=0.37", "--p0=0.9")),
+        ("oscillatory", ("--a=0.58", "--b=-0.21", "--p0=1.1",
+                         "--allow-oscillatory")),
+        ("modes", ("--a=-0.17", "--b=0.44", "--p0=1", "--c1=0.35",
+                   "--c2=-1.2")),
+        ("theta_const_eta_article", ("--a=0.12", "--b=0.47", "--p0=1.4",
+                                     "--theta-const=-0.13",
+                                     "--eta-article=0.62,0.8")),
+        ("theta_lin_eta_exp", ("--a=-0.31", "--b=0.52", "--p0=0.8",
+                               "--theta-lin=0.21,-0.07",
+                               "--eta-exp=-0.15,0.33")),
+        ("theta_exp", ("--a=0.2", "--b=0.55", "--p0=1.2",
+                       "--theta-exp=-0.27")),
+    ])
+    def test_matches_golden(self, data_dir, tmp_path, kind, argv):
+        """One golden per trajectory path, 401 rows on [-5, 5].
+
+        Each file is ``simulate --t-min=-5 --t-max=5 --steps 400`` plus the
+        argv above; a reordered floating-point expression in the solver
+        shows up as a changed 12th digit somewhere in the 401 rows.
+        """
+        target = tmp_path / "sim.csv"
+        code, out, err = run_cli("simulate", "--t-min=-5", "--t-max=5",
+                                 "--steps", "400", *argv, "--out", str(target))
+        assert code == 0 and out == "" and err == ""
+        golden = data_dir / f"golden_simulate_{kind}.csv"
+        assert target.read_bytes() == golden.read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        # the grid itself overflows to -inf/inf
+        ("--a", "0", "--b", "1", "--p0", "1", "--t-min=-1e308",
+         "--t-max=1e308", "--steps", "2"),
+        # p0 (1 + (a+b) t) overflows without an OverflowError
+        ("--a", "1", "--b", "1", "--p0", "1e308", "--t-min=-5", "--t-max=5",
+         "--steps", "2"),
+        # cosh and sinh stay finite, their weighted sum does not
+        ("--a", "0", "--b", "1", "--p0", "10", "--t-min=-709", "--t-max=709",
+         "--steps", "2"),
+        # the particular term overflows: inf - inf = nan
+        ("--a", "0", "--b", "1", "--p0", "1", "--theta-lin", "1e308,0",
+         "--t-min=-5", "--t-max=5", "--steps", "2"),
+        # cos(inf) was a bare "math domain error"
+        ("--a", "2", "--b", "1", "--p0", "1", "--t-min=-1e308",
+         "--t-max=1e308", "--steps", "2", "--allow-oscillatory"),
+    ])
+    def test_non_finite_is_an_error_line(self, argv):
+        code, out, err = run_cli("simulate", *argv)
+        assert code == 2 and out == ""
+        assert "Traceback" not in err
+        assert err.count("ERROR 2: ") == 1 and err.count("\n") == 1
+        assert "math domain error" not in err
+
 
 # ---------------------------------------------------------------------------
 # fit
@@ -169,6 +223,33 @@ class TestFit:
         r = report["r"]
         want = report["w1"] * math.exp(r * 4.0) + report["w2"] * math.exp(-r * 4.0)
         assert report["prediction"] == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("t,want", [
+        ("4.0", 11.579106043569585),
+        ("-2.7", -0.690936807981872),
+    ])
+    def test_prediction_exact_on_exponential_series(self, tmp_path, t, want):
+        # w1 e^{rt} + w2 e^{-rt} with the fitted modes, to the last bit
+        path = exponential_csv(tmp_path / "series.csv")
+        code, out, _ = run_cli("fit", "--input", path, "--predict", t)
+        assert code == 0
+        assert json.loads(out)["prediction"] == want
+
+    @pytest.mark.parametrize("t,want", [
+        ("2.5", 1.5530003285946303),
+        ("-4.2", -1.7011143608451589),
+    ])
+    def test_prediction_exact_on_oscillatory_series(self, tmp_path, t, want):
+        # p0 (cos(wt) + ((a+b)/w) sin(wt)) with the fitted (a, b)
+        from mirrordde import DdeParams, oscillatory_solution
+
+        params = DdeParams(a=0.6, b=0.2, p0=1.0)
+        times = [0.05 * (i - 60) for i in range(121)]
+        values = [oscillatory_solution(params, s).value for s in times]
+        path = write_series_csv(tmp_path / "osc.csv", times, values)
+        code, out, _ = run_cli("fit", "--input", path, "--predict", t)
+        assert code == 0
+        assert json.loads(out)["prediction"] == want
 
     def test_forward_mode_flag(self, tmp_path):
         path = exponential_csv(tmp_path / "series.csv")
@@ -358,6 +439,17 @@ class TestVerify:
                                "--p0", "1")
         assert code == 3
         assert err.startswith("ERROR 3: ")
+
+    def test_regime_checked_before_integration(self, monkeypatch):
+        def no_oracle(*args):
+            raise AssertionError("oracle_solution must not run")
+
+        monkeypatch.setattr(cli, "oracle_solution", no_oracle)
+        code, out, err = run_cli("verify", "--a", "2", "--b", "1", "--p0", "1",
+                                 "--t-max", "5", "--step", "1e-5")
+        assert code == 3 and out == ""
+        assert err == ("ERROR 3: base_solution requires the exponential regime "
+                       "(b**2 > a**2); a=2.0, b=1.0 is oscillatory\n")
 
     def test_step_validation(self):
         code, _, err = run_cli("verify", "--a", "0.3", "--b", "0.5",

@@ -17,6 +17,7 @@ from mirrordde import (
     EtaTimeExponential,
     GrowthKind,
     NegativeInfluenceWarning,
+    NonFiniteValue,
     OutOfRange,
     RegimeTag,
     ResonantForcing,
@@ -30,6 +31,7 @@ from mirrordde import (
     control_solution,
     degenerate_solution,
     eta_article,
+    evaluate,
     initial_conditions_to_modes,
     linear_growth_solution,
     nonsymmetric_solution,
@@ -386,6 +388,167 @@ class TestInitialConditionsToModes:
             warnings.simplefilter("ignore", NegativeInfluenceWarning)
             value = control_solution(PARAMS, config, c1, c2, 0.0)
         assert abs(value - PARAMS.p0) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# evaluate and the control-term methods
+# ---------------------------------------------------------------------------
+
+TIMES = [-4.0 + 0.08 * i for i in range(100)]
+
+THETAS = [ThetaConstant(0.2), ThetaLinear(slope=0.1, intercept=-0.3),
+          ThetaExponential(rate=0.25)]
+ETAS = [None, EtaTimeExponential(k=0.3, k1=-0.15),
+        EtaArticleBased(alpha=0.7, art=0.4)]
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("params,wrapper", [
+        (PARAMS, base_solution),
+        (DdeParams(a=0.4, b=0.4, p0=1.3), degenerate_solution),
+        (DdeParams(a=0.5, b=-0.3, p0=0.7),
+         lambda params, t: oscillatory_solution(params, t).value),
+    ])
+    def test_homogeneous_equals_wrappers_bitwise(self, params, wrapper):
+        assert evaluate(params, TIMES) == [wrapper(params, t) for t in TIMES]
+
+    def test_homogeneous_closed_forms_bitwise(self):
+        # the expressions each regime's docstring gives, term for term
+        a, b, p0 = 0.3, 0.5, 1.3
+        r = math.sqrt(b * b - a * a)
+        assert evaluate(DdeParams(a=a, b=b, p0=p0), TIMES) == [
+            p0 * (math.cosh(r * t) + ((a + b) / r) * math.sinh(r * t))
+            for t in TIMES]
+        assert evaluate(DdeParams(a=0.4, b=0.4, p0=1.3), TIMES) == [
+            1.3 * (1.0 + (0.4 + 0.4) * t) for t in TIMES]
+        w = math.sqrt(0.5 * 0.5 - 0.3 * 0.3)
+        assert evaluate(DdeParams(a=0.5, b=-0.3, p0=0.7), TIMES) == [
+            0.7 * (math.cos(w * t) + ((0.5 - 0.3) / w) * math.sin(w * t))
+            for t in TIMES]
+
+    @pytest.mark.parametrize("eta", ETAS)
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_forced_equals_control_solution_bitwise(self, theta, eta):
+        config = ControlConfig(theta=theta, eta=eta)
+        c1, c2 = initial_conditions_to_modes(PARAMS, config)
+        r = 0.4
+
+        def written_out(t):
+            eta_part = eta.particular(PARAMS, t) if eta is not None else 0.0
+            return (c1 * math.exp(r * t) + c2 * math.exp(-r * t)
+                    + (theta.particular(PARAMS, t) + eta_part))
+
+        want = [written_out(t) for t in TIMES]
+        assert [control_solution(PARAMS, config, c1, c2, t)
+                for t in TIMES] == want
+        assert evaluate(PARAMS, TIMES, config) == want
+        assert evaluate(PARAMS, TIMES, config, (c1, c2)) == want
+
+    def test_modes_without_config_is_the_two_mode_form(self):
+        r = 0.4
+        got = evaluate(PARAMS, TIMES, modes=(0.7, -0.2))
+        assert got == [0.7 * math.exp(r * t) + -0.2 * math.exp(-r * t)
+                       for t in TIMES]
+
+    def test_negative_origin_warns_once_per_call(self):
+        config = ControlConfig(theta=ThetaLinear(slope=0.1, intercept=0.2))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            evaluate(PARAMS, TIMES, config, (-2.0, 0.5))
+            evaluate(PARAMS, TIMES[:3], config, (-2.0, 0.5))
+        assert [w.category for w in caught] == [NegativeInfluenceWarning] * 2
+
+    def test_unforced_modes_do_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            evaluate(PARAMS, TIMES, modes=(-2.0, 0.5))
+
+    @pytest.fixture
+    def no_point_evaluated(self, monkeypatch):
+        """Make any per-point term evaluation fail loudly."""
+        def fail(self, params, t):
+            raise AssertionError("a point was evaluated")
+
+        for term in (ThetaConstant, ThetaLinear, ThetaExponential,
+                     EtaArticleBased, EtaTimeExponential):
+            monkeypatch.setattr(term, "particular", fail)
+            monkeypatch.setattr(term, "particular_deriv", fail)
+
+    def test_resonance_raised_before_any_point(self, no_point_evaluated):
+        # r = 0.4, so rate^2 = 0.16 = b^2 - a^2
+        for config in (ControlConfig(theta=ThetaExponential(0.4)),
+                       ControlConfig(eta=EtaTimeExponential(k=1.0, k1=-0.4))):
+            with pytest.raises(ResonantForcing):
+                evaluate(PARAMS, TIMES, config)
+            with pytest.raises(ResonantForcing):
+                evaluate(PARAMS, TIMES, config, (1.0, 1.0))
+
+    def test_wrong_regime_raised_before_any_point(self, no_point_evaluated):
+        config = ControlConfig(theta=ThetaLinear(slope=0.1, intercept=0.2))
+        for params in (DdeParams(a=0.5, b=0.3, p0=1.0),
+                       DdeParams(a=0.4, b=0.4, p0=1.0)):
+            with pytest.raises(WrongRegime, match="initial_conditions_to_modes"):
+                evaluate(params, TIMES, config)
+            with pytest.raises(WrongRegime, match="control_solution"):
+                evaluate(params, TIMES, config, (1.0, 1.0))
+            with pytest.raises(WrongRegime, match="control_solution"):
+                evaluate(params, TIMES, modes=(1.0, 1.0))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_time_rejected(self, bad):
+        with pytest.raises(NonFiniteValue, match="t must be finite"):
+            evaluate(PARAMS, [0.0, bad])
+        with pytest.raises(NonFiniteValue, match="t must be finite"):
+            evaluate(DdeParams(a=0.5, b=0.3, p0=1.0), [bad])
+
+    def test_non_finite_modes_rejected(self):
+        with pytest.raises(NonFiniteValue, match="c2 must be finite"):
+            evaluate(PARAMS, TIMES, modes=(1.0, math.nan))
+
+    @pytest.mark.parametrize("params,t", [
+        (DdeParams(a=1.0, b=1.0, p0=1e308), -5.0),     # degenerate ramp
+        (DdeParams(a=0.0, b=1.0, p0=10.0), 709.0),     # cosh + sinh
+    ])
+    def test_non_finite_value_rejected(self, params, t):
+        with pytest.raises(NonFiniteValue, match="overflows float64"):
+            evaluate(params, [0.0, t])
+
+    def test_empty_times(self):
+        assert evaluate(PARAMS, []) == []
+
+
+class TestControlTerms:
+    """The term methods against the particular solutions written out."""
+
+    def test_theta_terms(self):
+        a, b, t = 0.3, 0.5, 1.7
+        disc = b * b - a * a
+        const, lin, exp_ = THETAS
+        assert const.particular(PARAMS, t) == 0.2 / (a - b)
+        assert const.particular_deriv(PARAMS, t) == 0.0
+        assert const.at_zero(PARAMS) == 0.2
+        assert lin.particular(PARAMS, t) == (0.1 * t + -0.3) / (a - b)
+        assert lin.particular_deriv(PARAMS, t) == 0.1 / (a - b)
+        assert lin.at_zero(PARAMS) == -0.3
+        assert exp_.particular(PARAMS, t) == \
+            (a + b) * math.exp(0.25 * t) / (0.25 * 0.25 - disc)
+        assert exp_.particular_deriv(PARAMS, t) == \
+            0.25 * (a + b) * math.exp(0.25 * t) / (0.25 * 0.25 - disc)
+        assert exp_.at_zero(PARAMS) == 1.0
+
+    def test_eta_terms(self):
+        a, b, t = 0.3, 0.5, 1.7
+        disc = b * b - a * a
+        _, pulse, article = ETAS
+        assert pulse.particular(PARAMS, t) == \
+            0.3 * math.exp(-0.15 * t) / (-0.15 * -0.15 - disc)
+        assert pulse.particular_deriv(PARAMS, t) == \
+            -0.15 * 0.3 * math.exp(-0.15 * t) / (-0.15 * -0.15 - disc)
+        assert pulse.at_zero(PARAMS) == 0.3 / (a + b)
+        value = eta_article(0.4, 0.7, PARAMS)
+        assert article.at_zero(PARAMS) == value
+        assert article.particular(PARAMS, t) == value / (a - b)
+        assert article.particular_deriv(PARAMS, t) == 0.0
 
 
 # ---------------------------------------------------------------------------
