@@ -23,6 +23,7 @@ from numpy.typing import NDArray
 
 from .errors import (
     AsymmetricGrid,
+    DimensionMismatch,
     NonFiniteValue,
     NonUniformGrid,
     OutOfRange,
@@ -55,8 +56,9 @@ class InfluenceSeries:
     grid always contains t=0 itself (odd length), so the influence at the
     origin is a sample rather than an estimate.
 
-    Construct instances through :func:`validate_series`, which infers the step
-    from the grid; the constructor re-checks everything either way.
+    The constructor takes 1-d array-likes and an explicit ``step``, checks
+    every invariant once on float64 arrays, and stores tuples of Python
+    floats.  :func:`validate_series` infers the step and calls it.
     """
 
     times: tuple[float, ...]
@@ -64,53 +66,56 @@ class InfluenceSeries:
     step: float
 
     def __post_init__(self) -> None:
-        times = tuple(float(t) for t in self.times)
-        values = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "step", float(self.step))
+        t = _as_vector("times", self.times)
+        v = _as_vector("values", self.values)
+        step = float(self.step)
+        object.__setattr__(self, "times", tuple(t.tolist()))
+        object.__setattr__(self, "values", tuple(v.tolist()))
+        object.__setattr__(self, "step", step)
 
-        if len(times) != len(values):
-            raise ValueError(
-                f"times and values differ in length: {len(times)} vs {len(values)}"
+        n = t.size
+        if n != v.size:
+            raise ValueError(f"times and values differ in length: {n} vs {v.size}")
+        if n < 3:
+            raise TooShort(f"need at least 3 samples, got {n}")
+        for name, arr in (("times", t), ("values", v)):
+            i = _first_true(~np.isfinite(arr))
+            if i is not None:
+                raise NonFiniteValue(f"{name} must be finite, got {float(arr[i])!r}")
+
+        i = _first_true(~(t[:-1] < t[1:]))
+        if i is not None:
+            raise NonUniformGrid(
+                f"times must be strictly increasing; "
+                f"times[{i}]={float(t[i])!r} >= times[{i + 1}]={float(t[i + 1])!r}"
             )
-        if len(times) < 3:
-            raise TooShort(f"need at least 3 samples, got {len(times)}")
-        _require_finite("times", *times)
-        _require_finite("values", *values)
-
-        n = len(times)
-        for i in range(n - 1):
-            if not times[i] < times[i + 1]:
-                raise NonUniformGrid(
-                    f"times must be strictly increasing; "
-                    f"times[{i}]={times[i]!r} >= times[{i + 1}]={times[i + 1]!r}"
-                )
 
         # Symmetry about the origin comes before uniformity: a grid like
         # (-1, 0, 2) is reported as asymmetric, not as unevenly spaced.
-        for i in range(n):
+        # Two large times of one sign may sum to inf, which still counts as
+        # asymmetric.
+        a = np.abs(t)
+        tol = GRID_RTOL * np.maximum(1.0, np.maximum(a, a[::-1]))
+        with np.errstate(over="ignore"):
+            i = _first_true(np.abs(t + t[::-1]) > tol)
+        if i is not None:
             j = n - 1 - i
-            tol = GRID_RTOL * max(1.0, abs(times[i]), abs(times[j]))
-            if abs(times[i] + times[j]) > tol:
-                raise AsymmetricGrid(
-                    f"times[{i}]={times[i]!r} has no mirror partner; "
-                    f"expected -times[{j}]={-times[j]!r}"
-                )
-        if n % 2 == 0:
             raise AsymmetricGrid(
-                f"grid of even length {n} has no sample at t=0"
+                f"times[{i}]={float(t[i])!r} has no mirror partner; "
+                f"expected -times[{j}]={-float(t[j])!r}"
             )
+        if n % 2 == 0:
+            raise AsymmetricGrid(f"grid of even length {n} has no sample at t=0")
 
-        if not (math.isfinite(self.step) and self.step > 0.0):
-            raise NonUniformGrid(f"step must be positive, got {self.step!r}")
-        for i in range(n - 1):
-            d = times[i + 1] - times[i]
-            if abs(d - self.step) > GRID_RTOL * self.step:
-                raise NonUniformGrid(
-                    f"spacing between times[{i}] and times[{i + 1}] is {d!r}, "
-                    f"expected {self.step!r}"
-                )
+        if not (math.isfinite(step) and step > 0.0):
+            raise NonUniformGrid(f"step must be positive, got {step!r}")
+        d = t[1:] - t[:-1]
+        i = _first_true(np.abs(d - step) > GRID_RTOL * step)
+        if i is not None:
+            raise NonUniformGrid(
+                f"spacing between times[{i}] and times[{i + 1}] is {float(d[i])!r}, "
+                f"expected {step!r}"
+            )
 
     def __len__(self) -> int:
         return len(self.times)
@@ -133,23 +138,30 @@ class InfluenceSeries:
                 np.asarray(self.values, dtype=float))
 
 
-def validate_series(times, values) -> InfluenceSeries:
-    """Validate raw time/value sequences and return an :class:`InfluenceSeries`.
+def _as_vector(name: str, seq) -> NDArray[np.float64]:
+    arr = np.asarray(seq, dtype=float)
+    if arr.ndim != 1:
+        raise DimensionMismatch(f"{name} must be 1-d, got shape {arr.shape}")
+    return arr
 
-    The step is inferred from the span of the grid, ``(t[-1] - t[0])/(n-1)``,
-    then every individual spacing is checked against it.
+
+def _first_true(mask: NDArray[np.bool_]) -> int | None:
+    """Index of the first True entry of a non-empty boolean array, or None."""
+    i = int(mask.argmax())
+    return i if mask[i] else None
+
+
+def validate_series(times, values) -> InfluenceSeries:
+    """Build an :class:`InfluenceSeries`, inferring the step from the grid.
+
+    The step is the span of the grid over its intervals,
+    ``(t[-1] - t[0])/(n-1)``, computed in Python floats; every check,
+    including each spacing against that step, is the constructor's.
     """
-    times = tuple(float(t) for t in times)
-    values = tuple(float(v) for v in values)
-    if len(times) != len(values):
-        raise ValueError(
-            f"times and values differ in length: {len(times)} vs {len(values)}"
-        )
-    if len(times) < 3:
-        raise TooShort(f"need at least 3 samples, got {len(times)}")
-    _require_finite("times", *times)
-    step = (times[-1] - times[0]) / (len(times) - 1)
-    return InfluenceSeries(times=times, values=values, step=step)
+    t = np.asarray(times, dtype=float)
+    n = t.size
+    step = (float(t.flat[-1]) - float(t.flat[0])) / (n - 1) if n > 1 else math.nan
+    return InfluenceSeries(times=t, values=values, step=step)
 
 
 # ---------------------------------------------------------------------------

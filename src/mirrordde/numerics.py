@@ -26,6 +26,7 @@ from .errors import (
     DimensionMismatch,
     NonFiniteState,
     NonFiniteValue,
+    SingularSystem,
 )
 
 #: Off-diagonal threshold below which a Jacobi column pair counts as orthogonal.
@@ -111,8 +112,6 @@ def solve_2x2(m11: float, m12: float, m21: float, m22: float,
     is below :data:`SOLVE2_RTOL` relative to the product of the row norms
     (which also catches the all-zero matrix).
     """
-    from .errors import SingularSystem
-
     det = m11 * m22 - m12 * m21
     scale = math.hypot(m11, m12) * math.hypot(m21, m22)
     if abs(det) <= SOLVE2_RTOL * scale:
@@ -193,25 +192,12 @@ def lasso_fit(X, y, lam: float) -> list[float]:
     if not (math.isfinite(lam) and lam >= 0.0):
         raise ValueError(f"lam must be non-negative and finite, got {lam!r}")
 
-    sweeps = _lasso_sweeps(A, rhs, lam)
-    w = None
-    for _ in range(LASSO_MAX_SWEEPS):
-        try:
-            w = next(sweeps)
-        except StopIteration:
-            break
-    else:
-        # the cap was reached with the iterator still live
-        try:
-            next(sweeps)
-        except StopIteration:
-            pass
-        else:
+    for count, w in enumerate(_lasso_sweeps(A, rhs, lam), 1):
+        if count > LASSO_MAX_SWEEPS:
             raise ConvergenceFailure(
                 f"coordinate descent did not converge within "
                 f"{LASSO_MAX_SWEEPS} sweeps"
             )
-    assert w is not None
     return w
 
 

@@ -35,7 +35,6 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .core import (
@@ -350,18 +349,11 @@ def _two_mode(params: DdeParams, times: Sequence[float],
 # numerical oracle
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SolutionSample:
+class SolutionSample(NamedTuple):
     """One (t, p) sample of a trajectory."""
 
     t: float
     p: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.t) and math.isfinite(self.p)):
-            raise NonFiniteValue(
-                f"sample ({self.t!r}, {self.p!r}) is not finite"
-            )
 
 
 def oracle_solution(params: DdeParams, t_max: float,
@@ -382,8 +374,7 @@ def oracle_solution(params: DdeParams, t_max: float,
         return (b * u + a * v, -(b * v + a * u))
 
     trajectory = rk4_integrate(rhs, (params.p0, params.p0), t_max, step)
-    negatives = [SolutionSample(t=-t, p=state[1])
-                 for t, state in trajectory[1:]]
+    negatives = [SolutionSample(-t, state[1]) for t, state in trajectory[1:]]
     negatives.reverse()
-    positives = [SolutionSample(t=t, p=state[0]) for t, state in trajectory]
+    positives = [SolutionSample(t, state[0]) for t, state in trajectory]
     return negatives + positives

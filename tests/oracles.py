@@ -14,6 +14,8 @@ import statistics
 import mpmath as mp
 import numpy as np
 
+from mirrordde.core import GRID_RTOL
+from mirrordde.errors import AsymmetricGrid, NonFiniteValue, NonUniformGrid, TooShort
 from mirrordde.numerics import LASSO_TOL, lasso_fit
 
 
@@ -267,3 +269,49 @@ def lstsq_coefficients(design, target):
     sol, *_ = np.linalg.lstsq(np.asarray(design, float), np.asarray(target, float),
                               rcond=None)
     return [float(v) for v in sol]
+
+
+# ---------------------------------------------------------------------------
+# Series grid checks as per-index loops
+# ---------------------------------------------------------------------------
+
+def longhand_series_error(times, values, step):
+    """The ``InfluenceSeries`` checks written as scalar loops.
+
+    Returns ``(exception type, message)`` for the first check that fails, in
+    the library's order, or ``None`` for a valid series.  ``step=None``
+    infers the step from the span, as ``validate_series`` does.
+    """
+    times = [float(t) for t in times]
+    values = [float(v) for v in values]
+    n = len(times)
+    if n != len(values):
+        return ValueError, f"times and values differ in length: {n} vs {len(values)}"
+    if n < 3:
+        return TooShort, f"need at least 3 samples, got {n}"
+    for name, seq in (("times", times), ("values", values)):
+        for x in seq:
+            if not math.isfinite(x):
+                return NonFiniteValue, f"{name} must be finite, got {x!r}"
+    for i in range(n - 1):
+        if not times[i] < times[i + 1]:
+            return NonUniformGrid, (
+                f"times must be strictly increasing; "
+                f"times[{i}]={times[i]!r} >= times[{i + 1}]={times[i + 1]!r}")
+    for i in range(n):
+        j = n - 1 - i
+        tol = GRID_RTOL * max(1.0, abs(times[i]), abs(times[j]))
+        if abs(times[i] + times[j]) > tol:
+            return AsymmetricGrid, (f"times[{i}]={times[i]!r} has no mirror "
+                                    f"partner; expected -times[{j}]={-times[j]!r}")
+    if n % 2 == 0:
+        return AsymmetricGrid, f"grid of even length {n} has no sample at t=0"
+    step = (times[-1] - times[0]) / (n - 1) if step is None else float(step)
+    if not (math.isfinite(step) and step > 0.0):
+        return NonUniformGrid, f"step must be positive, got {step!r}"
+    for i in range(n - 1):
+        d = times[i + 1] - times[i]
+        if abs(d - step) > GRID_RTOL * step:
+            return NonUniformGrid, (f"spacing between times[{i}] and "
+                                    f"times[{i + 1}] is {d!r}, expected {step!r}")
+    return None

@@ -274,6 +274,26 @@ class TestFit:
             assert report[key] is None
         assert "oscillatory" in err
 
+    @pytest.mark.parametrize("name,source,extra", [
+        ("exponential", "exponential", ()),
+        ("exponential_forward", "exponential", ("--fd", "forward")),
+        ("oscillatory", "oscillatory", ()),
+        ("degenerate", "degenerate", ()),
+    ])
+    def test_matches_golden(self, data_dir, name, source, extra):
+        """Full-precision JSON and the regime note, byte for byte.
+
+        Inputs are the simulate goldens; each pair of files is stdout and
+        stderr of ``fit --input golden_simulate_<source>.csv --predict 1.5``
+        plus the extra flags.
+        """
+        code, out, err = run_cli(
+            "fit", "--input", str(data_dir / f"golden_simulate_{source}.csv"),
+            "--predict", "1.5", *extra)
+        assert code == 0
+        assert out.encode() == (data_dir / f"golden_fit_{name}.out").read_bytes()
+        assert err.encode() == (data_dir / f"golden_fit_{name}.err").read_bytes()
+
     def test_too_short_input(self, tmp_path):
         path = write_series_csv(tmp_path / "short.csv", [-1.0, 1.0], [1.0, 2.0])
         code, _, err = run_cli("fit", "--input", path)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from mirrordde import (
     AsymmetricGrid,
     ControlConfig,
     DdeParams,
+    DimensionMismatch,
     EtaArticleBased,
     EtaTimeExponential,
     FeatureMatrix,
@@ -31,6 +33,8 @@ from mirrordde import (
     TooShort,
     validate_series,
 )
+
+from oracles import longhand_series_error
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +92,107 @@ class TestInfluenceSeries:
         with pytest.raises(NonUniformGrid):
             InfluenceSeries(times=(-1.0, 0.0, 1.0), values=(1.0, 2.0, 3.0),
                             step=-1.0)
+
+    @pytest.mark.parametrize("times,values,step,exc,message", [
+        ([-1.0, 0.0, 1.0], [1.0, 2.0], None, ValueError,
+         "times and values differ in length: 3 vs 2"),
+        ([], [], None, TooShort, "need at least 3 samples, got 0"),
+        ([-1.0, 1.0], [1.0, 2.0], None, TooShort,
+         "need at least 3 samples, got 2"),
+        ([-1.0, math.nan, 1.0], [1.0, 2.0, 3.0], None, NonFiniteValue,
+         "times must be finite, got nan"),
+        ([-1.0, 0.0, 1.0], [1.0, math.nan, 3.0], None, NonFiniteValue,
+         "values must be finite, got nan"),
+        ([-1.0, -1.0, 0.0, 1.0, 1.0], [1.0] * 5, None, NonUniformGrid,
+         "times must be strictly increasing; times[0]=-1.0 >= times[1]=-1.0"),
+        ([-1.0, 0.0, 2.0], [1.0, 2.0, 3.0], None, AsymmetricGrid,
+         "times[0]=-1.0 has no mirror partner; expected -times[2]=-2.0"),
+        # t[0] + t[2] overflows to inf, which is still asymmetric
+        ([1e308, 1.5e308, 1.7e308], [1.0, 2.0, 3.0], None, AsymmetricGrid,
+         "times[0]=1e+308 has no mirror partner; expected -times[2]=-1.7e+308"),
+        ([-1.5, -0.5, 0.5, 1.5], [1.0] * 4, None, AsymmetricGrid,
+         "grid of even length 4 has no sample at t=0"),
+        ([-1.0, 0.0, 1.0], [1.0, 2.0, 3.0], -1.0, NonUniformGrid,
+         "step must be positive, got -1.0"),
+        ([-1.0, 0.0, 1.0], [1.0, 2.0, 3.0], 0.5, NonUniformGrid,
+         "spacing between times[0] and times[1] is 1.0, expected 0.5"),
+        ([-2.0, -1.5, 0.0, 1.5, 2.0], [1.0] * 5, None, NonUniformGrid,
+         "spacing between times[0] and times[1] is 0.5, expected 1.0"),
+        # first rejected by the finiteness check, so no inf - inf step
+        # warning escapes
+        ([math.inf, 0.0, math.inf], [1.0, 2.0, 3.0], None, NonFiniteValue,
+         "times must be finite, got inf"),
+        ([[-1.0], [0.0], [1.0]], [1.0, 2.0, 3.0], None, DimensionMismatch,
+         "times must be 1-d, got shape (3, 1)"),
+        ([-1.0, 0.0, 1.0], [[1, 1], [2, 2], [3, 3]], None, DimensionMismatch,
+         "values must be 1-d, got shape (3, 2)"),
+    ], ids=["length-mismatch", "n0", "n2", "nan-time", "nan-value",
+            "repeated-time", "asymmetric", "sum-overflows", "even-length", "negative-step",
+            "step-mismatch", "uneven-spacing", "inf-0-inf", "nested-times",
+            "nested-values"])
+    def test_rejection_type_and_message(self, times, values, step, exc,
+                                        message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(exc) as info:
+                if step is None:
+                    validate_series(times, values)
+                else:
+                    InfluenceSeries(times=times, values=values, step=step)
+        assert type(info.value) is exc
+        assert str(info.value) == message
+
+    @given(
+        n=st.integers(min_value=0, max_value=12),
+        h=st.sampled_from([1.0, 0.05, 1e-3, 0.3, 1e150, 1e300]),
+        fault=st.sampled_from(["none", "nan", "inf", "repeat", "shift",
+                               "mirror-shift", "scale", "drop-value"]),
+        where=st.integers(min_value=0, max_value=11),
+        delta=st.sampled_from([1e-12, 1e-10, 1e-8, 0.3, 2.0]),
+        step=st.sampled_from([None, 1.0, 0.05, -1.0, math.nan]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_checks_agree_with_longhand_loops(self, n, h, fault, where, delta,
+                                              step):
+        times = [h * (i - (n - 1) / 2) for i in range(n)]
+        values = [1.0 + 0.1 * i for i in range(n)]
+        i = where % n if n else 0
+        if n and fault in ("nan", "inf"):
+            times[i] = math.nan if fault == "nan" else math.inf
+        elif n > 1 and fault == "repeat":
+            times[min(i, n - 2) + 1] = times[min(i, n - 2)]
+        elif n and fault == "shift":
+            times[i] += delta * h
+        elif n and fault == "mirror-shift":
+            times[i] += delta * h
+            times[n - 1 - i] -= delta * h
+        elif fault == "scale":
+            times = [t * 1.7 for t in times]
+        elif n and fault == "drop-value":
+            values.pop()
+        want = longhand_series_error(times, values, step)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                if step is None:
+                    series = validate_series(times, values)
+                else:
+                    series = InfluenceSeries(times=times, values=values,
+                                             step=step)
+            except Exception as exc:  # compared with the reference below
+                assert (type(exc), str(exc)) == want
+            else:
+                assert want is None
+                assert series.times == tuple(times)
+                assert series.values == tuple(values)
+
+    def test_fields_are_python_float_tuples(self):
+        series = InfluenceSeries(times=np.array([-1.0, 0.0, 1.0]),
+                                 values=[1, 2, 3], step=1)
+        assert series.times == (-1.0, 0.0, 1.0)
+        assert series.values == (1.0, 2.0, 3.0)
+        assert all(type(x) is float for x in series.times + series.values)
+        assert type(series.step) is float
 
     def test_as_arrays_roundtrip(self):
         series = validate_series([-0.5, 0.0, 0.5], [4.0, 5.0, 6.0])

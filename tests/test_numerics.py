@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mirrordde import (
+    ConvergenceFailure,
     DimensionMismatch,
     FdMode,
     NonFiniteState,
@@ -27,6 +28,7 @@ from mirrordde import (
     svd_values,
     validate_series,
 )
+from mirrordde import numerics
 from mirrordde.numerics import _lasso_sweeps, lasso_objective
 
 from oracles import charpoly_singular_values, residual_lasso_sweeps
@@ -182,6 +184,17 @@ class TestLasso:
         w = lasso_fit(X, y, 0.0)
         assert w[0] == 0.0
         assert w[1] == pytest.approx(1.0, abs=1e-8)
+
+    def test_sweep_cap_is_inclusive(self, monkeypatch):
+        X, y = random_design(7, m=20, k=3)
+        sweeps = list(_lasso_sweeps(X, y, 0.05))
+        assert len(sweeps) > 1
+        monkeypatch.setattr(numerics, "LASSO_MAX_SWEEPS", len(sweeps))
+        assert lasso_fit(X, y, 0.05) == sweeps[-1]
+        monkeypatch.setattr(numerics, "LASSO_MAX_SWEEPS", len(sweeps) - 1)
+        with pytest.raises(ConvergenceFailure,
+                           match=f"within {len(sweeps) - 1} sweeps"):
+            lasso_fit(X, y, 0.05)
 
     def test_argument_validation(self):
         X, y = random_design(1)

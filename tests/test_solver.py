@@ -17,6 +17,7 @@ from mirrordde import (
     EtaTimeExponential,
     GrowthKind,
     NegativeInfluenceWarning,
+    NonFiniteState,
     NonFiniteValue,
     OutOfRange,
     RegimeTag,
@@ -588,3 +589,8 @@ class TestOracleSolution:
             want = 2.0 * params.p0 * math.cosh(r * t)
             got = by_time[round(float(t), 10)] + by_time[round(float(-t), 10)]
             assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
+
+    def test_overflowing_trajectory_raises(self):
+        # the integrator checks every state, so no non-finite sample is built
+        with pytest.raises(NonFiniteState):
+            oracle_solution(DdeParams(a=0.3, b=0.5, p0=1e308), 5.0, 1e-3)
