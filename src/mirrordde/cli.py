@@ -467,6 +467,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         _error_line(EXIT_USAGE, str(exc))
         return EXIT_USAGE
     except OverflowError as exc:
+        # verify --t-max 1e308 --step 1e-300: math.floor(inf) in rk4_integrate
         _error_line(EXIT_USAGE, f"result exceeds the float64 range ({exc})")
         return EXIT_USAGE
 

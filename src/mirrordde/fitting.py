@@ -14,6 +14,10 @@ in transformed coordinates.  Solving the little system
     a A + b B = w1,        b A + a B = w2
 
 backwards then yields the underlying amplitude pair (A, B).
+
+Both stages are two-column fits z ~ c1 u + c2 v and share one kernel: the
+normal-equation sums and the residual sum of squares are left-to-right
+array reductions, bit for bit what a Python loop over the samples gives.
 """
 
 from __future__ import annotations
@@ -21,10 +25,38 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+from numpy.typing import NDArray
+
 from .core import DdeParams, InfluenceSeries, ModeCoefficients, Regime, RegimeTag
 from .errors import DegenerateSystem, NonPositiveR, SingularSystem, TooShort
 from .numerics import FdMode, finite_diff, solve_2x2
 from .solver import classify
+
+
+def _sum(terms: NDArray[np.float64]) -> float:
+    # Left to right from 0.0, exactly like ``s = 0.0; s += x`` (np.sum pairs).
+    return 0.0 + float(np.add.accumulate(terms)[-1])
+
+
+def _lstsq2(u: NDArray[np.float64], v: NDArray[np.float64], z: NDArray[np.float64],
+            unknowns: str, stage: str) -> tuple[float, float, float]:
+    """Least squares of z ~ c1 u + c2 v by its normal equations: (c1, c2, rss).
+
+    A singular system, or sums that overflow to a non-finite determinant,
+    raises :class:`DegenerateSystem` labeled with ``stage``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        suu, suv, svv, szu, szv = map(_sum, (u * u, u * v, v * v, z * u, z * v))
+        try:
+            c1, c2 = solve_2x2(suu, suv, suv, svv, szu, szv)
+        except SingularSystem as exc:
+            raise DegenerateSystem(
+                f"normal equations for {unknowns} are singular: {exc}",
+                stage=stage,
+            ) from exc
+        resid = z - c1 * u - c2 * v
+        return c1, c2, _sum(resid * resid)
 
 
 def fit_ab(series: InfluenceSeries,
@@ -35,43 +67,18 @@ def fit_ab(series: InfluenceSeries,
     index i is regressed on the mirrored sample x_i = values[n-1-i] and the
     direct sample y_i = values[i].  Returns (a, b, rss) where rss is the sum
     of squared residuals of the regression.  A flat or mirror-symmetric
-    series makes the normal matrix singular and raises
-    :class:`DegenerateSystem` with stage ``"fit_ab"``.
+    series, or one whose sums overflow float64, makes the normal matrix
+    singular and raises :class:`DegenerateSystem` with stage ``"fit_ab"``.
     """
-    n = len(series)
-    derivs = finite_diff(series, fd_mode)
-    if fd_mode is FdMode.CENTRAL:
-        indices = range(1, n - 1)
-    else:
-        indices = range(0, n - 1)
-    if len(derivs) < 3:
+    z = finite_diff(series, fd_mode)
+    if len(z) < 3:
         raise TooShort(
-            f"need at least 3 usable derivative estimates, got {len(derivs)}"
+            f"need at least 3 usable derivative estimates, got {len(z)}"
         )
-
-    values = series.values
-    sxx = sxy = syy = szx = szy = 0.0
-    for z, i in zip(derivs, indices):
-        x = values[n - 1 - i]
-        y = values[i]
-        sxx += x * x
-        sxy += x * y
-        syy += y * y
-        szx += z * x
-        szy += z * y
-    try:
-        a, b = solve_2x2(sxx, sxy, sxy, syy, szx, szy)
-    except SingularSystem as exc:
-        raise DegenerateSystem(
-            f"normal equations for (a, b) are singular: {exc}",
-            stage="fit_ab",
-        ) from exc
-
-    rss = 0.0
-    for z, i in zip(derivs, indices):
-        resid = z - a * values[n - 1 - i] - b * values[i]
-        rss += resid * resid
-    return a, b, rss
+    values = np.array(series.values)
+    first = 1 if fd_mode is FdMode.CENTRAL else 0
+    usable = slice(first, first + len(z))
+    return _lstsq2(values[::-1][usable], values[usable], z, "(a, b)", "fit_ab")
 
 
 def fit_modes(series: InfluenceSeries, r: float) -> tuple[float, float, float]:
@@ -88,28 +95,11 @@ def fit_modes(series: InfluenceSeries, r: float) -> tuple[float, float, float]:
     if not (math.isfinite(r) and r > 0.0):
         raise NonPositiveR(f"mode fit needs a positive rate, got {r!r}")
     n = len(series)
-    sx = sxx = sy = sxy = 0.0
-    for t, p in zip(series.times, series.values):
-        X = math.exp(2.0 * r * t)
-        Y = math.exp(r * t) * p
-        sx += X
-        sxx += X * X
-        sy += Y
-        sxy += X * Y
-    try:
-        w1, w2 = solve_2x2(sxx, sx, sx, float(n), sxy, sy)
-    except SingularSystem as exc:
-        raise DegenerateSystem(
-            f"normal equations for (w1, w2) are singular: {exc}",
-            stage="fit_modes",
-        ) from exc
-
-    rss = 0.0
-    for t, p in zip(series.times, series.values):
-        X = math.exp(2.0 * r * t)
-        Y = math.exp(r * t) * p
-        resid = Y - w1 * X - w2
-        rss += resid * resid
+    # math.exp, not np.exp: the two differ in the last bit on some inputs.
+    X = np.array([math.exp(2.0 * r * t) for t in series.times])
+    Y = np.array([math.exp(r * t) * p
+                  for t, p in zip(series.times, series.values)])
+    w1, w2, rss = _lstsq2(X, np.ones(n), Y, "(w1, w2)", "fit_modes")
     return w1, w2, rss / n
 
 

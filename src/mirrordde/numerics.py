@@ -109,12 +109,12 @@ def solve_2x2(m11: float, m12: float, m21: float, m22: float,
     """Solve the 2x2 system ``[[m11, m12], [m21, m22]] @ (x, y) = (r1, r2)``.
 
     Uses Cramer's rule; raises :class:`SingularSystem` when the determinant
-    is below :data:`SOLVE2_RTOL` relative to the product of the row norms
-    (which also catches the all-zero matrix).
+    is not finite or is below :data:`SOLVE2_RTOL` relative to the product of
+    the row norms (which also catches the all-zero matrix).
     """
     det = m11 * m22 - m12 * m21
     scale = math.hypot(m11, m12) * math.hypot(m21, m22)
-    if abs(det) <= SOLVE2_RTOL * scale:
+    if not math.isfinite(det) or abs(det) <= SOLVE2_RTOL * scale:
         raise SingularSystem(
             f"2x2 system is singular to working precision (det={det!r})"
         )
@@ -273,18 +273,20 @@ class FdMode(Enum):
     CENTRAL = "central"
 
 
-def finite_diff(series: InfluenceSeries, mode: FdMode) -> list[float]:
+def finite_diff(series: InfluenceSeries, mode: FdMode) -> NDArray[np.float64]:
     """Difference-quotient derivative estimates along a sampled series.
 
     Central differences cover the interior samples (indices 1..n-2, length
-    n-2); forward differences cover indices 0..n-2 (length n-1).  The caller
-    keeps track of which time indices the estimates belong to.
+    n-2); forward differences cover indices 0..n-2 (length n-1).  Returns a
+    float64 array; the caller keeps track of which time indices the
+    estimates belong to.  A difference beyond the float64 range is inf,
+    without a warning.
     """
-    v = series.values
+    v = np.array(series.values)
     h = series.step
-    n = len(v)
-    if mode is FdMode.CENTRAL:
-        return [(v[i + 1] - v[i - 1]) / (2.0 * h) for i in range(1, n - 1)]
-    if mode is FdMode.FORWARD:
-        return [(v[i + 1] - v[i]) / h for i in range(n - 1)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mode is FdMode.CENTRAL:
+            return (v[2:] - v[:-2]) / (2.0 * h)
+        if mode is FdMode.FORWARD:
+            return (v[1:] - v[:-1]) / h
     raise ValueError(f"unknown finite-difference mode: {mode!r}")

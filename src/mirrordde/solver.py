@@ -287,7 +287,8 @@ def evaluate(params: DdeParams, times: Sequence[float],
     c1 e^{rt} + c2 e^{-rt} + P(t) as in :func:`control_solution`, with P from
     ``config`` (none without one) and ``modes`` = (c1, c2) defaulting to
     :func:`initial_conditions_to_modes`; a forced run negative at t=0 warns
-    once per call.  Raises :class:`NonFiniteValue` on a non-finite t or p.
+    once per call.  Raises :class:`NonFiniteValue` on a non-finite t or p,
+    including a p whose ``math`` evaluation overflows.
     """
     if modes is not None:
         for name, v in zip(("c1", "c2"), modes):
@@ -297,10 +298,13 @@ def evaluate(params: DdeParams, times: Sequence[float],
         bad = next(t for t in times if not math.isfinite(t))
         raise NonFiniteValue(f"t must be finite, got {bad!r}")
 
-    if config is None and modes is None:
-        values = _homogeneous(params, times)
-    else:
-        values = _two_mode(params, times, config, modes)
+    try:
+        if config is None and modes is None:
+            values = _homogeneous(params, times)
+        else:
+            values = _two_mode(params, times, config, modes)
+    except OverflowError as exc:
+        raise NonFiniteValue(f"p(t) overflows float64 ({exc})") from exc
 
     if not all(map(math.isfinite, values)):
         t, p = next((t, p) for t, p in zip(times, values)

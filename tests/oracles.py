@@ -15,8 +15,15 @@ import mpmath as mp
 import numpy as np
 
 from mirrordde.core import GRID_RTOL
-from mirrordde.errors import AsymmetricGrid, NonFiniteValue, NonUniformGrid, TooShort
-from mirrordde.numerics import LASSO_TOL, lasso_fit
+from mirrordde.errors import (
+    AsymmetricGrid,
+    DegenerateSystem,
+    NonFiniteValue,
+    NonUniformGrid,
+    SingularSystem,
+    TooShort,
+)
+from mirrordde.numerics import LASSO_TOL, FdMode, lasso_fit, solve_2x2
 
 
 # ---------------------------------------------------------------------------
@@ -315,3 +322,70 @@ def longhand_series_error(times, values, step):
             return NonUniformGrid, (f"spacing between times[{i}] and "
                                     f"times[{i + 1}] is {d!r}, expected {step!r}")
     return None
+
+
+# ---------------------------------------------------------------------------
+# Least-squares fit stages as per-sample loops
+# ---------------------------------------------------------------------------
+
+def _solve_normal(m11, m12, m22, r1, r2, unknowns, stage):
+    try:
+        return solve_2x2(m11, m12, m12, m22, r1, r2)
+    except SingularSystem as exc:
+        raise DegenerateSystem(
+            f"normal equations for {unknowns} are singular: {exc}", stage=stage
+        ) from exc
+
+
+def loop_fit_ab(series, fd_mode=FdMode.CENTRAL):
+    """``fit_ab`` with every sum a Python ``+=`` loop over Python floats.
+
+    The reference for the bitwise check of the array reductions: the
+    difference quotients, the five sums and the residual sum of squares are
+    accumulated sample by sample, left to right, starting from 0.0.  The 2x2
+    solve is the library's, so both sides reject the same systems.
+    """
+    v, h, n = series.values, series.step, len(series)
+    if fd_mode is FdMode.CENTRAL:
+        indices = range(1, n - 1)
+        derivs = [(v[i + 1] - v[i - 1]) / (2.0 * h) for i in indices]
+    else:
+        indices = range(0, n - 1)
+        derivs = [(v[i + 1] - v[i]) / h for i in indices]
+    if len(derivs) < 3:
+        raise TooShort(
+            f"need at least 3 usable derivative estimates, got {len(derivs)}"
+        )
+    sxx = sxy = syy = szx = szy = 0.0
+    for z, i in zip(derivs, indices):
+        x, y = v[n - 1 - i], v[i]
+        sxx += x * x
+        sxy += x * y
+        syy += y * y
+        szx += z * x
+        szy += z * y
+    a, b = _solve_normal(sxx, sxy, syy, szx, szy, "(a, b)", "fit_ab")
+    rss = 0.0
+    for z, i in zip(derivs, indices):
+        resid = z - a * v[n - 1 - i] - b * v[i]
+        rss += resid * resid
+    return a, b, rss
+
+
+def loop_fit_modes(series, r):
+    """``fit_modes`` with its four sums and the residuals as Python loops."""
+    n = len(series)
+    sx = sxx = sy = sxy = 0.0
+    for t, p in zip(series.times, series.values):
+        X = math.exp(2.0 * r * t)
+        Y = math.exp(r * t) * p
+        sx += X
+        sxx += X * X
+        sy += Y
+        sxy += X * Y
+    w1, w2 = _solve_normal(sxx, sx, float(n), sxy, sy, "(w1, w2)", "fit_modes")
+    rss = 0.0
+    for t, p in zip(series.times, series.values):
+        resid = math.exp(r * t) * p - w1 * math.exp(2.0 * r * t) - w2
+        rss += resid * resid
+    return w1, w2, rss / n

@@ -300,6 +300,15 @@ class TestFit:
         assert code == 2
         assert err.startswith("ERROR 2: ")
 
+    def test_overflowing_series_one_error_line(self, tmp_path):
+        # differences and sums beyond float64 must not print numpy warnings
+        times = [0.25 * (i - 8) for i in range(17)]
+        values = [1.7e308 * (-1.0) ** i for i in range(17)]
+        path = write_series_csv(tmp_path / "huge.csv", times, values)
+        code, out, err = run_cli_bytes("fit", "--input", path)
+        assert code == 4 and out == b""
+        assert err.startswith(b"ERROR 4: [fit_ab]") and err.count(b"\n") == 1
+
     def test_constant_series_degenerate_exit(self, tmp_path):
         times = [0.25 * (i - 8) for i in range(17)]
         path = write_series_csv(tmp_path / "const.csv", times,

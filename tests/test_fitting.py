@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mirrordde import (
@@ -27,7 +28,7 @@ from mirrordde import (
     validate_series,
 )
 
-from oracles import lstsq_coefficients
+from oracles import loop_fit_ab, loop_fit_modes, lstsq_coefficients
 
 
 def symmetric_grid(half_width: float, h: float) -> list[float]:
@@ -102,12 +103,87 @@ class TestFitAb:
         with pytest.raises(DegenerateSystem):
             fit_ab(validate_series(times, [math.cosh(t) for t in times]))
 
+    def test_overflowing_sums_degenerate(self):
+        # the products reach 1e300, so det = inf - inf = nan
+        base = series_from_model(0.2, 0.6)
+        scaled = validate_series(base.times, [1e150 * v for v in base.values])
+        with pytest.raises(DegenerateSystem, match="det=nan") as excinfo:
+            fit_ab(scaled)
+        assert excinfo.value.stage == "fit_ab"
+
+    @pytest.mark.parametrize("mode", list(FdMode))
+    def test_overflow_near_float_max_is_quiet(self, mode):
+        times = symmetric_grid(2.0, 0.25)
+        values = [1.7e308 * (-1.0) ** i for i in range(len(times))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateSystem) as excinfo:
+                fit_ab(validate_series(times, values), mode)
+        assert excinfo.value.stage == "fit_ab"
+
     def test_too_few_interior_points(self):
         with pytest.raises(TooShort):
             fit_ab(validate_series([-0.1, 0.0, 0.1], [0.9, 1.0, 1.15]))
         with pytest.raises(TooShort):
             fit_ab(validate_series([-0.1, 0.0, 0.1], [0.9, 1.0, 1.15]),
                    FdMode.FORWARD)
+
+
+# ---------------------------------------------------------------------------
+# the array reductions against the per-sample loops
+# ---------------------------------------------------------------------------
+
+def outcome(fn, *args) -> str:
+    """``repr`` of the result, or the type and text of the exception."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+# ordinary values, values near the edge of float64, and zeros of both signs
+sample_values = st.one_of(
+    st.floats(min_value=-10.0, max_value=10.0),
+    st.floats(min_value=-1.7e308, max_value=1.7e308),
+    st.sampled_from([0.0, -0.0]),
+)
+
+
+@st.composite
+def symmetric_series(draw):
+    n_half = draw(st.integers(min_value=1, max_value=20))
+    h = draw(st.floats(min_value=1e-3, max_value=10.0))
+    times = [h * (i - n_half) for i in range(2 * n_half + 1)]
+    values = draw(st.lists(sample_values, min_size=len(times),
+                           max_size=len(times)))
+    return validate_series(times, values)
+
+
+class TestLoopReference:
+    """Bit-for-bit agreement with the sums written as Python loops.
+
+    The golden files print 12 digits, so a reordered sum that moves the last
+    bit only shows up here.
+    """
+
+    @given(series=symmetric_series(), mode=st.sampled_from(list(FdMode)))
+    # every product of the szx and sxy sums is -0.0: a reduction that does
+    # not start from +0.0 returns a = -0.0
+    @example(series=validate_series([-2.0, -1.0, 0.0, 1.0, 2.0],
+                                    [-0.0, 0.0, 0.0, -1.0, -1.0]),
+             mode=FdMode.CENTRAL)
+    @example(series=series_from_model(0.15, 0.55), mode=FdMode.CENTRAL)
+    @example(series=series_from_model(-0.3, 0.9), mode=FdMode.FORWARD)
+    @settings(max_examples=300, deadline=None)
+    def test_fit_ab_matches_loop(self, series, mode):
+        assert outcome(fit_ab, series, mode) == outcome(loop_fit_ab, series, mode)
+
+    @given(series=symmetric_series(),
+           r=st.floats(min_value=1e-3, max_value=5.0))
+    @example(series=series_from_model(-0.3, 0.9), r=math.sqrt(0.9**2 - 0.3**2))
+    @settings(max_examples=300, deadline=None)
+    def test_fit_modes_matches_loop(self, series, r):
+        assert outcome(fit_modes, series, r) == outcome(loop_fit_modes, series, r)
 
 
 # ---------------------------------------------------------------------------

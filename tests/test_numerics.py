@@ -8,6 +8,7 @@ matrices, and closed-form solutions.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +104,11 @@ class TestSolve2x2:
     def test_zero_matrix_rejected(self):
         with pytest.raises(SingularSystem):
             solve_2x2(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+    def test_non_finite_determinant_rejected(self):
+        # det = inf - inf = nan
+        with pytest.raises(SingularSystem, match=r"\(det=nan\)"):
+            solve_2x2(1e200, 1e200, 1e200, 1e200, 1.0, 1.0)
 
     def test_matches_dense_solver(self):
         rng = np.random.default_rng(11)
@@ -341,3 +347,17 @@ class TestFiniteDiff:
         at_zero = d[series.zero_index - 1]
         # sin(h)/h = 1 - h^2/6 + O(h^4)
         assert abs(at_zero - (1.0 - h * h / 6.0)) <= 1e-9
+
+    @pytest.mark.parametrize("mode", list(FdMode))
+    def test_returns_float64_array(self, mode):
+        d = finite_diff(self.quadratic_series(), mode)
+        assert isinstance(d, np.ndarray) and d.dtype == np.float64
+
+    @pytest.mark.parametrize("mode", list(FdMode))
+    def test_overflow_gives_inf_quietly(self, mode):
+        series = validate_series([-1.0, -0.5, 0.0, 0.5, 1.0],
+                                 [-1.7e308, -1e308, 0.0, 1e308, 1.7e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = finite_diff(series, mode)
+        assert np.isinf(d).any() and not np.isnan(d).any()

@@ -514,6 +514,14 @@ class TestEvaluate:
         with pytest.raises(NonFiniteValue, match="overflows float64"):
             evaluate(params, [0.0, t])
 
+    def test_math_overflow_is_non_finite_value(self):
+        # math.cosh(1000.0) raises OverflowError rather than returning inf
+        params = DdeParams(a=0.0, b=1000.0, p0=1.0)
+        with pytest.raises(NonFiniteValue, match="overflows float64"):
+            base_solution(params, 1.0)
+        with pytest.raises(NonFiniteValue, match="overflows float64"):
+            evaluate(params, [0.0, 1.0], modes=(1.0, 1.0))
+
     def test_empty_times(self):
         assert evaluate(PARAMS, []) == []
 
