@@ -263,7 +263,8 @@ def cmd_simulate(args) -> int:
 
     header, flag = ("t,p", "") if warning_flag is None else (
         "t,p,warning", "," + warning_flag)
-    lines = [f"{fmt(t)},{fmt(p)}{flag}" for t, p in zip(times, values)]
+    # + 0.0 as in fmt: -0.0 would print as "-0"
+    lines = ["%.12g,%.12g%s" % (t + 0.0, p + 0.0, flag) for t, p in zip(times, values)]
     text = header + "\n" + "\n".join(lines) + "\n"
 
     if args.out is None:
@@ -467,7 +468,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         _error_line(EXIT_USAGE, str(exc))
         return EXIT_USAGE
     except OverflowError as exc:
-        # verify --t-max 1e308 --step 1e-300: math.floor(inf) in rk4_integrate
+        # simulate --steps 1e400 (as an integer): int too large for a float
         _error_line(EXIT_USAGE, f"result exceeds the float64 range ({exc})")
         return EXIT_USAGE
 

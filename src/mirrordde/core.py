@@ -47,7 +47,7 @@ def _require_finite(name: str, *values: float) -> None:
 # sampled series
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InfluenceSeries:
     """Uniformly sampled influence values on a time grid symmetric about 0.
 
@@ -56,21 +56,21 @@ class InfluenceSeries:
     grid always contains t=0 itself (odd length), so the influence at the
     origin is a sample rather than an estimate.
 
-    The constructor takes 1-d array-likes and an explicit ``step``, checks
-    every invariant once on float64 arrays, and stores tuples of Python
-    floats.  :func:`validate_series` infers the step and calls it.
+    The constructor copies 1-d array-likes into read-only float64 arrays,
+    takes an explicit ``step`` as a float and checks every invariant once.
+    Equality is identity.  :func:`validate_series` infers the step.
     """
 
-    times: tuple[float, ...]
-    values: tuple[float, ...]
+    times: NDArray[np.float64]
+    values: NDArray[np.float64]
     step: float
 
     def __post_init__(self) -> None:
         t = _as_vector("times", self.times)
         v = _as_vector("values", self.values)
         step = float(self.step)
-        object.__setattr__(self, "times", tuple(t.tolist()))
-        object.__setattr__(self, "values", tuple(v.tolist()))
+        object.__setattr__(self, "times", t)
+        object.__setattr__(self, "values", v)
         object.__setattr__(self, "step", step)
 
         n = t.size
@@ -127,21 +127,19 @@ class InfluenceSeries:
 
     @property
     def value_at_zero(self) -> float:
-        return self.values[self.zero_index]
+        return float(self.values[self.zero_index])
 
     def mirrored_values(self) -> tuple[float, ...]:
         """Values reordered so entry i is the sample at ``-times[i]``."""
-        return tuple(reversed(self.values))
-
-    def as_arrays(self) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-        return (np.asarray(self.times, dtype=float),
-                np.asarray(self.values, dtype=float))
+        return tuple(self.values[::-1].tolist())
 
 
 def _as_vector(name: str, seq) -> NDArray[np.float64]:
-    arr = np.asarray(seq, dtype=float)
+    # Always a copy: freezing the caller's own array would be a side effect.
+    arr = np.array(seq, dtype=float)
     if arr.ndim != 1:
         raise DimensionMismatch(f"{name} must be 1-d, got shape {arr.shape}")
+    arr.flags.writeable = False
     return arr
 
 

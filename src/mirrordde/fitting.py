@@ -29,7 +29,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .core import DdeParams, InfluenceSeries, ModeCoefficients, Regime, RegimeTag
-from .errors import DegenerateSystem, NonPositiveR, SingularSystem, TooShort
+from .errors import (DegenerateSystem, NonFiniteValue, NonPositiveR,
+                     SingularSystem, TooShort)
 from .numerics import FdMode, finite_diff, solve_2x2
 from .solver import classify
 
@@ -65,8 +66,8 @@ def fit_ab(series: InfluenceSeries,
 
     Derivative estimates come from :func:`finite_diff`; each estimate at
     index i is regressed on the mirrored sample x_i = values[n-1-i] and the
-    direct sample y_i = values[i].  Returns (a, b, rss) where rss is the sum
-    of squared residuals of the regression.  A flat or mirror-symmetric
+    direct sample y_i = values[i], both slices of the float64 array.  Returns
+    (a, b, rss), rss the sum of squared residuals.  A flat or mirror-symmetric
     series, or one whose sums overflow float64, makes the normal matrix
     singular and raises :class:`DegenerateSystem` with stage ``"fit_ab"``.
     """
@@ -75,7 +76,7 @@ def fit_ab(series: InfluenceSeries,
         raise TooShort(
             f"need at least 3 usable derivative estimates, got {len(z)}"
         )
-    values = np.array(series.values)
+    values = series.values
     first = 1 if fd_mode is FdMode.CENTRAL else 0
     usable = slice(first, first + len(z))
     return _lstsq2(values[::-1][usable], values[usable], z, "(a, b)", "fit_ab")
@@ -90,15 +91,20 @@ def fit_modes(series: InfluenceSeries, r: float) -> tuple[float, float, float]:
     where rss is the mean squared residual in the transformed coordinates
     (per-sample, so the figure is comparable across window sizes, and 0 for
     exact two-mode data at the supplied rate).  A grid too narrow to spread
-    X raises :class:`DegenerateSystem` with stage ``"fit_modes"``.
+    X raises :class:`DegenerateSystem` with stage ``"fit_modes"``; an X
+    beyond the float64 range raises :class:`NonFiniteValue`.
     """
     if not (math.isfinite(r) and r > 0.0):
         raise NonPositiveR(f"mode fit needs a positive rate, got {r!r}")
     n = len(series)
-    # math.exp, not np.exp: the two differ in the last bit on some inputs.
-    X = np.array([math.exp(2.0 * r * t) for t in series.times])
-    Y = np.array([math.exp(r * t) * p
-                  for t, p in zip(series.times, series.values)])
+    # math.exp, not np.exp (they differ in the last bit on some inputs), over
+    # memoryviews, which yield Python floats without full-length lists.
+    t, p = memoryview(series.times), memoryview(series.values)
+    try:
+        X = np.fromiter((math.exp(2.0 * r * ti) for ti in t), float, n)
+        Y = np.fromiter((math.exp(r * ti) * pi for ti, pi in zip(t, p)), float, n)
+    except OverflowError as exc:
+        raise NonFiniteValue(f"e^(2rt) overflows float64 ({exc})") from exc
     w1, w2, rss = _lstsq2(X, np.ones(n), Y, "(w1, w2)", "fit_modes")
     return w1, w2, rss / n
 
@@ -143,7 +149,7 @@ def fit_pipeline(series: InfluenceSeries,
     """
     a, b, rss_ab = fit_ab(series, fd_mode)
     params = DdeParams(a=a, b=b, p0=series.value_at_zero,
-                       half_width=series.times[-1])
+                       half_width=float(series.times[-1]))
     regime = classify(params)
 
     if regime.tag is not RegimeTag.EXPONENTIAL:

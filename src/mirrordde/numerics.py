@@ -26,6 +26,7 @@ from .errors import (
     DimensionMismatch,
     NonFiniteState,
     NonFiniteValue,
+    OutOfRange,
     SingularSystem,
 )
 
@@ -221,8 +222,8 @@ def rk4_integrate(f: Callable[[State], State], y0: State,
     ``f`` maps a two-component state to its derivative and must not depend
     on time.  Returns the list of (t, state) pairs including both endpoints.
     If t_end is not a whole number of steps, the final step is shortened to
-    land on it exactly.  A state leaving the finite float64 range raises
-    :class:`NonFiniteState`.
+    land on it exactly.  A non-finite step count raises :class:`OutOfRange`
+    and a non-finite state :class:`NonFiniteState`.
     """
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise ValueError(f"t_end must be positive, got {t_end!r}")
@@ -232,7 +233,10 @@ def rk4_integrate(f: Callable[[State], State], y0: State,
     if not (math.isfinite(u) and math.isfinite(v)):
         raise NonFiniteState(f"initial state {y0!r} is not finite")
 
-    n_whole = int(math.floor(t_end / step + 1e-9))
+    n_steps = t_end / step + 1e-9
+    if not math.isfinite(n_steps):
+        raise OutOfRange(f"step count {t_end!r}/{step!r} exceeds the float64 range")
+    n_whole = int(math.floor(n_steps))
     remainder = t_end - n_whole * step
 
     out: list[tuple[float, State]] = [(0.0, (u, v))]
@@ -278,11 +282,11 @@ def finite_diff(series: InfluenceSeries, mode: FdMode) -> NDArray[np.float64]:
 
     Central differences cover the interior samples (indices 1..n-2, length
     n-2); forward differences cover indices 0..n-2 (length n-1).  Returns a
-    float64 array; the caller keeps track of which time indices the
-    estimates belong to.  A difference beyond the float64 range is inf,
-    without a warning.
+    float64 array, computed from the read-only ``series.values`` without a
+    copy; the caller tracks which time indices the estimates belong to.  A
+    difference beyond the float64 range is inf, without a warning.
     """
-    v = np.array(series.values)
+    v = series.values
     h = series.step
     with np.errstate(over="ignore", invalid="ignore"):
         if mode is FdMode.CENTRAL:

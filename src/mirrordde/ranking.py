@@ -145,10 +145,6 @@ def rank_journals(matrix: FeatureMatrix, response_feature: str,
 
     remaining = list(range(m))
     steps: list[TraceStep] = []
-    singval_by_journal: dict[int, float] = {}
-    step_by_journal: dict[int, int] = {}
-    last_singval = 0.0
-    last_row_norm = 0.0
     survivor_col_norm = 0.0
 
     step = 0
@@ -174,40 +170,32 @@ def rank_journals(matrix: FeatureMatrix, response_feature: str,
 
         if len(remaining) == 2:
             survivor_col_norm = float(col_norms[1 - best])
-        journal = remaining.pop(best)
-        singval_by_journal[journal] = singval
-        step_by_journal[journal] = step
         steps.append(TraceStep(
             step_index=step,
-            journal_name=names[journal],
+            journal_name=names[remaining.pop(best)],
             row_norm=row_norm,
             chosen_col_norm=float(col_norms[best]),
             singval=singval,
         ))
-        last_singval = singval
-        last_row_norm = row_norm
 
     # The survivor inherits the score of the last regression it was part of.
-    survivor = remaining[0]
-    singval_by_journal[survivor] = last_singval
-    step_by_journal[survivor] = m
+    last = steps[-1] if steps else None
     steps.append(TraceStep(
         step_index=m,
-        journal_name=names[survivor],
-        row_norm=last_row_norm,
+        journal_name=names[remaining[0]],
+        row_norm=last.row_norm if last else 0.0,
         chosen_col_norm=survivor_col_norm,
-        singval=last_singval,
+        singval=last.singval if last else 0.0,
     ))
 
-    order = sorted(range(m),
-                   key=lambda i: (singval_by_journal[i], step_by_journal[i]))
+    order = sorted(steps, key=lambda s: (s.singval, s.step_index))
     entries = tuple(
         RankingEntry(
-            journal_name=names[i],
-            elimination_step=step_by_journal[i],
-            singval=singval_by_journal[i],
+            journal_name=s.journal_name,
+            elimination_step=s.step_index,
+            singval=s.singval,
             rank=rank,
         )
-        for rank, i in enumerate(order, start=1)
+        for rank, s in enumerate(order, start=1)
     )
     return RankingResult(entries=entries), EliminationTrace(steps=tuple(steps))

@@ -345,7 +345,7 @@ def loop_fit_ab(series, fd_mode=FdMode.CENTRAL):
     accumulated sample by sample, left to right, starting from 0.0.  The 2x2
     solve is the library's, so both sides reject the same systems.
     """
-    v, h, n = series.values, series.step, len(series)
+    v, h, n = series.values.tolist(), series.step, len(series)
     if fd_mode is FdMode.CENTRAL:
         indices = range(1, n - 1)
         derivs = [(v[i + 1] - v[i - 1]) / (2.0 * h) for i in indices]
@@ -373,19 +373,27 @@ def loop_fit_ab(series, fd_mode=FdMode.CENTRAL):
 
 
 def loop_fit_modes(series, r):
-    """``fit_modes`` with its four sums and the residuals as Python loops."""
+    """``fit_modes`` with its four sums and the residuals as Python loops.
+
+    An ``OverflowError`` of ``math.exp`` is reported as the library's
+    :class:`NonFiniteValue`; e^(2rt) overflows before e^(rt) can.
+    """
     n = len(series)
+    times, values = series.times.tolist(), series.values.tolist()
     sx = sxx = sy = sxy = 0.0
-    for t, p in zip(series.times, series.values):
-        X = math.exp(2.0 * r * t)
-        Y = math.exp(r * t) * p
-        sx += X
-        sxx += X * X
-        sy += Y
-        sxy += X * Y
+    try:
+        for t, p in zip(times, values):
+            X = math.exp(2.0 * r * t)
+            Y = math.exp(r * t) * p
+            sx += X
+            sxx += X * X
+            sy += Y
+            sxy += X * Y
+    except OverflowError as exc:
+        raise NonFiniteValue(f"e^(2rt) overflows float64 ({exc})") from exc
     w1, w2 = _solve_normal(sxx, sx, float(n), sxy, sy, "(w1, w2)", "fit_modes")
     rss = 0.0
-    for t, p in zip(series.times, series.values):
+    for t, p in zip(times, values):
         resid = math.exp(r * t) * p - w1 * math.exp(2.0 * r * t) - w2
         rss += resid * resid
     return w1, w2, rss / n

@@ -469,6 +469,15 @@ class TestVerify:
         assert code == 3
         assert err.startswith("ERROR 3: ")
 
+    def test_step_count_beyond_float_range_is_one_error_line(self):
+        code, out, err = run_cli_bytes("verify", "--a", "0.3", "--b", "0.5",
+                                       "--p0", "1", "--t-max", "1e308",
+                                       "--step", "1e-300")
+        assert code == 2 and out == b""
+        assert b"Traceback" not in err
+        assert err.count(b"ERROR 2: ") == 1 and err.count(b"\n") == 1
+        assert b"step count" in err
+
     def test_regime_checked_before_integration(self, monkeypatch):
         def no_oracle(*args):
             raise AssertionError("oracle_solution must not run")
@@ -534,6 +543,9 @@ class TestDispatch:
     @pytest.mark.parametrize("argv", [
         ("simulate", "--a", "0", "--b", "1000", "--p0", "1", "--steps", "10"),
         ("fit", "--predict", "1e6"),
+        # an integer too large to convert to a float
+        ("simulate", "--a", "0.2", "--b", "0.6", "--p0", "1",
+         "--steps", "1" + "0" * 400),
     ])
     def test_overflow_is_an_error_line(self, tmp_path, argv):
         if argv[0] == "fit":

@@ -183,23 +183,33 @@ class TestInfluenceSeries:
                 assert (type(exc), str(exc)) == want
             else:
                 assert want is None
-                assert series.times == tuple(times)
-                assert series.values == tuple(values)
+                assert series.times.tolist() == times
+                assert series.values.tolist() == values
 
-    def test_fields_are_python_float_tuples(self):
-        series = InfluenceSeries(times=np.array([-1.0, 0.0, 1.0]),
-                                 values=[1, 2, 3], step=1)
-        assert series.times == (-1.0, 0.0, 1.0)
-        assert series.values == (1.0, 2.0, 3.0)
-        assert all(type(x) is float for x in series.times + series.values)
+    def test_fields_are_read_only_float64_arrays(self):
+        times = np.array([-1.0, 0.0, 1.0])
+        series = InfluenceSeries(times=times, values=[1, 2, 3], step=1)
+        for field, want in ((series.times, [-1.0, 0.0, 1.0]),
+                            (series.values, [1.0, 2.0, 3.0])):
+            assert type(field) is np.ndarray and field.dtype == np.float64
+            assert field.tolist() == want
+            assert not field.flags.writeable
+            with pytest.raises(ValueError):
+                field[0] = 9.0
         assert type(series.step) is float
+        assert type(series.value_at_zero) is float
+        assert all(type(x) is float for x in series.mirrored_values())
+        # the caller's array is copied, not frozen or aliased
+        assert times.flags.writeable
+        assert not np.shares_memory(times, series.times)
+        times[0] = -2.0
+        assert series.times[0] == -1.0
 
-    def test_as_arrays_roundtrip(self):
+    def test_equality_is_identity(self):
         series = validate_series([-0.5, 0.0, 0.5], [4.0, 5.0, 6.0])
-        t, p = series.as_arrays()
-        assert t.dtype == np.float64
-        np.testing.assert_array_equal(t, [-0.5, 0.0, 0.5])
-        np.testing.assert_array_equal(p, [4.0, 5.0, 6.0])
+        twin = validate_series([-0.5, 0.0, 0.5], [4.0, 5.0, 6.0])
+        assert series == series
+        assert series != twin
 
     @given(
         n_half=st.integers(min_value=1, max_value=40),

@@ -15,6 +15,7 @@ from mirrordde import (
     DegenerateSystem,
     FdMode,
     ModeCoefficients,
+    NonFiniteValue,
     NonPositiveR,
     RegimeTag,
     SingularSystem,
@@ -238,6 +239,13 @@ class TestFitModes:
             fit_modes(series, 1e-12)
         assert excinfo.value.stage == "fit_modes"
 
+    def test_overflowing_exponential_is_non_finite_value(self):
+        # e^(2rt) = e^800 at t = 1 leaves float64, so math.exp raises
+        times = symmetric_grid(1.0, 0.02)
+        series = validate_series(times, [1 + t for t in times])
+        with pytest.raises(NonFiniteValue, match="overflows float64"):
+            fit_modes(series, 400.0)
+
 
 # ---------------------------------------------------------------------------
 # modes_to_AB
@@ -288,6 +296,8 @@ class TestFitPipeline:
         assert abs(report.params.a - 0.2) <= 1e-3
         assert abs(report.params.b - 0.6) <= 1e-3
         assert report.params.p0 == series.value_at_zero
+        assert type(report.params.p0) is float
+        assert type(report.params.half_width) is float
         assert report.n_points == len(series)
         assert report.modes is not None
         assert report.modes.consistent_with(report.params)

@@ -21,6 +21,7 @@ from mirrordde import (
     FdMode,
     NonFiniteState,
     NonFiniteValue,
+    OutOfRange,
     SingularSystem,
     finite_diff,
     lasso_fit,
@@ -307,6 +308,13 @@ class TestRk4:
             rk4_integrate(f, (1.0, 0.0), 1.0, -0.1)
         with pytest.raises(NonFiniteState):
             rk4_integrate(f, (math.nan, 0.0), 1.0, 0.1)
+
+    def test_step_count_beyond_float_range(self):
+        def f(s):
+            raise AssertionError("no step may be taken")
+
+        with pytest.raises(OutOfRange, match="exceeds the float64 range"):
+            rk4_integrate(f, (1.0, 0.0), 1e308, 1e-300)
 
     def test_blowup_raises(self):
         with pytest.raises(NonFiniteState):
