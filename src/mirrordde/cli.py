@@ -29,6 +29,9 @@ import sys
 import warnings
 from typing import Sequence
 
+import numpy as np
+from numpy.typing import ArrayLike
+
 from .core import (
     ControlConfig,
     DdeParams,
@@ -73,6 +76,13 @@ VERIFY_TOL = 1e-6
 
 #: Default ranking penalty weight.
 DEFAULT_LAMBDA = 0.1
+
+#: Largest ``simulate --steps``: above 2**53, consecutive grid indices are
+#: no longer distinct floats.
+MAX_STEPS = 2**53
+
+#: Every byte a plain ``t,p`` body may hold (the shape ``simulate`` writes).
+_PLAIN_BODY_BYTES = b"0123456789.eE+-,\n"
 
 
 class _CliError(Exception):
@@ -230,6 +240,9 @@ def _sim_control(args) -> ControlConfig | None:
 def cmd_simulate(args) -> int:
     if args.steps < 1:
         raise _CliError(EXIT_USAGE, f"--steps must be >= 1, got {args.steps}")
+    if args.steps > MAX_STEPS:
+        raise _CliError(EXIT_USAGE,
+                        f"--steps must be <= {MAX_STEPS}, got {args.steps}")
     if not args.t_min < args.t_max:
         raise _CliError(
             EXIT_USAGE,
@@ -282,12 +295,54 @@ def _csv_rows(path: str) -> list[list[str]]:
             rows = [row for row in csv.reader(fh) if row]
     except OSError as exc:
         raise _CliError(EXIT_USAGE, f"cannot read {path!r}: {exc}") from exc
+    except csv.Error as exc:
+        raise _CliError(EXIT_USAGE, f"{path!r}: {exc}") from exc
     if not rows:
         raise _CliError(EXIT_USAGE, f"{path!r} is empty")
     return rows
 
 
-def _read_series_csv(path: str) -> tuple[list[float], list[float]]:
+def _plain_series(path: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """The t and p columns of a plain ``t,p`` file, or None for any other.
+
+    Plain is the shape ``simulate`` writes: the header ``t,p``, then only
+    bytes of :data:`_PLAIN_BODY_BYTES`, one comma per line, no empty line and
+    no line longer than the csv field limit.  There ``np.loadtxt`` and
+    ``float`` either both reject a token or both round it to the same double,
+    so the columns equal the csv reader's bit for bit.  Any other file, and
+    any exception (numpy's parse errors differ between versions), is left to
+    the csv reader and its error lines.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        body = data[4:]
+        if (not data.startswith(b"t,p\n") or not body or b"\n\n" in data
+                or body.translate(None, _PLAIN_BODY_BYTES)):
+            return None
+        # No line, so no field, may pass the csv limit: a newline-free run of
+        # 2k - 1 bytes would cover one of these k-byte windows, so a newline
+        # in each caps every line at 2k - 2 <= limit bytes.
+        k = csv.field_size_limit() // 2 + 1
+        if any(data.find(b"\n", i, i + k) < 0
+               for i in range(0, len(data) - k + 1, k)):
+            return None
+        # numpy reads a path in chunks (a file object line by line); it
+        # raises on ragged rows, so shape (lines, 2) means one comma a line.
+        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2,
+                           comments=None, encoding="ascii")
+    except Exception:
+        return None
+    lines = body.count(b"\n") + (not body.endswith(b"\n"))
+    if table.shape != (lines, 2):
+        return None
+    return table[:, 0], table[:, 1]
+
+
+def _read_series_csv(path: str) -> tuple[ArrayLike, ArrayLike]:
+    columns = _plain_series(path)
+    if columns is not None:
+        return columns
     rows = _csv_rows(path)
     header = [cell.strip() for cell in rows[0][:2]]
     if header != ["t", "p"] or len(rows[0]) < 2:
@@ -468,7 +523,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         _error_line(EXIT_USAGE, str(exc))
         return EXIT_USAGE
     except OverflowError as exc:
-        # simulate --steps 1e400 (as an integer): int too large for a float
+        # Last-resort guard: every known overflow (simulate --steps, a
+        # non-finite trajectory or fit) has its own check and error line.
         _error_line(EXIT_USAGE, f"result exceeds the float64 range ({exc})")
         return EXIT_USAGE
 

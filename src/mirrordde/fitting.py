@@ -96,15 +96,17 @@ def fit_modes(series: InfluenceSeries, r: float) -> tuple[float, float, float]:
     """
     if not (math.isfinite(r) and r > 0.0):
         raise NonPositiveR(f"mode fit needs a positive rate, got {r!r}")
-    n = len(series)
-    # math.exp, not np.exp (they differ in the last bit on some inputs), over
-    # memoryviews, which yield Python floats without full-length lists.
-    t, p = memoryview(series.times), memoryview(series.values)
-    try:
-        X = np.fromiter((math.exp(2.0 * r * ti) for ti in t), float, n)
-        Y = np.fromiter((math.exp(r * ti) * pi for ti, pi in zip(t, p)), float, n)
-    except OverflowError as exc:
-        raise NonFiniteValue(f"e^(2rt) overflows float64 ({exc})") from exc
+    n, t = len(series), series.times
+    # math.exp, not np.exp (they differ in the last bit on some inputs),
+    # mapped over memoryviews, which yield Python floats without a list.
+    # 2.0 * r * t multiplies (2.0 * r) by t, as the per-sample form does.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            X = np.fromiter(map(math.exp, memoryview(2.0 * r * t)), float, n)
+            e_rt = np.fromiter(map(math.exp, memoryview(r * t)), float, n)
+        except OverflowError as exc:
+            raise NonFiniteValue(f"e^(2rt) overflows float64 ({exc})") from exc
+        Y = e_rt * series.values
     w1, w2, rss = _lstsq2(X, np.ones(n), Y, "(w1, w2)", "fit_modes")
     return w1, w2, rss / n
 

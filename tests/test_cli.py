@@ -2,14 +2,24 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import math
+import pathlib
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mirrordde import cli, numerics
 
 from helpers import run_cli, run_cli_bytes
+
+SIMULATE_GOLDENS = sorted(
+    p.name for p in (pathlib.Path(__file__).parent / "data").glob(
+        "golden_simulate_*.csv"))
 
 
 def write_series_csv(path, times, values, header="t,p"):
@@ -122,6 +132,13 @@ class TestSimulate:
                                "--p0", "1", *extra)
         assert code == 2
         assert err.startswith("ERROR 2: ")
+
+    @pytest.mark.parametrize("steps", [2**53 + 1, 10**400])
+    def test_steps_beyond_distinct_floats(self, steps):
+        code, out, err = run_cli("simulate", "--a", "0.3", "--b", "0.5",
+                                 "--p0", "1", "--steps", str(steps))
+        assert (code, out) == (2, "")
+        assert err == f"ERROR 2: --steps must be <= 9007199254740992, got {steps}\n"
 
     def test_conflicting_theta_flags(self):
         code, _, err = run_cli("simulate", "--a", "0.3", "--b", "0.5",
@@ -339,12 +356,115 @@ class TestFit:
         # parse error)
         assert code == 2
 
+    def test_oversized_field_is_one_error_line(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("t,p\n-1,1\n0," + "1" * 200_000 + "\n1,1\n")
+        assert cli._plain_series(str(path)) is None
+        code, out, err = run_cli("fit", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err == (f"ERROR 2: {str(path)!r}: field larger than field "
+                       f"limit ({csv.field_size_limit()})\n")
+
     def test_asymmetric_grid_rejected(self, tmp_path):
         path = write_series_csv(tmp_path / "asym.csv", [-1.0, 0.0, 2.0],
                                 [1.0, 2.0, 3.0])
         code, _, err = run_cli("fit", "--input", path)
         assert code == 2
         assert "mirror" in err or "symmetric" in err or "partner" in err
+
+
+# ---------------------------------------------------------------------------
+# fit: the plain-file reader against the csv reader
+# ---------------------------------------------------------------------------
+
+def csv_reader_only():
+    """Context in which ``fit`` reads every file with the csv reader."""
+    return mock.patch.object(cli, "_plain_series", return_value=None)
+
+
+ODD_TOKENS = ("inf", "-inf", "nan", "Infinity", "1_0", "0x1p3", "", "1e400",
+              "1e", ".", "+", "--1", "1..2", "-0", "+.5e-3")
+
+
+@st.composite
+def series_files(draw) -> bytes:
+    """A ``t,p`` file as ``simulate`` writes it, then up to three mutations."""
+    m = draw(st.integers(0, 5))
+    h = draw(st.floats(1e-3, 10.0))
+    r = draw(st.floats(0.05, 1.5))
+    w1, w2 = draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))
+    lines = [["t", "p"]] + [
+        [cli.fmt(t), cli.fmt(w1 * math.exp(r * t) + w2 * math.exp(-r * t))]
+        for t in (h * (i - m) for i in range(2 * m + 1))]
+    bom, eol, last_eol = "", "\n", "\n"
+    cell_edits = {
+        "quote": lambda c: f'"{c}"',
+        "spaces": lambda c: draw(st.sampled_from([" ", "\t", ""])) + c + " ",
+        "token": lambda c: draw(st.sampled_from(ODD_TOKENS)
+                                | st.text("0123456789.eE+-", max_size=6)),
+        "huge": lambda c: "1" * (csv.field_size_limit() + draw(st.integers(-1, 1))),
+    }
+    kinds = ["bom", "crlf", "no-final-eol", "blank", "whitespace",
+             "extra-column", "warning", *cell_edits]
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=3)):
+        i = draw(st.integers(0, len(lines) - 1))
+        if kind == "bom":
+            bom = "\ufeff"
+        elif kind == "crlf":
+            eol = last_eol = "\r\n"
+        elif kind == "no-final-eol":
+            last_eol = ""
+        elif kind == "blank":
+            lines.insert(i + 1, [])
+        elif kind == "whitespace":
+            lines.insert(i + 1, [draw(st.sampled_from([" ", "\t", "  "]))])
+        elif kind == "extra-column":
+            lines[i].append("1")
+        elif kind == "warning":
+            lines = [cells + ["warning" if n == 0 else "infeasible"]
+                     for n, cells in enumerate(lines)]
+        elif lines[i]:
+            j = draw(st.integers(0, len(lines[i]) - 1))
+            lines[i][j] = cell_edits[kind](lines[i][j])
+    text = bom + eol.join(",".join(cells) for cells in lines) + last_eol
+    return text.encode("utf-8")
+
+
+class TestSeriesReaders:
+    @pytest.mark.parametrize("name", SIMULATE_GOLDENS)
+    def test_plain_reader_taken_on_simulate_output(self, data_dir, name):
+        path = str(data_dir / name)
+        plain = (data_dir / name).read_text().startswith("t,p\n")
+        columns = cli._plain_series(path)
+        assert (columns is not None) == plain
+        if plain:
+            with csv_reader_only():
+                times, values = cli._read_series_csv(path)
+            assert np.array(columns).tobytes() == np.array([times, values]).tobytes()
+            with mock.patch.object(cli, "_csv_rows",
+                                   side_effect=AssertionError("csv reader ran")):
+                assert run_cli("fit", "--input", path)[0] == 0
+
+    @given(data=series_files())
+    @example(data=b"t,p\n-1,1\n0,2\n1,3\n")
+    @example(data=b"t,p\n-1,1\n0,2\n1,3")
+    @example(data=b"t,p\n-1,1\n0,2,\n1,3\n")
+    @example(data=b"t,p\n-1,1\n0,\n1,3\n")
+    @example(data=b"t,p\n")
+    @settings(max_examples=300, deadline=None)
+    def test_readers_agree(self, tmp_path_factory, data):
+        """Either the plain reader declines a file or its columns are the csv
+        reader's bit for bit; ``fit`` prints the same bytes either way."""
+        path = tmp_path_factory.getbasetemp() / "readers_series.csv"
+        path.write_bytes(data)
+        columns = cli._plain_series(str(path))
+        with csv_reader_only():
+            csv_result = run_cli("fit", "--input", str(path))
+            if columns is not None:
+                times, values = cli._read_series_csv(str(path))
+                assert (np.array(columns).tobytes()
+                        == np.array([times, values]).tobytes())
+        assert run_cli("fit", "--input", str(path)) == csv_result
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +553,14 @@ class TestRank:
         path.write_text("name,x,y\nA,1,2\n")
         code, _, err = run_cli("rank", "--input", str(path))
         assert code == 2
+
+    def test_oversized_field_is_one_error_line(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("journal,CiteScore,SJR\nA,1," + "1" * 200_000 + "\n")
+        code, out, err = run_cli("rank", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err == (f"ERROR 2: {str(path)!r}: field larger than field "
+                       f"limit ({csv.field_size_limit()})\n")
 
     def test_quoted_journal_names_roundtrip(self, tmp_path):
         path = tmp_path / "quoted.csv"
