@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -288,13 +289,24 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _csv_rows(path: str) -> list[list[str]]:
-    """Non-empty rows of a CSV file; unreadable or empty files are ERROR 2."""
+def _read_bytes(path: str) -> bytes:
+    """The whole file, read once, so that a pipe works; unreadable is ERROR 2."""
     try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row]
+        with open(path, "rb") as fh:
+            return fh.read()
     except OSError as exc:
         raise _CliError(EXIT_USAGE, f"cannot read {path!r}: {exc}") from exc
+
+
+def _csv_rows(path: str, data: bytes) -> list[list[str]]:
+    """Non-empty CSV rows of ``data``, the bytes of ``path``; none is ERROR 2.
+
+    The bytes are decoded as ``open(path, encoding="utf-8-sig", newline="")``
+    would decode them, chunk by chunk.
+    """
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
+    try:
+        rows = [row for row in csv.reader(text) if row]
     except csv.Error as exc:
         raise _CliError(EXIT_USAGE, f"{path!r}: {exc}") from exc
     if not rows:
@@ -302,7 +314,7 @@ def _csv_rows(path: str) -> list[list[str]]:
     return rows
 
 
-def _plain_series(path: str) -> tuple[np.ndarray, np.ndarray] | None:
+def _plain_series(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     """The t and p columns of a plain ``t,p`` file, or None for any other.
 
     Plain is the shape ``simulate`` writes: the header ``t,p``, then only
@@ -313,37 +325,36 @@ def _plain_series(path: str) -> tuple[np.ndarray, np.ndarray] | None:
     any exception (numpy's parse errors differ between versions), is left to
     the csv reader and its error lines.
     """
+    lines = data.count(b"\n") - 1 + (not data.endswith(b"\n"))
+    if (not data.startswith(b"t,p\n") or lines < 1 or b"\n\n" in data
+            or data.translate(None, _PLAIN_BODY_BYTES) != b"tp"
+            or data.count(b",") != lines + 1):
+        return None
+    # No line, so no field, may pass the csv limit: a newline-free run of
+    # 2k - 1 bytes would cover one of these k-byte windows, so a newline
+    # in each caps every line at 2k - 2 <= limit bytes.
+    k = csv.field_size_limit() // 2 + 1
+    if any(data.find(b"\n", i, i + k) < 0
+           for i in range(0, len(data) - k + 1, k)):
+        return None
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-        body = data[4:]
-        if (not data.startswith(b"t,p\n") or not body or b"\n\n" in data
-                or body.translate(None, _PLAIN_BODY_BYTES)):
-            return None
-        # No line, so no field, may pass the csv limit: a newline-free run of
-        # 2k - 1 bytes would cover one of these k-byte windows, so a newline
-        # in each caps every line at 2k - 2 <= limit bytes.
-        k = csv.field_size_limit() // 2 + 1
-        if any(data.find(b"\n", i, i + k) < 0
-               for i in range(0, len(data) - k + 1, k)):
-            return None
-        # numpy reads a path in chunks (a file object line by line); it
-        # raises on ragged rows, so shape (lines, 2) means one comma a line.
-        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2,
-                           comments=None, encoding="ascii")
+        # The count above leaves one comma a line and loadtxt raises on
+        # ragged rows, so shape (lines, 2) means one comma on every line.
+        table = np.loadtxt(io.BytesIO(data), delimiter=",", skiprows=1,
+                           ndmin=2, comments=None, encoding="ascii")
     except Exception:
         return None
-    lines = body.count(b"\n") + (not body.endswith(b"\n"))
     if table.shape != (lines, 2):
         return None
     return table[:, 0], table[:, 1]
 
 
 def _read_series_csv(path: str) -> tuple[ArrayLike, ArrayLike]:
-    columns = _plain_series(path)
+    data = _read_bytes(path)
+    columns = _plain_series(data)
     if columns is not None:
         return columns
-    rows = _csv_rows(path)
+    rows = _csv_rows(path, data)
     header = [cell.strip() for cell in rows[0][:2]]
     if header != ["t", "p"] or len(rows[0]) < 2:
         raise _CliError(
@@ -400,7 +411,7 @@ def cmd_fit(args) -> int:
 
 
 def _read_journals_csv(path: str) -> FeatureMatrix:
-    rows = _csv_rows(path)
+    rows = _csv_rows(path, _read_bytes(path))
     header = rows[0]
     if not header or header[0].strip() != "journal" or len(header) < 3:
         raise _CliError(

@@ -18,10 +18,12 @@ def run_cli(*argv: str) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def run_cli_bytes(*argv: str) -> tuple[int, bytes, bytes]:
-    """Run the CLI in a subprocess and return raw stdout/stderr bytes."""
+def run_cli_bytes(*argv: str, stdin: bytes | None = None
+                  ) -> tuple[int, bytes, bytes]:
+    """Run the CLI in a subprocess, fed ``stdin`` through a pipe if given,
+    and return raw stdout/stderr bytes."""
     proc = subprocess.run(
         [sys.executable, "-m", "mirrordde", *argv],
-        capture_output=True,
+        input=stdin, capture_output=True, timeout=300,
     )
     return proc.returncode, proc.stdout, proc.stderr

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import pathlib
 from unittest import mock
 
@@ -359,7 +360,7 @@ class TestFit:
     def test_oversized_field_is_one_error_line(self, tmp_path):
         path = tmp_path / "wide.csv"
         path.write_text("t,p\n-1,1\n0," + "1" * 200_000 + "\n1,1\n")
-        assert cli._plain_series(str(path)) is None
+        assert cli._plain_series(path.read_bytes()) is None
         code, out, err = run_cli("fit", "--input", str(path))
         assert (code, out) == (2, "")
         assert err == (f"ERROR 2: {str(path)!r}: field larger than field "
@@ -435,7 +436,7 @@ class TestSeriesReaders:
     def test_plain_reader_taken_on_simulate_output(self, data_dir, name):
         path = str(data_dir / name)
         plain = (data_dir / name).read_text().startswith("t,p\n")
-        columns = cli._plain_series(path)
+        columns = cli._plain_series((data_dir / name).read_bytes())
         assert (columns is not None) == plain
         if plain:
             with csv_reader_only():
@@ -457,7 +458,7 @@ class TestSeriesReaders:
         reader's bit for bit; ``fit`` prints the same bytes either way."""
         path = tmp_path_factory.getbasetemp() / "readers_series.csv"
         path.write_bytes(data)
-        columns = cli._plain_series(str(path))
+        columns = cli._plain_series(data)
         with csv_reader_only():
             csv_result = run_cli("fit", "--input", str(path))
             if columns is not None:
@@ -465,6 +466,18 @@ class TestSeriesReaders:
                 assert (np.array(columns).tobytes()
                         == np.array([times, values]).tobytes())
         assert run_cli("fit", "--input", str(path)) == csv_result
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"),
+                        reason="needs /dev/stdin")
+    @pytest.mark.parametrize("name", ["exponential", "oscillatory"])
+    def test_fit_reads_a_pipe(self, data_dir, name):
+        """A pipe can be read only once: a plain file (exponential) and one
+        with a warning column (oscillatory) give the golden bytes either way."""
+        data = (data_dir / f"golden_simulate_{name}.csv").read_bytes()
+        assert run_cli_bytes("fit", "--input", "/dev/stdin", "--predict", "1.5",
+                             stdin=data) == (
+            0, (data_dir / f"golden_fit_{name}.out").read_bytes(),
+            (data_dir / f"golden_fit_{name}.err").read_bytes())
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +495,14 @@ class TestRank:
         assert len(lines) == 4
         golden = (data_dir / "golden_rank_m3.csv").read_text()
         assert out == golden
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"),
+                        reason="needs /dev/stdin")
+    def test_reads_a_pipe(self, data_dir):
+        data = (data_dir / "rank_m8.csv").read_bytes()
+        code, out, _ = run_cli_bytes("rank", "--input", "/dev/stdin",
+                                     stdin=data)
+        assert (code, out) == (0, (data_dir / "golden_rank_m8.csv").read_bytes())
 
     def test_matches_golden_m8(self, data_dir):
         code, out, _ = run_cli("rank", "--input",
