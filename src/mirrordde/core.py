@@ -16,7 +16,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Union
+from itertools import repeat
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 from numpy.typing import NDArray
@@ -257,26 +258,27 @@ class ModeCoefficients:
 # control terms
 # ---------------------------------------------------------------------------
 # Each term supplies its share of the forced solution: ``particular(params,
-# t)`` is its particular solution P(t), ``particular_deriv(params, t)`` is
-# P'(t), and ``at_zero(params)`` is its value as it enters the slope p'(0).
+# times)`` works out its constants once, then yields its particular solution
+# P(t) lazily for each t; ``start_values(params)`` is P'(0) and its value as
+# it enters the slope p'(0); ``rate`` is its exponential rate, checked for
+# resonance by the solver, or None for a polynomial term.
 
 @dataclass(frozen=True)
 class ThetaConstant:
     """Self-development effort held constant: theta(t) = value."""
 
     value: float
+    rate = None
 
     def __post_init__(self) -> None:
         _require_finite("ThetaConstant", self.value)
 
-    def particular(self, params: DdeParams, t: float) -> float:
-        return self.value / (params.a - params.b)
+    def particular(self, params: DdeParams,
+                   times: Sequence[float]) -> Iterator[float]:
+        return repeat(self.value / (params.a - params.b), len(times))
 
-    def particular_deriv(self, params: DdeParams, t: float) -> float:
-        return 0.0
-
-    def at_zero(self, params: DdeParams) -> float:
-        return self.value
+    def start_values(self, params: DdeParams) -> tuple[float, float]:
+        return 0.0, self.value
 
 
 @dataclass(frozen=True)
@@ -285,18 +287,19 @@ class ThetaLinear:
 
     slope: float
     intercept: float
+    rate = None
 
     def __post_init__(self) -> None:
         _require_finite("ThetaLinear", self.slope, self.intercept)
 
-    def particular(self, params: DdeParams, t: float) -> float:
-        return (self.slope * t + self.intercept) / (params.a - params.b)
+    def particular(self, params: DdeParams,
+                   times: Sequence[float]) -> Iterator[float]:
+        slope, intercept, d = self.slope, self.intercept, params.a - params.b
+        for t in times:
+            yield (slope * t + intercept) / d
 
-    def particular_deriv(self, params: DdeParams, t: float) -> float:
-        return self.slope / (params.a - params.b)
-
-    def at_zero(self, params: DdeParams) -> float:
-        return self.intercept
+    def start_values(self, params: DdeParams) -> tuple[float, float]:
+        return self.slope / (params.a - params.b), self.intercept
 
 
 @dataclass(frozen=True)
@@ -308,18 +311,17 @@ class ThetaExponential:
     def __post_init__(self) -> None:
         _require_finite("ThetaExponential", self.rate)
 
-    def particular(self, params: DdeParams, t: float) -> float:
-        A = self.rate
-        return ((params.a + params.b) * math.exp(A * t)
-                / (A * A - params.discriminant))
+    def particular(self, params: DdeParams,
+                   times: Sequence[float]) -> Iterator[float]:
+        A, s = self.rate, params.a + params.b
+        gap = A * A - params.discriminant
+        for t in times:
+            yield s * math.exp(A * t) / gap
 
-    def particular_deriv(self, params: DdeParams, t: float) -> float:
+    def start_values(self, params: DdeParams) -> tuple[float, float]:
+        # P'(0) = A P(0); math.exp(A * 0.0) is exactly 1.0, so it is left out
         A = self.rate
-        return (A * (params.a + params.b) * math.exp(A * t)
-                / (A * A - params.discriminant))
-
-    def at_zero(self, params: DdeParams) -> float:
-        return 1.0
+        return A * (params.a + params.b) / (A * A - params.discriminant), 1.0
 
 
 ThetaTerm = Union[ThetaConstant, ThetaLinear, ThetaExponential]
@@ -335,6 +337,7 @@ class EtaArticleBased:
 
     alpha: float
     art: float
+    rate = None
 
     def __post_init__(self) -> None:
         _require_finite("EtaArticleBased", self.alpha, self.art)
@@ -343,15 +346,14 @@ class EtaArticleBased:
                 f"art must lie in [0, 1], got {self.art!r}"
             )
 
-    def particular(self, params: DdeParams, t: float) -> float:
-        return self.at_zero(params) / (params.a - params.b)
+    def particular(self, params: DdeParams,
+                   times: Sequence[float]) -> Iterator[float]:
+        value = self.start_values(params)[1]
+        return repeat(value / (params.a - params.b), len(times))
 
-    def particular_deriv(self, params: DdeParams, t: float) -> float:
-        return 0.0
-
-    def at_zero(self, params: DdeParams) -> float:
-        """The term's value, the same at every t: exp(-art) + alpha (a - b)."""
-        return math.exp(-self.art) + self.alpha * (params.a - params.b)
+    def start_values(self, params: DdeParams) -> tuple[float, float]:
+        """P'(0) = 0 and the constant value exp(-art) + alpha (a - b)."""
+        return 0.0, math.exp(-self.art) + self.alpha * (params.a - params.b)
 
 
 @dataclass(frozen=True)
@@ -364,18 +366,23 @@ class EtaTimeExponential:
     def __post_init__(self) -> None:
         _require_finite("EtaTimeExponential", self.k, self.k1)
 
-    def particular(self, params: DdeParams, t: float) -> float:
-        k, k1 = self.k, self.k1
-        return k * math.exp(k1 * t) / (k1 * k1 - params.discriminant)
+    @property
+    def rate(self) -> float:
+        return self.k1
 
-    def particular_deriv(self, params: DdeParams, t: float) -> float:
+    def particular(self, params: DdeParams,
+                   times: Sequence[float]) -> Iterator[float]:
         k, k1 = self.k, self.k1
-        return k1 * k * math.exp(k1 * t) / (k1 * k1 - params.discriminant)
+        gap = k1 * k1 - params.discriminant
+        for t in times:
+            yield k * math.exp(k1 * t) / gap
 
-    def at_zero(self, params: DdeParams) -> float:
-        # The pulse enters p'(0) through the (a+b) factor of the homogeneous
-        # slope, so dividing it out keeps p'(0) = (a+b) p0 + theta(0) + eta(0).
-        return self.k / (params.a + params.b)
+    def start_values(self, params: DdeParams) -> tuple[float, float]:
+        # P'(0) = k1 P(0).  The pulse enters p'(0) through the (a+b) factor of
+        # the homogeneous slope, so dividing it out keeps
+        # p'(0) = (a+b) p0 + theta(0) + eta(0).
+        k, k1 = self.k, self.k1
+        return k1 * k / (k1 * k1 - params.discriminant), k / (params.a + params.b)
 
 
 EtaTerm = Union[EtaArticleBased, EtaTimeExponential]

@@ -66,11 +66,18 @@ def svd_values(matrix) -> list[float]:
     The singular values are the final column norms.  Rotations preserve the
     Frobenius norm, so ``sum(s**2 for s in result)`` equals the squared
     Frobenius norm of the input up to rounding.
+
+    The rotations run on the matrix scaled by the power of two that brings
+    its largest entry into [0.5, 1), so no column product overflows; the
+    scaling is exact for entries above 2**-1022 times the largest.  A
+    singular value beyond the float64 range raises ``OverflowError``.
     """
     a = _as_matrix_array(m=matrix)
     if a.shape[0] < a.shape[1]:
         a = a.T.copy()
     n = a.shape[1]
+    e = math.frexp(float(np.abs(a).max()))[1]
+    np.ldexp(a, -e, out=a)
 
     for _ in range(JACOBI_MAX_SWEEPS):
         rotated = False
@@ -100,7 +107,7 @@ def svd_values(matrix) -> list[float]:
             f"{JACOBI_MAX_SWEEPS} sweeps"
         )
 
-    norms = [float(math.sqrt(a[:, j] @ a[:, j])) for j in range(n)]
+    norms = [math.ldexp(math.sqrt(a[:, j] @ a[:, j]), e) for j in range(n)]
     norms.sort(reverse=True)
     return norms
 

@@ -34,18 +34,17 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import warnings
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .core import (
     DEGENERACY_RTOL,
     ControlConfig,
     DdeParams,
     EtaArticleBased,
-    EtaTimeExponential,
     Regime,
     RegimeTag,
-    ThetaExponential,
 )
 from .errors import (
     NegativeInfluenceWarning,
@@ -189,36 +188,29 @@ def _check_resonance(params: DdeParams, config: ControlConfig) -> None:
     """Reject forcing rates whose square hits the discriminant b**2 - a**2.
 
     At such a rate the assumed particular form collapses onto a homogeneous
-    mode and its coefficient would divide by zero.
+    mode and its coefficient would divide by zero.  A rate whose square
+    overflows is not resonant: b**2 - a**2 is finite.
     """
     disc = params.discriminant
-    rates = []
-    if isinstance(config.theta, ThetaExponential):
-        rates.append(("theta", config.theta.rate))
-    if isinstance(config.eta, EtaTimeExponential):
-        rates.append(("eta", config.eta.k1))
-    for name, rate in rates:
-        gap = rate * rate - disc
-        if abs(gap) <= RESONANCE_RTOL * max(1.0, rate * rate, abs(disc)):
+    for name, term in (("theta", config.theta), ("eta", config.eta)):
+        rate = None if term is None else term.rate
+        if rate is None or not math.isfinite(square := rate * rate):
+            continue
+        if abs(square - disc) <= RESONANCE_RTOL * max(1.0, square, abs(disc)):
             raise ResonantForcing(
                 f"{name} rate {rate!r} squared coincides with "
                 f"b**2 - a**2 = {disc!r}"
             )
 
 
-class _NoEta:
-    """Stands in for ``eta=None``: no external influence at any time."""
-
-    def particular(self, params: DdeParams, t: float) -> float:
-        return 0.0
-
-    particular_deriv = particular
-
-    def at_zero(self, params: DdeParams) -> float:
-        return 0.0
-
-
-_NO_ETA = _NoEta()
+def _particular(params: DdeParams, config: ControlConfig,
+                times: Sequence[float]) -> Iterator[float]:
+    """The particular part P(t) = theta's + eta's at every t, lazily."""
+    theta = config.theta.particular(params, times)
+    if config.eta is None:
+        # a missing eta adds a zero, which turns a -0.0 into 0.0
+        return (p + 0.0 for p in theta)
+    return map(operator.add, theta, config.eta.particular(params, times))
 
 
 def eta_article(art: float, alpha: float, params: DdeParams) -> float:
@@ -227,7 +219,7 @@ def eta_article(art: float, alpha: float, params: DdeParams) -> float:
     ``art`` is the accepted-article fraction and must lie in [0, 1]; the
     :class:`EtaArticleBased` term it builds checks both inputs.
     """
-    return EtaArticleBased(alpha=alpha, art=art).at_zero(params)
+    return EtaArticleBased(alpha=alpha, art=art).start_values(params)[1]
 
 
 def control_solution(params: DdeParams, config: ControlConfig,
@@ -257,20 +249,32 @@ def initial_conditions_to_modes(params: DdeParams,
 
     solved here directly.  With no forcing this reproduces the two-mode
     amplitudes of the homogeneous solution, (p0/2r)(r + a + b) and
-    (p0/2r)(r - a - b).
+    (p0/2r)(r - a - b).  Amplitudes beyond the float64 range raise
+    :class:`NonFiniteValue`.
     """
-    r = _require_regime(params, "initial_conditions_to_modes").r
+    modes = _forced_start(params, config, None)[2]
+    if not all(map(math.isfinite, modes)):
+        raise NonFiniteValue(f"(c1, c2) = {modes!r} overflows float64")
+    return modes
+
+
+def _forced_start(params: DdeParams, config: ControlConfig,
+                  modes: tuple[float, float] | None
+                  ) -> tuple[float, float, tuple[float, float]]:
+    """r, P(0) and (c1, c2) of a forced run, after the regime and resonance
+    checks; ``modes=None`` solves for the modes that match p0 and p'(0)."""
+    what = "initial_conditions_to_modes" if modes is None else "control_solution"
+    r = _require_regime(params, what).r
     _check_resonance(params, config)
-    theta = config.theta
-    eta = config.eta if config.eta is not None else _NO_ETA
-    part0 = theta.particular(params, 0.0) + eta.particular(params, 0.0)
-    part0_d = (theta.particular_deriv(params, 0.0)
-               + eta.particular_deriv(params, 0.0))
-    slope0 = ((params.a + params.b) * params.p0
-              + theta.at_zero(params)
-              + eta.at_zero(params))
-    return solve_2x2(1.0, 1.0, r, -r,
-                     params.p0 - part0, slope0 - part0_d)
+    part0, = _particular(params, config, (0.0,))
+    if modes is None:
+        theta_d, theta_0 = config.theta.start_values(params)
+        eta_d, eta_0 = ((0.0, 0.0) if config.eta is None
+                        else config.eta.start_values(params))
+        slope0 = (params.a + params.b) * params.p0 + theta_0 + eta_0
+        modes = solve_2x2(1.0, 1.0, r, -r,
+                          params.p0 - part0, slope0 - (theta_d + eta_d))
+    return r, part0, modes
 
 
 # ---------------------------------------------------------------------------
@@ -328,25 +332,21 @@ def _homogeneous(params: DdeParams, times: Sequence[float]) -> list[float]:
 def _two_mode(params: DdeParams, times: Sequence[float],
               config: ControlConfig | None,
               modes: tuple[float, float] | None) -> list[float]:
-    if modes is None:
-        modes = initial_conditions_to_modes(params, config)
-    c1, c2 = modes
-    r = _require_regime(params, "control_solution").r
     if config is None:
+        c1, c2 = modes
+        r = _require_regime(params, "control_solution").r
         return [c1 * math.exp(r * t) + c2 * math.exp(-r * t) for t in times]
 
-    _check_resonance(params, config)
-    theta_p = config.theta.particular
-    eta_p = (config.eta if config.eta is not None else _NO_ETA).particular
-    p_zero = c1 + c2 + (theta_p(params, 0.0) + eta_p(params, 0.0))
+    r, part0, (c1, c2) = _forced_start(params, config, modes)
+    p_zero = c1 + c2 + part0
     if p_zero < 0.0:
         warnings.warn(
             f"influence at t=0 is negative ({p_zero!r})",
             NegativeInfluenceWarning,
             stacklevel=3,
         )
-    return [c1 * math.exp(r * t) + c2 * math.exp(-r * t)
-            + (theta_p(params, t) + eta_p(params, t)) for t in times]
+    return [c1 * math.exp(r * t) + c2 * math.exp(-r * t) + p
+            for t, p in zip(times, _particular(params, config, times))]
 
 
 # ---------------------------------------------------------------------------

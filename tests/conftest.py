@@ -3,13 +3,23 @@
 Besides the usual fixtures this adds a terminal-summary section that reports
 each acceptance criterion from ``test_acceptance.py`` with a single PASS/FAIL
 line, so the overall gate can be read at a glance.
+
+With the ``CI`` environment variable set, hypothesis runs derandomized: every
+property draws the same examples on every run, so a CI failure reproduces
+locally with ``CI=true``.  Without it, local runs stay random.
 """
 
 from __future__ import annotations
 
+import os
 import pathlib
 
 import pytest
+from hypothesis import settings
+
+settings.register_profile("ci", derandomize=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 

@@ -10,20 +10,33 @@ from __future__ import annotations
 
 import math
 import statistics
+import warnings
 
 import mpmath as mp
 import numpy as np
 
-from mirrordde.core import GRID_RTOL
+from mirrordde.core import (
+    GRID_RTOL,
+    EtaArticleBased,
+    EtaTimeExponential,
+    RegimeTag,
+    ThetaConstant,
+    ThetaExponential,
+    ThetaLinear,
+)
 from mirrordde.errors import (
     AsymmetricGrid,
     DegenerateSystem,
+    NegativeInfluenceWarning,
     NonFiniteValue,
     NonUniformGrid,
+    ResonantForcing,
     SingularSystem,
     TooShort,
+    WrongRegime,
 )
 from mirrordde.numerics import LASSO_TOL, FdMode, lasso_fit, solve_2x2
+from mirrordde.solver import RESONANCE_RTOL, classify
 
 
 # ---------------------------------------------------------------------------
@@ -397,3 +410,118 @@ def loop_fit_modes(series, r):
         resid = math.exp(r * t) * p - w1 * math.exp(2.0 * r * t) - w2
         rss += resid * resid
     return w1, w2, rss / n
+
+
+# ---------------------------------------------------------------------------
+# Forced trajectories with every control term evaluated point by point
+# ---------------------------------------------------------------------------
+
+def loop_particular(term, params, t):
+    """P(t) of one control term (``None`` for no eta), written out at one t.
+
+    Every expression is re-evaluated per call, constants included, in the
+    association the library keeps.
+    """
+    a, b = params.a, params.b
+    if term is None:
+        return 0.0
+    if isinstance(term, ThetaConstant):
+        return term.value / (a - b)
+    if isinstance(term, ThetaLinear):
+        return (term.slope * t + term.intercept) / (a - b)
+    if isinstance(term, ThetaExponential):
+        A = term.rate
+        return (a + b) * math.exp(A * t) / (A * A - (b * b - a * a))
+    if isinstance(term, EtaArticleBased):
+        return (math.exp(-term.art) + term.alpha * (a - b)) / (a - b)
+    k, k1 = term.k, term.k1
+    return k * math.exp(k1 * t) / (k1 * k1 - (b * b - a * a))
+
+
+def loop_slope_terms(term, params):
+    """P'(0) of one control term and its value as it enters p'(0)."""
+    a, b = params.a, params.b
+    if term is None:
+        return 0.0, 0.0
+    if isinstance(term, ThetaConstant):
+        return 0.0, term.value
+    if isinstance(term, ThetaLinear):
+        return term.slope / (a - b), term.intercept
+    if isinstance(term, ThetaExponential):
+        A = term.rate
+        return A * (a + b) * math.exp(A * 0.0) / (A * A - (b * b - a * a)), 1.0
+    if isinstance(term, EtaArticleBased):
+        return 0.0, math.exp(-term.art) + term.alpha * (a - b)
+    k, k1 = term.k, term.k1
+    return k1 * k * math.exp(k1 * 0.0) / (k1 * k1 - (b * b - a * a)), k / (a + b)
+
+
+def _loop_checks(params, config, what):
+    """The exponential-regime requirement, then the resonance guard."""
+    regime = classify(params)
+    if regime.tag is not RegimeTag.EXPONENTIAL:
+        raise WrongRegime(
+            f"{what} requires the exponential regime (b**2 > a**2); "
+            f"a={params.a!r}, b={params.b!r} is {regime.tag.value}")
+    disc = params.discriminant
+    for name, term in (("theta", config.theta), ("eta", config.eta)):
+        if isinstance(term, ThetaExponential):
+            rate = term.rate
+        elif isinstance(term, EtaTimeExponential):
+            rate = term.k1
+        else:
+            continue
+        square = rate * rate
+        # an overflowing square is not resonant
+        if math.isfinite(square) and abs(square - disc) <= \
+                RESONANCE_RTOL * max(1.0, square, abs(disc)):
+            raise ResonantForcing(f"{name} rate {rate!r} squared coincides "
+                                  f"with b**2 - a**2 = {disc!r}")
+    return regime.r
+
+
+def _loop_modes(params, config):
+    r = _loop_checks(params, config, "initial_conditions_to_modes")
+    theta, eta = config.theta, config.eta
+    part0 = loop_particular(theta, params, 0.0) + loop_particular(eta, params, 0.0)
+    theta_d, theta_0 = loop_slope_terms(theta, params)
+    eta_d, eta_0 = loop_slope_terms(eta, params)
+    slope0 = (params.a + params.b) * params.p0 + theta_0 + eta_0
+    return solve_2x2(1.0, 1.0, r, -r,
+                     params.p0 - part0, slope0 - (theta_d + eta_d))
+
+
+def loop_initial_conditions_to_modes(params, config):
+    """``initial_conditions_to_modes`` from the per-point term formulas."""
+    modes = _loop_modes(params, config)
+    if not all(map(math.isfinite, modes)):
+        raise NonFiniteValue(f"(c1, c2) = {modes!r} overflows float64")
+    return modes
+
+
+def loop_forced_evaluate(params, times, config, modes=None):
+    """``evaluate(params, times, config, modes)`` for finite ``times`` and
+    ``modes``, with both terms called once per point.
+
+    Follows the steps of the per-point evaluator: the matching modes when
+    ``modes`` is None, the regime and resonance checks again, P(0) for the
+    negative-origin warning, then one sum per t; ``eta=None`` adds 0.0.
+    """
+    theta, eta = config.theta, config.eta
+    try:
+        c1, c2 = _loop_modes(params, config) if modes is None else modes
+        r = _loop_checks(params, config, "control_solution")
+        p_zero = c1 + c2 + (loop_particular(theta, params, 0.0)
+                            + loop_particular(eta, params, 0.0))
+        if p_zero < 0.0:
+            warnings.warn(f"influence at t=0 is negative ({p_zero!r})",
+                          NegativeInfluenceWarning)
+        values = [c1 * math.exp(r * t) + c2 * math.exp(-r * t)
+                  + (loop_particular(theta, params, t)
+                     + loop_particular(eta, params, t)) for t in times]
+    except OverflowError as exc:
+        raise NonFiniteValue(f"p(t) overflows float64 ({exc})") from exc
+    for t, p in zip(times, values):
+        if not math.isfinite(p):
+            raise NonFiniteValue(f"p({t!r}) = {p!r} overflows float64")
+    return values

@@ -209,6 +209,16 @@ class TestSimulate:
         assert err.count("ERROR 2: ") == 1 and err.count("\n") == 1
         assert "math domain error" not in err
 
+    @pytest.mark.parametrize("forcing", [("--theta-exp", "1e155"),
+                                         ("--eta-exp", "1,1e300")])
+    def test_rate_with_overflowing_square_is_not_resonant(self, forcing):
+        # it used to print "ERROR 3: ... coincides with b**2 - a**2 = 0.16"
+        code, out, err = run_cli("simulate", "--a", "0.3", "--b", "0.5",
+                                 "--p0", "1", *forcing, "--steps", "2",
+                                 "--t-min=-1", "--t-max", "1")
+        assert (code, out) == (2, "")
+        assert err == "ERROR 2: p(t) overflows float64 (math range error)\n"
+
 
 # ---------------------------------------------------------------------------
 # fit

@@ -73,6 +73,23 @@ class TestSvdValues:
         want = np.linalg.svd(a, compute_uv=False)
         assert got == pytest.approx(list(want), abs=1e-9)
 
+    @pytest.mark.parametrize("k", [-1000, -560, 260, 1000])
+    def test_power_of_two_scaling_is_exact(self, k):
+        # e.g. at 2**260 every column product used to overflow to inf
+        a = np.random.default_rng(11).uniform(-3.0, 3.0, size=(5, 3))
+        assert svd_values(np.ldexp(a, k)) == [
+            math.ldexp(s, k) for s in svd_values(a)]
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e77, 1e160, 1e300])
+    def test_against_dense_svd_at_float64_edges(self, scale):
+        # at 1e77 the pair [[s, s], [0, s]] read as orthogonal and gave the
+        # column norms; 1e-170 gave zeros, 1e160 inf
+        for a in (np.array([[1.0, 1.0], [0.0, 1.0]]),
+                  np.random.default_rng(5).uniform(-3.0, 3.0, size=(4, 3))):
+            got = svd_values(a * scale)
+            want = np.linalg.svd(a * scale, compute_uv=False)
+            assert got == pytest.approx(list(want), rel=1e-12, abs=0.0)
+
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1),
            rows=st.integers(min_value=1, max_value=6),
            cols=st.integers(min_value=1, max_value=6))

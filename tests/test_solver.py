@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mirrordde import (
@@ -40,7 +40,13 @@ from mirrordde import (
     oscillatory_solution,
 )
 
-from oracles import mp_forced_solution, mp_forcing, mp_substitution_residual
+from oracles import (
+    loop_forced_evaluate,
+    loop_initial_conditions_to_modes,
+    mp_forced_solution,
+    mp_forcing,
+    mp_substitution_residual,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +396,23 @@ class TestInitialConditionsToModes:
             value = control_solution(PARAMS, config, c1, c2, 0.0)
         assert abs(value - PARAMS.p0) <= 1e-10
 
+    @pytest.mark.parametrize("config", [
+        ControlConfig(theta=ThetaExponential(1e200)),
+        ControlConfig(theta=ThetaExponential(-1e155)),
+        ControlConfig(eta=EtaTimeExponential(k=1.0, k1=1e300)),
+    ])
+    def test_rate_with_overflowing_square_is_not_resonant(self, config):
+        # rate * rate = inf, and inf <= 1e-12 * inf used to read as resonant
+        c1, c2 = initial_conditions_to_modes(PARAMS, config)
+        assert math.isfinite(c1) and math.isfinite(c2)
+        assert evaluate(PARAMS, [0.0], config) == [c1 + c2 + 0.0]
+
+    def test_overflowing_start_slope_is_non_finite_value(self):
+        # k1 * k = inf over (k1 * k1 - disc) = inf makes P'(0) NaN
+        config = ControlConfig(eta=EtaTimeExponential(k=1e300, k1=1e300))
+        with pytest.raises(NonFiniteValue, match=r"\(c1, c2\) = \(nan, nan\)"):
+            initial_conditions_to_modes(PARAMS, config)
+
 
 # ---------------------------------------------------------------------------
 # evaluate and the control-term methods
@@ -432,12 +455,25 @@ class TestEvaluate:
     def test_forced_equals_control_solution_bitwise(self, theta, eta):
         config = ControlConfig(theta=theta, eta=eta)
         c1, c2 = initial_conditions_to_modes(PARAMS, config)
-        r = 0.4
+        a, b, r = 0.3, 0.5, 0.4
+        disc = b * b - a * a
+        theta_part = {
+            ThetaConstant: lambda t: 0.2 / (a - b),
+            ThetaLinear: lambda t: (0.1 * t + -0.3) / (a - b),
+            ThetaExponential:
+                lambda t: (a + b) * math.exp(0.25 * t) / (0.25 * 0.25 - disc),
+        }[type(theta)]
+        eta_part = {
+            type(None): lambda t: 0.0,
+            EtaTimeExponential:
+                lambda t: 0.3 * math.exp(-0.15 * t) / (-0.15 * -0.15 - disc),
+            EtaArticleBased:
+                lambda t: (math.exp(-0.4) + 0.7 * (a - b)) / (a - b),
+        }[type(eta)]
 
         def written_out(t):
-            eta_part = eta.particular(PARAMS, t) if eta is not None else 0.0
             return (c1 * math.exp(r * t) + c2 * math.exp(-r * t)
-                    + (theta.particular(PARAMS, t) + eta_part))
+                    + (theta_part(t) + eta_part(t)))
 
         want = [written_out(t) for t in TIMES]
         assert [control_solution(PARAMS, config, c1, c2, t)
@@ -466,14 +502,14 @@ class TestEvaluate:
 
     @pytest.fixture
     def no_point_evaluated(self, monkeypatch):
-        """Make any per-point term evaluation fail loudly."""
-        def fail(self, params, t):
+        """Make any term evaluation, P(0) included, fail loudly."""
+        def fail(*args):
             raise AssertionError("a point was evaluated")
 
         for term in (ThetaConstant, ThetaLinear, ThetaExponential,
                      EtaArticleBased, EtaTimeExponential):
             monkeypatch.setattr(term, "particular", fail)
-            monkeypatch.setattr(term, "particular_deriv", fail)
+            monkeypatch.setattr(term, "start_values", fail)
 
     def test_resonance_raised_before_any_point(self, no_point_evaluated):
         # r = 0.4, so rate^2 = 0.16 = b^2 - a^2
@@ -533,31 +569,119 @@ class TestControlTerms:
         a, b, t = 0.3, 0.5, 1.7
         disc = b * b - a * a
         const, lin, exp_ = THETAS
-        assert const.particular(PARAMS, t) == 0.2 / (a - b)
-        assert const.particular_deriv(PARAMS, t) == 0.0
-        assert const.at_zero(PARAMS) == 0.2
-        assert lin.particular(PARAMS, t) == (0.1 * t + -0.3) / (a - b)
-        assert lin.particular_deriv(PARAMS, t) == 0.1 / (a - b)
-        assert lin.at_zero(PARAMS) == -0.3
-        assert exp_.particular(PARAMS, t) == \
-            (a + b) * math.exp(0.25 * t) / (0.25 * 0.25 - disc)
-        assert exp_.particular_deriv(PARAMS, t) == \
-            0.25 * (a + b) * math.exp(0.25 * t) / (0.25 * 0.25 - disc)
-        assert exp_.at_zero(PARAMS) == 1.0
+        times = (t, 0.0, -t)
+        assert list(const.particular(PARAMS, times)) == [0.2 / (a - b)] * 3
+        assert const.start_values(PARAMS) == (0.0, 0.2)
+        assert list(lin.particular(PARAMS, times)) == [
+            (0.1 * s + -0.3) / (a - b) for s in times]
+        assert lin.start_values(PARAMS) == (0.1 / (a - b), -0.3)
+        assert list(exp_.particular(PARAMS, times)) == [
+            (a + b) * math.exp(0.25 * s) / (0.25 * 0.25 - disc) for s in times]
+        assert exp_.start_values(PARAMS) == (
+            0.25 * (a + b) * math.exp(0.25 * 0.0) / (0.25 * 0.25 - disc), 1.0)
+        assert (const.rate, lin.rate, exp_.rate) == (None, None, 0.25)
 
     def test_eta_terms(self):
         a, b, t = 0.3, 0.5, 1.7
         disc = b * b - a * a
         _, pulse, article = ETAS
-        assert pulse.particular(PARAMS, t) == \
-            0.3 * math.exp(-0.15 * t) / (-0.15 * -0.15 - disc)
-        assert pulse.particular_deriv(PARAMS, t) == \
-            -0.15 * 0.3 * math.exp(-0.15 * t) / (-0.15 * -0.15 - disc)
-        assert pulse.at_zero(PARAMS) == 0.3 / (a + b)
+        times = (t, 0.0, -t)
+        assert list(pulse.particular(PARAMS, times)) == [
+            0.3 * math.exp(-0.15 * s) / (-0.15 * -0.15 - disc) for s in times]
+        assert pulse.start_values(PARAMS) == (
+            -0.15 * 0.3 * math.exp(-0.15 * 0.0) / (-0.15 * -0.15 - disc),
+            0.3 / (a + b))
         value = eta_article(0.4, 0.7, PARAMS)
-        assert article.at_zero(PARAMS) == value
-        assert article.particular(PARAMS, t) == value / (a - b)
-        assert article.particular_deriv(PARAMS, t) == 0.0
+        assert value == math.exp(-0.4) + 0.7 * (a - b)
+        assert article.start_values(PARAMS) == (0.0, value)
+        assert list(article.particular(PARAMS, times)) == [value / (a - b)] * 3
+        assert (pulse.rate, article.rate) == (-0.15, None)
+
+
+# ---------------------------------------------------------------------------
+# forced runs against the per-point term formulas
+# ---------------------------------------------------------------------------
+
+def outcome(fn, *args) -> tuple[str, int]:
+    """``repr`` of the result or the type and text of the exception, and the
+    number of warnings the call emitted."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = repr(fn(*args))
+        except Exception as exc:
+            result = f"{type(exc).__name__}: {exc}"
+    return result, len(caught)
+
+
+# ordinary values, values near the edge of float64, and zeros of both signs
+term_values = st.one_of(
+    st.floats(min_value=-10.0, max_value=10.0),
+    st.sampled_from([0.0, -0.0, 1e155, 1e300, -1e300]),
+)
+
+
+@st.composite
+def forced_cases(draw):
+    """(params, config) over all nine theta/eta pairs, mostly exponential,
+    with ordinary, resonant and square-overflowing forcing rates."""
+    a = draw(st.floats(min_value=-2.0, max_value=2.0))
+    if draw(st.booleans()):
+        gap = draw(st.floats(min_value=1e-3, max_value=2.0))
+        b = draw(st.sampled_from([1.0, -1.0])) * (abs(a) + gap)
+    else:
+        b = draw(st.floats(min_value=-2.0, max_value=2.0))
+    p0 = draw(st.one_of(st.floats(min_value=-10.0, max_value=10.0),
+                        st.sampled_from([0.0, -0.0, 1e300])))
+    params = DdeParams(a=a, b=b, p0=p0)
+    r = math.sqrt(abs(params.discriminant))
+    rates = st.one_of(term_values, st.sampled_from([r, -r, 1e200, -1e300]))
+    theta = draw(st.one_of(
+        st.builds(ThetaConstant, term_values),
+        st.builds(ThetaLinear, term_values, term_values),
+        st.builds(ThetaExponential, rates)))
+    eta = draw(st.one_of(
+        st.none(),
+        st.builds(EtaArticleBased, term_values,
+                  st.floats(min_value=0.0, max_value=1.0)),
+        st.builds(EtaTimeExponential, term_values, rates)))
+    return params, ControlConfig(theta=theta, eta=eta)
+
+
+mode_values = st.one_of(st.floats(min_value=-10.0, max_value=10.0),
+                        st.sampled_from([0.0, -0.0, 1e300]))
+
+
+class TestForcedLoopReference:
+    """Forced runs bit for bit against each term's P(t) written out and
+    evaluated once per point, in exceptions and warnings too."""
+
+    @given(case=forced_cases(),
+           times=st.lists(st.one_of(st.floats(min_value=-5.0, max_value=5.0),
+                                    st.floats(min_value=-1000.0,
+                                              max_value=1000.0)),
+                          max_size=6),
+           modes=st.one_of(st.none(), st.tuples(mode_values, mode_values)))
+    # a theta rate whose square overflows is not resonant
+    @example(case=(PARAMS, ControlConfig(theta=ThetaExponential(1e155))),
+             times=[-1.0, 0.0, 1.0], modes=None)
+    # k1 * k overflows in P'(0): the modes are NaN
+    @example(case=(PARAMS, ControlConfig(eta=EtaTimeExponential(1e300, 1e300))),
+             times=[-1.0, 0.0], modes=None)
+    # P(t) = 0.0 / (a - b) = -0.0 on -0.0 modes: a missing eta adds 0.0
+    @example(case=(PARAMS, ControlConfig(theta=ThetaConstant(0.0))),
+             times=[0.0, 2.0], modes=(-0.0, -0.0))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_point_formulas(self, case, times, modes):
+        params, config = case
+        assert outcome(evaluate, params, times, config, modes) == \
+            outcome(loop_forced_evaluate, params, times, config, modes)
+        assert outcome(initial_conditions_to_modes, params, config) == \
+            outcome(loop_initial_conditions_to_modes, params, config)
+        for t in times if modes is not None else ():
+            assert outcome(control_solution, params, config, *modes, t) == \
+                outcome(lambda: loop_forced_evaluate(params, (t,), config,
+                                                     modes)[0])
 
 
 # ---------------------------------------------------------------------------
