@@ -608,7 +608,42 @@ class TestRank:
 # verify
 # ---------------------------------------------------------------------------
 
+VERIFY_GOLDEN_ARGVS = (
+    # the benchmark size: 8192 steps of 2**-11
+    ("--a", "0.3", "--b", "0.9", "--p0", "1.2", "--t-max", "4",
+     "--step", "0.00048828125"),
+    # a shortened final step
+    ("--a", "0.3", "--b", "0.5", "--p0", "1", "--t-max", "0.35",
+     "--step", "0.1"),
+    ("--a=-0.4", "--b", "0.7", "--p0", "2.5"),
+    # beyond the tolerance: exit 6 with one stderr line
+    ("--a", "0.3", "--b", "0.5", "--p0", "1", "--step", "0.5"),
+    ("--a", "0.3", "--b", "0.5", "--p0", "1", "--t-max", "5",
+     "--step", "0.001"),
+)
+
+
+def verify_transcript() -> bytes:
+    """Exit code, stdout and stderr of ``verify`` for each golden argv.
+
+    ``tests/data/golden_verify.out`` holds these bytes; rewrite it with
+    ``cd tests && PYTHONPATH=../src python -c "import sys, test_cli;
+    sys.stdout.buffer.write(test_cli.verify_transcript())"``.
+    """
+    blocks = []
+    for argv in VERIFY_GOLDEN_ARGVS:
+        code, out, err = run_cli_bytes("verify", *argv)
+        blocks.append(b"$ verify %s\nexit %d\n--- stdout\n%s--- stderr\n%s"
+                      % (" ".join(argv).encode(), code, out, err))
+    return b"".join(blocks)
+
+
 class TestVerify:
+    def test_matches_golden(self, data_dir):
+        """stdout, stderr and exit code of five verify runs, byte for byte."""
+        assert verify_transcript() == \
+            (data_dir / "golden_verify.out").read_bytes()
+
     def test_agreement_at_default_step(self):
         code, out, err = run_cli("verify", "--a", "0.3", "--b", "0.5",
                                  "--p0", "1")
