@@ -477,11 +477,9 @@ def cmd_verify(args) -> int:
     # The closed form is base_solution's: refuse its regime before integrating.
     _require_regime(params, "base_solution")
 
-    samples = oracle_solution(params, args.t_max, args.step)
-    closed_values = evaluate(params, [sample.t for sample in samples])
-    deviation = max((abs(closed - sample.p) / max(1.0, abs(closed))
-                     for closed, sample in zip(closed_values, samples)),
-                    default=0.0)
+    times, oracle = oracle_solution(params, args.t_max, args.step)
+    deviation = max(abs(closed - p) / max(1.0, abs(closed))
+                    for closed, p in zip(evaluate(params, times), oracle))
     sys.stdout.write(fmt(deviation) + "\n")
     if deviation <= VERIFY_TOL:
         return EXIT_OK

@@ -70,7 +70,7 @@ def svd_values(matrix) -> list[float]:
     The rotations run on the matrix scaled by the power of two that brings
     its largest entry into [0.5, 1), so no column product overflows; the
     scaling is exact for entries above 2**-1022 times the largest.  A
-    singular value beyond the float64 range raises ``OverflowError``.
+    singular value beyond the float64 range raises :class:`NonFiniteValue`.
     """
     a = _as_matrix_array(m=matrix)
     if a.shape[0] < a.shape[1]:
@@ -107,7 +107,10 @@ def svd_values(matrix) -> list[float]:
             f"{JACOBI_MAX_SWEEPS} sweeps"
         )
 
-    norms = [math.ldexp(math.sqrt(a[:, j] @ a[:, j]), e) for j in range(n)]
+    try:
+        norms = [math.ldexp(math.sqrt(a[:, j] @ a[:, j]), e) for j in range(n)]
+    except OverflowError as exc:
+        raise NonFiniteValue("a singular value overflows float64") from exc
     norms.sort(reverse=True)
     return norms
 

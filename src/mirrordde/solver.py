@@ -353,21 +353,15 @@ def _two_mode(params: DdeParams, times: Sequence[float],
 # numerical oracle
 # ---------------------------------------------------------------------------
 
-class SolutionSample(NamedTuple):
-    """One (t, p) sample of a trajectory."""
-
-    t: float
-    p: float
-
-
 def oracle_solution(params: DdeParams, t_max: float,
-                    step: float) -> list[SolutionSample]:
+                    step: float) -> tuple[list[float], list[float]]:
     """Runge-Kutta reference trajectory on the symmetric window [-t_max, t_max].
 
     Integrates the mirror system u' = b u + a v, v' = -(b v + a u) with
     u(0) = v(0) = p0 forward to t_max; u(t) reproduces p(t) and v(t)
     reproduces p(-t), so one forward integration covers the whole window.
-    Returns samples ordered by time with a single entry at t=0.
+    Returns two parallel lists ``(times, values)``, ascending in time with a
+    single entry at t=0.
     """
     if not (math.isfinite(t_max) and t_max > 0.0):
         raise ValueError(f"t_max must be positive, got {t_max!r}")
@@ -378,7 +372,7 @@ def oracle_solution(params: DdeParams, t_max: float,
         return (b * u + a * v, -(b * v + a * u))
 
     trajectory = rk4_integrate(rhs, (params.p0, params.p0), t_max, step)
-    negatives = [SolutionSample(-t, state[1]) for t, state in trajectory[1:]]
-    negatives.reverse()
-    positives = [SolutionSample(t, state[0]) for t, state in trajectory]
-    return negatives + positives
+    mirrored = trajectory[:0:-1]           # t > 0, descending
+    times = [-t for t, _ in mirrored] + [t for t, _ in trajectory]
+    values = [v for _, (_, v) in mirrored] + [u for _, (u, _) in trajectory]
+    return times, values

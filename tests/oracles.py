@@ -35,7 +35,13 @@ from mirrordde.errors import (
     TooShort,
     WrongRegime,
 )
-from mirrordde.numerics import LASSO_TOL, FdMode, lasso_fit, solve_2x2
+from mirrordde.numerics import (
+    LASSO_TOL,
+    FdMode,
+    lasso_fit,
+    rk4_integrate,
+    solve_2x2,
+)
 from mirrordde.solver import RESONANCE_RTOL, classify
 
 
@@ -525,3 +531,24 @@ def loop_forced_evaluate(params, times, config, modes=None):
         if not math.isfinite(p):
             raise NonFiniteValue(f"p({t!r}) = {p!r} overflows float64")
     return values
+
+
+# ---------------------------------------------------------------------------
+# Sample-by-sample layout of the integration oracle
+# ---------------------------------------------------------------------------
+
+def sample_layout_oracle(a, b, p0, t_max, step):
+    """``(t, p)`` samples of the mirror-system integration, one at a time.
+
+    Integrates u' = b u + a v, v' = -(b v + a u) from u = v = p0 with
+    ``rk4_integrate`` and lays its own output out sample by sample: the
+    t > 0 entries in reverse as ``(-t, v)``, then every entry as ``(t, u)``.
+    """
+    def rhs(y):
+        u, v = y
+        return (b * u + a * v, -(b * v + a * u))
+
+    trajectory = rk4_integrate(rhs, (p0, p0), t_max, step)
+    samples = [(-t, v) for t, (u, v) in reversed(trajectory) if t > 0.0]
+    samples.extend((t, u) for t, (u, v) in trajectory)
+    return samples

@@ -90,6 +90,12 @@ class TestSvdValues:
             want = np.linalg.svd(a * scale, compute_uv=False)
             assert got == pytest.approx(list(want), rel=1e-12, abs=0.0)
 
+    def test_singular_value_beyond_float64_is_typed(self):
+        # the largest singular value is 2e308; it used to escape the final
+        # ldexp as a bare OverflowError
+        with pytest.raises(NonFiniteValue):
+            svd_values([[1e308, 1e308], [1e308, 1e308]])
+
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1),
            rows=st.integers(min_value=1, max_value=6),
            cols=st.integers(min_value=1, max_value=6))

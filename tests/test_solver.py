@@ -46,6 +46,7 @@ from oracles import (
     mp_forced_solution,
     mp_forcing,
     mp_substitution_residual,
+    sample_layout_oracle,
 )
 
 
@@ -691,13 +692,12 @@ class TestForcedLoopReference:
 class TestOracleSolution:
     def test_pure_present_term(self):
         params = DdeParams(a=0.0, b=1.0, p0=1.0)
-        for sample in oracle_solution(params, 1.0, 1e-3):
-            assert abs(sample.p - math.exp(sample.t)) <= 1e-10
+        for t, p in zip(*oracle_solution(params, 1.0, 1e-3)):
+            assert abs(p - math.exp(t)) <= 1e-10
 
     def test_sample_layout(self):
         params = DdeParams(a=0.3, b=0.5, p0=1.0)
-        samples = oracle_solution(params, 1.0, 0.25)
-        times = [s.t for s in samples]
+        times, _ = oracle_solution(params, 1.0, 0.25)
         assert times == sorted(times)
         assert times.count(0.0) == 1
         assert times[0] == -1.0 and times[-1] == 1.0
@@ -705,22 +705,45 @@ class TestOracleSolution:
 
     def test_mirror_half_matches_closed_form(self):
         params = DdeParams(a=0.3, b=0.5, p0=1.0)
-        for sample in oracle_solution(params, 3.0, 1e-3):
-            if sample.t < 0.0:
-                want = base_solution(params, sample.t)
-                assert abs(sample.p - want) <= 1e-6 * max(1.0, abs(want))
+        for t, p in zip(*oracle_solution(params, 3.0, 1e-3)):
+            if t < 0.0:
+                want = base_solution(params, t)
+                assert abs(p - want) <= 1e-6 * max(1.0, abs(want))
 
     def test_sum_of_mirror_pair_is_hyperbolic(self):
         # u+v obeys s'' = (b^2-a^2) s with s(0)=2 p0, s'(0)=0, i.e.
         # 2 p0 cosh(rt) — not a single exponential
         params = DdeParams(a=0.3, b=0.5, p0=1.2)
-        by_time = {round(s.t, 10): s.p
-                   for s in oracle_solution(params, 2.0, 1e-3)}
+        by_time = {round(t, 10): p
+                   for t, p in zip(*oracle_solution(params, 2.0, 1e-3))}
         r = math.sqrt(params.discriminant)
         for t in np.arange(0.0, 2.0 + 1e-12, 0.25):
             want = 2.0 * params.p0 * math.cosh(r * t)
             got = by_time[round(float(t), 10)] + by_time[round(float(-t), 10)]
             assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
+
+    @given(
+        a=st.floats(min_value=-2.0, max_value=2.0),
+        margin=st.floats(min_value=0.01, max_value=1.0),
+        sign=st.sampled_from([1.0, -1.0]),
+        p0=st.floats(min_value=-5.0, max_value=5.0),
+        t_max=st.floats(min_value=0.01, max_value=3.0),
+        step=st.floats(min_value=1e-3, max_value=1.0),
+    )
+    @example(a=0.3, margin=0.2, sign=1.0, p0=1.0, t_max=1.0, step=0.25)
+    @example(a=0.3, margin=0.2, sign=1.0, p0=1.0, t_max=0.35, step=0.1)
+    @example(a=0.3, margin=0.2, sign=1.0, p0=1.0, t_max=0.1, step=0.5)
+    @settings(max_examples=60, deadline=None)
+    def test_bitwise_equal_to_sample_layout(self, a, margin, sign, p0,
+                                            t_max, step):
+        """(times, values) are the old per-sample layout, value for value,
+        whether or not step divides t_max."""
+        b = sign * (abs(a) + margin)
+        times, values = oracle_solution(DdeParams(a=a, b=b, p0=p0),
+                                        t_max, step)
+        samples = sample_layout_oracle(a, b, p0, t_max, step)
+        assert times == [t for t, _ in samples]
+        assert values == [p for _, p in samples]
 
     def test_overflowing_trajectory_raises(self):
         # the integrator checks every state, so no non-finite sample is built
