@@ -28,10 +28,7 @@ import json
 import math
 import sys
 import warnings
-from typing import Sequence
-
-import numpy as np
-from numpy.typing import ArrayLike
+from typing import TYPE_CHECKING, Sequence
 
 from .core import (
     ControlConfig,
@@ -54,9 +51,7 @@ from .errors import (
     WrongRegime,
     ZeroVarianceColumn,
 )
-from .fitting import fit_pipeline
 from .numerics import FdMode
-from .ranking import rank_journals
 from .solver import (
     _require_regime,
     classify,
@@ -64,6 +59,10 @@ from .solver import (
     evaluate,
     oracle_solution,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
+    from numpy.typing import ArrayLike
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -325,6 +324,8 @@ def _plain_series(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     any exception (numpy's parse errors differ between versions), is left to
     the csv reader and its error lines.
     """
+    import numpy as np
+
     lines = data.count(b"\n") - 1 + (not data.endswith(b"\n"))
     if (not data.startswith(b"t,p\n") or lines < 1 or b"\n\n" in data
             or data.translate(None, _PLAIN_BODY_BYTES) != b"tp"
@@ -380,6 +381,8 @@ def _read_series_csv(path: str) -> tuple[ArrayLike, ArrayLike]:
 
 
 def cmd_fit(args) -> int:
+    from .fitting import fit_pipeline
+
     times, values = _read_series_csv(args.input)
     series = validate_series(times, values)
     fd_mode = FdMode.CENTRAL if args.fd == "central" else FdMode.FORWARD
@@ -442,6 +445,8 @@ def _read_journals_csv(path: str) -> FeatureMatrix:
 
 
 def cmd_rank(args) -> int:
+    from .ranking import rank_journals
+
     matrix = _read_journals_csv(args.input)
     if args.response is not None:
         response = args.response

@@ -17,10 +17,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Iterator, Sequence, Union
-
-import numpy as np
-from numpy.typing import NDArray
+from typing import TYPE_CHECKING, Iterator, Sequence, Union
 
 from .errors import (
     AsymmetricGrid,
@@ -30,6 +27,10 @@ from .errors import (
     OutOfRange,
     TooShort,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
+    from numpy.typing import NDArray
 
 #: Relative tolerance for grid uniformity and symmetry checks.
 GRID_RTOL = 1e-9
@@ -67,6 +68,8 @@ class InfluenceSeries:
     step: float
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         t = _as_vector("times", self.times)
         v = _as_vector("values", self.values)
         step = float(self.step)
@@ -130,12 +133,10 @@ class InfluenceSeries:
     def value_at_zero(self) -> float:
         return float(self.values[self.zero_index])
 
-    def mirrored_values(self) -> tuple[float, ...]:
-        """Values reordered so entry i is the sample at ``-times[i]``."""
-        return tuple(self.values[::-1].tolist())
-
 
 def _as_vector(name: str, seq) -> NDArray[np.float64]:
+    import numpy as np
+
     # Always a copy: freezing the caller's own array would be a side effect.
     arr = np.array(seq, dtype=float)
     if arr.ndim != 1:
@@ -157,6 +158,8 @@ def validate_series(times, values) -> InfluenceSeries:
     ``(t[-1] - t[0])/(n-1)``, computed in Python floats; every check,
     including each spacing against that step, is the constructor's.
     """
+    import numpy as np
+
     t = np.asarray(times, dtype=float)
     n = t.size
     step = (float(t.flat[-1]) - float(t.flat[0])) / (n - 1) if n > 1 else math.nan
@@ -425,6 +428,8 @@ class FeatureMatrix:
     data: NDArray[np.float64]
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         names = tuple(str(s) for s in self.journal_names)
         feats = tuple(str(s) for s in self.feature_names)
         data = np.array(self.data, dtype=float, copy=True)
@@ -466,15 +471,6 @@ class FeatureMatrix:
             return self.feature_names.index(name)
         except ValueError:
             raise KeyError(name) from None
-
-    def take_journals(self, indices) -> "FeatureMatrix":
-        """Sub-table keeping the journals at ``indices``, in that order."""
-        idx = list(indices)
-        return FeatureMatrix(
-            journal_names=tuple(self.journal_names[i] for i in idx),
-            feature_names=self.feature_names,
-            data=self.data[idx, :],
-        )
 
 
 @dataclass(frozen=True)

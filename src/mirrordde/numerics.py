@@ -7,18 +7,18 @@ is written directly for that size class instead of pulling in a large
 solver: one-sided Jacobi rotations for singular values, Cramer's rule for
 2x2 systems, cyclic coordinate descent with covariance updates for the l1
 fit (one Gram product per call, then O(k) work per coordinate step), and
-the classical fourth-order Runge-Kutta scheme for trajectories.  numpy
-supplies array storage and elementwise arithmetic only.
+the classical fourth-order Runge-Kutta scheme for trajectories.  The 2x2
+solve and RK4 run on ``math`` alone; numpy, which supplies array storage and
+elementwise arithmetic only, is imported by the array kernels (singular
+values, the l1 fit, finite differences) when they are first called, so a
+process that only solves or integrates never loads it.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Callable, Iterator, Sequence
-
-import numpy as np
-from numpy.typing import NDArray
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from .core import InfluenceSeries
 from .errors import (
@@ -29,6 +29,10 @@ from .errors import (
     OutOfRange,
     SingularSystem,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
+    from numpy.typing import NDArray
 
 #: Off-diagonal threshold below which a Jacobi column pair counts as orthogonal.
 JACOBI_TOL = 1e-12
@@ -47,6 +51,8 @@ LASSO_MAX_SWEEPS = 10_000
 
 
 def _as_matrix_array(m) -> NDArray[np.float64]:
+    import numpy as np
+
     arr = np.array(m, dtype=float)
     if arr.ndim != 2:
         raise DimensionMismatch(f"expected a 2-d array, got shape {arr.shape}")
@@ -72,6 +78,8 @@ def svd_values(matrix) -> list[float]:
     scaling is exact for entries above 2**-1022 times the largest.  A
     singular value beyond the float64 range raises :class:`NonFiniteValue`.
     """
+    import numpy as np
+
     a = _as_matrix_array(m=matrix)
     if a.shape[0] < a.shape[1]:
         a = a.T.copy()
@@ -156,6 +164,8 @@ def _lasso_sweeps(X: NDArray[np.float64], y: NDArray[np.float64],
     below; the caller enforces the sweep cap.  Columns with zero sum of
     squares keep a zero coefficient.
     """
+    import numpy as np
+
     m, k = X.shape
     G = X.T @ X
     col_sq = G.diagonal().tolist()
@@ -189,6 +199,8 @@ def lasso_fit(X, y, lam: float) -> list[float]:
     itself only requires nonzero column norms (flat columns keep weight 0).
     ``lam=0`` reduces to ordinary least squares.
     """
+    import numpy as np
+
     A = _as_matrix_array(m=X)
     rhs = np.asarray(y, dtype=float)
     if rhs.ndim != 1 or rhs.shape[0] != A.shape[0]:
@@ -214,6 +226,8 @@ def lasso_fit(X, y, lam: float) -> list[float]:
 
 def lasso_objective(X, y, lam: float, w) -> float:
     """The objective ``||y - X w||**2 / (2 m) + lam * ||w||_1``."""
+    import numpy as np
+
     A = _as_matrix_array(m=X)
     rhs = np.asarray(y, dtype=float)
     wv = np.asarray(w, dtype=float)
@@ -296,6 +310,8 @@ def finite_diff(series: InfluenceSeries, mode: FdMode) -> NDArray[np.float64]:
     copy; the caller tracks which time indices the estimates belong to.  A
     difference beyond the float64 range is inf, without a warning.
     """
+    import numpy as np
+
     v = series.values
     h = series.step
     with np.errstate(over="ignore", invalid="ignore"):

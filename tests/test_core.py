@@ -48,7 +48,6 @@ class TestInfluenceSeries:
         assert series.zero_index == 1
         assert series.value_at_zero == 2.0
         assert len(series) == 3
-        assert series.mirrored_values() == (3.0, 2.0, 1.0)
 
     def test_asymmetric_grid_rejected(self):
         with pytest.raises(AsymmetricGrid):
@@ -198,7 +197,6 @@ class TestInfluenceSeries:
                 field[0] = 9.0
         assert type(series.step) is float
         assert type(series.value_at_zero) is float
-        assert all(type(x) is float for x in series.mirrored_values())
         # the caller's array is copied, not frozen or aliased
         assert times.flags.writeable
         assert not np.shares_memory(times, series.times)
@@ -227,8 +225,6 @@ class TestInfluenceSeries:
         assert series.zero_index == n_half
         assert series.times[series.zero_index] == 0.0
         assert math.isclose(series.step, h, rel_tol=1e-9)
-        # entry i of the mirrored view is the sample taken at -times[i]
-        assert series.mirrored_values() == tuple(reversed(series.values))
 
 
 # ---------------------------------------------------------------------------
@@ -357,13 +353,6 @@ class TestFeatureMatrix:
     def test_unknown_feature(self):
         with pytest.raises(KeyError):
             small_matrix().feature_index("Percentile")
-
-    def test_take_journals_preserves_order(self):
-        sub = small_matrix().take_journals([2, 0])
-        assert sub.journal_names == ("Gamma Letters", "Alpha Journal")
-        assert sub.data[0, 0] == 1.1
-        assert sub.data[1, 0] == 3.0
-        assert sub.feature_names == ("CiteScore", "SJR", "SNIP")
 
     def test_validation_failures(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,106 @@
+"""Startup without numpy, and the lazily resolved package namespace.
+
+``simulate``, ``verify`` and ``eta`` run on ``math`` alone, so importing the
+package or the CLI, and running those subcommands, must not import numpy;
+``fit`` and ``rank`` load it on demand.  Each case runs in a fresh
+interpreter, because numpy stays in ``sys.modules`` once any test imports it.
+"""
+
+from __future__ import annotations
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import mirrordde
+from mirrordde import fitting, ranking
+
+SRC = str(pathlib.Path(mirrordde.__file__).resolve().parent.parent)
+
+#: Runs ``cli.main`` on argv with stdout discarded, then prints the exit code
+#: and whether numpy was imported.
+RUN_MAIN = """
+import contextlib, io, sys
+import mirrordde.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        code = cli.main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+print(code, "numpy" in sys.modules)
+"""
+
+
+def fresh_python(code: str, *argv: str) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+@pytest.mark.parametrize("statement", ["import mirrordde",
+                                       "import mirrordde.cli"])
+def test_import_does_not_load_numpy(statement):
+    out = fresh_python(f"{statement}\nimport sys\nprint('numpy' in sys.modules)")
+    assert out == "False"
+
+
+@pytest.mark.parametrize("argv", [
+    ("--help",),
+    ("simulate", "--a", "0.3", "--b", "0.9", "--p0", "1",
+     "--theta-lin", "0.1,0.2", "--eta-exp", "0.5,0.2"),
+    ("simulate", "--a", "0.9", "--b", "0.3", "--p0", "1",
+     "--allow-oscillatory"),
+    ("simulate", "--a", "0.3", "--b", "0.9", "--p0", "1", "--out", "{out}"),
+    ("verify", "--a", "0.3", "--b", "0.5", "--p0", "1"),
+    ("eta", "--art", "0.5", "--alpha", "0.2", "--a", "0.3", "--b", "0.8"),
+], ids=["help", "simulate-forced", "simulate-oscillatory", "simulate-out",
+        "verify", "eta"])
+def test_math_only_subcommands_do_not_load_numpy(tmp_path, argv):
+    out_path = tmp_path / "series.csv"
+    argv = [arg.format(out=out_path) for arg in argv]
+    assert fresh_python(RUN_MAIN, *argv) == "0 False"
+    if "--out" in argv:
+        assert out_path.read_text().startswith("t,p\n")
+
+
+def test_fit_loads_numpy(tmp_path):
+    series = tmp_path / "series.csv"
+    assert fresh_python(RUN_MAIN, "simulate", "--a", "0.2", "--b", "0.6",
+                        "--p0", "1", "--steps", "40",
+                        "--out", str(series)) == "0 False"
+    assert fresh_python(RUN_MAIN, "fit", "--input", str(series)) == "0 True"
+
+
+# ---------------------------------------------------------------------------
+# the lazy package namespace
+# ---------------------------------------------------------------------------
+
+def test_every_public_name_resolves():
+    for name in mirrordde.__all__:
+        assert getattr(mirrordde, name) is not None, name
+
+
+def test_lazy_names_are_the_submodule_objects(monkeypatch):
+    # drop cached bindings so that the import below goes through __getattr__
+    for name in ("fit_pipeline", "rank_journals", "EliminationTrace"):
+        monkeypatch.delitem(vars(mirrordde), name, raising=False)
+    from mirrordde import EliminationTrace, fit_pipeline, rank_journals
+
+    assert fit_pipeline is fitting.fit_pipeline
+    assert rank_journals is ranking.rank_journals
+    assert EliminationTrace is ranking.EliminationTrace
+    assert vars(mirrordde)["fit_pipeline"] is fit_pipeline  # cached
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        mirrordde.no_such_name
+    with pytest.raises(ImportError):
+        from mirrordde import no_such_name  # noqa: F401
