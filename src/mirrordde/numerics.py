@@ -7,18 +7,19 @@ is written directly for that size class instead of pulling in a large
 solver: one-sided Jacobi rotations for singular values, Cramer's rule for
 2x2 systems, cyclic coordinate descent with covariance updates for the l1
 fit (one Gram product per call, then O(k) work per coordinate step), and
-the classical fourth-order Runge-Kutta scheme for trajectories.  The 2x2
-solve and RK4 run on ``math`` alone; numpy, which supplies array storage and
-elementwise arithmetic only, is imported by the array kernels (singular
-values, the l1 fit, finite differences) when they are first called, so a
-process that only solves or integrates never loads it.
+classical RK4 on local floats for the one system integrated, ``y' = M y``
+with a constant 2x2 ``M``.  The 2x2 solve and RK4 run on ``math`` alone;
+numpy, which supplies array storage and elementwise arithmetic only, is
+imported by the array kernels (singular values, the l1 fit, finite
+differences) when first called, so a process that never uses them never
+loads it.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .core import InfluenceSeries
 from .errors import (
@@ -239,15 +240,16 @@ def lasso_objective(X, y, lam: float, w) -> float:
 State = tuple[float, float]
 
 
-def rk4_integrate(f: Callable[[State], State], y0: State,
-                  t_end: float, step: float) -> list[tuple[float, State]]:
-    """Classical fourth-order Runge-Kutta from t=0 to t_end inclusive.
+def rk4_integrate(m: tuple[State, State], y0: State, t_end: float,
+                  step: float) -> list[tuple[float, State]]:
+    """Classical fourth-order Runge-Kutta for ``y' = M y`` from t=0 to t_end
+    inclusive, ``m = ((m11, m12), (m21, m22))``.
 
-    ``f`` maps a two-component state to its derivative and must not depend
-    on time.  Returns the list of (t, state) pairs including both endpoints.
-    If t_end is not a whole number of steps, the final step is shortened to
-    land on it exactly.  A non-finite step count raises :class:`OutOfRange`
-    and a non-finite state :class:`NonFiniteState`.
+    Operation for operation the textbook scheme on ``f(y) = M y``.  Returns
+    the list of (t, state) pairs including both endpoints.  If t_end is not
+    a whole number of steps, or is shorter than one, the final step is
+    shortened to land on it exactly.  A non-finite step count raises
+    :class:`OutOfRange` and a non-finite state :class:`NonFiniteState`.
     """
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise ValueError(f"t_end must be positive, got {t_end!r}")
@@ -262,38 +264,32 @@ def rk4_integrate(f: Callable[[State], State], y0: State,
         raise OutOfRange(f"step count {t_end!r}/{step!r} exceeds the float64 range")
     n_whole = int(math.floor(n_steps))
     remainder = t_end - n_whole * step
+    (m11, m12), (m21, m22) = m
 
     out: list[tuple[float, State]] = [(0.0, (u, v))]
-    t = 0.0
-    for i in range(n_whole):
-        u, v = _rk4_step(f, (u, v), step)
-        t = (i + 1) * step
+    # after the whole steps, one shortened step if they fall short of t_end
+    shortened = n_whole == 0 or remainder > 1e-9 * step
+    h, half, sixth = step, 0.5 * step, step / 6.0
+    for i in range(n_whole + 1 if shortened else n_whole):
+        if i == n_whole:
+            h, half, sixth = remainder, 0.5 * remainder, remainder / 6.0
+        k1u, k1v = m11 * u + m12 * v, m21 * u + m22 * v
+        x, y = u + half * k1u, v + half * k1v
+        k2u, k2v = m11 * x + m12 * y, m21 * x + m22 * y
+        x, y = u + half * k2u, v + half * k2v
+        k3u, k3v = m11 * x + m12 * y, m21 * x + m22 * y
+        x, y = u + h * k3u, v + h * k3v
+        k4u, k4v = m11 * x + m12 * y, m21 * x + m22 * y
+        u = u + sixth * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+        v = v + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        t = t_end if i == n_whole else (i + 1) * step
         if not (math.isfinite(u) and math.isfinite(v)):
             raise NonFiniteState(f"state became non-finite at t={t!r}")
         out.append((t, (u, v)))
-    if remainder > 1e-9 * step:
-        u, v = _rk4_step(f, (u, v), remainder)
-        if not (math.isfinite(u) and math.isfinite(v)):
-            raise NonFiniteState(f"state became non-finite at t={t_end!r}")
-        out.append((t_end, (u, v)))
-    elif n_whole >= 1:
+    if not shortened:
         # snap the recorded endpoint to t_end to hide accumulated rounding
         out[-1] = (t_end, out[-1][1])
     return out
-
-
-def _rk4_step(f: Callable[[State], State], y: State, h: float) -> State:
-    try:
-        k1 = f(y)
-        k2 = f((y[0] + 0.5 * h * k1[0], y[1] + 0.5 * h * k1[1]))
-        k3 = f((y[0] + 0.5 * h * k2[0], y[1] + 0.5 * h * k2[1]))
-        k4 = f((y[0] + h * k3[0], y[1] + h * k3[1]))
-        return (
-            y[0] + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
-            y[1] + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
-        )
-    except OverflowError as exc:
-        raise NonFiniteState("derivative evaluation overflowed") from exc
 
 
 class FdMode(Enum):

@@ -366,12 +366,9 @@ def oracle_solution(params: DdeParams, t_max: float,
     if not (math.isfinite(t_max) and t_max > 0.0):
         raise ValueError(f"t_max must be positive, got {t_max!r}")
     a, b = params.a, params.b
-
-    def rhs(y):
-        u, v = y
-        return (b * u + a * v, -(b * v + a * u))
-
-    trajectory = rk4_integrate(rhs, (params.p0, params.p0), t_max, step)
+    # (-a) u + (-b) v is -(b v + a u) bit for bit, up to the sign of a zero
+    trajectory = rk4_integrate(((b, a), (-a, -b)), (params.p0, params.p0),
+                               t_max, step)
     mirrored = trajectory[:0:-1]           # t > 0, descending
     times = [-t for t, _ in mirrored] + [t for t, _ in trajectory]
     values = [v for _, (_, v) in mirrored] + [u for _, (u, _) in trajectory]

@@ -28,8 +28,10 @@ from mirrordde.errors import (
     AsymmetricGrid,
     DegenerateSystem,
     NegativeInfluenceWarning,
+    NonFiniteState,
     NonFiniteValue,
     NonUniformGrid,
+    OutOfRange,
     ResonantForcing,
     SingularSystem,
     TooShort,
@@ -39,7 +41,6 @@ from mirrordde.numerics import (
     LASSO_TOL,
     FdMode,
     lasso_fit,
-    rk4_integrate,
     solve_2x2,
 )
 from mirrordde.solver import RESONANCE_RTOL, classify
@@ -534,6 +535,68 @@ def loop_forced_evaluate(params, times, config, modes=None):
 
 
 # ---------------------------------------------------------------------------
+# Runge-Kutta on a derivative callable
+# ---------------------------------------------------------------------------
+
+def closure_rk4(f, y0, t_end, step):
+    """Classical fourth-order Runge-Kutta from t=0 to t_end inclusive.
+
+    ``f`` maps a two-component state to its derivative and must not depend
+    on time; each stage is one call of ``f`` on a fresh tuple.  Returns the
+    list of (t, state) pairs including both endpoints.  If t_end is not a
+    whole number of steps, the final step is shortened to land on it
+    exactly; a t_end shorter than one step is one short step.  A non-finite
+    step count raises :class:`OutOfRange` and a non-finite state
+    :class:`NonFiniteState`.
+    """
+    if not (math.isfinite(t_end) and t_end > 0.0):
+        raise ValueError(f"t_end must be positive, got {t_end!r}")
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"step must be positive, got {step!r}")
+    u, v = float(y0[0]), float(y0[1])
+    if not (math.isfinite(u) and math.isfinite(v)):
+        raise NonFiniteState(f"initial state {y0!r} is not finite")
+
+    n_steps = t_end / step + 1e-9
+    if not math.isfinite(n_steps):
+        raise OutOfRange(f"step count {t_end!r}/{step!r} exceeds the float64 range")
+    n_whole = int(math.floor(n_steps))
+    remainder = t_end - n_whole * step
+
+    out = [(0.0, (u, v))]
+    t = 0.0
+    for i in range(n_whole):
+        u, v = _closure_rk4_step(f, (u, v), step)
+        t = (i + 1) * step
+        if not (math.isfinite(u) and math.isfinite(v)):
+            raise NonFiniteState(f"state became non-finite at t={t!r}")
+        out.append((t, (u, v)))
+    if n_whole == 0 or remainder > 1e-9 * step:
+        u, v = _closure_rk4_step(f, (u, v), remainder)
+        if not (math.isfinite(u) and math.isfinite(v)):
+            raise NonFiniteState(f"state became non-finite at t={t_end!r}")
+        out.append((t_end, (u, v)))
+    else:
+        # snap the recorded endpoint to t_end to hide accumulated rounding
+        out[-1] = (t_end, out[-1][1])
+    return out
+
+
+def _closure_rk4_step(f, y, h):
+    try:
+        k1 = f(y)
+        k2 = f((y[0] + 0.5 * h * k1[0], y[1] + 0.5 * h * k1[1]))
+        k3 = f((y[0] + 0.5 * h * k2[0], y[1] + 0.5 * h * k2[1]))
+        k4 = f((y[0] + h * k3[0], y[1] + h * k3[1]))
+        return (
+            y[0] + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
+            y[1] + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
+        )
+    except OverflowError as exc:
+        raise NonFiniteState("derivative evaluation overflowed") from exc
+
+
+# ---------------------------------------------------------------------------
 # Sample-by-sample layout of the integration oracle
 # ---------------------------------------------------------------------------
 
@@ -541,14 +604,21 @@ def sample_layout_oracle(a, b, p0, t_max, step):
     """``(t, p)`` samples of the mirror-system integration, one at a time.
 
     Integrates u' = b u + a v, v' = -(b v + a u) from u = v = p0 with
-    ``rk4_integrate`` and lays its own output out sample by sample: the
-    t > 0 entries in reverse as ``(-t, v)``, then every entry as ``(t, u)``.
+    :func:`closure_rk4` on that right-hand side and lays its output out
+    sample by sample: the t > 0 entries in reverse as ``(-t, v)``, then
+    every entry as ``(t, u)``.
     """
     def rhs(y):
         u, v = y
         return (b * u + a * v, -(b * v + a * u))
 
-    trajectory = rk4_integrate(rhs, (p0, p0), t_max, step)
+    trajectory = closure_rk4(rhs, (p0, p0), t_max, step)
     samples = [(-t, v) for t, (u, v) in reversed(trajectory) if t > 0.0]
     samples.extend((t, u) for t, (u, v) in trajectory)
     return samples
+
+
+def max_relative_deviation(closed, oracle):
+    """``verify``'s deviation as one expression: the largest
+    ``|c - p| / max(1, |c|)`` over paired samples."""
+    return max(abs(c - p) / max(1.0, abs(c)) for c, p in zip(closed, oracle))

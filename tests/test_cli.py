@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pathlib
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from mirrordde import cli, numerics
 
 from helpers import run_cli, run_cli_bytes
+from oracles import max_relative_deviation
 
 SIMULATE_GOLDENS = sorted(
     p.name for p in (pathlib.Path(__file__).parent / "data").glob(
@@ -687,6 +689,37 @@ class TestVerify:
         code, _, err = run_cli("verify", "--a", "0.3", "--b", "0.5",
                                "--p0", "1", "--step", "0")
         assert code == 2
+
+    @given(
+        a=st.floats(min_value=-2.0, max_value=2.0),
+        margin=st.floats(min_value=0.01, max_value=1.0),
+        sign=st.sampled_from([1.0, -1.0]),
+        p0=st.floats(min_value=0.1, max_value=10.0)
+        | st.floats(min_value=-10.0, max_value=-0.1),
+        t_max=st.floats(min_value=0.01, max_value=3.0),
+        step=st.floats(min_value=1e-3, max_value=1.0),
+    )
+    @example(a=0.3, margin=0.2, sign=1.0, p0=1.0, t_max=5.0, step=2.0 ** -11)
+    @example(a=0.3, margin=0.2, sign=1.0, p0=-1.0, t_max=1.0, step=0.25)
+    @settings(max_examples=40, deadline=None)
+    def test_deviation_is_largest_relative_gap(self, a, margin, sign, p0,
+                                               t_max, step):
+        """stdout is the largest |c - p| / max(1, |c|) between the closed
+        form c and the oracle p; at p0 = +-1, |c| is exactly 1 at t=0."""
+        from mirrordde import DdeParams, evaluate, oracle_solution
+
+        b = sign * (abs(a) + margin)
+        params = DdeParams(a=a, b=b, p0=p0, half_width=t_max)
+        times, oracle = oracle_solution(params, t_max, step)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            closed = evaluate(params, times)
+        want = cli.fmt(max_relative_deviation(closed, oracle)) + "\n"
+        # "--a=" keeps argparse from reading "-2e-05" as an option
+        _, out, _ = run_cli("verify", f"--a={a!r}", f"--b={b!r}",
+                            f"--p0={p0!r}", f"--t-max={t_max!r}",
+                            f"--step={step!r}")
+        assert out == want
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mirrordde import (
@@ -33,7 +33,11 @@ from mirrordde import (
 from mirrordde import numerics
 from mirrordde.numerics import _lasso_sweeps, lasso_objective
 
-from oracles import charpoly_singular_values, residual_lasso_sweeps
+from oracles import (
+    charpoly_singular_values,
+    closure_rk4,
+    residual_lasso_sweeps,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -274,31 +278,58 @@ class TestLassoAgainstResidualReference:
 # rk4_integrate
 # ---------------------------------------------------------------------------
 
+#: y' = (u, 0): u grows as e^t and v stays put.
+GROWTH = ((1.0, 0.0), (0.0, 0.0))
+ZERO = ((0.0, 0.0), (0.0, 0.0))
+
+
+def rk4_outcome(integrate, *args):
+    """The returned trajectory, or the type and message of the error."""
+    try:
+        return integrate(*args)
+    except NonFiniteState as exc:
+        return type(exc), str(exc)
+
+
+def matrix_field(m):
+    (m11, m12), (m21, m22) = m
+    return lambda s: (m11 * s[0] + m12 * s[1], m21 * s[0] + m22 * s[1])
+
+
 class TestRk4:
     def test_exponential_growth(self):
-        out = rk4_integrate(lambda s: (s[0], 0.0), (1.0, 0.0), 1.0, 1e-3)
+        out = rk4_integrate(GROWTH, (1.0, 0.0), 1.0, 1e-3)
         t_end, (u, _) = out[-1]
         assert t_end == 1.0
         assert abs(u - math.e) <= 1e-10
 
     def test_fourth_order_convergence(self):
         def err(h):
-            out = rk4_integrate(lambda s: (s[0], 0.0), (1.0, 0.0), 1.0, h)
+            out = rk4_integrate(GROWTH, (1.0, 0.0), 1.0, h)
             return abs(out[-1][1][0] - math.e)
 
         ratio = err(0.05) / err(0.025)
         assert 15.0 <= ratio <= 17.0
 
     def test_zero_field_is_constant(self):
-        out = rk4_integrate(lambda s: (0.0, 0.0), (2.5, -1.5), 3.0, 0.7)
+        out = rk4_integrate(ZERO, (2.5, -1.5), 3.0, 0.7)
         assert all(state == (2.5, -1.5) for _, state in out)
         assert out[-1][0] == 3.0
 
     def test_partial_final_step_lands_exactly(self):
-        out = rk4_integrate(lambda s: (s[0], 0.0), (1.0, 0.0), 0.35, 0.1)
+        out = rk4_integrate(GROWTH, (1.0, 0.0), 0.35, 0.1)
         times = [t for t, _ in out]
         assert times[-1] == 0.35
         assert abs(out[-1][1][0] - math.exp(0.35)) <= 1e-6
+
+    def test_end_far_below_one_step_is_one_short_step(self):
+        # t_end < 1e-9 * step once fell between the whole steps and the
+        # shortened one, and only t=0 came back
+        out = rk4_integrate(GROWTH, (1.0, 0.0), 1e-12, 1.0)
+        assert [t for t, _ in out] == [0.0, 1e-12]
+        assert out[-1][1] == pytest.approx((math.exp(1e-12), 0.0),
+                                           rel=1e-15)
+        assert out == closure_rk4(matrix_field(GROWTH), (1.0, 0.0), 1e-12, 1.0)
 
     def test_sum_difference_pair_integrates_exactly(self):
         # for u'=bu+av, v'=-(bv+au) the sum couples to the difference:
@@ -311,37 +342,62 @@ class TestRk4:
             s0, d0 = u0 + v0, u0 - v0
             r = complex(b * b - a * a, 0.0) ** 0.5
 
-            def rhs(s, a=a, b=b):
-                return (b * s[0] + a * s[1], -(b * s[1] + a * s[0]))
-
             def s_exact(t):
                 if abs(r) < 1e-12:
                     return s0 + (b - a) * d0 * t
                 val = s0 * np.cosh(r * t) + (b - a) * d0 * np.sinh(r * t) / r
                 return float(val.real)
 
-            for t, (u, v) in rk4_integrate(rhs, (u0, v0), 2.0, 1e-3):
+            m = ((float(b), float(a)), (float(-a), float(-b)))
+            for t, (u, v) in rk4_integrate(m, (u0, v0), 2.0, 1e-3):
                 assert abs((u + v) - s_exact(t)) <= 1e-8 * max(1.0, abs(s_exact(t)))
 
     def test_invalid_arguments(self):
-        f = lambda s: (0.0, 0.0)
         with pytest.raises(ValueError):
-            rk4_integrate(f, (1.0, 0.0), 0.0, 0.1)
+            rk4_integrate(ZERO, (1.0, 0.0), 0.0, 0.1)
         with pytest.raises(ValueError):
-            rk4_integrate(f, (1.0, 0.0), 1.0, -0.1)
+            rk4_integrate(ZERO, (1.0, 0.0), 1.0, -0.1)
         with pytest.raises(NonFiniteState):
-            rk4_integrate(f, (math.nan, 0.0), 1.0, 0.1)
+            rk4_integrate(ZERO, (math.nan, 0.0), 1.0, 0.1)
 
     def test_step_count_beyond_float_range(self):
-        def f(s):
-            raise AssertionError("no step may be taken")
-
+        # any step taken with a NaN matrix would raise NonFiniteState instead
+        nan_field = ((math.nan, math.nan), (math.nan, math.nan))
         with pytest.raises(OutOfRange, match="exceeds the float64 range"):
-            rk4_integrate(f, (1.0, 0.0), 1e308, 1e-300)
+            rk4_integrate(nan_field, (1.0, 0.0), 1e308, 1e-300)
 
     def test_blowup_raises(self):
-        with pytest.raises(NonFiniteState):
-            rk4_integrate(lambda s: (s[0] ** 2, 0.0), (1e200, 0.0), 1.0, 0.1)
+        # u grows by about (h lambda)^4 / 24 = 4e18 a step and overflows
+        # on the sixth
+        m = ((1e6, 0.0), (0.0, 0.0))
+        with pytest.raises(NonFiniteState) as got:
+            rk4_integrate(m, (1e200, 0.0), 1.0, 0.1)
+        with pytest.raises(NonFiniteState) as want:
+            closure_rk4(matrix_field(m), (1e200, 0.0), 1.0, 0.1)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).endswith(f"t={6 * 0.1!r}")
+
+    @given(
+        m=st.tuples(*[st.floats(min_value=-4.0, max_value=4.0)] * 4),
+        y0=st.tuples(*[st.floats(min_value=-10.0, max_value=10.0)
+                       | st.floats(min_value=-1e300, max_value=1e300)] * 2),
+        t_end=st.floats(min_value=1e-12, max_value=3.0),
+        step=st.floats(min_value=1e-3, max_value=1.0),
+    )
+    @example(m=(0.5, 0.3, -0.3, -0.5), y0=(1.0, 1.0), t_end=0.1, step=0.5)
+    @example(m=(0.5, 0.3, -0.3, -0.5), y0=(1.0, 1.0), t_end=0.35, step=0.1)
+    @example(m=(0.5, 0.3, -0.3, -0.5), y0=(1.0, 1.0), t_end=0.3, step=0.1)
+    @example(m=(0.5, 0.3, -0.3, -0.5), y0=(1.0, 1.0), t_end=1e-12, step=1.0)
+    @example(m=(-1.5, 2.0, 0.7, 3.0), y0=(-2.0, 7.5), t_end=3.0, step=1e-3)
+    @example(m=(4.0, 4.0, 4.0, 4.0), y0=(1e300, 1e300), t_end=3.0, step=0.5)
+    @settings(max_examples=80, deadline=None)
+    def test_equal_to_closure_reference(self, m, y0, t_end, step):
+        """Pair for pair, times included, the trajectory (or the error) of
+        the textbook scheme driven by ``f(y) = M y``: a step longer than
+        t_end, a shortened final step, and the snap to t_end alike."""
+        matrix = (m[:2], m[2:])
+        assert rk4_outcome(rk4_integrate, matrix, y0, t_end, step) == \
+            rk4_outcome(closure_rk4, matrix_field(matrix), y0, t_end, step)
 
 
 # ---------------------------------------------------------------------------

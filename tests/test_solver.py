@@ -212,12 +212,13 @@ class TestNonsymmetricSolution:
         assert out.value == pytest.approx(math.e - 1.0, rel=1e-12)
 
     def test_against_integration(self):
-        # a_c p' = b_c + c_c p integrated with RK4 on (p, unused)
+        # a_c p' = b_c + c_c p integrated with RK4 on the augmented linear
+        # state (p, 1): p' = (c_c/a_c) p + (b_c/a_c) 1, 1' = 0
         from mirrordde import rk4_integrate
 
         a_c, b_c, c_c, p0 = 2.0, -0.5, 0.8, 1.2
-        out = rk4_integrate(
-            lambda s: ((b_c + c_c * s[0]) / a_c, 0.0), (p0, 0.0), 2.0, 1e-3)
+        out = rk4_integrate(((c_c / a_c, b_c / a_c), (0.0, 0.0)), (p0, 1.0),
+                            2.0, 1e-3)
         want = out[-1][1][0]
         got = nonsymmetric_solution(a_c, b_c, c_c, p0, 2.0).value
         assert got == pytest.approx(want, rel=1e-9)
@@ -733,17 +734,27 @@ class TestOracleSolution:
     @example(a=0.3, margin=0.2, sign=1.0, p0=1.0, t_max=1.0, step=0.25)
     @example(a=0.3, margin=0.2, sign=1.0, p0=1.0, t_max=0.35, step=0.1)
     @example(a=0.3, margin=0.2, sign=1.0, p0=1.0, t_max=0.1, step=0.5)
+    @example(a=0.3, margin=0.2, sign=1.0, p0=1.0, t_max=1e-12, step=1.0)
     @settings(max_examples=60, deadline=None)
     def test_bitwise_equal_to_sample_layout(self, a, margin, sign, p0,
                                             t_max, step):
-        """(times, values) are the old per-sample layout, value for value,
-        whether or not step divides t_max."""
+        """(times, values) are the per-sample layout of a closure-driven
+        RK4, value for value, whether or not step divides t_max."""
         b = sign * (abs(a) + margin)
         times, values = oracle_solution(DdeParams(a=a, b=b, p0=p0),
                                         t_max, step)
         samples = sample_layout_oracle(a, b, p0, t_max, step)
         assert times == [t for t, _ in samples]
         assert values == [p for _, p in samples]
+
+    def test_window_far_below_one_step(self):
+        # t_max < 1e-9 * step is one short step each way, not t=0 alone
+        a, b, p0 = 0.3, 0.5, 1.0
+        times, values = oracle_solution(DdeParams(a=a, b=b, p0=p0), 1e-12, 1.0)
+        assert times == [-1e-12, 0.0, 1e-12]
+        assert values == [p for _, p in sample_layout_oracle(a, b, p0,
+                                                             1e-12, 1.0)]
+        assert values[0] < values[1] == p0 < values[2]
 
     def test_overflowing_trajectory_raises(self):
         # the integrator checks every state, so no non-finite sample is built
