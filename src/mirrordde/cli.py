@@ -26,6 +26,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 import warnings
 from typing import TYPE_CHECKING, Sequence
@@ -89,11 +90,16 @@ class _CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-        self.message = message
 
 
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser that reports errors through the ERROR-line protocol."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # private, as argparse has no public switch: "-2e-05" is a value, not
+        # an option, since no option of this CLI starts with "-<digit>"
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         raise _CliError(EXIT_USAGE, message)
@@ -105,17 +111,14 @@ def fmt(x: float) -> str:
 
 
 def _pair(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(
-            f"expected two comma-separated numbers, got {text!r}"
-        )
     try:
-        return float(parts[0]), float(parts[1])
+        # a count other than two fails to unpack, a non-number to convert
+        first, second = map(float, text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected two comma-separated numbers, got {text!r}"
         ) from None
+    return first, second
 
 
 def _finite(text: str) -> float:
@@ -209,11 +212,6 @@ def build_parser() -> _Parser:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _sim_params(args) -> DdeParams:
-    half_width = max(abs(args.t_min), abs(args.t_max)) or 1.0
-    return DdeParams(a=args.a, b=args.b, p0=args.p0, half_width=half_width)
-
-
 def _sim_control(args) -> ControlConfig | None:
     """The ControlConfig of forcing flags or explicit modes, else None."""
     theta = None
@@ -237,7 +235,7 @@ def _sim_control(args) -> ControlConfig | None:
                          eta=eta)
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> None:
     if args.steps < 1:
         raise _CliError(EXIT_USAGE, f"--steps must be >= 1, got {args.steps}")
     if args.steps > MAX_STEPS:
@@ -251,7 +249,7 @@ def cmd_simulate(args) -> int:
     if (args.c1 is None) != (args.c2 is None):
         raise _CliError(EXIT_USAGE, "--c1 and --c2 must be given together")
 
-    params = _sim_params(args)
+    params = DdeParams(a=args.a, b=args.b, p0=args.p0)
     config = _sim_control(args)
     modes = None if args.c1 is None else (args.c1, args.c2)
     steps = args.steps
@@ -285,7 +283,6 @@ def cmd_simulate(args) -> int:
     else:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-    return EXIT_OK
 
 
 def _read_bytes(path: str) -> bytes:
@@ -380,37 +377,33 @@ def _read_series_csv(path: str) -> tuple[ArrayLike, ArrayLike]:
     return times, values
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args) -> None:
     from .fitting import fit_pipeline
 
     times, values = _read_series_csv(args.input)
     series = validate_series(times, values)
-    fd_mode = FdMode.CENTRAL if args.fd == "central" else FdMode.FORWARD
-    report = fit_pipeline(series, fd_mode)
+    report = fit_pipeline(series, FdMode(args.fd))
 
+    modes = report.modes
     out = {
         "a": report.params.a,
         "b": report.params.b,
         "p0": report.params.p0,
         "r": report.regime.r,
         "regime": report.regime.tag.value,
-        "A": report.modes.A if report.modes else None,
-        "B": report.modes.B if report.modes else None,
-        "w1": report.modes.w1 if report.modes else None,
-        "w2": report.modes.w2 if report.modes else None,
+        **{key: getattr(modes, key) if modes else None
+           for key in ("A", "B", "w1", "w2")},
         "rss_ab": report.rss_ab,
         "rss_modes": report.rss_modes,
         "n_points": report.n_points,
     }
     if args.predict is not None:
-        modes = report.modes
         out["prediction"] = evaluate(
             report.params, (args.predict,),
             modes=(modes.w1, modes.w2) if modes else None)[0]
     if report.modes_note:
         print(report.modes_note, file=sys.stderr)
     sys.stdout.write(json.dumps(out) + "\n")
-    return EXIT_OK
 
 
 def _read_journals_csv(path: str) -> FeatureMatrix:
@@ -444,7 +437,7 @@ def _read_journals_csv(path: str) -> FeatureMatrix:
                          data=data)
 
 
-def cmd_rank(args) -> int:
+def cmd_rank(args) -> None:
     from .ranking import rank_journals
 
     matrix = _read_journals_csv(args.input)
@@ -464,7 +457,6 @@ def cmd_rank(args) -> int:
             f"{e.elimination_step}"
         )
     sys.stdout.write("\n".join(lines) + "\n")
-    return EXIT_OK
 
 
 def _csv_cell(text: str) -> str:
@@ -473,12 +465,12 @@ def _csv_cell(text: str) -> str:
     return text
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> None:
     if not (args.step > 0.0):
         raise _CliError(EXIT_USAGE, f"--step must be positive, got {args.step}")
     if not (args.t_max > 0.0):
         raise _CliError(EXIT_USAGE, f"--t-max must be positive, got {args.t_max}")
-    params = DdeParams(a=args.a, b=args.b, p0=args.p0, half_width=args.t_max)
+    params = DdeParams(a=args.a, b=args.b, p0=args.p0)
     # The closed form is base_solution's: refuse its regime before integrating.
     _require_regime(params, "base_solution")
 
@@ -492,61 +484,51 @@ def cmd_verify(args) -> int:
         if d > deviation:
             deviation = d
     sys.stdout.write(fmt(deviation) + "\n")
-    if deviation <= VERIFY_TOL:
-        return EXIT_OK
-    print(
-        f"ERROR {EXIT_VERIFY}: closed form deviates from the integration "
-        f"oracle by {fmt(deviation)} (tolerance {fmt(VERIFY_TOL)})",
-        file=sys.stderr,
-    )
-    return EXIT_VERIFY
+    if deviation > VERIFY_TOL:
+        raise _CliError(
+            EXIT_VERIFY,
+            f"closed form deviates from the integration oracle by "
+            f"{fmt(deviation)} (tolerance {fmt(VERIFY_TOL)})",
+        )
 
 
-def cmd_eta(args) -> int:
-    params = DdeParams(a=args.a, b=args.b, p0=1.0, half_width=1.0)
+def cmd_eta(args) -> None:
+    params = DdeParams(a=args.a, b=args.b, p0=1.0)
     value = eta_article(args.art, args.alpha, params)
     sys.stdout.write(fmt(value) + "\n")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------
 
-def _error_line(code: int, detail: str) -> None:
-    detail = " ".join(str(detail).split()) or "unspecified failure"
-    print(f"ERROR {code}: {detail}", file=sys.stderr)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        args.func(args)
+        return EXIT_OK
     except _CliError as exc:
-        _error_line(exc.code, exc.message)
-        return exc.code
+        code, detail = exc.code, str(exc)
     except (WrongRegime, ResonantForcing) as exc:
-        _error_line(EXIT_REGIME, str(exc))
-        return EXIT_REGIME
+        code, detail = EXIT_REGIME, str(exc)
     except DegenerateSystem as exc:
         stage = exc.stage or "unknown stage"
-        _error_line(EXIT_DEGENERATE, f"[{stage}] {exc}")
-        return EXIT_DEGENERATE
+        code, detail = EXIT_DEGENERATE, f"[{stage}] {exc}"
     except SingularSystem as exc:
-        _error_line(EXIT_DEGENERATE, str(exc))
-        return EXIT_DEGENERATE
+        code, detail = EXIT_DEGENERATE, str(exc)
     except ZeroVarianceColumn as exc:
-        _error_line(EXIT_ZERO_VARIANCE, str(exc))
-        return EXIT_ZERO_VARIANCE
+        code, detail = EXIT_ZERO_VARIANCE, str(exc)
     except (MirrorDdeError, ValueError, KeyError) as exc:
-        _error_line(EXIT_USAGE, str(exc))
-        return EXIT_USAGE
+        code, detail = EXIT_USAGE, str(exc)
     except OverflowError as exc:
         # Last-resort guard: every known overflow (simulate --steps, a
         # non-finite trajectory or fit) has its own check and error line.
-        _error_line(EXIT_USAGE, f"result exceeds the float64 range ({exc})")
-        return EXIT_USAGE
+        code, detail = EXIT_USAGE, f"result exceeds the float64 range ({exc})"
+    # the one error line: whitespace runs, newlines included, fold to a space
+    detail = " ".join(detail.split()) or "unspecified failure"
+    print(f"ERROR {code}: {detail}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -16,8 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
-from typing import TYPE_CHECKING, Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
 from .errors import (
     AsymmetricGrid,
@@ -176,7 +175,9 @@ class DdeParams:
 
     ``a`` scales the mirrored sample, ``b`` the present one; ``p0`` is the
     influence at t=0 and ``half_width`` the half-width of the modelling
-    window [-half_width, half_width].
+    window [-half_width, half_width].  ``half_width`` is carried, and
+    reported by :func:`~mirrordde.fitting.fit_pipeline`, but no computation
+    reads it.
     """
 
     a: float
@@ -261,10 +262,10 @@ class ModeCoefficients:
 # control terms
 # ---------------------------------------------------------------------------
 # Each term supplies its share of the forced solution: ``particular(params,
-# times)`` works out its constants once, then yields its particular solution
-# P(t) lazily for each t; ``start_values(params)`` is P'(0) and its value as
-# it enters the slope p'(0); ``rate`` is its exponential rate, checked for
-# resonance by the solver, or None for a polynomial term.
+# times)`` works out its constants once, then returns the list of its
+# particular solution P(t) at every t; ``start_values(params)`` is P'(0) and
+# its value as it enters the slope p'(0); ``rate`` is its exponential rate,
+# checked for resonance by the solver, or None for a polynomial term.
 
 @dataclass(frozen=True)
 class ThetaConstant:
@@ -277,8 +278,8 @@ class ThetaConstant:
         _require_finite("ThetaConstant", self.value)
 
     def particular(self, params: DdeParams,
-                   times: Sequence[float]) -> Iterator[float]:
-        return repeat(self.value / (params.a - params.b), len(times))
+                   times: Sequence[float]) -> list[float]:
+        return [self.value / (params.a - params.b)] * len(times)
 
     def start_values(self, params: DdeParams) -> tuple[float, float]:
         return 0.0, self.value
@@ -296,10 +297,9 @@ class ThetaLinear:
         _require_finite("ThetaLinear", self.slope, self.intercept)
 
     def particular(self, params: DdeParams,
-                   times: Sequence[float]) -> Iterator[float]:
+                   times: Sequence[float]) -> list[float]:
         slope, intercept, d = self.slope, self.intercept, params.a - params.b
-        for t in times:
-            yield (slope * t + intercept) / d
+        return [(slope * t + intercept) / d for t in times]
 
     def start_values(self, params: DdeParams) -> tuple[float, float]:
         return self.slope / (params.a - params.b), self.intercept
@@ -315,11 +315,10 @@ class ThetaExponential:
         _require_finite("ThetaExponential", self.rate)
 
     def particular(self, params: DdeParams,
-                   times: Sequence[float]) -> Iterator[float]:
+                   times: Sequence[float]) -> list[float]:
         A, s = self.rate, params.a + params.b
         gap = A * A - params.discriminant
-        for t in times:
-            yield s * math.exp(A * t) / gap
+        return [s * math.exp(A * t) / gap for t in times]
 
     def start_values(self, params: DdeParams) -> tuple[float, float]:
         # P'(0) = A P(0); math.exp(A * 0.0) is exactly 1.0, so it is left out
@@ -350,9 +349,9 @@ class EtaArticleBased:
             )
 
     def particular(self, params: DdeParams,
-                   times: Sequence[float]) -> Iterator[float]:
+                   times: Sequence[float]) -> list[float]:
         value = self.start_values(params)[1]
-        return repeat(value / (params.a - params.b), len(times))
+        return [value / (params.a - params.b)] * len(times)
 
     def start_values(self, params: DdeParams) -> tuple[float, float]:
         """P'(0) = 0 and the constant value exp(-art) + alpha (a - b)."""
@@ -374,11 +373,10 @@ class EtaTimeExponential:
         return self.k1
 
     def particular(self, params: DdeParams,
-                   times: Sequence[float]) -> Iterator[float]:
+                   times: Sequence[float]) -> list[float]:
         k, k1 = self.k, self.k1
         gap = k1 * k1 - params.discriminant
-        for t in times:
-            yield k * math.exp(k1 * t) / gap
+        return [k * math.exp(k1 * t) / gap for t in times]
 
     def start_values(self, params: DdeParams) -> tuple[float, float]:
         # P'(0) = k1 P(0).  The pulse enters p'(0) through the (a+b) factor of

@@ -154,23 +154,14 @@ def fit_pipeline(series: InfluenceSeries,
                        half_width=float(series.times[-1]))
     regime = classify(params)
 
-    if regime.tag is not RegimeTag.EXPONENTIAL:
-        return FitReport(
-            params=params,
-            regime=regime,
-            modes=None,
-            rss_ab=rss_ab,
-            rss_modes=None,
-            n_points=len(series),
-            modes_note=(
-                f"mode fit skipped: fitted coefficients fall in the "
-                f"{regime.tag.value} regime"
-            ),
-        )
-
-    w1, w2, rss_modes = fit_modes(series, regime.r)
-    A, B = modes_to_AB(w1, w2, a, b)
-    modes = ModeCoefficients(A=A, B=B, w1=w1, w2=w2)
+    modes = rss_modes = note = None
+    if regime.tag is RegimeTag.EXPONENTIAL:
+        w1, w2, rss_modes = fit_modes(series, regime.r)
+        A, B = modes_to_AB(w1, w2, a, b)
+        modes = ModeCoefficients(A=A, B=B, w1=w1, w2=w2)
+    else:
+        note = (f"mode fit skipped: fitted coefficients fall in the "
+                f"{regime.tag.value} regime")
     return FitReport(
         params=params,
         regime=regime,
@@ -178,4 +169,5 @@ def fit_pipeline(series: InfluenceSeries,
         rss_ab=rss_ab,
         rss_modes=rss_modes,
         n_points=len(series),
+        modes_note=note,
     )

@@ -267,10 +267,12 @@ def rk4_integrate(m: tuple[State, State], y0: State, t_end: float,
     (m11, m12), (m21, m22) = m
 
     out: list[tuple[float, State]] = [(0.0, (u, v))]
-    # after the whole steps, one shortened step if they fall short of t_end
+    # whole steps, then one shortened step if they fall short of t_end; the
+    # last is recorded at t_end (hiding rounding), an error names its own t
     shortened = n_whole == 0 or remainder > 1e-9 * step
+    last = n_whole if shortened else n_whole - 1
     h, half, sixth = step, 0.5 * step, step / 6.0
-    for i in range(n_whole + 1 if shortened else n_whole):
+    for i in range(last + 1):
         if i == n_whole:
             h, half, sixth = remainder, 0.5 * remainder, remainder / 6.0
         k1u, k1v = m11 * u + m12 * v, m21 * u + m22 * v
@@ -282,13 +284,10 @@ def rk4_integrate(m: tuple[State, State], y0: State, t_end: float,
         k4u, k4v = m11 * x + m12 * y, m21 * x + m22 * y
         u = u + sixth * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
         v = v + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        t = t_end if i == n_whole else (i + 1) * step
         if not (math.isfinite(u) and math.isfinite(v)):
+            t = t_end if i == n_whole else (i + 1) * step
             raise NonFiniteState(f"state became non-finite at t={t!r}")
-        out.append((t, (u, v)))
-    if not shortened:
-        # snap the recorded endpoint to t_end to hide accumulated rounding
-        out[-1] = (t_end, out[-1][1])
+        out.append((t_end if i == last else (i + 1) * step, (u, v)))
     return out
 
 

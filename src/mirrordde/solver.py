@@ -34,9 +34,8 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
 import warnings
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .core import (
     DEGENERACY_RTOL,
@@ -204,13 +203,13 @@ def _check_resonance(params: DdeParams, config: ControlConfig) -> None:
 
 
 def _particular(params: DdeParams, config: ControlConfig,
-                times: Sequence[float]) -> Iterator[float]:
-    """The particular part P(t) = theta's + eta's at every t, lazily."""
+                times: Sequence[float]) -> list[float]:
+    """The particular part P(t) = theta's + eta's at every t."""
     theta = config.theta.particular(params, times)
     if config.eta is None:
         # a missing eta adds a zero, which turns a -0.0 into 0.0
-        return (p + 0.0 for p in theta)
-    return map(operator.add, theta, config.eta.particular(params, times))
+        return [p + 0.0 for p in theta]
+    return [p + q for p, q in zip(theta, config.eta.particular(params, times))]
 
 
 def eta_article(art: float, alpha: float, params: DdeParams) -> float:

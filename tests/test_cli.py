@@ -715,7 +715,7 @@ class TestVerify:
             warnings.simplefilter("ignore")
             closed = evaluate(params, times)
         want = cli.fmt(max_relative_deviation(closed, oracle)) + "\n"
-        # "--a=" keeps argparse from reading "-2e-05" as an option
+        # the "=" form; the space form reads the same (TestNegativeNumbers)
         _, out, _ = run_cli("verify", f"--a={a!r}", f"--b={b!r}",
                             f"--p0={p0!r}", f"--t-max={t_max!r}",
                             f"--step={step!r}")
@@ -788,3 +788,140 @@ class TestDispatch:
                                        str(data_dir / "rank_m5.csv"))
         assert code == 0
         assert out == (data_dir / "golden_rank_m5.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# negative numbers and the never-raises property
+# ---------------------------------------------------------------------------
+
+#: Valid flag values per subcommand; one flag at a time is replaced.
+BASE_FLAGS = {
+    "simulate": {"--a": "0.2", "--b": "0.6", "--p0": "1", "--steps": "4"},
+    "verify": {"--a": "0.3", "--b": "0.5", "--p0": "1", "--t-max": "0.5",
+               "--step": "0.01"},
+    "eta": {"--art": "0.5", "--alpha": "0.2", "--a": "0.3", "--b": "0.8"},
+    "rank": {},
+}
+
+NEGATIVE_FLAGS = [
+    *[("simulate", flag, "-2e-05")
+      for flag in ("--a", "--b", "--p0", "--t-min", "--t-max", "--steps",
+                   "--theta-const", "--theta-exp", "--c1", "--c2")],
+    *[("simulate", flag, "-1e-3,2")
+      for flag in ("--theta-lin", "--eta-exp", "--eta-article")],
+    *[("verify", flag, "-2e-05")
+      for flag in ("--a", "--b", "--p0", "--t-max", "--step")],
+    *[("eta", flag, "-.5e-3") for flag in ("--art", "--alpha", "--a", "--b")],
+    ("rank", "--lambda", "-2e-05"),
+]
+
+
+class TestNegativeNumbers:
+    @pytest.mark.parametrize("command,flag,value", NEGATIVE_FLAGS)
+    def test_space_form_equals_equals_form(self, data_dir, command, flag,
+                                           value):
+        """``--flag -2e-05`` reads as ``--flag=-2e-05``: argparse's stock
+        pattern took a negative number in exponent notation, or a negative
+        pair, for an option and left the flag without its value."""
+        flags = dict(BASE_FLAGS[command])
+        if flag in ("--c1", "--c2"):
+            flags.update({"--c1": "0.5", "--c2": "0.5"})
+        flags.pop(flag, None)
+        argv = [command, *[x for item in flags.items() for x in item]]
+        if command == "rank":
+            argv += ["--input", str(data_dir / "rank_m8.csv")]
+        spaced = run_cli(*argv, flag, value)
+        assert spaced == run_cli(*argv, f"{flag}={value}")
+        assert "expected one argument" not in spaced[2]
+
+    def test_verify_spot_value(self):
+        assert run_cli("verify", "--a", "-2e-05", "--b", "0.5",
+                       "--p0", "1") == (0, "6.13541863937e-15\n", "")
+
+    def test_option_like_value_still_rejected(self):
+        code, _, err = run_cli("verify", "--a", "-x", "--b", "0.5",
+                               "--p0", "1")
+        assert code == 2
+        assert err == "ERROR 2: argument --a: expected one argument\n"
+
+
+def number():
+    """A flag value as ``repr`` of a finite float, often a small one: signs,
+    exponents and -0.0 included."""
+    return (st.floats(-10.0, 10.0)
+            | st.floats(allow_nan=False, allow_infinity=False)).map(repr)
+
+
+def pair():
+    return st.tuples(number(), number()).map(",".join)
+
+
+def flag_argv(draw, flags, required=()):
+    """The required flags and a drawn subset of the others, each in the
+    ``--flag value`` or the ``--flag=value`` form."""
+    argv = []
+    for flag, values in flags.items():
+        if flag in required or draw(st.booleans()):
+            value = draw(values)
+            argv += draw(st.sampled_from([[flag, value], [f"{flag}={value}"]]))
+    return argv
+
+
+@st.composite
+def simulate_argv(draw):
+    # one flag of each exclusive group, so that most draws get past argparse
+    theta = draw(st.sampled_from(["--theta-const", "--theta-lin",
+                                  "--theta-exp"]))
+    eta = draw(st.sampled_from(["--eta-exp", "--eta-article"]))
+    flags = {"--a": number(), "--b": number(), "--p0": number(),
+             "--t-min": number(), "--t-max": number(),
+             # at most 2001 grid points: the work stays small
+             "--steps": st.integers(-1, 2000).map(str),
+             theta: number() if theta != "--theta-lin" else pair(),
+             eta: pair(), "--c1": number(), "--c2": number()}
+    return ["simulate", *flag_argv(draw, flags, ("--a", "--b", "--p0")),
+            *draw(st.sampled_from([[], ["--allow-oscillatory"]]))]
+
+
+@st.composite
+def verify_argv(draw):
+    argv = ["verify", *flag_argv(draw, {"--a": number(), "--b": number(),
+                                        "--p0": number()},
+                                 ("--a", "--b", "--p0"))]
+    if draw(st.booleans()):
+        # a step of at least t_max / 2e4, so at most about 2e4 steps (or no
+        # valid step); the default 1e-3 would be far too short for a long
+        # window, so --t-max never comes without --step
+        t_max = float(draw(number()))
+        factor = draw(st.floats(min_value=1.0, max_value=1e6))
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        argv += ["--t-max", repr(t_max),
+                 "--step", repr(sign * abs(t_max) / 2e4 * factor)]
+    return argv
+
+
+@st.composite
+def eta_argv(draw):
+    flags = {"--art": st.floats(0.0, 1.0).map(repr) | number(),
+             "--alpha": number(), "--a": number(), "--b": number()}
+    return ["eta", *flag_argv(draw, flags, tuple(flags))]
+
+
+class TestNeverRaises:
+    @given(argv=st.one_of(simulate_argv(), verify_argv(), eta_argv()))
+    @example(argv=["verify", "--a", "-2e-05", "--b", "0.5", "--p0", "1"])
+    @example(argv=["simulate", "--a", "0", "--b", "1e308", "--p0", "1"])
+    @settings(max_examples=200, deadline=None)
+    def test_exit_code_and_at_most_one_error_line(self, argv):
+        """No argv of a subcommand's own flags gives a traceback: main
+        returns an int, and stderr is empty on success or one ERROR line."""
+        # a printed warning would be a second stderr line: fail on it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(*argv)
+        assert isinstance(code, int)
+        if code == 0:
+            assert err == ""
+        else:
+            assert err.startswith(f"ERROR {code}: ")
+            assert err.count("\n") == 1 and err.endswith("\n")

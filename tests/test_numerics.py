@@ -377,6 +377,19 @@ class TestRk4:
         assert str(got.value) == str(want.value)
         assert str(got.value).endswith(f"t={6 * 0.1!r}")
 
+    def test_blowup_on_last_whole_step_names_the_step_time(self):
+        """The last whole step is recorded at t_end = 0.3, but an overflow
+        on it names the t the step reached, 3 * 0.1, as the reference does."""
+        m = ((2.0, 0.0), (0.0, -2.0))
+        y0 = (1.1079719796608072e307, 1.1079719796608072e307)
+        assert rk4_integrate(m, y0, 0.2, 0.1)[-1][0] == 0.2
+        with pytest.raises(NonFiniteState) as got:
+            rk4_integrate(m, y0, 0.3, 0.1)
+        with pytest.raises(NonFiniteState) as want:
+            closure_rk4(matrix_field(m), y0, 0.3, 0.1)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).endswith(f"t={3 * 0.1!r}")
+
     @given(
         m=st.tuples(*[st.floats(min_value=-4.0, max_value=4.0)] * 4),
         y0=st.tuples(*[st.floats(min_value=-10.0, max_value=10.0)
