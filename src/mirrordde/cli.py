@@ -354,7 +354,7 @@ def _read_series_csv(path: str) -> tuple[ArrayLike, ArrayLike]:
         return columns
     rows = _csv_rows(path, data)
     header = [cell.strip() for cell in rows[0][:2]]
-    if header != ["t", "p"] or len(rows[0]) < 2:
+    if header != ["t", "p"]:
         raise _CliError(
             EXIT_USAGE,
             f"{path!r} must start with header 't,p', got {rows[0]!r}",
@@ -409,7 +409,7 @@ def cmd_fit(args) -> None:
 def _read_journals_csv(path: str) -> FeatureMatrix:
     rows = _csv_rows(path, _read_bytes(path))
     header = rows[0]
-    if not header or header[0].strip() != "journal" or len(header) < 3:
+    if header[0].strip() != "journal" or len(header) < 3:
         raise _CliError(
             EXIT_USAGE,
             f"{path!r} must start with header 'journal,<feature1>,"

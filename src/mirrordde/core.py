@@ -402,10 +402,9 @@ class ControlConfig:
     eta: EtaTerm | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.theta, (ThetaConstant, ThetaLinear, ThetaExponential)):
+        if not isinstance(self.theta, ThetaTerm):
             raise TypeError(f"unsupported theta term: {self.theta!r}")
-        if self.eta is not None and not isinstance(
-                self.eta, (EtaArticleBased, EtaTimeExponential)):
+        if self.eta is not None and not isinstance(self.eta, EtaTerm):
             raise TypeError(f"unsupported eta term: {self.eta!r}")
 
 

@@ -50,6 +50,10 @@ LASSO_TOL = 1e-8
 #: Hard cap on coordinate-descent sweeps.
 LASSO_MAX_SWEEPS = 10_000
 
+#: Hard cap on RK4 steps per call: each recorded step holds about 265 bytes,
+#: so the cap bounds the output near 0.3 GB.
+RK4_MAX_STEPS = 2**20
+
 
 def _as_matrix_array(m) -> NDArray[np.float64]:
     import numpy as np
@@ -248,8 +252,9 @@ def rk4_integrate(m: tuple[State, State], y0: State, t_end: float,
     Operation for operation the textbook scheme on ``f(y) = M y``.  Returns
     the list of (t, state) pairs including both endpoints.  If t_end is not
     a whole number of steps, or is shorter than one, the final step is
-    shortened to land on it exactly.  A non-finite step count raises
-    :class:`OutOfRange` and a non-finite state :class:`NonFiniteState`.
+    shortened to land on it exactly.  A non-finite step count, or one above
+    :data:`RK4_MAX_STEPS`, raises :class:`OutOfRange` before any step, and a
+    non-finite state :class:`NonFiniteState`.
     """
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise ValueError(f"t_end must be positive, got {t_end!r}")
@@ -271,6 +276,9 @@ def rk4_integrate(m: tuple[State, State], y0: State, t_end: float,
     # last is recorded at t_end (hiding rounding), an error names its own t
     shortened = n_whole == 0 or remainder > 1e-9 * step
     last = n_whole if shortened else n_whole - 1
+    if last + 1 > RK4_MAX_STEPS:
+        raise OutOfRange(f"step count {t_end!r}/{step!r} exceeds the cap "
+                         f"of {RK4_MAX_STEPS} steps")
     h, half, sixth = step, 0.5 * step, step / 6.0
     for i in range(last + 1):
         if i == n_whole:

@@ -40,32 +40,12 @@ class TraceStep:
     chosen_col_norm: float
     singval: float
 
-    def __post_init__(self) -> None:
-        if self.step_index < 1:
-            raise ValueError("step_index counts from 1")
-        for name, v in (("row_norm", self.row_norm),
-                        ("chosen_col_norm", self.chosen_col_norm),
-                        ("singval", self.singval)):
-            if not (math.isfinite(v) and v >= 0.0):
-                raise ValueError(f"{name} must be finite and non-negative, got {v!r}")
-
 
 @dataclass(frozen=True)
 class EliminationTrace:
     """The full elimination history, one step per journal."""
 
     steps: tuple[TraceStep, ...]
-
-    def __post_init__(self) -> None:
-        steps = tuple(self.steps)
-        object.__setattr__(self, "steps", steps)
-        if not steps:
-            raise ValueError("trace must contain at least one step")
-        if [s.step_index for s in steps] != list(range(1, len(steps) + 1)):
-            raise ValueError("step indices must run 1..m in order")
-        names = [s.journal_name for s in steps]
-        if len(set(names)) != len(names):
-            raise ValueError("each journal is eliminated exactly once")
 
 
 def _standardized(block: NDArray[np.float64],
@@ -145,11 +125,9 @@ def rank_journals(matrix: FeatureMatrix, response_feature: str,
 
     remaining = list(range(m))
     steps: list[TraceStep] = []
-    survivor_col_norm = 0.0
+    row_norm = singval = survivor_col_norm = 0.0
 
-    step = 0
-    while len(remaining) > 1:
-        step += 1
+    for step in range(1, m):
         try:
             std = _standardized(data[remaining], matrix.feature_names)
             coeffs = lasso_fit(std[:, pred_idx], std[:, resp_idx], lam)
@@ -168,7 +146,7 @@ def rank_journals(matrix: FeatureMatrix, response_feature: str,
         col_norms = np.abs(std, order="C").sum(axis=1) / n
         best = int(np.argmin(np.abs(col_norms - row_norm)))
 
-        if len(remaining) == 2:
+        if step == m - 1:
             survivor_col_norm = float(col_norms[1 - best])
         steps.append(TraceStep(
             step_index=step,
@@ -179,13 +157,12 @@ def rank_journals(matrix: FeatureMatrix, response_feature: str,
         ))
 
     # The survivor inherits the score of the last regression it was part of.
-    last = steps[-1] if steps else None
     steps.append(TraceStep(
         step_index=m,
         journal_name=names[remaining[0]],
-        row_norm=last.row_norm if last else 0.0,
+        row_norm=row_norm,
         chosen_col_norm=survivor_col_norm,
-        singval=last.singval if last else 0.0,
+        singval=singval,
     ))
 
     order = sorted(steps, key=lambda s: (s.singval, s.step_index))

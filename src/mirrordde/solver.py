@@ -44,6 +44,7 @@ from .core import (
     EtaArticleBased,
     Regime,
     RegimeTag,
+    _require_finite,
 )
 from .errors import (
     NegativeInfluenceWarning,
@@ -63,9 +64,13 @@ def classify(params: DdeParams) -> Regime:
 
     The degenerate band |b**2 - a**2| <= 1e-12 * max(1, b**2 + a**2) absorbs
     rounding noise around the boundary; inside it r is reported as the tiny
-    sqrt(|b**2 - a**2|) (exactly 0 when a = +-b exactly).
+    sqrt(|b**2 - a**2|) (exactly 0 when a = +-b exactly).  Finite
+    coefficients whose squares overflow raise :class:`NonFiniteValue`.
     """
     disc = params.discriminant
+    if not math.isfinite(disc):
+        raise NonFiniteValue(f"b**2 - a**2 overflows float64 for "
+                             f"a={params.a!r}, b={params.b!r}")
     tol = DEGENERACY_RTOL * max(1.0, params.b * params.b + params.a * params.a)
     r = math.sqrt(abs(disc))
     if abs(disc) <= tol:
@@ -173,8 +178,7 @@ def linear_growth_solution(a_c: float, b_c: float, c_c: float,
 def _check_first_order(a_c, b_c, c_c, p0, t) -> None:
     for name, v in (("a_c", a_c), ("b_c", b_c), ("c_c", c_c),
                     ("p0", p0), ("t", t)):
-        if not math.isfinite(v):
-            raise NonFiniteValue(f"{name} must be finite, got {v!r}")
+        _require_finite(name, v)
     if a_c == 0.0:
         raise ZeroCoefficient("a_c must be nonzero in a_c * p' = b_c + c_c * p")
 
@@ -216,9 +220,12 @@ def eta_article(art: float, alpha: float, params: DdeParams) -> float:
     """Article-share external influence: exp(-art) + alpha * (a - b).
 
     ``art`` is the accepted-article fraction and must lie in [0, 1]; the
-    :class:`EtaArticleBased` term it builds checks both inputs.
+    :class:`EtaArticleBased` term it builds checks both inputs.  A value
+    beyond the float64 range raises :class:`NonFiniteValue`.
     """
-    return EtaArticleBased(alpha=alpha, art=art).start_values(params)[1]
+    value = EtaArticleBased(alpha=alpha, art=art).start_values(params)[1]
+    _require_finite("eta", value)
+    return value
 
 
 def control_solution(params: DdeParams, config: ControlConfig,
@@ -295,8 +302,7 @@ def evaluate(params: DdeParams, times: Sequence[float],
     """
     if modes is not None:
         for name, v in zip(("c1", "c2"), modes):
-            if not math.isfinite(v):
-                raise NonFiniteValue(f"{name} must be finite, got {v!r}")
+            _require_finite(name, v)
     if not all(map(math.isfinite, times)):
         bad = next(t for t in times if not math.isfinite(t))
         raise NonFiniteValue(f"t must be finite, got {bad!r}")

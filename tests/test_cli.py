@@ -221,6 +221,13 @@ class TestSimulate:
         assert (code, out) == (2, "")
         assert err == "ERROR 2: p(t) overflows float64 (math range error)\n"
 
+    def test_overflowing_squares_name_the_inputs(self):
+        code, out, err = run_cli("simulate", "--a", "0", "--b", "1e200",
+                                 "--p0", "1", "--steps", "2")
+        assert (code, out) == (2, "")
+        assert err == ("ERROR 2: b**2 - a**2 overflows float64 for a=0.0, "
+                       "b=1e+200\n")
+
 
 # ---------------------------------------------------------------------------
 # fit
@@ -353,6 +360,14 @@ class TestFit:
                                 [1.0, 2.0, 3.0], header="time,value")
         code, _, err = run_cli("fit", "--input", path)
         assert code == 2
+
+    def test_one_cell_header(self, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_text("t\n0\n")
+        code, out, err = run_cli("fit", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err == (f"ERROR 2: {str(path)!r} must start with header 't,p', "
+                       f"got ['t']\n")
 
     def test_missing_file(self):
         code, _, err = run_cli("fit", "--input", "/nonexistent/series.csv")
@@ -587,6 +602,18 @@ class TestRank:
         code, _, err = run_cli("rank", "--input", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("row, detail", [
+        ("B,1", "expected 3 cells, got 2"),
+        ("B,1,2,3", "expected 3 cells, got 4"),
+        ("B,1,high", "non-numeric feature value"),
+    ])
+    def test_malformed_row(self, tmp_path, row, detail):
+        path = tmp_path / "rows.csv"
+        path.write_text(f"journal,CiteScore,SJR\nA,1,2\n{row}\n")
+        code, out, err = run_cli("rank", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == f"ERROR 2: {str(path)!r} line 3: {detail}"
+
     def test_oversized_field_is_one_error_line(self, tmp_path):
         path = tmp_path / "wide.csv"
         path.write_text("journal,CiteScore,SJR\nA,1," + "1" * 200_000 + "\n")
@@ -674,6 +701,21 @@ class TestVerify:
         assert err.count(b"ERROR 2: ") == 1 and err.count(b"\n") == 1
         assert b"step count" in err
 
+    def test_step_count_above_cap_is_one_error_line(self, monkeypatch):
+        monkeypatch.setattr(numerics, "RK4_MAX_STEPS", 100)
+        code, out, err = run_cli("verify", "--a", "0.3", "--b", "0.5",
+                                 "--p0", "1")
+        assert (code, out) == (2, "")
+        assert err == ("ERROR 2: step count 5.0/0.001 exceeds the cap of 100 "
+                       "steps\n")
+
+    def test_overflowing_squares_name_the_inputs(self):
+        code, out, err = run_cli("verify", "--a", "1e200", "--b", "1e300",
+                                 "--p0", "1")
+        assert (code, out) == (2, "")
+        assert err == ("ERROR 2: b**2 - a**2 overflows float64 for a=1e+200, "
+                       "b=1e+300\n")
+
     def test_regime_checked_before_integration(self, monkeypatch):
         def no_oracle(*args):
             raise AssertionError("oracle_solution must not run")
@@ -738,6 +780,12 @@ class TestEta:
                                "--a", "0.5", "--b", "0.3")
         assert code == 2
         assert err.startswith("ERROR 2: ")
+
+    def test_overflow_is_an_error_line(self):
+        code, out, err = run_cli("eta", "--art", "0.5", "--alpha", "1e300",
+                                 "--a", "1e300", "--b=-1e300")
+        assert (code, out) == (2, "")
+        assert err == "ERROR 2: eta must be finite, got inf\n"
 
 
 # ---------------------------------------------------------------------------

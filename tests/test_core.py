@@ -367,6 +367,17 @@ class TestFeatureMatrix:
             FeatureMatrix(("A", "B"), ("x", "y"),
                           [[1.0, 2.0], [math.nan, 4.0]])
 
+    @pytest.mark.parametrize("journals, features, data, message", [
+        (("A", "B"), ("x", ""), [[1.0, 2.0], [3.0, 4.0]],
+         "feature names must be non-empty"),
+        (("A", "B"), ("x", "x"), [[1.0, 2.0], [3.0, 4.0]],
+         "feature names must be unique"),
+        ((), ("x", "y"), np.empty((0, 2)), "need at least one journal"),
+    ])
+    def test_validation_messages(self, journals, features, data, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FeatureMatrix(journals, features, data)
+
 
 # ---------------------------------------------------------------------------
 # RankingEntry / RankingResult

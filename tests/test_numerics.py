@@ -237,6 +237,17 @@ class TestLasso:
         with pytest.raises(DimensionMismatch):
             lasso_fit(X, y[:-1], 0.1)
 
+    def test_non_finite_response(self):
+        X, y = random_design(1)
+        y[3] = math.nan
+        with pytest.raises(NonFiniteValue,
+                           match="response contains non-finite entries"):
+            lasso_fit(X, y, 0.1)
+
+    def test_single_observation(self):
+        with pytest.raises(ValueError, match="need at least 2 observations"):
+            lasso_fit([[1.0, 2.0]], [1.0], 0.1)
+
 
 def standardized_design(seed, m, k):
     """Population z-scored lognormal columns: a response and k predictors."""
@@ -365,6 +376,23 @@ class TestRk4:
         nan_field = ((math.nan, math.nan), (math.nan, math.nan))
         with pytest.raises(OutOfRange, match="exceeds the float64 range"):
             rk4_integrate(nan_field, (1.0, 0.0), 1e308, 1e-300)
+
+    def test_step_count_above_cap(self):
+        # a NaN matrix as above: the cap must raise before the first step
+        nan_field = ((math.nan, math.nan), (math.nan, math.nan))
+        cap = numerics.RK4_MAX_STEPS
+        with pytest.raises(OutOfRange, match="exceeds the cap of 1048576 steps"):
+            rk4_integrate(nan_field, (1.0, 0.0), float(cap + 1), 1.0)
+        # a shortened final step counts as a step
+        with pytest.raises(OutOfRange, match="step count"):
+            rk4_integrate(nan_field, (1.0, 0.0), cap + 0.5, 1.0)
+
+    def test_step_count_at_cap(self, monkeypatch):
+        monkeypatch.setattr(numerics, "RK4_MAX_STEPS", 100)
+        assert len(rk4_integrate(GROWTH, (1.0, 0.0), 100.0, 1.0)) == 101
+        assert len(rk4_integrate(GROWTH, (1.0, 0.0), 0.1, 1e-3)) == 101
+        with pytest.raises(OutOfRange, match="exceeds the cap of 100 steps"):
+            rk4_integrate(GROWTH, (1.0, 0.0), 100.5, 1.0)
 
     def test_blowup_raises(self):
         # u grows by about (h lambda)^4 / 24 = 4e18 a step and overflows

@@ -84,6 +84,15 @@ class TestClassify:
             assert classify(DdeParams(a=-a, b=b, p0=1.0)).tag is tag
             assert classify(DdeParams(a=a, b=-b, p0=1.0)).tag is tag
 
+    @pytest.mark.parametrize("a, b", [(1e200, 1e300), (0.0, 1e200),
+                                      (1e200, 0.0)])
+    def test_overflowing_squares_name_the_inputs(self, a, b):
+        # b**2 - a**2 is nan, inf and -inf: each names a and b, not Regime.r
+        with pytest.raises(NonFiniteValue) as info:
+            classify(DdeParams(a=a, b=b, p0=1.0))
+        assert str(info.value) == (f"b**2 - a**2 overflows float64 for "
+                                   f"a={a!r}, b={b!r}")
+
 
 # ---------------------------------------------------------------------------
 # base_solution
@@ -232,6 +241,16 @@ class TestNonsymmetricSolution:
         with pytest.raises(ZeroCoefficient):
             nonsymmetric_solution(0.0, 1.0, 1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("index, name", enumerate(["a_c", "b_c", "c_c",
+                                                       "p0", "t"]))
+    def test_non_finite_input_is_named(self, index, name):
+        args = [1.0, 1.0, 1.0, 1.0, 1.0]
+        args[index] = math.inf
+        for solution in (nonsymmetric_solution, linear_growth_solution):
+            with pytest.raises(NonFiniteValue,
+                               match=f"^{name} must be finite, got inf$"):
+                solution(*args)
+
 
 class TestLinearGrowthSolution:
     def test_worked_example(self):
@@ -275,6 +294,12 @@ class TestEtaArticle:
             eta_article(1.5, 1.0, params)
         with pytest.raises(OutOfRange):
             eta_article(-0.2, 1.0, params)
+
+    def test_overflow_raises(self):
+        # alpha * (a - b) = 1e300 * 2e300 overflows
+        params = DdeParams(a=1e300, b=-1e300, p0=1.0)
+        with pytest.raises(NonFiniteValue, match="^eta must be finite, got inf$"):
+            eta_article(0.5, 1e300, params)
 
 
 # ---------------------------------------------------------------------------
