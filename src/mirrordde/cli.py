@@ -82,6 +82,10 @@ DEFAULT_LAMBDA = 0.1
 #: no longer distinct floats.
 MAX_STEPS = 2**53
 
+#: ``simulate`` formats and writes its rows this many at a time, so only one
+#: block of text is held at once.
+WRITE_BLOCK_ROWS = 16384
+
 #: Every byte a plain ``t,p`` body may hold (the shape ``simulate`` writes).
 _PLAIN_BODY_BYTES = b"0123456789.eE+-,\n"
 
@@ -272,17 +276,23 @@ def cmd_simulate(args) -> None:
     if any(isinstance(w.message, NegativeInfluenceWarning) for w in caught):
         warning_flag = "negative-influence"
 
-    header, flag = ("t,p", "") if warning_flag is None else (
-        "t,p,warning", "," + warning_flag)
-    # + 0.0 as in fmt: -0.0 would print as "-0"
-    lines = ["%.12g,%.12g%s" % (t + 0.0, p + 0.0, flag) for t, p in zip(times, values)]
-    text = header + "\n" + "\n".join(lines) + "\n"
+    header, row = ("t,p", "%.12g,%.12g\n") if warning_flag is None else (
+        "t,p,warning", "%.12g,%.12g," + warning_flag + "\n")
+
+    def write(fh) -> None:
+        fh.write(header + "\n")
+        for start in range(0, len(times), WRITE_BLOCK_ROWS):
+            stop = start + WRITE_BLOCK_ROWS
+            # + 0.0 as in fmt: -0.0 would print as "-0"
+            fh.write("".join([row % (t + 0.0, p + 0.0)
+                              for t, p in zip(times[start:stop],
+                                              values[start:stop])]))
 
     if args.out is None:
-        sys.stdout.write(text)
+        write(sys.stdout)
     else:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            write(fh)
 
 
 def _read_bytes(path: str) -> bytes:

@@ -6,13 +6,13 @@ handful of columns, trajectories with a few thousand steps — so each kernel
 is written directly for that size class instead of pulling in a large
 solver: one-sided Jacobi rotations for singular values, Cramer's rule for
 2x2 systems, cyclic coordinate descent with covariance updates for the l1
-fit (one Gram product per call, then O(k) work per coordinate step), and
-classical RK4 on local floats for the one system integrated, ``y' = M y``
-with a constant 2x2 ``M``.  The 2x2 solve and RK4 run on ``math`` alone;
-numpy, which supplies array storage and elementwise arithmetic only, is
-imported by the array kernels (singular values, the l1 fit, finite
-differences) when first called, so a process that never uses them never
-loads it.
+fit (one Gram product per call, then O(q) work per coordinate step for q
+nonzero coefficients), and classical RK4 on local floats for the one system
+integrated, ``y' = M y`` with a constant 2x2 ``M``.  The 2x2 solve and RK4
+run on ``math`` alone; numpy, which supplies array storage and elementwise
+arithmetic only, is imported by the array kernels (singular values, the l1
+fit, finite differences) when first called, so a process that never uses
+them never loads it.
 """
 
 from __future__ import annotations
@@ -58,12 +58,12 @@ RK4_MAX_STEPS = 2**20
 def _as_matrix_array(m) -> NDArray[np.float64]:
     import numpy as np
 
-    arr = np.array(m, dtype=float)
+    arr = np.asarray(m, dtype=float)
     if arr.ndim != 2:
         raise DimensionMismatch(f"expected a 2-d array, got shape {arr.shape}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError(f"matrix must be non-empty, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteValue("matrix contains non-finite entries")
     return arr
 
@@ -86,8 +86,8 @@ def svd_values(matrix) -> list[float]:
     import numpy as np
 
     a = _as_matrix_array(m=matrix)
-    if a.shape[0] < a.shape[1]:
-        a = a.T.copy()
+    # a copy of our own, since the scaling below works in place
+    a = a.T.copy() if a.shape[0] < a.shape[1] else a.copy(order="K")
     n = a.shape[1]
     e = math.frexp(float(np.abs(a).max()))[1]
     np.ldexp(a, -e, out=a)
@@ -147,14 +147,6 @@ def solve_2x2(m11: float, m12: float, m21: float, m22: float,
     return x, y
 
 
-def _soft_threshold(v: float, lam: float) -> float:
-    if v > lam:
-        return v - lam
-    if v < -lam:
-        return v + lam
-    return 0.0
-
-
 def _lasso_sweeps(X: NDArray[np.float64], y: NDArray[np.float64],
                   lam: float) -> Iterator[list[float]]:
     """Yield the coefficient vector after each coordinate-descent sweep.
@@ -162,35 +154,49 @@ def _lasso_sweeps(X: NDArray[np.float64], y: NDArray[np.float64],
     Covariance updates (Friedman, Hastie & Tibshirani, JSS 2010, sec. 2.2):
     ``G = X^T X`` and ``c = X^T y`` are formed once, after which each
     coordinate's correlation with the partial residual,
-    ``c_j - sum_{i != j} G_ji w_i``, costs O(k) instead of O(m).  Up to
-    rounding, the iterates are those of the residual-update form from the
-    same zero start.  The iterator stops on its own once the largest
+    ``c_j - sum_{i != j} G_ji w_i``, costs O(q) for q nonzero coefficients
+    instead of O(m).  The sum runs over the ascending indices of the nonzero
+    coefficients only.  A zero coefficient's term ``g * 0.0`` is a signed
+    zero, which leaves a nonzero partial sum as it is and at most flips the
+    sign of a zero one, and a zero correlation thresholds to 0.0 whatever
+    its sign; so with a finite ``G`` the iterates are bit for bit those of
+    the sum over every i.  Up to rounding, they are those of the
+    residual-update form from the same zero start.  The iterator stops on its own once the largest
     single-coefficient change in a sweep drops to :data:`LASSO_TOL` or
     below; the caller enforces the sweep cap.  Columns with zero sum of
     squares keep a zero coefficient.
     """
-    import numpy as np
-
     m, k = X.shape
     G = X.T @ X
     col_sq = G.diagonal().tolist()
-    G[np.diag_indices(k)] = 0.0  # so the row sums skip i == j
     G = G.tolist()
+    for j, row in enumerate(G):
+        row[j] = 0.0  # so the sums skip i == j
     c = (X.T @ y).tolist()
-    active = [j for j in range(k) if col_sq[j] != 0.0]
+    coords = [(j, c[j], G[j], col_sq[j] / m)
+              for j in range(k) if col_sq[j] != 0.0]
     w = [0.0] * k
+    nonzero: list[int] = []  # ascending indices i with w[i] != 0
     while True:
         delta = 0.0
-        for j in active:
-            rho = c[j]
-            for g, wi in zip(G[j], w):
-                rho -= g * wi
-            wj = _soft_threshold(rho / m, lam) / (col_sq[j] / m)
-            change = abs(wj - w[j])
-            if change != 0.0:
+        for j, rho, g, scale in coords:
+            for i in nonzero:
+                rho -= g[i] * w[i]
+            v = rho / m
+            if v > lam:
+                wj = (v - lam) / scale
+            elif v < -lam:
+                wj = (v + lam) / scale
+            else:
+                wj = 0.0
+            old = w[j]
+            if wj != old:
                 w[j] = wj
+                change = wj - old if wj > old else old - wj
                 if change > delta:
                     delta = change
+                if old == 0.0 or wj == 0.0:
+                    nonzero = [i for i in range(k) if w[i] != 0.0]
         yield list(w)
         if delta <= LASSO_TOL:
             return
@@ -213,7 +219,7 @@ def lasso_fit(X, y, lam: float) -> list[float]:
             f"response of shape {rhs.shape} does not match design "
             f"with {A.shape[0]} rows"
         )
-    if not np.all(np.isfinite(rhs)):
+    if not np.isfinite(rhs).all():
         raise NonFiniteValue("response contains non-finite entries")
     if A.shape[0] < 2:
         raise ValueError("need at least 2 observations")

@@ -59,14 +59,16 @@ def _standardized(block: NDArray[np.float64],
     differs.
     """
     block = np.asfortranarray(block)
-    mu = block.mean(axis=0)
-    sigma = np.sqrt(((block - mu) ** 2).mean(axis=0))
+    m = block.shape[0]
+    mu = block.sum(axis=0) / m  # the bits of block.mean(axis=0)
+    dev = block - mu
+    sigma = np.sqrt((dev ** 2).sum(axis=0) / m)
     flat = sigma <= STD_RTOL * np.maximum(1.0, np.abs(mu))
     if flat.any():
         name = feature_names[int(flat.argmax())]
         raise ZeroVarianceColumn(f"feature {name!r} has zero variance",
                                  column=name)
-    return (block - mu) / sigma
+    return dev / sigma
 
 
 def standardize(matrix: FeatureMatrix) -> FeatureMatrix:
@@ -123,13 +125,14 @@ def rank_journals(matrix: FeatureMatrix, response_feature: str,
     data = matrix.data
     names = matrix.journal_names
 
-    remaining = list(range(m))
+    remaining = np.arange(m)
     steps: list[TraceStep] = []
     row_norm = singval = survivor_col_norm = 0.0
 
     for step in range(1, m):
         try:
-            std = _standardized(data[remaining], matrix.feature_names)
+            std = _standardized(data.take(remaining, axis=0),
+                                matrix.feature_names)
             coeffs = lasso_fit(std[:, pred_idx], std[:, resp_idx], lam)
         except ZeroVarianceColumn as exc:
             raise ZeroVarianceColumn(
@@ -140,7 +143,11 @@ def rank_journals(matrix: FeatureMatrix, response_feature: str,
 
         w = np.array(coeffs)
         singval = math.sqrt(float(w @ w))
-        row_norm = sum(abs(c) for c in coeffs) / (n - 1)
+        # left to right, as a loop: from 3.12 the builtin float sum compensates
+        abs_sum = 0.0
+        for c in coeffs:
+            abs_sum += abs(c)
+        row_norm = abs_sum / (n - 1)
 
         # C order sums each row in pairwise order, as a 1-d row view would
         col_norms = np.abs(std, order="C").sum(axis=1) / n
@@ -150,11 +157,12 @@ def rank_journals(matrix: FeatureMatrix, response_feature: str,
             survivor_col_norm = float(col_norms[1 - best])
         steps.append(TraceStep(
             step_index=step,
-            journal_name=names[remaining.pop(best)],
+            journal_name=names[remaining[best]],
             row_norm=row_norm,
             chosen_col_norm=float(col_norms[best]),
             singval=singval,
         ))
+        remaining = np.delete(remaining, best)
 
     # The survivor inherits the score of the last regression it was part of.
     steps.append(TraceStep(

@@ -215,9 +215,19 @@ def brute_force_ranking(journal_names, feature_names, rows, response, lam):
         target = [row[resp] for row in standardized]
         weights = lasso_fit(design, target, lam)
 
-        singval = math.sqrt(sum(w * w for w in weights))
-        row_norm = sum(abs(w) for w in weights) / (n - 1)
-        col_norms = [sum(abs(v) for v in row) / n for row in standardized]
+        # sums run left to right: from 3.12 the builtin float sum compensates
+        sq_sum = abs_sum = 0.0
+        for w in weights:
+            sq_sum += w * w
+            abs_sum += abs(w)
+        singval = math.sqrt(sq_sum)
+        row_norm = abs_sum / (n - 1)
+        col_norms = []
+        for row in standardized:
+            s = 0.0
+            for v in row:
+                s += abs(v)
+            col_norms.append(s / n)
 
         best = 0
         best_gap = abs(col_norms[0] - row_norm)
@@ -248,7 +258,7 @@ def brute_force_ranking(journal_names, feature_names, rows, response, lam):
 
 
 # ---------------------------------------------------------------------------
-# Residual-update coordinate descent for the lasso
+# Residual-update and dense covariance-update coordinate descent for the lasso
 # ---------------------------------------------------------------------------
 
 def residual_lasso_sweeps(X, y, lam):
@@ -282,6 +292,49 @@ def residual_lasso_sweeps(X, y, lam):
                 delta = max(delta, abs(wj - w[j]))
                 w[j] = wj
         yield w.copy()
+        if delta <= LASSO_TOL:
+            return
+
+
+def dense_lasso_sweeps(X, y, lam):
+    """Yield the coefficients after each sweep of dense covariance descent.
+
+    Covariance-update coordinate descent over the full sum: every coordinate
+    subtracts ``G_ji * w_i`` for all i, zero coefficients and its own zeroed
+    diagonal included, in ascending order, where the library sums over the
+    nonzero coefficients only.  A zero coefficient's term ``g * 0.0`` is a
+    signed zero, which leaves every nonzero partial sum as it is, so the two
+    must agree to the bit, sweep for sweep.
+    """
+
+    def soft_threshold(v, lam):
+        if v > lam:
+            return v - lam
+        if v < -lam:
+            return v + lam
+        return 0.0
+
+    m, k = X.shape
+    G = X.T @ X
+    col_sq = G.diagonal().tolist()
+    G[np.diag_indices(k)] = 0.0
+    G = G.tolist()
+    c = (X.T @ y).tolist()
+    active = [j for j in range(k) if col_sq[j] != 0.0]
+    w = [0.0] * k
+    while True:
+        delta = 0.0
+        for j in active:
+            rho = c[j]
+            for g, wi in zip(G[j], w):
+                rho -= g * wi
+            wj = soft_threshold(rho / m, lam) / (col_sq[j] / m)
+            change = abs(wj - w[j])
+            if change != 0.0:
+                w[j] = wj
+                if change > delta:
+                    delta = change
+        yield list(w)
         if delta <= LASSO_TOL:
             return
 

@@ -25,6 +25,26 @@ SIMULATE_GOLDENS = sorted(
         "golden_simulate_*.csv"))
 
 
+#: (golden name, argv) of each ``golden_simulate_<name>.csv``, one per
+#: trajectory path; each adds ``--t-min=-5 --t-max=5 --steps 400``.
+SIMULATE_GOLDEN_RUNS = [
+    ("exponential", ("--a=0.23", "--b=0.61", "--p0=1.3")),
+    ("degenerate", ("--a=0.37", "--b=0.37", "--p0=0.9")),
+    ("oscillatory", ("--a=0.58", "--b=-0.21", "--p0=1.1",
+                     "--allow-oscillatory")),
+    ("modes", ("--a=-0.17", "--b=0.44", "--p0=1", "--c1=0.35",
+               "--c2=-1.2")),
+    ("theta_const_eta_article", ("--a=0.12", "--b=0.47", "--p0=1.4",
+                                 "--theta-const=-0.13",
+                                 "--eta-article=0.62,0.8")),
+    ("theta_lin_eta_exp", ("--a=-0.31", "--b=0.52", "--p0=0.8",
+                           "--theta-lin=0.21,-0.07",
+                           "--eta-exp=-0.15,0.33")),
+    ("theta_exp", ("--a=0.2", "--b=0.55", "--p0=1.2",
+                   "--theta-exp=-0.27")),
+]
+
+
 def write_series_csv(path, times, values, header="t,p"):
     lines = [header] + [f"{t},{p}" for t, p in zip(times, values)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -157,22 +177,7 @@ class TestSimulate:
         assert code == 3
         assert err.startswith("ERROR 3: ")
 
-    @pytest.mark.parametrize("kind,argv", [
-        ("exponential", ("--a=0.23", "--b=0.61", "--p0=1.3")),
-        ("degenerate", ("--a=0.37", "--b=0.37", "--p0=0.9")),
-        ("oscillatory", ("--a=0.58", "--b=-0.21", "--p0=1.1",
-                         "--allow-oscillatory")),
-        ("modes", ("--a=-0.17", "--b=0.44", "--p0=1", "--c1=0.35",
-                   "--c2=-1.2")),
-        ("theta_const_eta_article", ("--a=0.12", "--b=0.47", "--p0=1.4",
-                                     "--theta-const=-0.13",
-                                     "--eta-article=0.62,0.8")),
-        ("theta_lin_eta_exp", ("--a=-0.31", "--b=0.52", "--p0=0.8",
-                               "--theta-lin=0.21,-0.07",
-                               "--eta-exp=-0.15,0.33")),
-        ("theta_exp", ("--a=0.2", "--b=0.55", "--p0=1.2",
-                       "--theta-exp=-0.27")),
-    ])
+    @pytest.mark.parametrize("kind,argv", SIMULATE_GOLDEN_RUNS)
     def test_matches_golden(self, data_dir, tmp_path, kind, argv):
         """One golden per trajectory path, 401 rows on [-5, 5].
 
@@ -186,6 +191,21 @@ class TestSimulate:
         assert code == 0 and out == "" and err == ""
         golden = data_dir / f"golden_simulate_{kind}.csv"
         assert target.read_bytes() == golden.read_bytes()
+
+    @pytest.mark.parametrize("kind,argv", SIMULATE_GOLDEN_RUNS)
+    def test_blocks_of_seven_keep_the_golden_bytes(self, data_dir, tmp_path,
+                                                   monkeypatch, kind, argv):
+        """401 rows written 7 at a time, 57 full blocks and a short one, to
+        stdout and to ``--out``: the same bytes as one block."""
+        monkeypatch.setattr(cli, "WRITE_BLOCK_ROWS", 7)
+        golden = (data_dir / f"golden_simulate_{kind}.csv").read_bytes()
+        grid = ("simulate", "--t-min=-5", "--t-max=5", "--steps", "400", *argv)
+        code, out, err = run_cli(*grid)
+        assert (code, out.encode(), err) == (0, golden, "")
+        target = tmp_path / "sim.csv"
+        code, out, err = run_cli(*grid, "--out", str(target))
+        assert (code, out, err) == (0, "", "")
+        assert target.read_bytes() == golden
 
     @pytest.mark.parametrize("argv", [
         # the grid itself overflows to -inf/inf
@@ -552,6 +572,22 @@ class TestRank:
                                        "--lambda", "0.05")
         assert code == 0, err
         assert out == (data_dir / "golden_rank_m60.csv").read_bytes()
+
+    def test_matches_golden_m150(self, data_dir):
+        """150 journals by 8 features, down to the late steps where fewer
+        journals than predictors remain and the lasso's nonzero set moves
+        most.
+
+        The table is ``numpy.random.default_rng(0).lognormal(0.0, 0.75,
+        size=(150, 8))`` printed with ``%.6g`` (journals ``Journal 001``..
+        ``Journal 150``); the golden is ``rank --input rank_m150.csv
+        --lambda 0.05``.  Seed 0 ranks without error, so no seed was skipped.
+        """
+        code, out, err = run_cli_bytes("rank", "--input",
+                                       str(data_dir / "rank_m150.csv"),
+                                       "--lambda", "0.05")
+        assert code == 0, err
+        assert out == (data_dir / "golden_rank_m150.csv").read_bytes()
 
     def test_convergence_failure_names_the_step(self, data_dir, monkeypatch):
         monkeypatch.setattr(numerics, "LASSO_MAX_SWEEPS", 1)

@@ -7,6 +7,7 @@ matrices, and closed-form solutions.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 
@@ -36,6 +37,7 @@ from mirrordde.numerics import _lasso_sweeps, lasso_objective
 from oracles import (
     charpoly_singular_values,
     closure_rk4,
+    dense_lasso_sweeps,
     residual_lasso_sweeps,
 )
 
@@ -283,6 +285,95 @@ class TestLassoAgainstResidualReference:
             assert len(got) == len(want), f"seed {seed}"
             assert got[-1] == pytest.approx(want[-1], rel=0, abs=1e-10)
             assert lasso_fit(X, y, lam) == got[-1]
+
+
+def drawn_design(m, k, seed, standardized, zero_col, dup_col):
+    """A seeded normal design and response, optionally z-scored, with the
+    last column a copy of the first and/or the middle column zeroed."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((m, k))
+    y = rng.standard_normal(m)
+    if standardized:
+        X = (X - X.mean(axis=0)) / X.std(axis=0)
+        y = (y - y.mean()) / y.std()
+    if dup_col and k > 1:
+        X[:, k - 1] = X[:, 0]
+    if zero_col and k > 1:
+        X[:, k // 2] = 0.0
+    return X, y
+
+
+def hex_sweeps(sweeps):
+    return [[v.hex() for v in w] for w in sweeps]
+
+
+#: Sweeps compared per drawn problem; the slow m < k, lam = 0 draws would
+#: otherwise run to the 10 000-sweep cap on both kernels.
+SWEEP_WINDOW = 2000
+
+#: A design where coefficient 1 leaves zero, returns to it and leaves again
+#: within 9 sweeps.
+REENTRY = dict(m=8, k=5, seed=6, standardized=False, zero_col=False,
+               dup_col=False, lam=0.1)
+
+
+class TestLassoAgainstDenseKernel:
+    """The kernel that sums over nonzero coefficients only, against the
+    dense kernel that sums over all of them: the same iterates to the bit.
+
+    A skipped term is ``g * 0.0 = +-0``; subtracting it leaves every nonzero
+    partial sum as it is, and a zero correlation thresholds to 0.0 whatever
+    its sign, so no entry of any sweep may differ.
+    """
+
+    @given(m=st.integers(2, 30), k=st.integers(1, 8),
+           seed=st.integers(0, 2**32 - 1), standardized=st.booleans(),
+           zero_col=st.booleans(), dup_col=st.booleans(),
+           lam=st.just(0.0) | st.floats(0.0, 1.0),
+           cap=st.none() | st.integers(1, 5))
+    @example(**REENTRY, cap=None)
+    @example(m=5, k=6, seed=1, standardized=True, zero_col=False,
+             dup_col=False, lam=0.0, cap=3)
+    @settings(deadline=None)
+    def test_same_sweeps_bitwise(self, m, k, seed, standardized, zero_col,
+                                 dup_col, lam, cap):
+        X, y = drawn_design(m, k, seed, standardized, zero_col, dup_col)
+        want = list(itertools.islice(dense_lasso_sweeps(X, y, lam),
+                                     SWEEP_WINDOW))
+        got = list(itertools.islice(_lasso_sweeps(X, y, lam), SWEEP_WINDOW))
+        assert len(got) == len(want)
+        assert hex_sweeps(got) == hex_sweeps(want)
+        if cap is None:
+            return
+        # lasso_fit stops at the cap after as many sweeps as the dense kernel
+        seen = []
+
+        def counted(*args):
+            for w in _lasso_sweeps(*args):
+                seen.append(w)
+                yield w
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(numerics, "LASSO_MAX_SWEEPS", cap)
+            patch.setattr(numerics, "_lasso_sweeps", counted)
+            if len(want) <= cap:
+                assert hex_sweeps([lasso_fit(X, y, lam)]) == hex_sweeps(want[-1:])
+                return
+            with pytest.raises(ConvergenceFailure) as info:
+                lasso_fit(X, y, lam)
+        assert str(info.value) == (
+            f"coordinate descent did not converge within {cap} sweeps")
+        assert hex_sweeps(seen) == hex_sweeps(want[:cap + 1])
+
+    def test_reentry_example_leaves_zero_twice(self):
+        """The first example above rebuilds the nonzero list three times for
+        one coefficient: it leaves zero, returns to it and leaves again."""
+        args = dict(REENTRY)
+        lam = args.pop("lam")
+        X, y = drawn_design(**args)
+        path = [0.0] + [w[1] for w in _lasso_sweeps(X, y, lam)]
+        moves = [(a == 0.0) != (b == 0.0) for a, b in zip(path, path[1:])]
+        assert sum(moves) >= 3 and path[-1] != 0.0
 
 
 # ---------------------------------------------------------------------------
