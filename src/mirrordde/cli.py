@@ -334,9 +334,8 @@ def _plain_series(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     import numpy as np
 
     lines = data.count(b"\n") - 1 + (not data.endswith(b"\n"))
-    if (not data.startswith(b"t,p\n") or lines < 1 or b"\n\n" in data
-            or data.translate(None, _PLAIN_BODY_BYTES) != b"tp"
-            or data.count(b",") != lines + 1):
+    if (not data.startswith(b"t,p\n") or data.count(b",") != lines + 1
+            or lines < 1 or data.translate(None, _PLAIN_BODY_BYTES) != b"tp"):
         return None
     # No line, so no field, may pass the csv limit: a newline-free run of
     # 2k - 1 bytes would cover one of these k-byte windows, so a newline
@@ -346,8 +345,8 @@ def _plain_series(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
            for i in range(0, len(data) - k + 1, k)):
         return None
     try:
-        # The count above leaves one comma a line and loadtxt raises on
-        # ragged rows, so shape (lines, 2) means one comma on every line.
+        # With one comma a line on average, loadtxt raising on ragged rows and
+        # skipping blank ones, shape (lines, 2) means one comma on every line.
         table = np.loadtxt(io.BytesIO(data), delimiter=",", skiprows=1,
                            ndmin=2, comments=None, encoding="ascii")
     except Exception:

@@ -506,8 +506,6 @@ class RankingResult:
         m = len(entries)
         if m < 1:
             raise ValueError("a ranking needs at least one entry")
-        if sorted(e.rank for e in entries) != list(range(1, m + 1)):
-            raise ValueError("ranks must form a permutation of 1..m")
         if sorted(e.elimination_step for e in entries) != list(range(1, m + 1)):
             raise ValueError("elimination steps must form a permutation of 1..m")
         names = [e.journal_name for e in entries]

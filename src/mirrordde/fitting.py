@@ -31,13 +31,8 @@ from numpy.typing import NDArray
 from .core import DdeParams, InfluenceSeries, ModeCoefficients, Regime, RegimeTag
 from .errors import (DegenerateSystem, NonFiniteValue, NonPositiveR,
                      SingularSystem, TooShort)
-from .numerics import FdMode, finite_diff, solve_2x2
+from .numerics import FdMode, _sum_left_to_right, finite_diff, solve_2x2
 from .solver import classify
-
-
-def _sum(terms: NDArray[np.float64]) -> float:
-    # Left to right from 0.0, exactly like ``s = 0.0; s += x`` (np.sum pairs).
-    return 0.0 + float(np.add.accumulate(terms)[-1])
 
 
 def _lstsq2(u: NDArray[np.float64], v: NDArray[np.float64], z: NDArray[np.float64],
@@ -48,7 +43,8 @@ def _lstsq2(u: NDArray[np.float64], v: NDArray[np.float64], z: NDArray[np.float6
     raises :class:`DegenerateSystem` labeled with ``stage``.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        suu, suv, svv, szu, szv = map(_sum, (u * u, u * v, v * v, z * u, z * v))
+        suu, suv, svv, szu, szv = map(_sum_left_to_right,
+                                      (u * u, u * v, v * v, z * u, z * v))
         try:
             c1, c2 = solve_2x2(suu, suv, suv, svv, szu, szv)
         except SingularSystem as exc:
@@ -57,7 +53,7 @@ def _lstsq2(u: NDArray[np.float64], v: NDArray[np.float64], z: NDArray[np.float6
                 stage=stage,
             ) from exc
         resid = z - c1 * u - c2 * v
-        return c1, c2, _sum(resid * resid)
+        return c1, c2, _sum_left_to_right(resid * resid)
 
 
 def fit_ab(series: InfluenceSeries,

@@ -68,6 +68,14 @@ def _as_matrix_array(m) -> NDArray[np.float64]:
     return arr
 
 
+def _sum_left_to_right(terms: NDArray[np.float64]) -> float:
+    """``s = 0.0; s += x`` over non-empty ``terms``, bit for bit (``np.sum``
+    adds pairwise, and from Python 3.12 the builtin ``sum`` compensates)."""
+    import numpy as np
+
+    return 0.0 + float(np.add.accumulate(terms)[-1])
+
+
 def svd_values(matrix) -> list[float]:
     """Singular values of a matrix, descending, via one-sided Jacobi.
 

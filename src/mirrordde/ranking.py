@@ -24,7 +24,7 @@ from .errors import (
     UnknownResponseFeature,
     ZeroVarianceColumn,
 )
-from .numerics import lasso_fit
+from .numerics import _sum_left_to_right, lasso_fit
 
 #: Relative threshold below which a column's spread counts as zero.
 STD_RTOL = 1e-12
@@ -143,11 +143,7 @@ def rank_journals(matrix: FeatureMatrix, response_feature: str,
 
         w = np.array(coeffs)
         singval = math.sqrt(float(w @ w))
-        # left to right, as a loop: from 3.12 the builtin float sum compensates
-        abs_sum = 0.0
-        for c in coeffs:
-            abs_sum += abs(c)
-        row_norm = abs_sum / (n - 1)
+        row_norm = _sum_left_to_right(np.abs(w)) / (n - 1)
 
         # C order sums each row in pairwise order, as a 1-d row view would
         col_norms = np.abs(std, order="C").sum(axis=1) / n

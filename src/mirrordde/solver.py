@@ -295,9 +295,10 @@ def evaluate(params: DdeParams, times: Sequence[float],
     With neither ``config`` nor ``modes``: the homogeneous solution of the
     regime :func:`classify` finds, oscillatory included.  Otherwise
     c1 e^{rt} + c2 e^{-rt} + P(t) as in :func:`control_solution`, with P from
-    ``config`` (none without one) and ``modes`` = (c1, c2) defaulting to
-    :func:`initial_conditions_to_modes`; a forced run negative at t=0 warns
-    once per call.  Raises :class:`NonFiniteValue` on a non-finite t or p,
+    ``config`` and ``modes`` = (c1, c2) defaulting to
+    :func:`initial_conditions_to_modes`.  Explicit ``modes`` alone are a
+    forced run without forcing; a run with ``config`` warns once per call if
+    negative at t=0.  Raises :class:`NonFiniteValue` on a non-finite t or p,
     including a p whose ``math`` evaluation overflows.
     """
     if modes is not None:
@@ -337,21 +338,16 @@ def _homogeneous(params: DdeParams, times: Sequence[float]) -> list[float]:
 def _two_mode(params: DdeParams, times: Sequence[float],
               config: ControlConfig | None,
               modes: tuple[float, float] | None) -> list[float]:
-    if config is None:
-        c1, c2 = modes
-        r = _require_regime(params, "control_solution").r
-        return [c1 * math.exp(r * t) + c2 * math.exp(-r * t) for t in times]
-
-    r, part0, (c1, c2) = _forced_start(params, config, modes)
-    p_zero = c1 + c2 + part0
-    if p_zero < 0.0:
+    forcing = ControlConfig() if config is None else config
+    r, part0, (c1, c2) = _forced_start(params, forcing, modes)
+    if config is not None and (p_zero := c1 + c2 + part0) < 0.0:
         warnings.warn(
             f"influence at t=0 is negative ({p_zero!r})",
             NegativeInfluenceWarning,
             stacklevel=3,
         )
     return [c1 * math.exp(r * t) + c2 * math.exp(-r * t) + p
-            for t, p in zip(times, _particular(params, config, times))]
+            for t, p in zip(times, _particular(params, forcing, times))]
 
 
 # ---------------------------------------------------------------------------
