@@ -145,8 +145,12 @@ def solve_2x2(m11: float, m12: float, m21: float, m22: float,
     the row norms (which also catches the all-zero matrix).
     """
     det = m11 * m22 - m12 * m21
-    scale = math.hypot(m11, m12) * math.hypot(m21, m22)
-    if not math.isfinite(det) or abs(det) <= SOLVE2_RTOL * scale:
+    h2 = math.hypot(m21, m22)
+    tol = SOLVE2_RTOL * (math.hypot(m11, m12) * h2)
+    if not tol < math.inf:
+        # the product of the row norms overflowed: scale before multiplying
+        tol = math.hypot(SOLVE2_RTOL * m11, SOLVE2_RTOL * m12) * h2
+    if not math.isfinite(det) or abs(det) <= tol:
         raise SingularSystem(
             f"2x2 system is singular to working precision (det={det!r})"
         )
@@ -169,18 +173,25 @@ def _lasso_sweeps(X: NDArray[np.float64], y: NDArray[np.float64],
     sign of a zero one, and a zero correlation thresholds to 0.0 whatever
     its sign; so with a finite ``G`` the iterates are bit for bit those of
     the sum over every i.  Up to rounding, they are those of the
-    residual-update form from the same zero start.  The iterator stops on its own once the largest
-    single-coefficient change in a sweep drops to :data:`LASSO_TOL` or
-    below; the caller enforces the sweep cap.  Columns with zero sum of
-    squares keep a zero coefficient.
+    residual-update form from the same zero start.  The iterator stops on
+    its own once the largest single-coefficient change in a sweep drops to
+    :data:`LASSO_TOL` or below; the caller enforces the sweep cap.  Columns
+    with zero sum of squares keep a zero coefficient.  A ``G`` or ``c``
+    beyond the float64 range raises :class:`NonFiniteValue`.
     """
+    import numpy as np
+
     m, k = X.shape
-    G = X.T @ X
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = X.T @ X
+        c = (X.T @ y).tolist()
     col_sq = G.diagonal().tolist()
+    # by Cauchy-Schwarz a finite diagonal bounds every entry of G
+    if not all(map(math.isfinite, col_sq + c)):
+        raise NonFiniteValue("X^T X or X^T y overflows float64")
     G = G.tolist()
     for j, row in enumerate(G):
         row[j] = 0.0  # so the sums skip i == j
-    c = (X.T @ y).tolist()
     coords = [(j, c[j], G[j], col_sq[j] / m)
               for j in range(k) if col_sq[j] != 0.0]
     w = [0.0] * k
@@ -216,7 +227,8 @@ def lasso_fit(X, y, lam: float) -> list[float]:
     Minimizes ``||y - X w||**2 / (2 m) + lam * ||w||_1`` for an m-by-k
     design ``X``.  The caller is expected to standardize columns; the update
     itself only requires nonzero column norms (flat columns keep weight 0).
-    ``lam=0`` reduces to ordinary least squares.
+    ``lam=0`` reduces to ordinary least squares.  An ``X^T X`` or ``X^T y``
+    beyond the float64 range raises :class:`NonFiniteValue`.
     """
     import numpy as np
 

@@ -71,7 +71,10 @@ def classify(params: DdeParams) -> Regime:
     if not math.isfinite(disc):
         raise NonFiniteValue(f"b**2 - a**2 overflows float64 for "
                              f"a={params.a!r}, b={params.b!r}")
-    tol = DEGENERACY_RTOL * max(1.0, params.b * params.b + params.a * params.a)
+    # the band's bound from halved squares, whose sum cannot overflow where
+    # b**2 - a**2 does not; halving and doubling are exact, so are its bits
+    half = max(0.5, 0.5 * (params.b * params.b) + 0.5 * (params.a * params.a))
+    tol = 2.0 * (DEGENERACY_RTOL * half)
     r = math.sqrt(abs(disc))
     if abs(disc) <= tol:
         return Regime(tag=RegimeTag.DEGENERATE, r=r)

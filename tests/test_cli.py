@@ -10,12 +10,13 @@ import pathlib
 import warnings
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mirrordde import cli, numerics
+from mirrordde import SingularSystem, cli, numerics
 
 from helpers import run_cli, run_cli_bytes
 from oracles import max_relative_deviation
@@ -247,6 +248,23 @@ class TestSimulate:
         assert (code, out) == (2, "")
         assert err == ("ERROR 2: b**2 - a**2 overflows float64 for a=0.0, "
                        "b=1e+200\n")
+
+    def test_squares_whose_sum_overflows(self):
+        # b**2 + a**2 overflows, b**2 - a**2 does not: exponential, not the
+        # degenerate ramp -1.3, 1, 3.3; the values are mpmath's
+        code, out, err = run_cli("simulate", "--a", "1e154", "--b", "1.3e154",
+                                 "--p0", "1", "--t-min=-1e-154",
+                                 "--t-max", "1e-154", "--steps", "2")
+        assert (code, err) == (0, "")
+        assert out == ("t,p\n-1e-154,-1.20847718292\n0,1\n"
+                       "1e-154,3.93907603819\n")
+        a, b = mpmath.mpf(1e154), mpmath.mpf(1.3e154)
+        r = mpmath.sqrt(b * b - a * a)
+        for row in out.splitlines()[1:]:
+            t, p = map(float, row.split(","))
+            rt = r * mpmath.mpf(t)
+            assert p == float(mpmath.nstr(
+                mpmath.cosh(rt) + (a + b) / r * mpmath.sinh(rt), 12))
 
 
 # ---------------------------------------------------------------------------
@@ -752,6 +770,12 @@ class TestVerify:
         assert err == ("ERROR 2: b**2 - a**2 overflows float64 for a=1e+200, "
                        "b=1e+300\n")
 
+    def test_squares_whose_sum_overflows(self):
+        code, out, err = run_cli("verify", "--a", "1e154", "--b", "1.3e154",
+                                 "--p0", "1", "--t-max", "1e-154",
+                                 "--step", "1e-156")
+        assert (code, out, err) == (0, "8.28181967449e-11\n", "")
+
     def test_regime_checked_before_integration(self, monkeypatch):
         def no_oracle(*args):
             raise AssertionError("oracle_solution must not run")
@@ -866,6 +890,41 @@ class TestDispatch:
         assert code == 2 and out == b""
         assert b"Traceback" not in err
         assert err.count(b"ERROR 2: ") == 1 and err.count(b"\n") == 1
+
+    @pytest.mark.parametrize("flag, value, detail", [
+        ("--theta-lin", "1", "expected two comma-separated numbers, got '1'"),
+        ("--eta-exp", "1,x", "expected two comma-separated numbers, "
+                             "got '1,x'"),
+        ("--theta-const", "abc", "not a number: 'abc'"),
+    ])
+    def test_flag_value_errors(self, flag, value, detail):
+        code, out, err = run_cli("simulate", "--a", "0.2", "--b", "0.6",
+                                 "--p0", "1", flag, value)
+        assert (code, out) == (2, "")
+        assert err == f"ERROR 2: argument {flag}: {detail}\n"
+
+    @pytest.mark.parametrize("subcommand", ["fit", "rank"])
+    def test_empty_input(self, tmp_path, subcommand):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(b"\n\n")
+        code, out, err = run_cli(subcommand, "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"ERROR 2: {str(path)!r} is empty\n"
+
+    @pytest.mark.parametrize("exc, code, detail", [
+        (SingularSystem("det=0.0"), 4, "det=0.0"),
+        (OverflowError("math range error"), 2,
+         "result exceeds the float64 range (math range error)"),
+    ])
+    def test_stage_errors_map_to_exit_codes(self, monkeypatch, exc, code,
+                                            detail):
+        def stage(*args):
+            raise exc
+
+        monkeypatch.setattr(cli, "eta_article", stage)
+        got = run_cli("eta", "--art", "0.5", "--alpha", "0.2",
+                      "--a", "0.3", "--b", "0.8")
+        assert got == (code, "", f"ERROR {code}: {detail}\n")
 
     def test_module_entry_point(self, data_dir):
         code, out, err = run_cli_bytes("rank", "--input",

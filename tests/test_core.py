@@ -397,6 +397,14 @@ class TestRankingResult:
         ))
         assert result.by_name("B").rank == 2
 
+    def test_no_entries_rejected(self):
+        with pytest.raises(ValueError, match="at least one entry"):
+            RankingResult(entries=())
+
+    def test_repeated_name_rejected(self):
+        with pytest.raises(ValueError, match="journal names must be unique"):
+            RankingResult(entries=(entry(1, "A", 0.2, 1), entry(2, "A", 0.5, 2)))
+
     def test_rank_permutation_enforced(self):
         with pytest.raises(ValueError):
             RankingResult(entries=(entry(1, "A", 0.2, 1), entry(3, "B", 0.5, 2)))

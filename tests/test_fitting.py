@@ -268,6 +268,13 @@ class TestModesToAB:
         with pytest.raises(SingularSystem):
             modes_to_AB(1.0, 1.0, 0.4, -0.4)
 
+    def test_coefficients_whose_squares_sum_past_float64(self):
+        # a**2 + b**2 overflows; a**2 - b**2 = -6.9e307 does not
+        A, B = modes_to_AB(1.0, 2.0, 1e154, 1.3e154)
+        assert math.isfinite(A) and math.isfinite(B)
+        assert 1e154 * A + 1.3e154 * B == pytest.approx(1.0, rel=1e-14)
+        assert 1.3e154 * A + 1e154 * B == pytest.approx(2.0, rel=1e-14)
+
     def test_worked_inversion(self):
         # forward: w1 = 0.3*2 + 0.5*3 = 2.1, w2 = 0.3*3 + 0.5*2 = 1.9
         A, B = modes_to_AB(2.1, 1.9, 0.3, 0.5)

@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mirrordde import (
@@ -50,6 +50,24 @@ class TestSvdValues:
     def test_non_finite_rejected(self):
         with pytest.raises(NonFiniteValue):
             svd_values([[1.0, math.nan], [0.0, 1.0]])
+
+    def test_one_dimensional_rejected(self):
+        with pytest.raises(DimensionMismatch,
+                           match=r"expected a 2-d array, got shape \(3,\)"):
+            svd_values([1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_empty_rejected(self, shape):
+        with pytest.raises(ValueError, match="matrix must be non-empty"):
+            svd_values(np.zeros(shape))
+
+    def test_sweep_cap(self, monkeypatch):
+        # one sweep rotates a generic 5x4 matrix and leaves no sweep to
+        # confirm that its columns are orthogonal
+        monkeypatch.setattr(numerics, "JACOBI_MAX_SWEEPS", 1)
+        a = np.random.default_rng(3).standard_normal((5, 4))
+        with pytest.raises(ConvergenceFailure, match="within 1 sweeps"):
+            svd_values(a)
 
     def test_identity(self):
         assert svd_values([[1.0, 0.0], [0.0, 1.0]]) == [1.0, 1.0]
@@ -139,6 +157,35 @@ class TestSolve2x2:
         # det = inf - inf = nan
         with pytest.raises(SingularSystem, match=r"\(det=nan\)"):
             solve_2x2(1e200, 1e200, 1e200, 1e200, 1.0, 1.0)
+
+    def test_row_norms_whose_product_overflows(self):
+        # |det| = 6.9e307 against 1e-12 times a product of 2.7e308
+        x, y = solve_2x2(1e154, 1.3e154, 1.3e154, 1e154, 1.0, 2.0)
+        assert (x, y) == (2.3188405797101453e-154, -1.0144927536231889e-154)
+
+    def test_zero_row_under_an_overflowing_norm_is_singular(self):
+        with pytest.raises(SingularSystem, match=r"\(det=0\.0\)"):
+            solve_2x2(1.5e308, 1.5e308, 0.0, 0.0, 1.0, 1.0)
+
+    @given(m=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                      min_size=4, max_size=4),
+           near=st.floats(min_value=-4e-12, max_value=4e-12),
+           pair=st.sampled_from(["free", "near"]))
+    @settings(max_examples=300, deadline=None)
+    def test_decision_is_the_textbook_one_wherever_that_is_finite(self, m,
+                                                                  near, pair):
+        m11, m12, m21, m22 = m
+        if pair == "near" and m11 != 0.0:
+            m22 = m12 * m21 / m11 * (1.0 + near)  # det near the threshold
+        det = m11 * m22 - m12 * m21
+        scale = math.hypot(m11, m12) * math.hypot(m21, m22)
+        assume(math.isfinite(scale))
+        if not math.isfinite(det) or abs(det) <= 1e-12 * scale:
+            with pytest.raises(SingularSystem):
+                solve_2x2(m11, m12, m21, m22, 1.0, -1.0)
+        else:
+            assert solve_2x2(m11, m12, m21, m22, 1.0, -1.0) == (
+                (1.0 * m22 - m12 * -1.0) / det, (m11 * -1.0 - m21 * 1.0) / det)
 
     def test_matches_dense_solver(self):
         rng = np.random.default_rng(11)
@@ -249,6 +296,18 @@ class TestLasso:
     def test_single_observation(self):
         with pytest.raises(ValueError, match="need at least 2 observations"):
             lasso_fit([[1.0, 2.0]], [1.0], 0.1)
+
+    def test_overflowing_gram_product(self):
+        # the first column's sum of squares overflows; numpy's matmul
+        # warning would be an error here
+        X = np.random.default_rng(0).normal(size=(6, 3))
+        X[:, 0] *= 1e160
+        y = np.random.default_rng(1).normal(size=6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue,
+                               match=r"X\^T X or X\^T y overflows float64"):
+                lasso_fit(X, y, 0.1)
 
 
 def standardized_design(seed, m, k):
@@ -540,6 +599,11 @@ class TestFiniteDiff:
     def quadratic_series(self, h=0.1, n_half=15):
         times = [h * (i - n_half) for i in range(2 * n_half + 1)]
         return validate_series(times, [t * t for t in times])
+
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError,
+                           match="unknown finite-difference mode: 'central'"):
+            finite_diff(self.quadratic_series(), "central")
 
     def test_central_exact_on_quadratic(self):
         series = self.quadratic_series()

@@ -93,6 +93,31 @@ class TestClassify:
         assert str(info.value) == (f"b**2 - a**2 overflows float64 for "
                                    f"a={a!r}, b={b!r}")
 
+    def test_squares_whose_sum_overflows(self):
+        # b**2 + a**2 overflows float64, b**2 - a**2 = 6.9e307 does not
+        regime = classify(DdeParams(a=1e154, b=1.3e154, p0=1.0))
+        assert regime.tag is RegimeTag.EXPONENTIAL
+        assert regime.r == math.sqrt(1.3e154 * 1.3e154 - 1e154 * 1e154)
+
+    @given(a=st.floats(allow_nan=False, allow_infinity=False),
+           b=st.floats(allow_nan=False, allow_infinity=False),
+           near=st.floats(min_value=-4e-12, max_value=4e-12),
+           pair=st.sampled_from(["free", "near"]))
+    @example(a=0.4, b=0.0, near=1e-12, pair="near")
+    @settings(max_examples=300, deadline=None)
+    def test_band_is_the_textbook_one_wherever_that_is_finite(self, a, b,
+                                                              near, pair):
+        if pair == "near":
+            b = a * (1.0 + near)  # |b**2 - a**2| near the band's edge
+        disc = b * b - a * a
+        tol = 1e-12 * max(1.0, b * b + a * a)
+        assume(math.isfinite(disc) and math.isfinite(tol))
+        if abs(disc) <= tol:
+            want = RegimeTag.DEGENERATE
+        else:
+            want = RegimeTag.EXPONENTIAL if disc > 0.0 else RegimeTag.OSCILLATORY
+        assert classify(DdeParams(a=a, b=b, p0=1.0)).tag is want
+
 
 # ---------------------------------------------------------------------------
 # base_solution
@@ -716,6 +741,11 @@ class TestForcedLoopReference:
 # ---------------------------------------------------------------------------
 
 class TestOracleSolution:
+    @pytest.mark.parametrize("t_max", [0.0, -1.0, math.inf, math.nan])
+    def test_window_must_be_positive(self, t_max):
+        with pytest.raises(ValueError, match="t_max must be positive"):
+            oracle_solution(DdeParams(a=0.3, b=0.5, p0=1.0), t_max, 1e-3)
+
     def test_pure_present_term(self):
         params = DdeParams(a=0.0, b=1.0, p0=1.0)
         for t, p in zip(*oracle_solution(params, 1.0, 1e-3)):
