@@ -2,17 +2,16 @@
 finite differences.
 
 The problems this package actually solves are small — matrices with a
-handful of columns, trajectories with a few thousand steps — so each kernel
-is written directly for that size class instead of pulling in a large
-solver: one-sided Jacobi rotations for singular values, Cramer's rule for
-2x2 systems, cyclic coordinate descent with covariance updates for the l1
-fit (one Gram product per call, then O(q) work per coordinate step for q
+handful of columns, trajectories with a few thousand steps — so most
+kernels are written directly for that size class: Cramer's rule for 2x2
+systems, cyclic coordinate descent with covariance updates for the l1 fit
+(one Gram product per call, then O(q) work per coordinate step for q
 nonzero coefficients), and classical RK4 on local floats for the one system
-integrated, ``y' = M y`` with a constant 2x2 ``M``.  The 2x2 solve and RK4
-run on ``math`` alone; numpy, which supplies array storage and elementwise
-arithmetic only, is imported by the array kernels (singular values, the l1
-fit, finite differences) when first called, so a process that never uses
-them never loads it.
+integrated, ``y' = M y`` with a constant 2x2 ``M``.  Singular values, which
+no command needs, come from numpy's LAPACK SVD on a power-of-two-scaled
+copy.  The 2x2 solve and RK4 run on ``math`` alone; numpy is imported by
+the array kernels (singular values, the l1 fit, finite differences) when
+first called, so a process that never uses them never loads it.
 """
 
 from __future__ import annotations
@@ -34,12 +33,6 @@ from .errors import (
 if TYPE_CHECKING:
     import numpy as np
     from numpy.typing import NDArray
-
-#: Off-diagonal threshold below which a Jacobi column pair counts as orthogonal.
-JACOBI_TOL = 1e-12
-
-#: Hard cap on Jacobi sweeps; reaching it raises ConvergenceFailure.
-JACOBI_MAX_SWEEPS = 100
 
 #: Relative determinant threshold for the 2x2 solver.
 SOLVE2_RTOL = 1e-12
@@ -77,63 +70,29 @@ def _sum_left_to_right(terms: NDArray[np.float64]) -> float:
 
 
 def svd_values(matrix) -> list[float]:
-    """Singular values of a matrix, descending, via one-sided Jacobi.
+    """Singular values of a matrix, descending, by LAPACK (``numpy.linalg``).
 
-    The matrix (anything array-like) is first oriented tall, then pairs of
-    columns are rotated until every pair is orthogonal to within
-    :data:`JACOBI_TOL` relative to the column norms.
-    The singular values are the final column norms.  Rotations preserve the
-    Frobenius norm, so ``sum(s**2 for s in result)`` equals the squared
-    Frobenius norm of the input up to rounding.
-
-    The rotations run on the matrix scaled by the power of two that brings
-    its largest entry into [0.5, 1), so no column product overflows; the
-    scaling is exact for entries above 2**-1022 times the largest.  A
-    singular value beyond the float64 range raises :class:`NonFiniteValue`.
+    The SVD runs on the matrix (anything array-like) scaled by the power of
+    two that brings its largest entry into [0.5, 1), and the values are
+    scaled back exactly, so scaling the input by a power of two scales the
+    result by the same power bit for bit (LAPACK's own rescaling is not by
+    powers of two).  The scaling is exact for entries above 2**-1022 times
+    the largest.  A singular value beyond the float64 range raises
+    :class:`NonFiniteValue`, and an SVD that does not converge raises
+    :class:`ConvergenceFailure`.
     """
     import numpy as np
 
     a = _as_matrix_array(m=matrix)
-    # a copy of our own, since the scaling below works in place
-    a = a.T.copy() if a.shape[0] < a.shape[1] else a.copy(order="K")
-    n = a.shape[1]
     e = math.frexp(float(np.abs(a).max()))[1]
-    np.ldexp(a, -e, out=a)
-
-    for _ in range(JACOBI_MAX_SWEEPS):
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                cp = a[:, p]
-                cq = a[:, q]
-                app = float(cp @ cp)
-                aqq = float(cq @ cq)
-                apq = float(cp @ cq)
-                if abs(apq) <= JACOBI_TOL * math.sqrt(app * aqq):
-                    continue
-                rotated = True
-                tau = (aqq - app) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = c * t
-                new_p = c * cp - s * cq
-                new_q = s * cp + c * cq
-                a[:, p] = new_p
-                a[:, q] = new_q
-        if not rotated:
-            break
-    else:
-        raise ConvergenceFailure(
-            f"Jacobi sweeps did not orthogonalize columns within "
-            f"{JACOBI_MAX_SWEEPS} sweeps"
-        )
-
     try:
-        norms = [math.ldexp(math.sqrt(a[:, j] @ a[:, j]), e) for j in range(n)]
+        s = np.linalg.svd(np.ldexp(a, -e), compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"LAPACK: {exc}") from exc
+    try:
+        return [math.ldexp(float(v), e) for v in s]
     except OverflowError as exc:
         raise NonFiniteValue("a singular value overflows float64") from exc
-    norms.sort(reverse=True)
-    return norms
 
 
 def solve_2x2(m11: float, m12: float, m21: float, m22: float,

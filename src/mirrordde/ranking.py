@@ -48,22 +48,35 @@ class EliminationTrace:
     steps: tuple[TraceStep, ...]
 
 
-def _standardized(block: NDArray[np.float64],
+def _scaled_columns(data: NDArray[np.float64]
+                    ) -> tuple[NDArray[np.float64], NDArray[np.intc]]:
+    """``data`` with each column scaled by the power of two ``2**-e`` that
+    brings its largest entry into [0.5, 1), and ``e``: no square or sum of
+    the scaled columns overflows."""
+    e = np.frexp(np.abs(data).max(axis=0))[1]
+    return np.ldexp(data, -e), e
+
+
+def _standardized(block: NDArray[np.float64], e: NDArray[np.intc],
                   feature_names: tuple[str, ...]) -> NDArray[np.float64]:
     """Standardize the columns of a journals-by-features array.
 
-    Checks and rounding are those of :func:`standardize`.  The block is
-    copied to Fortran order first: there each column reduction sums the
-    contiguous column in numpy's pairwise order, as a 1-d column view does,
-    whereas on a C-ordered block numpy sums row by row and the last bit
-    differs.
+    ``block`` holds each column scaled by ``2**-e`` (see
+    :func:`_scaled_columns`); the z-scores are those of the unscaled
+    columns bit for bit, since every step commutes with a power of two, and
+    the flatness rule of :func:`standardize` is decided on the unscaled
+    mean and spread.  The block is copied to Fortran order first: there
+    each column reduction sums the contiguous column in numpy's pairwise
+    order, as a 1-d column view does, whereas on a C-ordered block numpy
+    sums row by row and the last bit differs.
     """
     block = np.asfortranarray(block)
     m = block.shape[0]
     mu = block.sum(axis=0) / m  # the bits of block.mean(axis=0)
     dev = block - mu
     sigma = np.sqrt((dev ** 2).sum(axis=0) / m)
-    flat = sigma <= STD_RTOL * np.maximum(1.0, np.abs(mu))
+    flat = (np.ldexp(sigma, e)
+            <= STD_RTOL * np.maximum(1.0, np.ldexp(np.abs(mu), e)))
     if flat.any():
         name = feature_names[int(flat.argmax())]
         raise ZeroVarianceColumn(f"feature {name!r} has zero variance",
@@ -79,7 +92,7 @@ def standardize(matrix: FeatureMatrix) -> FeatureMatrix:
     be scaled and raises :class:`ZeroVarianceColumn` naming the first such
     feature.
     """
-    out = _standardized(matrix.data, matrix.feature_names)
+    out = _standardized(*_scaled_columns(matrix.data), matrix.feature_names)
     return FeatureMatrix(journal_names=matrix.journal_names,
                          feature_names=matrix.feature_names,
                          data=out)
@@ -122,7 +135,7 @@ def rank_journals(matrix: FeatureMatrix, response_feature: str,
     pred_idx = [j for j in range(matrix.n_features) if j != resp_idx]
     n = matrix.n_features
     m = matrix.n_journals
-    data = matrix.data
+    data, e = _scaled_columns(matrix.data)
     names = matrix.journal_names
 
     remaining = np.arange(m)
@@ -131,7 +144,7 @@ def rank_journals(matrix: FeatureMatrix, response_feature: str,
 
     for step in range(1, m):
         try:
-            std = _standardized(data.take(remaining, axis=0),
+            std = _standardized(data.take(remaining, axis=0), e,
                                 matrix.feature_names)
             coeffs = lasso_fit(std[:, pred_idx], std[:, resp_idx], lam)
         except ZeroVarianceColumn as exc:

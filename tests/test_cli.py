@@ -575,6 +575,18 @@ class TestRank:
         assert code == 0
         assert out == (data_dir / "golden_rank_m8.csv").read_text()
 
+    def test_column_scaled_by_2_1000_matches_golden_m8(self, data_dir):
+        """``rank_m8_2p1000.csv`` is ``rank_m8.csv`` with CiteScore times
+        2**1000 exactly; standardization divides the scale out, so the
+        bytes are those of the unscaled table.  The squares of its
+        deviations used to overflow: every score printed as 0, and numpy's
+        warning landed on stderr."""
+        code, out, err = run_cli_bytes("rank", "--input",
+                                       str(data_dir / "rank_m8_2p1000.csv"))
+        assert (code, out, err) == (
+            0, (data_dir / "golden_rank_m8.csv").read_bytes(),
+            b"response=CiteScore lambda=0.1\n")
+
     def test_matches_golden_m60(self, data_dir):
         """60 journals, so standardization sums columns longer than 8 rows.
 

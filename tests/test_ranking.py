@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import csv
 import math
 import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirrordde import (
     FeatureMatrix,
+    MirrorDdeError,
     UnknownResponseFeature,
     ZeroVarianceColumn,
     rank_journals,
@@ -250,3 +254,90 @@ class TestRankJournals:
                 for e in first[0].entries] \
             == [(e.rank, e.journal_name, e.singval, e.elimination_step)
                 for e in second[0].entries]
+
+
+# ---------------------------------------------------------------------------
+# columns whose squares or sums overflow
+# ---------------------------------------------------------------------------
+
+def lognormal_table(seed, m, k):
+    """Positive journals-by-features values with one shared latent factor,
+    drawn as the benchmark's ``rank`` tables are."""
+    rng = np.random.default_rng(seed)
+    mu = rng.uniform(0.0, 2.0, k)
+    sigma = rng.uniform(0.3, 0.8, k)
+    rho = rng.uniform(0.4, 0.8, k)
+    z = rng.standard_normal(m)
+    e = rng.standard_normal((m, k))
+    return np.exp(mu + sigma * (rho * z[:, None] + np.sqrt(1 - rho ** 2) * e))
+
+
+def ranking_outcome(matrix_, response, lam):
+    try:
+        result, trace = rank_journals(matrix_, response, lam)
+    except MirrorDdeError as exc:
+        return type(exc), str(exc)
+    return result.entries, trace.steps
+
+
+class TestColumnScale:
+    @given(seed=st.integers(min_value=0, max_value=2**31 - 1),
+           m=st.integers(min_value=3, max_value=12),
+           k=st.integers(min_value=2, max_value=5),
+           lam=st.sampled_from([0.0, 0.1]),
+           data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_power_of_two_column_scale_is_exact(self, seed, m, k, lam, data):
+        # standardization divides any per-column scale out, and a power of
+        # two does so exactly, up to the largest that keeps every entry
+        # finite (2**1023 at the top used to overflow the squares)
+        values = lognormal_table(seed, m, k)
+        col = data.draw(st.integers(min_value=0, max_value=k - 1))
+        top = 1024 - math.frexp(float(values[:, col].max()))[1]
+        power = data.draw(st.integers(min_value=0, max_value=top))
+        scaled = values.copy()
+        scaled[:, col] = np.ldexp(values[:, col], power)
+        names = tuple(f"J{i}" for i in range(m))
+        feats = tuple(f"f{j}" for j in range(k))
+        base = FeatureMatrix(names, feats, values)
+        big = FeatureMatrix(names, feats, scaled)
+        assert (ranking_outcome(big, "f0", lam)
+                == ranking_outcome(base, "f0", lam))
+        assert np.array_equal(standardize(big).data, standardize(base).data)
+
+    def test_column_at_the_top_of_float64(self):
+        # the column sum 2**1024 overflowed to inf and read as flat
+        top = math.ldexp(1.0, 1023)
+        feats = ("CiteScore", "SJR")
+        big = FeatureMatrix(("A", "B", "C"), feats,
+                            [[top, 1.0], [top, 2.0], [0.0, 3.0]])
+        base = FeatureMatrix(("A", "B", "C"), feats,
+                             [[1.0, 1.0], [1.0, 2.0], [0.0, 3.0]])
+        assert (ranking_outcome(big, "CiteScore", 0.1)
+                == ranking_outcome(base, "CiteScore", 0.1))
+
+    def test_scaled_m8_matches_brute_force(self, data_dir):
+        # the oracle standardizes with ``statistics``, exactly, so the
+        # scaled table must meet it within C10's bounds
+        with open(data_dir / "rank_m8_2p1000.csv", newline="",
+                  encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        feats = tuple(rows[0][1:])
+        names = tuple(row[0] for row in rows[1:])
+        data = [[float(cell) for cell in row[1:]] for row in rows[1:]]
+        assert max(row[0] for row in data) > 1e301
+        result, trace = rank_journals(matrix(names, feats, data),
+                                      "CiteScore", 0.1)
+        entries, bf_trace = brute_force_ranking(names, feats, data,
+                                                "CiteScore", 0.1)
+        got = [(e.rank, e.journal_name, e.elimination_step)
+               for e in result.entries]
+        assert got == [(rank, name, step) for rank, name, _, step in entries]
+        for e, (_, _, singval, _) in zip(result.entries, entries):
+            assert abs(e.singval - singval) <= 1e-9
+        for s, (step, name, row_norm, col_norm, singval) in zip(trace.steps,
+                                                                bf_trace):
+            assert (s.step_index, s.journal_name) == (step, name)
+            assert abs(s.row_norm - row_norm) <= 1e-9
+            assert abs(s.chosen_col_norm - col_norm) <= 1e-9
+            assert abs(s.singval - singval) <= 1e-9
