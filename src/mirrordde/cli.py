@@ -15,8 +15,9 @@ code   meaning
 6      verify found closed form and oracle in disagreement
 =====  ==========================================================
 
-Floats are printed with 12 significant digits so output files are stable
-byte-for-byte across runs.
+``simulate``, ``rank``, ``verify`` and ``eta`` print floats with 12
+significant digits; ``fit`` prints JSON floats in their round-trip repr.
+Either way output files are stable byte-for-byte across runs.
 """
 
 from __future__ import annotations

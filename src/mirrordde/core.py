@@ -6,9 +6,10 @@ t=0 through the delay relation
     p'(t) = a * p(-t) + b * p(t)
 
 where ``a`` weighs the mirrored (history) sample and ``b`` the present one.
-All types here are immutable after construction and validate their invariants
-in ``__post_init__``; invalid data raises instead of being clamped or
-repaired.
+All types here are immutable after construction.  Types that take outside
+data validate their invariants in ``__post_init__``; invalid data raises
+instead of being clamped or repaired.  ``Regime`` and ``RankingResult`` are
+built only by the library, valid by construction, and are not re-checked.
 """
 
 from __future__ import annotations
@@ -58,23 +59,22 @@ class InfluenceSeries:
     origin is a sample rather than an estimate.
 
     The constructor copies 1-d array-likes into read-only float64 arrays,
-    takes an explicit ``step`` as a float and checks every invariant once.
-    Equality is identity.  :func:`validate_series` infers the step.
+    derives ``step`` as the span of the grid over its intervals,
+    ``(t[-1] - t[0])/(n-1)`` in Python floats, and checks every invariant
+    once, each spacing against that step included.  Equality is identity.
     """
 
     times: NDArray[np.float64]
     values: NDArray[np.float64]
-    step: float
+    step: float = field(init=False)
 
     def __post_init__(self) -> None:
         import numpy as np
 
         t = _as_vector("times", self.times)
         v = _as_vector("values", self.values)
-        step = float(self.step)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
-        object.__setattr__(self, "step", step)
 
         n = t.size
         if n != v.size:
@@ -110,6 +110,8 @@ class InfluenceSeries:
         if n % 2 == 0:
             raise AsymmetricGrid(f"grid of even length {n} has no sample at t=0")
 
+        step = (float(t[-1]) - float(t[0])) / (n - 1)
+        object.__setattr__(self, "step", step)
         if not (math.isfinite(step) and step > 0.0):
             raise NonUniformGrid(f"step must be positive, got {step!r}")
         d = t[1:] - t[:-1]
@@ -151,18 +153,8 @@ def _first_true(mask: NDArray[np.bool_]) -> int | None:
 
 
 def validate_series(times, values) -> InfluenceSeries:
-    """Build an :class:`InfluenceSeries`, inferring the step from the grid.
-
-    The step is the span of the grid over its intervals,
-    ``(t[-1] - t[0])/(n-1)``, computed in Python floats; every check,
-    including each spacing against that step, is the constructor's.
-    """
-    import numpy as np
-
-    t = np.asarray(times, dtype=float)
-    n = t.size
-    step = (float(t.flat[-1]) - float(t.flat[0])) / (n - 1) if n > 1 else math.nan
-    return InfluenceSeries(times=t, values=values, step=step)
+    """Build an :class:`InfluenceSeries`; every check is the constructor's."""
+    return InfluenceSeries(times=times, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -215,13 +207,6 @@ class Regime:
 
     tag: RegimeTag
     r: float
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.tag, RegimeTag):
-            raise TypeError(f"tag must be a RegimeTag, got {self.tag!r}")
-        _require_finite("Regime.r", self.r)
-        if self.r < 0.0:
-            raise ValueError(f"r must be non-negative, got {self.r!r}")
 
 
 @dataclass(frozen=True)
@@ -481,12 +466,6 @@ class RankingEntry:
 
     def __post_init__(self) -> None:
         _require_finite("RankingEntry.singval", self.singval)
-        if self.singval < 0.0:
-            raise ValueError(f"singval must be non-negative, got {self.singval!r}")
-        if self.elimination_step < 1:
-            raise ValueError("elimination_step counts from 1")
-        if self.rank < 1:
-            raise ValueError("rank counts from 1")
 
 
 @dataclass(frozen=True)
@@ -499,26 +478,6 @@ class RankingResult:
     """
 
     entries: tuple[RankingEntry, ...]
-
-    def __post_init__(self) -> None:
-        entries = tuple(self.entries)
-        object.__setattr__(self, "entries", entries)
-        m = len(entries)
-        if m < 1:
-            raise ValueError("a ranking needs at least one entry")
-        if sorted(e.elimination_step for e in entries) != list(range(1, m + 1)):
-            raise ValueError("elimination steps must form a permutation of 1..m")
-        names = [e.journal_name for e in entries]
-        if len(set(names)) != m:
-            raise ValueError("journal names must be unique")
-        if [e.rank for e in entries] != list(range(1, m + 1)):
-            raise ValueError("entries must be ordered by rank")
-        keys = [(e.singval, e.elimination_step) for e in entries]
-        if keys != sorted(keys):
-            raise ValueError(
-                "ranks must be ordered by ascending singval, "
-                "ties by ascending elimination step"
-            )
 
     def by_name(self, name: str) -> RankingEntry:
         for e in self.entries:

@@ -355,12 +355,12 @@ def lstsq_coefficients(design, target):
 # Series grid checks as per-index loops
 # ---------------------------------------------------------------------------
 
-def longhand_series_error(times, values, step):
+def longhand_series_error(times, values):
     """The ``InfluenceSeries`` checks written as scalar loops.
 
     Returns ``(exception type, message)`` for the first check that fails, in
-    the library's order, or ``None`` for a valid series.  ``step=None``
-    infers the step from the span, as ``validate_series`` does.
+    the library's order, or ``None`` for a valid series.  The step is the
+    span over the intervals, as the library derives it.
     """
     times = [float(t) for t in times]
     values = [float(v) for v in values]
@@ -386,7 +386,7 @@ def longhand_series_error(times, values, step):
                                     f"partner; expected -times[{j}]={-times[j]!r}")
     if n % 2 == 0:
         return AsymmetricGrid, f"grid of even length {n} has no sample at t=0"
-    step = (times[-1] - times[0]) / (n - 1) if step is None else float(step)
+    step = (times[-1] - times[0]) / (n - 1)
     if not (math.isfinite(step) and step > 0.0):
         return NonUniformGrid, f"step must be positive, got {step!r}"
     for i in range(n - 1):

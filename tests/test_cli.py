@@ -7,6 +7,8 @@ import json
 import math
 import os
 import pathlib
+import re
+import shlex
 import warnings
 from unittest import mock
 
@@ -1062,6 +1064,57 @@ def eta_argv(draw):
     return ["eta", *flag_argv(draw, flags, tuple(flags))]
 
 
+@st.composite
+def fit_case(draw):
+    flags = {"--fd": st.sampled_from(["central", "forward"]),
+             "--predict": number()}
+    return "fit", draw(series_files()), flag_argv(draw, flags)
+
+
+#: Table cells: small values, every finite float, and the edges of float64.
+TABLE_CELLS = (st.floats(-10.0, 10.0)
+               | st.floats(allow_nan=False, allow_infinity=False)
+               | st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e-300,
+                                  1e308, -1.7e308])).map(repr)
+
+
+@st.composite
+def rank_tables(draw) -> bytes:
+    """A ``journal,<features...>`` table, then up to three mutations: a
+    ragged row, a non-numeric cell, a duplicate name or a flat column."""
+    m = draw(st.integers(1, 6))
+    features = draw(st.lists(st.sampled_from(["CiteScore", "SJR", "SNIP", "h5"]),
+                             min_size=2, max_size=4, unique=True))
+    rows = [["journal", *features]] + [
+        [f"J{i}", *(draw(TABLE_CELLS) for _ in features)] for i in range(m)]
+    kinds = ["ragged", "token", "duplicate", "flat"]
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=3)):
+        row = rows[draw(st.integers(1, m))]
+        if kind == "ragged":
+            if draw(st.booleans()):
+                row.append("1")
+            else:
+                row.pop()
+        elif kind == "token":
+            row[draw(st.integers(1, len(row) - 1))] = draw(
+                st.sampled_from(ODD_TOKENS) | st.text("abc.e+-", max_size=4))
+        elif kind == "duplicate":
+            row[0] = rows[draw(st.integers(1, m))][0]
+        else:
+            j, value = draw(st.integers(1, len(features))), draw(TABLE_CELLS)
+            for cells in rows[1:]:
+                if j < len(cells):
+                    cells[j] = value
+    return ("\n".join(",".join(cells) for cells in rows) + "\n").encode()
+
+
+@st.composite
+def rank_case(draw):
+    flags = {"--lambda": st.floats(0.0, 2.0).map(repr) | number(),
+             "--response": st.sampled_from(["CiteScore", "SJR", "h5", "none"])}
+    return "rank", draw(rank_tables()), flag_argv(draw, flags)
+
+
 class TestNeverRaises:
     @given(argv=st.one_of(simulate_argv(), verify_argv(), eta_argv()))
     @example(argv=["verify", "--a", "-2e-05", "--b", "0.5", "--p0", "1"])
@@ -1080,3 +1133,79 @@ class TestNeverRaises:
         else:
             assert err.startswith(f"ERROR {code}: ")
             assert err.count("\n") == 1 and err.endswith("\n")
+
+    @given(case=st.one_of(fit_case(), rank_case()))
+    @example(case=("rank", b"journal,CiteScore,SJR\nA,1e308,-1.7e308\n"
+                           b"B,5e-324,1\nC,-1e308,1e308\n", []))
+    @example(case=("rank", b"journal,CiteScore,SJR\nA,1,2\nA,3,4\n", []))
+    @example(case=("fit", b"t,p\n-1,1\n0,2\n1,3\n", ["--predict", "1e308"]))
+    @settings(max_examples=200, deadline=None)
+    def test_file_commands_end_in_at_most_one_error_line(self, tmp_path_factory,
+                                                         case):
+        """``fit`` and ``rank`` on any file and flags: main returns an int,
+        and stderr holds at most ``rank``'s echo or ``fit``'s mode note,
+        then one ERROR line exactly when the exit code is not 0."""
+        command, data, flags = case
+        path = tmp_path_factory.getbasetemp() / "never_raises_input.csv"
+        path.write_bytes(data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(command, "--input", str(path), *flags)
+        assert isinstance(code, int)
+        assert err == "" or err.endswith("\n")
+        lines = err.splitlines()
+        errors = [line for line in lines if line.startswith("ERROR ")]
+        if code == 0:
+            assert errors == [] and len(lines) <= 1
+        else:
+            assert errors == [lines[-1]] and len(lines) <= 2
+            assert lines[-1].startswith(f"ERROR {code}: ")
+
+
+# ---------------------------------------------------------------------------
+# README examples
+# ---------------------------------------------------------------------------
+
+README = pathlib.Path(__file__).parents[1] / "README.md"
+
+
+def readme_examples() -> list[tuple[list[str], list[str]]]:
+    """(argv, shown output lines) of each ``$ mirrordde ...`` line in the
+    ``sh`` blocks of README.md, in order."""
+    examples, current = [], None
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            current = [] if line == "```sh" else None
+        elif current is not None and line.startswith("$ mirrordde "):
+            current = []
+            examples.append((shlex.split(line)[2:], current))
+        elif current is not None and examples:
+            current.append(line)
+    return examples
+
+
+def shown_output_matches(shown: list[str], out: list[str]) -> bool:
+    """``...`` inside a shown line stands for any text; a lone ``...`` line
+    ends the comparison."""
+    for i, want in enumerate(shown):
+        if want == "...":
+            return True
+        pattern = ".*".join(map(re.escape, want.split("...")))
+        if i >= len(out) or not re.fullmatch(pattern, out[i]):
+            return False
+    return len(out) == len(shown)
+
+
+def test_readme_examples_print_what_they_show(tmp_path, monkeypatch):
+    """Each README example, run in order in one directory (so ``simulate
+    --out`` feeds the ``fit`` after it), succeeds and prints what it shows."""
+    (tmp_path / "tests").symlink_to(pathlib.Path(__file__).parent)
+    monkeypatch.chdir(tmp_path)
+    examples = readme_examples()
+    assert len(examples) >= 5
+    wrong = []
+    for argv, shown in examples:
+        code, out, _ = run_cli(*argv)
+        if code != 0 or not shown_output_matches(shown, out.splitlines()):
+            wrong.append((argv, code, out[:300]))
+    assert wrong == []
