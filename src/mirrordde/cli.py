@@ -23,9 +23,7 @@ Either way output files are stable byte-for-byte across runs.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import math
 import re
 import sys
@@ -311,6 +309,8 @@ def _csv_rows(path: str, data: bytes) -> list[list[str]]:
     The bytes are decoded as ``open(path, encoding="utf-8-sig", newline="")``
     would decode them, chunk by chunk.
     """
+    import csv
+
     text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
     try:
         rows = [row for row in csv.reader(text) if row]
@@ -332,6 +332,8 @@ def _plain_series(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     any exception (numpy's parse errors differ between versions), is left to
     the csv reader and its error lines.
     """
+    import csv
+
     import numpy as np
 
     lines = data.count(b"\n") - 1 + (not data.endswith(b"\n"))
@@ -388,6 +390,8 @@ def _read_series_csv(path: str) -> tuple[ArrayLike, ArrayLike]:
 
 
 def cmd_fit(args) -> None:
+    import json
+
     from .fitting import fit_pipeline
 
     times, values = _read_series_csv(args.input)

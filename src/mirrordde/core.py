@@ -10,13 +10,19 @@ All types here are immutable after construction.  Types that take outside
 data validate their invariants in ``__post_init__``; invalid data raises
 instead of being clamped or repaired.  ``Regime`` and ``RankingResult`` are
 built only by the library, valid by construction, and are not re-checked.
+
+Every record, here and in :mod:`~mirrordde.fitting` and
+:mod:`~mirrordde.ranking`, derives from :class:`_Record`, which gives it
+what a frozen dataclass would: a constructor, immutability, equality and
+hashing by field tuple, ``repr`` and ``__match_args__``.  It replaces
+``dataclasses``, whose import and per-class code generation cost more than
+the rest of the CLI's startup.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence, Union
 
 from .errors import (
@@ -46,11 +52,70 @@ def _require_finite(name: str, *values: float) -> None:
 
 
 # ---------------------------------------------------------------------------
+# the record base
+# ---------------------------------------------------------------------------
+
+class _Record:
+    """Base of the frozen record types.
+
+    A subclass declares its fields as annotations, in order, and a class
+    attribute of a field's name is that field's default.  Creating the
+    subclass compiles an ``__init__`` with exactly those parameters, as
+    :func:`collections.namedtuple` does, so :mod:`inspect` reports them; it
+    stores each argument, then calls ``__post_init__`` if the class has one.
+    Names listed in ``derived`` are fields that ``__post_init__`` sets: they
+    show in the repr but are not parameters.  Instances refuse attribute
+    assignment and deletion, compare equal when of one type with equal field
+    tuples, and hash that tuple.
+    """
+
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls, derived: tuple[str, ...] = ()):
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls.__match_args__ = params = tuple(
+            name for name in cls._fields if name not in derived)
+        # Defaults are read off the class when the def runs; a required
+        # parameter after a defaulted one is a SyntaxError there.
+        signature = "".join(f", {name}=_cls.{name}" if name in cls.__dict__
+                            else f", {name}" for name in params)
+        lines = [f"def __init__(self{signature}):", "    _d = self.__dict__"]
+        lines += [f"    _d[{name!r}] = {name}" for name in params]
+        if hasattr(cls, "__post_init__"):
+            lines.append("    self.__post_init__()")
+        namespace = {"_cls": cls}
+        exec("\n".join(lines), namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+# ---------------------------------------------------------------------------
 # sampled series
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class InfluenceSeries:
+class InfluenceSeries(_Record, derived=("step",)):
     """Uniformly sampled influence values on a time grid symmetric about 0.
 
     The symmetric grid is what makes mirrored lookups exact: the sample taken
@@ -66,7 +131,10 @@ class InfluenceSeries:
 
     times: NDArray[np.float64]
     values: NDArray[np.float64]
-    step: float = field(init=False)
+    step: float
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __post_init__(self) -> None:
         import numpy as np
@@ -113,7 +181,8 @@ class InfluenceSeries:
         step = (float(t[-1]) - float(t[0])) / (n - 1)
         object.__setattr__(self, "step", step)
         if not (math.isfinite(step) and step > 0.0):
-            raise NonUniformGrid(f"step must be positive, got {step!r}")
+            raise NonUniformGrid(
+                f"step must be finite and positive, got {step!r}")
         d = t[1:] - t[:-1]
         i = _first_true(np.abs(d - step) > GRID_RTOL * step)
         if i is not None:
@@ -161,8 +230,7 @@ def validate_series(times, values) -> InfluenceSeries:
 # model parameters and regimes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DdeParams:
+class DdeParams(_Record):
     """Coefficients of the mirrored-time model ``p'(t) = a p(-t) + b p(t)``.
 
     ``a`` scales the mirrored sample, ``b`` the present one; ``p0`` is the
@@ -196,8 +264,7 @@ class RegimeTag(enum.Enum):
     DEGENERATE = "degenerate"
 
 
-@dataclass(frozen=True)
-class Regime:
+class Regime(_Record):
     """Classification of a parameter pair together with its rate.
 
     ``r`` is sqrt(|b**2 - a**2|): the growth rate in the exponential regime,
@@ -209,8 +276,7 @@ class Regime:
     r: float
 
 
-@dataclass(frozen=True)
-class ModeCoefficients:
+class ModeCoefficients(_Record):
     """Amplitudes of the growing and decaying modes, with their pre-image.
 
     ``w1`` and ``w2`` multiply exp(r t) and exp(-r t) in the solution; they
@@ -252,8 +318,7 @@ class ModeCoefficients:
 # its value as it enters the slope p'(0); ``rate`` is its exponential rate,
 # checked for resonance by the solver, or None for a polynomial term.
 
-@dataclass(frozen=True)
-class ThetaConstant:
+class ThetaConstant(_Record):
     """Self-development effort held constant: theta(t) = value."""
 
     value: float
@@ -270,8 +335,7 @@ class ThetaConstant:
         return 0.0, self.value
 
 
-@dataclass(frozen=True)
-class ThetaLinear:
+class ThetaLinear(_Record):
     """Linearly ramped effort: theta(t) = slope * t + intercept."""
 
     slope: float
@@ -290,8 +354,7 @@ class ThetaLinear:
         return self.slope / (params.a - params.b), self.intercept
 
 
-@dataclass(frozen=True)
-class ThetaExponential:
+class ThetaExponential(_Record):
     """Exponentially growing effort: theta(t) = exp(rate * t)."""
 
     rate: float
@@ -314,8 +377,7 @@ class ThetaExponential:
 ThetaTerm = Union[ThetaConstant, ThetaLinear, ThetaExponential]
 
 
-@dataclass(frozen=True)
-class EtaArticleBased:
+class EtaArticleBased(_Record):
     """External-influence term driven by the accepted-article share.
 
     ``art`` is the fraction of accepted articles, a number in [0, 1]; the
@@ -343,8 +405,7 @@ class EtaArticleBased:
         return 0.0, math.exp(-self.art) + self.alpha * (params.a - params.b)
 
 
-@dataclass(frozen=True)
-class EtaTimeExponential:
+class EtaTimeExponential(_Record):
     """External-influence pulse eta(t) = k * exp(k1 * t)."""
 
     k: float
@@ -374,8 +435,7 @@ class EtaTimeExponential:
 EtaTerm = Union[EtaArticleBased, EtaTimeExponential]
 
 
-@dataclass(frozen=True)
-class ControlConfig:
+class ControlConfig(_Record):
     """A choice of self-development term theta and external term eta.
 
     ``eta=None`` means no external influence.  Resonance between a forcing
@@ -383,7 +443,7 @@ class ControlConfig:
     parameters are known.
     """
 
-    theta: ThetaTerm = field(default_factory=lambda: ThetaConstant(0.0))
+    theta: ThetaTerm = ThetaConstant(0.0)  # shared: records are immutable
     eta: EtaTerm | None = None
 
     def __post_init__(self) -> None:
@@ -397,8 +457,7 @@ class ControlConfig:
 # feature matrices and ranking output
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FeatureMatrix:
+class FeatureMatrix(_Record):
     """A journals-by-features table of scientometric indicators.
 
     Rows are journals, columns are named features.  The data array is copied
@@ -455,8 +514,7 @@ class FeatureMatrix:
             raise KeyError(name) from None
 
 
-@dataclass(frozen=True)
-class RankingEntry:
+class RankingEntry(_Record):
     """One journal's line in a ranking: step eliminated, score, final rank."""
 
     journal_name: str
@@ -468,8 +526,7 @@ class RankingEntry:
         _require_finite("RankingEntry.singval", self.singval)
 
 
-@dataclass(frozen=True)
-class RankingResult:
+class RankingResult(_Record):
     """A complete ranking, entries ordered by rank (best first).
 
     Rank 1 is the journal with the smallest singular-value score; ties are

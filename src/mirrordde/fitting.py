@@ -23,12 +23,12 @@ array reductions, bit for bit what a Python loop over the samples gives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import DdeParams, InfluenceSeries, ModeCoefficients, Regime, RegimeTag
+from .core import (DdeParams, InfluenceSeries, ModeCoefficients, Regime,
+                   RegimeTag, _Record)
 from .errors import (DegenerateSystem, NonFiniteValue, NonPositiveR,
                      SingularSystem, TooShort)
 from .numerics import FdMode, _sum_left_to_right, finite_diff, solve_2x2
@@ -116,8 +116,7 @@ def modes_to_AB(w1: float, w2: float, a: float, b: float) -> tuple[float, float]
     return solve_2x2(a, b, b, a, w1, w2)
 
 
-@dataclass(frozen=True)
-class FitReport:
+class FitReport(_Record):
     """Everything the fitting pipeline learned from one series.
 
     ``rss_ab`` is the residual sum of squares of the derivative regression;

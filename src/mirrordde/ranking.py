@@ -13,12 +13,11 @@ the strongest individual influence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import FeatureMatrix, RankingEntry, RankingResult
+from .core import FeatureMatrix, RankingEntry, RankingResult, _Record
 from .errors import (
     ConvergenceFailure,
     UnknownResponseFeature,
@@ -30,8 +29,7 @@ from .numerics import _sum_left_to_right, lasso_fit
 STD_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(_Record):
     """One elimination step: who left, and the norms that decided it."""
 
     step_index: int
@@ -41,8 +39,7 @@ class TraceStep:
     singval: float
 
 
-@dataclass(frozen=True)
-class EliminationTrace:
+class EliminationTrace(_Record):
     """The full elimination history, one step per journal."""
 
     steps: tuple[TraceStep, ...]

@@ -388,7 +388,7 @@ def longhand_series_error(times, values):
         return AsymmetricGrid, f"grid of even length {n} has no sample at t=0"
     step = (times[-1] - times[0]) / (n - 1)
     if not (math.isfinite(step) and step > 0.0):
-        return NonUniformGrid, f"step must be positive, got {step!r}"
+        return NonUniformGrid, f"step must be finite and positive, got {step!r}"
     for i in range(n - 1):
         d = times[i + 1] - times[i]
         if abs(d - step) > GRID_RTOL * step:

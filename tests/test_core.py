@@ -104,7 +104,7 @@ class TestInfluenceSeries:
          "grid of even length 4 has no sample at t=0"),
         # a finite span wider than float64 gives an infinite step
         ([-1e308, 0.0, 1e308], [1.0, 2.0, 3.0], NonUniformGrid,
-         "step must be positive, got inf"),
+         "step must be finite and positive, got inf"),
         ([-2.0, -1.5, 0.0, 1.5, 2.0], [1.0] * 5, NonUniformGrid,
          "spacing between times[0] and times[1] is 0.5, expected 1.0"),
         # first rejected by the finiteness check, so no inf - inf step

@@ -1,9 +1,15 @@
-"""Startup without numpy, and the lazily resolved package namespace.
+"""Lean startup, and the lazily resolved package namespace.
 
 ``simulate``, ``verify`` and ``eta`` run on ``math`` alone, so importing the
 package or the CLI, and running those subcommands, must not import numpy;
-``fit`` and ``rank`` load it on demand.  Each case runs in a fresh
-interpreter, because numpy stays in ``sys.modules`` once any test imports it.
+``fit`` and ``rank`` load it on demand.  Nor may they import the standard
+modules that only some paths need or that cost the most to import:
+``csv`` and ``json`` (read and written only by ``fit`` and ``rank``), and
+``dataclasses`` with the ``inspect`` it pulls in (the records derive from
+``core._Record`` instead).  Each case runs in a fresh interpreter, because a
+module stays in ``sys.modules`` once any test imports it, and is compared
+with what a bare interpreter already holds, because ``site`` may preload
+some modules.
 """
 
 from __future__ import annotations
@@ -20,8 +26,15 @@ from mirrordde import fitting, ranking
 
 SRC = str(pathlib.Path(mirrordde.__file__).resolve().parent.parent)
 
+#: Modules that no import of the package or the CLI, and no math-only
+#: subcommand, may add.
+HEAVY = {"numpy", "dataclasses", "inspect", "csv", "json"}
+
+#: Prints every loaded module on one line.
+PRINT_MODULES = "import sys\nprint(*sorted(sys.modules))"
+
 #: Runs ``cli.main`` on argv with stdout discarded, then prints the exit code
-#: and whether numpy was imported.
+#: and, on a second line, every loaded module.
 RUN_MAIN = """
 import contextlib, io, sys
 import mirrordde.cli as cli
@@ -30,8 +43,8 @@ with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(sys.argv[1:])
     except SystemExit as exc:
         code = exc.code
-print(code, "numpy" in sys.modules)
-"""
+print(code)
+""" + PRINT_MODULES
 
 
 def fresh_python(code: str, *argv: str) -> str:
@@ -44,11 +57,24 @@ def fresh_python(code: str, *argv: str) -> str:
     return proc.stdout.strip()
 
 
+@pytest.fixture(scope="module")
+def preloaded() -> set[str]:
+    """The modules a bare ``python -c`` already holds."""
+    return set(fresh_python(PRINT_MODULES).split())
+
+
+def run_main(*argv: str) -> tuple[int, set[str]]:
+    """Exit code of the CLI on argv, and the modules loaded by then."""
+    code, modules = fresh_python(RUN_MAIN, *argv).split("\n")
+    return int(code), set(modules.split())
+
+
 @pytest.mark.parametrize("statement", ["import mirrordde",
                                        "import mirrordde.cli"])
-def test_import_does_not_load_numpy(statement):
-    out = fresh_python(f"{statement}\nimport sys\nprint('numpy' in sys.modules)")
-    assert out == "False"
+def test_import_does_not_load_numpy(statement, preloaded):
+    loaded = set(fresh_python(f"{statement}\n{PRINT_MODULES}").split())
+    assert "mirrordde" in loaded
+    assert (loaded - preloaded) & HEAVY == set()
 
 
 @pytest.mark.parametrize("argv", [
@@ -62,20 +88,25 @@ def test_import_does_not_load_numpy(statement):
     ("eta", "--art", "0.5", "--alpha", "0.2", "--a", "0.3", "--b", "0.8"),
 ], ids=["help", "simulate-forced", "simulate-oscillatory", "simulate-out",
         "verify", "eta"])
-def test_math_only_subcommands_do_not_load_numpy(tmp_path, argv):
+def test_math_only_subcommands_do_not_load_numpy(tmp_path, argv, preloaded):
     out_path = tmp_path / "series.csv"
     argv = [arg.format(out=out_path) for arg in argv]
-    assert fresh_python(RUN_MAIN, *argv) == "0 False"
+    code, loaded = run_main(*argv)
+    assert code == 0
+    assert (loaded - preloaded) & HEAVY == set()
     if "--out" in argv:
         assert out_path.read_text().startswith("t,p\n")
 
 
-def test_fit_loads_numpy(tmp_path):
+def test_fit_loads_numpy(tmp_path, preloaded):
     series = tmp_path / "series.csv"
-    assert fresh_python(RUN_MAIN, "simulate", "--a", "0.2", "--b", "0.6",
-                        "--p0", "1", "--steps", "40",
-                        "--out", str(series)) == "0 False"
-    assert fresh_python(RUN_MAIN, "fit", "--input", str(series)) == "0 True"
+    code, loaded = run_main("simulate", "--a", "0.2", "--b", "0.6",
+                            "--p0", "1", "--steps", "40",
+                            "--out", str(series))
+    assert code == 0 and "numpy" not in loaded
+    code, loaded = run_main("fit", "--input", str(series))
+    assert code == 0
+    assert {"numpy", "json"} <= loaded - preloaded
 
 
 # ---------------------------------------------------------------------------
