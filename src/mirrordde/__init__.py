@@ -6,12 +6,10 @@ independent Runge-Kutta oracle, recovers coefficients from sampled series
 by least squares, and ranks journals from scientometric feature tables by
 recursive l1-guided elimination.
 
-Importing the package does not import numpy: the fitting and ranking names
-are loaded from their modules on first access (PEP 562), and the array
-kernels import numpy when they are first called.
+Importing the package does not import numpy: every module imports it
+inside the functions that use it, so it loads when the first array kernel
+is called.
 """
-
-import importlib
 
 from .core import (
     ControlConfig,
@@ -50,6 +48,7 @@ from .errors import (
     ZeroCoefficient,
     ZeroVarianceColumn,
 )
+from .fitting import FitReport, fit_ab, fit_modes, fit_pipeline, modes_to_AB
 from .numerics import (
     FdMode,
     finite_diff,
@@ -58,6 +57,7 @@ from .numerics import (
     solve_2x2,
     svd_values,
 )
+from .ranking import EliminationTrace, TraceStep, rank_journals, standardize
 from .solver import (
     GrowthKind,
     OscillatoryValue,
@@ -75,29 +75,6 @@ from .solver import (
 )
 
 __version__ = "1.0.0"
-
-#: Names whose modules import numpy at load time, resolved on first access.
-_LAZY = {
-    "FitReport": "fitting",
-    "fit_ab": "fitting",
-    "fit_modes": "fitting",
-    "fit_pipeline": "fitting",
-    "modes_to_AB": "fitting",
-    "EliminationTrace": "ranking",
-    "TraceStep": "ranking",
-    "rank_journals": "ranking",
-    "standardize": "ranking",
-}
-
-
-def __getattr__(name: str):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value
-
 
 __all__ = [
     "AsymmetricGrid",

@@ -51,7 +51,9 @@ from .errors import (
     WrongRegime,
     ZeroVarianceColumn,
 )
+from .fitting import fit_pipeline
 from .numerics import FdMode
+from .ranking import rank_journals
 from .solver import (
     _require_regime,
     classify,
@@ -61,6 +63,8 @@ from .solver import (
 )
 
 if TYPE_CHECKING:
+    from array import array
+
     import numpy as np
     from numpy.typing import ArrayLike
 
@@ -289,9 +293,12 @@ def cmd_simulate(args) -> None:
 
     if args.out is None:
         write(sys.stdout)
-    else:
+        return
+    try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             write(fh)
+    except OSError as exc:
+        raise _CliError(EXIT_USAGE, f"cannot write {args.out!r}: {exc}") from exc
 
 
 def _read_bytes(path: str) -> bytes:
@@ -303,22 +310,30 @@ def _read_bytes(path: str) -> bytes:
         raise _CliError(EXIT_USAGE, f"cannot read {path!r}: {exc}") from exc
 
 
-def _csv_rows(path: str, data: bytes) -> list[list[str]]:
-    """Non-empty CSV rows of ``data``, the bytes of ``path``; none is ERROR 2.
+def _csv_rows(path: str, data: bytes) -> tuple[list[list[str]], array[int]]:
+    """Non-empty CSV rows of ``data``, the bytes of ``path``, and the number
+    of each row's last line; none is ERROR 2.
 
     The bytes are decoded as ``open(path, encoding="utf-8-sig", newline="")``
-    would decode them, chunk by chunk.
+    would decode them, chunk by chunk.  The line numbers are kept in an
+    array, which costs 8 bytes a row against about 80 for a tuple.
     """
     import csv
+    from array import array
 
     text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
+    reader = csv.reader(text)
+    rows, line_numbers = [], array("q")
     try:
-        rows = [row for row in csv.reader(text) if row]
+        for row in reader:
+            if row:
+                rows.append(row)
+                line_numbers.append(reader.line_num)
     except csv.Error as exc:
         raise _CliError(EXIT_USAGE, f"{path!r}: {exc}") from exc
     if not rows:
         raise _CliError(EXIT_USAGE, f"{path!r} is empty")
-    return rows
+    return rows, line_numbers
 
 
 def _plain_series(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
@@ -364,7 +379,7 @@ def _read_series_csv(path: str) -> tuple[ArrayLike, ArrayLike]:
     columns = _plain_series(data)
     if columns is not None:
         return columns
-    rows = _csv_rows(path, data)
+    rows, line_numbers = _csv_rows(path, data)
     header = [cell.strip() for cell in rows[0][:2]]
     if header != ["t", "p"]:
         raise _CliError(
@@ -373,7 +388,7 @@ def _read_series_csv(path: str) -> tuple[ArrayLike, ArrayLike]:
         )
     times: list[float] = []
     values: list[float] = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in zip(line_numbers[1:], rows[1:]):
         if len(row) < 2:
             raise _CliError(
                 EXIT_USAGE, f"{path!r} line {lineno}: expected 't,p' values"
@@ -391,8 +406,6 @@ def _read_series_csv(path: str) -> tuple[ArrayLike, ArrayLike]:
 
 def cmd_fit(args) -> None:
     import json
-
-    from .fitting import fit_pipeline
 
     times, values = _read_series_csv(args.input)
     series = validate_series(times, values)
@@ -421,7 +434,7 @@ def cmd_fit(args) -> None:
 
 
 def _read_journals_csv(path: str) -> FeatureMatrix:
-    rows = _csv_rows(path, _read_bytes(path))
+    rows, line_numbers = _csv_rows(path, _read_bytes(path))
     header = rows[0]
     if header[0].strip() != "journal" or len(header) < 3:
         raise _CliError(
@@ -432,7 +445,7 @@ def _read_journals_csv(path: str) -> FeatureMatrix:
     feature_names = [cell.strip() for cell in header[1:]]
     journal_names: list[str] = []
     data: list[list[float]] = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in zip(line_numbers[1:], rows[1:]):
         if len(row) != len(header):
             raise _CliError(
                 EXIT_USAGE,
@@ -452,8 +465,6 @@ def _read_journals_csv(path: str) -> FeatureMatrix:
 
 
 def cmd_rank(args) -> None:
-    from .ranking import rank_journals
-
     matrix = _read_journals_csv(args.input)
     if args.response is not None:
         response = args.response
@@ -474,7 +485,7 @@ def cmd_rank(args) -> None:
 
 
 def _csv_cell(text: str) -> str:
-    if any(ch in text for ch in ",\"\n"):
+    if any(ch in text for ch in ",\"\n\r"):
         return '"' + text.replace('"', '""') + '"'
     return text
 

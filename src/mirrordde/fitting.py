@@ -23,9 +23,7 @@ array reductions, bit for bit what a Python loop over the samples gives.
 from __future__ import annotations
 
 import math
-
-import numpy as np
-from numpy.typing import NDArray
+from typing import TYPE_CHECKING
 
 from .core import (DdeParams, InfluenceSeries, ModeCoefficients, Regime,
                    RegimeTag, _Record)
@@ -33,6 +31,10 @@ from .errors import (DegenerateSystem, NonFiniteValue, NonPositiveR,
                      SingularSystem, TooShort)
 from .numerics import FdMode, _sum_left_to_right, finite_diff, solve_2x2
 from .solver import classify
+
+if TYPE_CHECKING:
+    import numpy as np
+    from numpy.typing import NDArray
 
 
 def _lstsq2(u: NDArray[np.float64], v: NDArray[np.float64], z: NDArray[np.float64],
@@ -42,6 +44,8 @@ def _lstsq2(u: NDArray[np.float64], v: NDArray[np.float64], z: NDArray[np.float6
     A singular system, or sums that overflow to a non-finite determinant,
     raises :class:`DegenerateSystem` labeled with ``stage``.
     """
+    import numpy as np
+
     with np.errstate(over="ignore", invalid="ignore"):
         suu, suv, svv, szu, szv = map(_sum_left_to_right,
                                       (u * u, u * v, v * v, z * u, z * v))
@@ -63,19 +67,31 @@ def fit_ab(series: InfluenceSeries,
     Derivative estimates come from :func:`finite_diff`; each estimate at
     index i is regressed on the mirrored sample x_i = values[n-1-i] and the
     direct sample y_i = values[i], both slices of the float64 array.  Returns
-    (a, b, rss), rss the sum of squared residuals.  A flat or mirror-symmetric
-    series, or one whose sums overflow float64, makes the normal matrix
-    singular and raises :class:`DegenerateSystem` with stage ``"fit_ab"``.
+    (a, b, rss), rss the sum of squared residuals, inf where it exceeds the
+    float64 range.  The regression runs on the series scaled by the power of
+    two that brings its largest |p| into [0.5, 1), so (a, b) do not change
+    bit for bit when the series is scaled by a power of two.  A flat or
+    mirror-symmetric series, or sums that still overflow float64, make the
+    normal matrix singular and raise :class:`DegenerateSystem` with stage
+    ``"fit_ab"``.
     """
     z = finite_diff(series, fd_mode)
     if len(z) < 3:
         raise TooShort(
             f"need at least 3 usable derivative estimates, got {len(z)}"
         )
-    values = series.values
+    import numpy as np
+
+    # 2**-e brings the largest |p| into [0.5, 1), so no sum of products of
+    # samples overflows, and a power of two scales out of (a, b) exactly
+    e = math.frexp(float(np.abs(series.values).max()))[1]
+    values, z = np.ldexp(series.values, -e), np.ldexp(z, -e)
     first = 1 if fd_mode is FdMode.CENTRAL else 0
     usable = slice(first, first + len(z))
-    return _lstsq2(values[::-1][usable], values[usable], z, "(a, b)", "fit_ab")
+    a, b, rss = _lstsq2(values[::-1][usable], values[usable], z, "(a, b)",
+                        "fit_ab")
+    with np.errstate(over="ignore"):
+        return a, b, float(np.ldexp(rss, 2 * e))
 
 
 def fit_modes(series: InfluenceSeries, r: float) -> tuple[float, float, float]:
@@ -92,6 +108,8 @@ def fit_modes(series: InfluenceSeries, r: float) -> tuple[float, float, float]:
     """
     if not (math.isfinite(r) and r > 0.0):
         raise NonPositiveR(f"mode fit needs a positive rate, got {r!r}")
+    import numpy as np
+
     n, t = len(series), series.times
     # math.exp, not np.exp (they differ in the last bit on some inputs),
     # mapped over memoryviews, which yield Python floats without a list.

@@ -13,9 +13,7 @@ the strongest individual influence.
 from __future__ import annotations
 
 import math
-
-import numpy as np
-from numpy.typing import NDArray
+from typing import TYPE_CHECKING
 
 from .core import FeatureMatrix, RankingEntry, RankingResult, _Record
 from .errors import (
@@ -24,6 +22,10 @@ from .errors import (
     ZeroVarianceColumn,
 )
 from .numerics import _sum_left_to_right, lasso_fit
+
+if TYPE_CHECKING:
+    import numpy as np
+    from numpy.typing import NDArray
 
 #: Relative threshold below which a column's spread counts as zero.
 STD_RTOL = 1e-12
@@ -50,6 +52,8 @@ def _scaled_columns(data: NDArray[np.float64]
     """``data`` with each column scaled by the power of two ``2**-e`` that
     brings its largest entry into [0.5, 1), and ``e``: no square or sum of
     the scaled columns overflows."""
+    import numpy as np
+
     e = np.frexp(np.abs(data).max(axis=0))[1]
     return np.ldexp(data, -e), e
 
@@ -67,6 +71,8 @@ def _standardized(block: NDArray[np.float64], e: NDArray[np.intc],
     order, as a 1-d column view does, whereas on a C-ordered block numpy
     sums row by row and the last bit differs.
     """
+    import numpy as np
+
     block = np.asfortranarray(block)
     m = block.shape[0]
     mu = block.sum(axis=0) / m  # the bits of block.mean(axis=0)
@@ -78,6 +84,9 @@ def _standardized(block: NDArray[np.float64], e: NDArray[np.intc],
         name = feature_names[int(flat.argmax())]
         raise ZeroVarianceColumn(f"feature {name!r} has zero variance",
                                  column=name)
+    if m == 2:
+        # past the flat check both deviations are nonzero and opposite: ±1
+        return np.sign(dev)
     return dev / sigma
 
 
@@ -128,6 +137,8 @@ def rank_journals(matrix: FeatureMatrix, response_feature: str,
         )
     if not (math.isfinite(lam) and lam >= 0.0):
         raise ValueError(f"lam must be non-negative and finite, got {lam!r}")
+    import numpy as np
+
     resp_idx = matrix.feature_index(response_feature)
     pred_idx = [j for j in range(matrix.n_features) if j != resp_idx]
     n = matrix.n_features

@@ -416,7 +416,9 @@ def loop_fit_ab(series, fd_mode=FdMode.CENTRAL):
     The reference for the bitwise check of the array reductions: the
     difference quotients, the five sums and the residual sum of squares are
     accumulated sample by sample, left to right, starting from 0.0.  The 2x2
-    solve is the library's, so both sides reject the same systems.
+    solve is the library's, so both sides reject the same systems.  Samples
+    and quotients are divided by 2**e, 2**(e-1) <= max|p| < 2**e, and the
+    residual sum of squares multiplied back by 4**e.
     """
     v, h, n = series.values.tolist(), series.step, len(series)
     if fd_mode is FdMode.CENTRAL:
@@ -429,6 +431,13 @@ def loop_fit_ab(series, fd_mode=FdMode.CENTRAL):
         raise TooShort(
             f"need at least 3 usable derivative estimates, got {len(derivs)}"
         )
+    peak, e = max(map(abs, v)), 0
+    while peak >= 1.0:
+        peak, e = peak / 2.0, e + 1
+    while 0.0 < peak < 0.5:
+        peak, e = peak * 2.0, e - 1
+    v = [math.ldexp(x, -e) for x in v]
+    derivs = [math.ldexp(z, -e) for z in derivs]
     sxx = sxy = syy = szx = szy = 0.0
     for z, i in zip(derivs, indices):
         x, y = v[n - 1 - i], v[i]
@@ -442,7 +451,10 @@ def loop_fit_ab(series, fd_mode=FdMode.CENTRAL):
     for z, i in zip(derivs, indices):
         resid = z - a * v[n - 1 - i] - b * v[i]
         rss += resid * resid
-    return a, b, rss
+    try:
+        return a, b, math.ldexp(rss, 2 * e)
+    except OverflowError:
+        return a, b, math.inf
 
 
 def loop_fit_modes(series, r):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -140,6 +141,18 @@ class TestSimulate:
                                "--out", str(target))
         assert code == 0 and out == ""
         assert target.read_text().splitlines()[-1] == "1,2.71828182846"
+
+    @pytest.mark.parametrize("where, reason", [
+        ("missing/x.csv", "No such file or directory"),
+        (".", "Is a directory"),
+    ])
+    def test_unwritable_out_is_one_error_line(self, tmp_path, where, reason):
+        target = str(tmp_path / where)
+        code, out, err = run_cli("simulate", "--a", "0.3", "--b", "0.9",
+                                 "--p0", "1", "--out", target)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"ERROR 2: cannot write {target!r}: ")
+        assert reason in err and err.count("\n") == 1
 
     def test_deterministic_output(self):
         args = ("simulate", "--a", "0.3", "--b", "0.5", "--p0", "1.2",
@@ -409,6 +422,14 @@ class TestFit:
         assert err == (f"ERROR 2: {str(path)!r} must start with header 't,p', "
                        f"got ['t']\n")
 
+    def test_line_number_counts_blank_lines(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("t,p\n\n-1,1\n0,x\n1,3\n")
+        code, out, err = run_cli("fit", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err == (f"ERROR 2: {str(path)!r} line 4: "
+                       f"not numeric: ['0', 'x']\n")
+
     def test_missing_file(self):
         code, _, err = run_cli("fit", "--input", "/nonexistent/series.csv")
         assert code == 2
@@ -605,6 +626,19 @@ class TestRank:
         assert code == 0, err
         assert out == (data_dir / "golden_rank_m60.csv").read_bytes()
 
+    def test_matches_golden_m60_lambda0(self, data_dir):
+        """The last step decided by the tie rule: with two journals left,
+        every standardized entry is exactly ±1, both column norms are 1, and
+        the lower current row (``Journal 24``) is eliminated at step 59.
+        Rounded z-scores of 1 ± an ulp eliminated ``Journal 34`` instead.
+        The golden is ``rank --input rank_m60.csv --lambda 0``.
+        """
+        code, out, err = run_cli_bytes("rank", "--input",
+                                       str(data_dir / "rank_m60.csv"),
+                                       "--lambda", "0")
+        assert code == 0, err
+        assert out == (data_dir / "golden_rank_m60_lambda0.csv").read_bytes()
+
     def test_matches_golden_m150(self, data_dir):
         """150 journals by 8 features, down to the late steps where fewer
         journals than predictors remain and the lasso's nonzero set moves
@@ -682,6 +716,21 @@ class TestRank:
         assert (code, out) == (2, "")
         assert err.splitlines()[-1] == f"ERROR 2: {str(path)!r} line 3: {detail}"
 
+    def test_line_number_counts_blank_lines(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("journal,A,B\n\nJ1,1,2\nJ2,1,y\n")
+        code, out, err = run_cli("rank", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err == (f"ERROR 2: {str(path)!r} line 4: "
+                       f"non-numeric feature value\n")
+
+    def test_line_number_of_a_multiline_row_is_its_last(self, tmp_path):
+        path = tmp_path / "multiline.csv"
+        path.write_text('journal,A,B\n"J\n1",1,2\nJ2,1\n')
+        code, _, err = run_cli("rank", "--input", str(path))
+        assert code == 2
+        assert err.endswith(f"{str(path)!r} line 4: expected 3 cells, got 2\n")
+
     def test_oversized_field_is_one_error_line(self, tmp_path):
         path = tmp_path / "wide.csv"
         path.write_text("journal,CiteScore,SJR\nA,1," + "1" * 200_000 + "\n")
@@ -699,6 +748,16 @@ class TestRank:
         code, out, _ = run_cli("rank", "--input", str(path))
         assert code == 0
         assert '"Annals, Applied"' in out
+
+    def test_carriage_return_in_name_roundtrips(self, tmp_path):
+        path = tmp_path / "cr.csv"
+        path.write_bytes(b'journal,CiteScore,SJR\n"J\rX",3.2,1.4\n'
+                         b'Plain Review,5.6,2.3\nOther Letters,1.1,0.5\n')
+        code, out, _ = run_cli("rank", "--input", str(path))
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out, newline="")))
+        assert len(rows) == 4
+        assert "J\rX" in [row[1] for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -1024,6 +1083,13 @@ def flag_argv(draw, flags, required=()):
     return argv
 
 
+#: ``--out`` values under a temporary directory {tmp} that holds a regular
+#: file {tmp}/file: writable, a missing directory, the directory itself, a
+#: path through the file, and the empty path.
+OUT_PATHS = ["{tmp}/series.csv", "{tmp}/missing/x.csv", "{tmp}",
+             "{tmp}/file/x.csv", ""]
+
+
 @st.composite
 def simulate_argv(draw):
     # one flag of each exclusive group, so that most draws get past argparse
@@ -1035,7 +1101,8 @@ def simulate_argv(draw):
              # at most 2001 grid points: the work stays small
              "--steps": st.integers(-1, 2000).map(str),
              theta: number() if theta != "--theta-lin" else pair(),
-             eta: pair(), "--c1": number(), "--c2": number()}
+             eta: pair(), "--c1": number(), "--c2": number(),
+             "--out": st.sampled_from(OUT_PATHS)}
     return ["simulate", *flag_argv(draw, flags, ("--a", "--b", "--p0")),
             *draw(st.sampled_from([[], ["--allow-oscillatory"]]))]
 
@@ -1096,8 +1163,9 @@ def rank_tables(draw) -> bytes:
             else:
                 row.pop()
         elif kind == "token":
-            row[draw(st.integers(1, len(row) - 1))] = draw(
-                st.sampled_from(ODD_TOKENS) | st.text("abc.e+-", max_size=4))
+            if len(row) > 1:  # two ragged pops can leave the name alone
+                row[draw(st.integers(1, len(row) - 1))] = draw(
+                    st.sampled_from(ODD_TOKENS) | st.text("abc.e+-", max_size=4))
         elif kind == "duplicate":
             row[0] = rows[draw(st.integers(1, m))][0]
         else:
@@ -1119,20 +1187,30 @@ class TestNeverRaises:
     @given(argv=st.one_of(simulate_argv(), verify_argv(), eta_argv()))
     @example(argv=["verify", "--a", "-2e-05", "--b", "0.5", "--p0", "1"])
     @example(argv=["simulate", "--a", "0", "--b", "1e308", "--p0", "1"])
+    @example(argv=["simulate", "--a", "0.3", "--b", "0.9", "--p0", "1",
+                   "--out", "{tmp}/missing/x.csv"])
     @settings(max_examples=200, deadline=None)
-    def test_exit_code_and_at_most_one_error_line(self, argv):
+    def test_exit_code_and_at_most_one_error_line(self, tmp_path_factory,
+                                                  argv):
         """No argv of a subcommand's own flags gives a traceback: main
-        returns an int, and stderr is empty on success or one ERROR line."""
+        returns an int, and stderr is empty on success or one ERROR line;
+        with ``--out``, stdout stays empty."""
+        tmp = tmp_path_factory.getbasetemp() / "never_raises_out"
+        tmp.mkdir(exist_ok=True)
+        (tmp / "file").write_text("")
+        argv = [arg.replace("{tmp}", str(tmp)) for arg in argv]
         # a printed warning would be a second stderr line: fail on it
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, _, err = run_cli(*argv)
+            code, out, err = run_cli(*argv)
         assert isinstance(code, int)
         if code == 0:
             assert err == ""
         else:
             assert err.startswith(f"ERROR {code}: ")
             assert err.count("\n") == 1 and err.endswith("\n")
+        if any(arg.startswith("--out") for arg in argv):
+            assert out == ""
 
     @given(case=st.one_of(fit_case(), rank_case()))
     @example(case=("rank", b"journal,CiteScore,SJR\nA,1e308,-1.7e308\n"

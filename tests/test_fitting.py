@@ -23,6 +23,7 @@ from mirrordde import (
     base_solution,
     fit_ab,
     fit_modes,
+    finite_diff,
     fit_pipeline,
     modes_to_AB,
     oscillatory_solution,
@@ -45,6 +46,41 @@ def series_from_model(a, b, p0=1.0, half_width=3.0, h=0.05, noise=None, seed=0):
         rng = np.random.default_rng(seed)
         values = [v + e for v, e in zip(values, rng.normal(0.0, noise,
                                                            len(values)))]
+    return validate_series(times, values)
+
+
+def ab_or_error(series, mode):
+    """(a, b) of ``fit_ab`` as bits, or the type of the exception."""
+    try:
+        a, b, _ = fit_ab(series, mode)
+    except Exception as exc:
+        return type(exc)
+    return a.hex(), b.hex()
+
+
+def outcome(fn, *args) -> str:
+    """``repr`` of the result, or the type and text of the exception."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+# ordinary values, values near the edge of float64, and zeros of both signs
+sample_values = st.one_of(
+    st.floats(min_value=-10.0, max_value=10.0),
+    st.floats(min_value=-1.7e308, max_value=1.7e308),
+    st.sampled_from([0.0, -0.0]),
+)
+
+
+@st.composite
+def symmetric_series(draw):
+    n_half = draw(st.integers(min_value=1, max_value=20))
+    h = draw(st.floats(min_value=1e-3, max_value=10.0))
+    times = [h * (i - n_half) for i in range(2 * n_half + 1)]
+    values = draw(st.lists(sample_values, min_size=len(times),
+                           max_size=len(times)))
     return validate_series(times, values)
 
 
@@ -104,13 +140,38 @@ class TestFitAb:
         with pytest.raises(DegenerateSystem):
             fit_ab(validate_series(times, [math.cosh(t) for t in times]))
 
-    def test_overflowing_sums_degenerate(self):
-        # the products reach 1e300, so det = inf - inf = nan
+    def test_overflowing_sums_recover(self):
+        # unscaled, the products reach 1e300 and det = inf - inf = nan
         base = series_from_model(0.2, 0.6)
         scaled = validate_series(base.times, [1e150 * v for v in base.values])
-        with pytest.raises(DegenerateSystem, match="det=nan") as excinfo:
-            fit_ab(scaled)
-        assert excinfo.value.stage == "fit_ab"
+        a, b, rss = fit_ab(scaled)
+        a0, b0, _ = fit_ab(base)
+        assert a == pytest.approx(a0, rel=1e-12)
+        assert b == pytest.approx(b0, rel=1e-12)
+        assert 0.0 <= rss <= 1e300 * 1e-12  # the unscaled bound, times 1e300
+
+    def test_wide_exponential_series_recovers(self):
+        # b = 80 on [-5, 5]: |p| reaches 5e173 and its squares overflow
+        a, b, _ = fit_ab(series_from_model(0.0, 80.0, half_width=5.0, h=0.01))
+        # central differences scale (a, b) by sinh(rh)/(rh), r = 80, h = 0.01
+        assert a == 0.0
+        assert b == pytest.approx(80.0 * math.sinh(0.8) / 0.8, rel=1e-12)
+
+    @given(series=symmetric_series(), mode=st.sampled_from(list(FdMode)),
+           data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_power_of_two_scale_leaves_ab_bitwise(self, series, mode, data):
+        # any 2**k that keeps every sample and difference quotient a normal
+        # float64 scales out of (a, b) exactly
+        mags = np.abs(np.concatenate([series.values,
+                                      finite_diff(series, mode)]))
+        assume(np.isfinite(mags).all() and mags.max() > 0.0)
+        lo = -1021 - math.frexp(float(mags[mags > 0.0].min()))[1]
+        hi = 1024 - math.frexp(float(mags.max()))[1]
+        assume(lo <= hi)
+        k = data.draw(st.integers(min_value=lo, max_value=hi))
+        scaled = validate_series(series.times, np.ldexp(series.values, k))
+        assert ab_or_error(scaled, mode) == ab_or_error(series, mode)
 
     @pytest.mark.parametrize("mode", list(FdMode))
     def test_overflow_near_float_max_is_quiet(self, mode):
@@ -134,32 +195,6 @@ class TestFitAb:
 # the array reductions against the per-sample loops
 # ---------------------------------------------------------------------------
 
-def outcome(fn, *args) -> str:
-    """``repr`` of the result, or the type and text of the exception."""
-    try:
-        return repr(fn(*args))
-    except Exception as exc:
-        return f"{type(exc).__name__}: {exc}"
-
-
-# ordinary values, values near the edge of float64, and zeros of both signs
-sample_values = st.one_of(
-    st.floats(min_value=-10.0, max_value=10.0),
-    st.floats(min_value=-1.7e308, max_value=1.7e308),
-    st.sampled_from([0.0, -0.0]),
-)
-
-
-@st.composite
-def symmetric_series(draw):
-    n_half = draw(st.integers(min_value=1, max_value=20))
-    h = draw(st.floats(min_value=1e-3, max_value=10.0))
-    times = [h * (i - n_half) for i in range(2 * n_half + 1)]
-    values = draw(st.lists(sample_values, min_size=len(times),
-                           max_size=len(times)))
-    return validate_series(times, values)
-
-
 class TestLoopReference:
     """Bit-for-bit agreement with the sums written as Python loops.
 
@@ -173,6 +208,11 @@ class TestLoopReference:
     @example(series=validate_series([-2.0, -1.0, 0.0, 1.0, 2.0],
                                     [-0.0, 0.0, 0.0, -1.0, -1.0]),
              mode=FdMode.CENTRAL)
+    # scaled by 2**-512 the last forward quotient's products no longer
+    # overflow: a singular det = 0.0 instead of nan on both sides
+    @example(series=validate_series([-2.0, -1.0, 0.0, 1.0, 2.0],
+                                    [0.0, 0.0, 0.0, 0.0, 1.34e154]),
+             mode=FdMode.FORWARD)
     @example(series=series_from_model(0.15, 0.55), mode=FdMode.CENTRAL)
     @example(series=series_from_model(-0.3, 0.9), mode=FdMode.FORWARD)
     @settings(max_examples=300, deadline=None)

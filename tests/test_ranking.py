@@ -8,7 +8,7 @@ import statistics
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mirrordde import (
@@ -95,6 +95,34 @@ class TestStandardize:
         names = tuple(f"J{i}" for i in range(data.shape[0]))
         got = standardize(FeatureMatrix(names, tuple("abcdefg"), data)).data
         assert np.array_equal(got, want)
+
+    @given(k=st.integers(min_value=2, max_value=4), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_two_rows_standardize_to_exact_signs(self, k, data):
+        # two rows that pass the flatness check deviate from their mean by
+        # ±sigma: every z-score is exactly ±1, at any power-of-two scale,
+        # so the last elimination step is a tie whatever the rounding
+        cells = st.floats(allow_nan=False, allow_infinity=False)
+        block = np.array(data.draw(st.lists(
+            st.lists(cells, min_size=k, max_size=k), min_size=2, max_size=2)))
+        feats = tuple(f"f{j}" for j in range(k))
+        try:
+            base = standardize(FeatureMatrix(("A", "B"), feats, block)).data
+        except ZeroVarianceColumn:
+            assume(False)
+        assert np.array_equal(np.abs(base), np.ones((2, k)))
+        assert np.array_equal(base[0], -base[1])
+        # any power that keeps every nonzero entry a finite normal float
+        mags = np.abs(block[block != 0.0])
+        lo = -1021 - math.frexp(float(mags.min()))[1]
+        hi = 1024 - math.frexp(float(mags.max()))[1]
+        assume(lo <= hi)
+        scaled = np.ldexp(block, data.draw(st.integers(lo, hi)))
+        try:
+            out = standardize(FeatureMatrix(("A", "B"), feats, scaled)).data
+        except ZeroVarianceColumn:
+            return  # the flatness floor is absolute, not relative
+        assert np.array_equal(out, base)
 
     def test_names_preserved(self):
         out = standardize(matrix(M3_NAMES, M3_FEATS, M3_DATA))

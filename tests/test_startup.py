@@ -1,19 +1,23 @@
-"""Lean startup, and the lazily resolved package namespace.
+"""Lean startup under one import rule.
 
+Every ``mirrordde`` module is imported eagerly, and only numpy, ``csv``
+and ``json`` are imported inside the functions that use them.
 ``simulate``, ``verify`` and ``eta`` run on ``math`` alone, so importing the
-package or the CLI, and running those subcommands, must not import numpy;
-``fit`` and ``rank`` load it on demand.  Nor may they import the standard
-modules that only some paths need or that cost the most to import:
-``csv`` and ``json`` (read and written only by ``fit`` and ``rank``), and
-``dataclasses`` with the ``inspect`` it pulls in (the records derive from
-``core._Record`` instead).  Each case runs in a fresh interpreter, because a
-module stays in ``sys.modules`` once any test imports it, and is compared
-with what a bare interpreter already holds, because ``site`` may preload
-some modules.
+package or the CLI (``from mirrordde import *`` too), and running those
+subcommands, must not import numpy; ``fit`` and ``rank`` load it on demand.
+Nor may they import the standard modules that only some paths need or that
+cost the most to import: ``csv`` and ``json`` (read and written only by
+``fit`` and ``rank``), and ``dataclasses`` with the ``inspect`` it pulls in
+(the records derive from ``core._Record`` instead).  Each case runs in a
+fresh interpreter, because a module stays in ``sys.modules`` once any test
+imports it, and is compared with what a bare interpreter already holds,
+because ``site`` may preload some modules.  An AST scan checks the rule
+itself on every module.
 """
 
 from __future__ import annotations
 
+import ast
 import os
 import pathlib
 import subprocess
@@ -70,7 +74,8 @@ def run_main(*argv: str) -> tuple[int, set[str]]:
 
 
 @pytest.mark.parametrize("statement", ["import mirrordde",
-                                       "import mirrordde.cli"])
+                                       "import mirrordde.cli",
+                                       "from mirrordde import *"])
 def test_import_does_not_load_numpy(statement, preloaded):
     loaded = set(fresh_python(f"{statement}\n{PRINT_MODULES}").split())
     assert "mirrordde" in loaded
@@ -110,7 +115,7 @@ def test_fit_loads_numpy(tmp_path, preloaded):
 
 
 # ---------------------------------------------------------------------------
-# the lazy package namespace
+# the package namespace
 # ---------------------------------------------------------------------------
 
 def test_every_public_name_resolves():
@@ -118,16 +123,16 @@ def test_every_public_name_resolves():
         assert getattr(mirrordde, name) is not None, name
 
 
-def test_lazy_names_are_the_submodule_objects(monkeypatch):
-    # drop cached bindings so that the import below goes through __getattr__
-    for name in ("fit_pipeline", "rank_journals", "EliminationTrace"):
-        monkeypatch.delitem(vars(mirrordde), name, raising=False)
-    from mirrordde import EliminationTrace, fit_pipeline, rank_journals
+def test_dir_lists_every_public_name_after_import():
+    names = fresh_python("import mirrordde\nprint(*dir(mirrordde))").split()
+    assert set(mirrordde.__all__) - set(names) == set()
 
-    assert fit_pipeline is fitting.fit_pipeline
-    assert rank_journals is ranking.rank_journals
-    assert EliminationTrace is ranking.EliminationTrace
-    assert vars(mirrordde)["fit_pipeline"] is fit_pipeline  # cached
+
+def test_names_are_the_submodule_objects():
+    assert mirrordde.fit_pipeline is fitting.fit_pipeline
+    assert mirrordde.FitReport is fitting.FitReport
+    assert mirrordde.rank_journals is ranking.rank_journals
+    assert mirrordde.EliminationTrace is ranking.EliminationTrace
 
 
 def test_unknown_attribute_raises():
@@ -135,3 +140,29 @@ def test_unknown_attribute_raises():
         mirrordde.no_such_name
     with pytest.raises(ImportError):
         from mirrordde import no_such_name  # noqa: F401
+
+
+def _load_time_imports(node: ast.AST):
+    """The import statements that run when the module is loaded: all of
+    them but those in function bodies and under ``if TYPE_CHECKING:``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield child
+        elif not (isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  or (isinstance(child, ast.If)
+                      and ast.unparse(child.test) == "TYPE_CHECKING")):
+            yield from _load_time_imports(child)
+
+
+@pytest.mark.parametrize("path", sorted(pathlib.Path(mirrordde.__file__)
+                                        .parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_numpy_csv_and_json_load_only_inside_functions(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    loaded = set()
+    for node in _load_time_imports(tree):
+        if isinstance(node, ast.Import):
+            loaded |= {alias.name.split(".")[0] for alias in node.names}
+        elif node.level == 0:
+            loaded.add(node.module.split(".")[0])
+    assert loaded & {"numpy", "csv", "json"} == set()
