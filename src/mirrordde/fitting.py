@@ -29,7 +29,8 @@ from .core import (DdeParams, InfluenceSeries, ModeCoefficients, Regime,
                    RegimeTag, _Record)
 from .errors import (DegenerateSystem, NonFiniteValue, NonPositiveR,
                      SingularSystem, TooShort)
-from .numerics import FdMode, _sum_left_to_right, finite_diff, solve_2x2
+from .numerics import (FdMode, _pow2_scaled, _sum_left_to_right,
+                       finite_diff, solve_2x2)
 from .solver import classify
 
 if TYPE_CHECKING:
@@ -68,12 +69,12 @@ def fit_ab(series: InfluenceSeries,
     index i is regressed on the mirrored sample x_i = values[n-1-i] and the
     direct sample y_i = values[i], both slices of the float64 array.  Returns
     (a, b, rss), rss the sum of squared residuals, inf where it exceeds the
-    float64 range.  The regression runs on the series scaled by the power of
-    two that brings its largest |p| into [0.5, 1), so (a, b) do not change
-    bit for bit when the series is scaled by a power of two.  A flat or
-    mirror-symmetric series, or sums that still overflow float64, make the
-    normal matrix singular and raise :class:`DegenerateSystem` with stage
-    ``"fit_ab"``.
+    float64 range.  The regression runs on the series scaled by
+    :func:`~mirrordde.numerics._pow2_scaled`, so no sum overflows and (a, b)
+    do not change bit for bit when the series is scaled by a power of two.
+    A flat or mirror-symmetric series, or sums that still overflow float64,
+    make the normal matrix singular and raise :class:`DegenerateSystem` with
+    stage ``"fit_ab"``.
     """
     z = finite_diff(series, fd_mode)
     if len(z) < 3:
@@ -82,10 +83,8 @@ def fit_ab(series: InfluenceSeries,
         )
     import numpy as np
 
-    # 2**-e brings the largest |p| into [0.5, 1), so no sum of products of
-    # samples overflows, and a power of two scales out of (a, b) exactly
-    e = math.frexp(float(np.abs(series.values).max()))[1]
-    values, z = np.ldexp(series.values, -e), np.ldexp(z, -e)
+    values, e = _pow2_scaled(series.values)
+    z = np.ldexp(z, -e)
     first = 1 if fd_mode is FdMode.CENTRAL else 0
     usable = slice(first, first + len(z))
     a, b, rss = _lstsq2(values[::-1][usable], values[usable], z, "(a, b)",

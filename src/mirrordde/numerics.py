@@ -61,6 +61,18 @@ def _as_matrix_array(m) -> NDArray[np.float64]:
     return arr
 
 
+def _pow2_scaled(a: NDArray[np.float64], axis: int | None = None
+                 ) -> tuple[NDArray[np.float64], NDArray[np.intc]]:
+    """``a`` scaled by ``2**-e``, the power of two that brings its largest
+    |entry| (per column with ``axis=0``; ``e = 0`` for zeros) into [0.5, 1),
+    and ``e``.  No square or sum of the result overflows, and the scaling is
+    exact for entries at least 2**-1022 times the largest."""
+    import numpy as np
+
+    e = np.frexp(np.abs(a).max(axis=axis))[1]
+    return np.ldexp(a, -e), e
+
+
 def _sum_left_to_right(terms: NDArray[np.float64]) -> float:
     """``s = 0.0; s += x`` over non-empty ``terms``, bit for bit (``np.sum``
     adds pairwise, and from Python 3.12 the builtin ``sum`` compensates)."""
@@ -72,25 +84,22 @@ def _sum_left_to_right(terms: NDArray[np.float64]) -> float:
 def svd_values(matrix) -> list[float]:
     """Singular values of a matrix, descending, by LAPACK (``numpy.linalg``).
 
-    The SVD runs on the matrix (anything array-like) scaled by the power of
-    two that brings its largest entry into [0.5, 1), and the values are
-    scaled back exactly, so scaling the input by a power of two scales the
-    result by the same power bit for bit (LAPACK's own rescaling is not by
-    powers of two).  The scaling is exact for entries above 2**-1022 times
-    the largest.  A singular value beyond the float64 range raises
-    :class:`NonFiniteValue`, and an SVD that does not converge raises
-    :class:`ConvergenceFailure`.
+    The SVD runs on the matrix (anything array-like) scaled by
+    :func:`_pow2_scaled`, and the values are scaled back exactly, so scaling
+    the input by a power of two scales the result by the same power bit for
+    bit (LAPACK's own rescaling is not by powers of two).  A singular value
+    beyond the float64 range raises :class:`NonFiniteValue`, and an SVD
+    that does not converge raises :class:`ConvergenceFailure`.
     """
     import numpy as np
 
-    a = _as_matrix_array(m=matrix)
-    e = math.frexp(float(np.abs(a).max()))[1]
+    a, e = _pow2_scaled(_as_matrix_array(m=matrix))
     try:
-        s = np.linalg.svd(np.ldexp(a, -e), compute_uv=False)
+        s = np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"LAPACK: {exc}") from exc
     try:
-        return [math.ldexp(float(v), e) for v in s]
+        return [math.ldexp(float(v), int(e)) for v in s]
     except OverflowError as exc:
         raise NonFiniteValue("a singular value overflows float64") from exc
 

@@ -21,7 +21,7 @@ from .errors import (
     UnknownResponseFeature,
     ZeroVarianceColumn,
 )
-from .numerics import _sum_left_to_right, lasso_fit
+from .numerics import _pow2_scaled, _sum_left_to_right, lasso_fit
 
 if TYPE_CHECKING:
     import numpy as np
@@ -47,29 +47,18 @@ class EliminationTrace(_Record):
     steps: tuple[TraceStep, ...]
 
 
-def _scaled_columns(data: NDArray[np.float64]
-                    ) -> tuple[NDArray[np.float64], NDArray[np.intc]]:
-    """``data`` with each column scaled by the power of two ``2**-e`` that
-    brings its largest entry into [0.5, 1), and ``e``: no square or sum of
-    the scaled columns overflows."""
-    import numpy as np
-
-    e = np.frexp(np.abs(data).max(axis=0))[1]
-    return np.ldexp(data, -e), e
-
-
 def _standardized(block: NDArray[np.float64], e: NDArray[np.intc],
                   feature_names: tuple[str, ...]) -> NDArray[np.float64]:
     """Standardize the columns of a journals-by-features array.
 
     ``block`` holds each column scaled by ``2**-e`` (see
-    :func:`_scaled_columns`); the z-scores are those of the unscaled
-    columns bit for bit, since every step commutes with a power of two, and
-    the flatness rule of :func:`standardize` is decided on the unscaled
-    mean and spread.  The block is copied to Fortran order first: there
-    each column reduction sums the contiguous column in numpy's pairwise
-    order, as a 1-d column view does, whereas on a C-ordered block numpy
-    sums row by row and the last bit differs.
+    :func:`~mirrordde.numerics._pow2_scaled`); the z-scores are those of
+    the unscaled columns bit for bit, since every step commutes with a power
+    of two, and the flatness rule of :func:`standardize` is decided on the
+    unscaled mean and spread.  The block is copied to Fortran order first:
+    there each column reduction sums the contiguous column in numpy's
+    pairwise order, as a 1-d column view does, whereas on a C-ordered block
+    numpy sums row by row and the last bit differs.
     """
     import numpy as np
 
@@ -98,7 +87,8 @@ def standardize(matrix: FeatureMatrix) -> FeatureMatrix:
     be scaled and raises :class:`ZeroVarianceColumn` naming the first such
     feature.
     """
-    out = _standardized(*_scaled_columns(matrix.data), matrix.feature_names)
+    out = _standardized(*_pow2_scaled(matrix.data, axis=0),
+                        matrix.feature_names)
     return FeatureMatrix(journal_names=matrix.journal_names,
                          feature_names=matrix.feature_names,
                          data=out)
@@ -143,7 +133,7 @@ def rank_journals(matrix: FeatureMatrix, response_feature: str,
     pred_idx = [j for j in range(matrix.n_features) if j != resp_idx]
     n = matrix.n_features
     m = matrix.n_journals
-    data, e = _scaled_columns(matrix.data)
+    data, e = _pow2_scaled(matrix.data, axis=0)
     names = matrix.journal_names
 
     remaining = np.arange(m)
