@@ -33,6 +33,7 @@ from .errors import (
     ConvergenceFailure,
     DegenerateSystem,
     DimensionMismatch,
+    InvalidName,
     MirrorDdeError,
     NegativeInfluenceWarning,
     NonFiniteState,
@@ -91,6 +92,7 @@ __all__ = [
     "FitReport",
     "GrowthKind",
     "InfluenceSeries",
+    "InvalidName",
     "MirrorDdeError",
     "ModeCoefficients",
     "NegativeInfluenceWarning",

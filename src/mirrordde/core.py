@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING, Sequence, Union
 from .errors import (
     AsymmetricGrid,
     DimensionMismatch,
+    InvalidName,
     NonFiniteValue,
     NonUniformGrid,
     OutOfRange,
@@ -146,7 +147,8 @@ class InfluenceSeries(_Record, derived=("step",)):
 
         n = t.size
         if n != v.size:
-            raise ValueError(f"times and values differ in length: {n} vs {v.size}")
+            raise DimensionMismatch(
+                f"times and values differ in length: {n} vs {v.size}")
         if n < 3:
             raise TooShort(f"need at least 3 samples, got {n}")
         for name, arr in (("times", t), ("values", v)):
@@ -248,7 +250,7 @@ class DdeParams(_Record):
     def __post_init__(self) -> None:
         _require_finite("DdeParams", self.a, self.b, self.p0, self.half_width)
         if self.half_width <= 0.0:
-            raise ValueError(
+            raise OutOfRange(
                 f"half_width must be positive, got {self.half_width!r}"
             )
 
@@ -479,19 +481,19 @@ class FeatureMatrix(_Record):
         object.__setattr__(self, "data", data)
 
         if any(not s for s in names):
-            raise ValueError("journal names must be non-empty")
+            raise InvalidName("journal names must be non-empty")
         if any(not s for s in feats):
-            raise ValueError("feature names must be non-empty")
+            raise InvalidName("feature names must be non-empty")
         if len(set(names)) != len(names):
-            raise ValueError("journal names must be unique")
+            raise InvalidName("journal names must be unique")
         if len(set(feats)) != len(feats):
-            raise ValueError("feature names must be unique")
+            raise InvalidName("feature names must be unique")
         if len(names) < 1:
-            raise ValueError("need at least one journal")
+            raise TooShort("need at least one journal")
         if len(feats) < 2:
-            raise ValueError("need at least two features")
+            raise TooShort("need at least two features")
         if data.shape != (len(names), len(feats)):
-            raise ValueError(
+            raise DimensionMismatch(
                 f"data shape {data.shape} does not match "
                 f"{len(names)} journals x {len(feats)} features"
             )

@@ -2,9 +2,12 @@
 
 Every error raised deliberately by this package derives from
 :class:`MirrorDdeError`, so callers can catch the whole family with one
-``except`` clause.  Validation errors carry enough context in their message
-to identify the offending input; a few carry structured attributes as well
-(``DegenerateSystem.stage``, ``ZeroVarianceColumn.column``).
+``except`` clause.  The input errors :class:`TooShort`,
+:class:`OutOfRange`, :class:`DimensionMismatch` and :class:`InvalidName`
+are ``ValueError`` as well.  Validation errors carry enough context in
+their message to identify the offending input; a few carry structured
+attributes as well (``DegenerateSystem.stage``,
+``ZeroVarianceColumn.column``).
 """
 
 from __future__ import annotations
@@ -28,11 +31,11 @@ class NonFiniteValue(MirrorDdeError):
     """An input contains NaN or infinity."""
 
 
-class TooShort(MirrorDdeError):
+class TooShort(MirrorDdeError, ValueError):
     """Not enough samples to perform the requested operation."""
 
 
-class OutOfRange(MirrorDdeError):
+class OutOfRange(MirrorDdeError, ValueError):
     """A scalar input lies outside its admissible interval."""
 
 
@@ -46,7 +49,7 @@ class ConvergenceFailure(MirrorDdeError):
     """An iterative kernel exhausted its sweep budget without converging."""
 
 
-class DimensionMismatch(MirrorDdeError):
+class DimensionMismatch(MirrorDdeError, ValueError):
     """Array shapes are inconsistent with each other."""
 
 
@@ -103,6 +106,10 @@ class ZeroVarianceColumn(MirrorDdeError):
 
 class UnknownResponseFeature(MirrorDdeError):
     """The requested response feature is not a column of the feature matrix."""
+
+
+class InvalidName(MirrorDdeError, ValueError):
+    """A journal or feature name is empty or repeated."""
 
 
 # --- warnings -----------------------------------------------------------------

@@ -71,7 +71,8 @@ def fit_ab(series: InfluenceSeries,
     (a, b, rss), rss the sum of squared residuals, inf where it exceeds the
     float64 range.  The regression runs on the series scaled by
     :func:`~mirrordde.numerics._pow2_scaled`, so no sum overflows and (a, b)
-    do not change bit for bit when the series is scaled by a power of two.
+    do not change bit for bit when the series is scaled by a power of two
+    (while every sample and difference quotient stays a normal float).
     A flat or mirror-symmetric series, or sums that still overflow float64,
     make the normal matrix singular and raise :class:`DegenerateSystem` with
     stage ``"fit_ab"``.

@@ -28,6 +28,7 @@ from .errors import (
     NonFiniteValue,
     OutOfRange,
     SingularSystem,
+    TooShort,
 )
 
 if TYPE_CHECKING:
@@ -55,7 +56,7 @@ def _as_matrix_array(m) -> NDArray[np.float64]:
     if arr.ndim != 2:
         raise DimensionMismatch(f"expected a 2-d array, got shape {arr.shape}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ValueError(f"matrix must be non-empty, got shape {arr.shape}")
+        raise DimensionMismatch(f"matrix must be non-empty, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise NonFiniteValue("matrix contains non-finite entries")
     return arr
@@ -66,7 +67,7 @@ def _pow2_scaled(a: NDArray[np.float64], axis: int | None = None
     """``a`` scaled by ``2**-e``, the power of two that brings its largest
     |entry| (per column with ``axis=0``; ``e = 0`` for zeros) into [0.5, 1),
     and ``e``.  No square or sum of the result overflows, and the scaling is
-    exact for entries at least 2**-1022 times the largest."""
+    exact for entries at least 2**-1021 times the largest."""
     import numpy as np
 
     e = np.frexp(np.abs(a).max(axis=axis))[1]
@@ -210,9 +211,9 @@ def lasso_fit(X, y, lam: float) -> list[float]:
     if not np.isfinite(rhs).all():
         raise NonFiniteValue("response contains non-finite entries")
     if A.shape[0] < 2:
-        raise ValueError("need at least 2 observations")
+        raise TooShort("need at least 2 observations")
     if not (math.isfinite(lam) and lam >= 0.0):
-        raise ValueError(f"lam must be non-negative and finite, got {lam!r}")
+        raise OutOfRange(f"lam must be non-negative and finite, got {lam!r}")
 
     for count, w in enumerate(_lasso_sweeps(A, rhs, lam), 1):
         if count > LASSO_MAX_SWEEPS:
@@ -251,9 +252,9 @@ def rk4_integrate(m: tuple[State, State], y0: State, t_end: float,
     non-finite state :class:`NonFiniteState`.
     """
     if not (math.isfinite(t_end) and t_end > 0.0):
-        raise ValueError(f"t_end must be positive, got {t_end!r}")
+        raise OutOfRange(f"t_end must be positive, got {t_end!r}")
     if not (math.isfinite(step) and step > 0.0):
-        raise ValueError(f"step must be positive, got {step!r}")
+        raise OutOfRange(f"step must be positive, got {step!r}")
     u, v = float(y0[0]), float(y0[1])
     if not (math.isfinite(u) and math.isfinite(v)):
         raise NonFiniteState(f"initial state {y0!r} is not finite")
@@ -316,4 +317,4 @@ def finite_diff(series: InfluenceSeries, mode: FdMode) -> NDArray[np.float64]:
             return (v[2:] - v[:-2]) / (2.0 * h)
         if mode is FdMode.FORWARD:
             return (v[1:] - v[:-1]) / h
-    raise ValueError(f"unknown finite-difference mode: {mode!r}")
+    raise OutOfRange(f"unknown finite-difference mode: {mode!r}")

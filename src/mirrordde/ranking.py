@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING
 from .core import FeatureMatrix, RankingEntry, RankingResult, _Record
 from .errors import (
     ConvergenceFailure,
+    OutOfRange,
     UnknownResponseFeature,
     ZeroVarianceColumn,
 )
@@ -126,7 +127,7 @@ def rank_journals(matrix: FeatureMatrix, response_feature: str,
             f"{list(matrix.feature_names)}"
         )
     if not (math.isfinite(lam) and lam >= 0.0):
-        raise ValueError(f"lam must be non-negative and finite, got {lam!r}")
+        raise OutOfRange(f"lam must be non-negative and finite, got {lam!r}")
     import numpy as np
 
     resp_idx = matrix.feature_index(response_feature)

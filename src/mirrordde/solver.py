@@ -49,6 +49,7 @@ from .core import (
 from .errors import (
     NegativeInfluenceWarning,
     NonFiniteValue,
+    OutOfRange,
     ResonantForcing,
     WrongRegime,
     ZeroCoefficient,
@@ -368,7 +369,7 @@ def oracle_solution(params: DdeParams, t_max: float,
     single entry at t=0.
     """
     if not (math.isfinite(t_max) and t_max > 0.0):
-        raise ValueError(f"t_max must be positive, got {t_max!r}")
+        raise OutOfRange(f"t_max must be positive, got {t_max!r}")
     a, b = params.a, params.b
     # (-a) u + (-b) v is -(b v + a u) bit for bit, up to the sign of a zero
     trajectory = rk4_integrate(((b, a), (-a, -b)), (params.p0, params.p0),

@@ -27,6 +27,7 @@ from mirrordde.core import (
 from mirrordde.errors import (
     AsymmetricGrid,
     DegenerateSystem,
+    DimensionMismatch,
     NegativeInfluenceWarning,
     NonFiniteState,
     NonFiniteValue,
@@ -366,7 +367,7 @@ def longhand_series_error(times, values):
     values = [float(v) for v in values]
     n = len(times)
     if n != len(values):
-        return ValueError, f"times and values differ in length: {n} vs {len(values)}"
+        return DimensionMismatch, f"times and values differ in length: {n} vs {len(values)}"
     if n < 3:
         return TooShort, f"need at least 3 samples, got {n}"
     for name, seq in (("times", times), ("values", values)):

@@ -10,6 +10,7 @@ import os
 import pathlib
 import re
 import shlex
+import sys
 import warnings
 from unittest import mock
 
@@ -540,6 +541,8 @@ class TestSeriesReaders:
     @example(data=b"t,p\n-1,1\n0,2,\n1,3\n")
     @example(data=b"t,p\n-1,1\n0,\n1,3\n")
     @example(data=b"t,p\n")
+    # the commas add up, but loadtxt reads one row of three cells
+    @example(data=b"t,p\n1,2,3\n\n")
     @settings(max_examples=300, deadline=None)
     def test_readers_agree(self, tmp_path_factory, data):
         """Either the plain reader declines a file or its columns are the csv
@@ -1287,3 +1290,25 @@ def test_readme_examples_print_what_they_show(tmp_path, monkeypatch):
         if code != 0 or not shown_output_matches(shown, out.splitlines()):
             wrong.append((argv, code, out[:300]))
     assert wrong == []
+
+
+# ---------------------------------------------------------------------------
+# --help
+# ---------------------------------------------------------------------------
+
+@pytest.mark.skipif(sys.version_info >= (3, 13),
+                    reason="argparse from 3.13 wraps the simulate usage "
+                           "block differently")
+@pytest.mark.parametrize("subcommand",
+                         [None, "simulate", "fit", "rank", "verify", "eta"])
+def test_help_matches_golden(data_dir, monkeypatch, capsys, subcommand):
+    """``--help`` at 80 columns keeps every byte of
+    ``golden_help[_<subcommand>].txt``."""
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [subcommand, "--help"] if subcommand else ["--help"]
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 0
+    golden = data_dir / f"golden_help{'_' + subcommand if subcommand else ''}.txt"
+    out, err = capsys.readouterr()
+    assert (out.encode(), err) == (golden.read_bytes(), "")

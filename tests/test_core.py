@@ -19,6 +19,8 @@ from mirrordde import (
     EtaTimeExponential,
     FeatureMatrix,
     InfluenceSeries,
+    InvalidName,
+    MirrorDdeError,
     ModeCoefficients,
     NonFiniteValue,
     NonUniformGrid,
@@ -30,6 +32,12 @@ from mirrordde import (
     ThetaExponential,
     ThetaLinear,
     TooShort,
+    finite_diff,
+    lasso_fit,
+    oracle_solution,
+    rank_journals,
+    rk4_integrate,
+    svd_values,
     validate_series,
 )
 
@@ -84,7 +92,7 @@ class TestInfluenceSeries:
             validate_series([-1.0, 0.0, 1.0], [1.0, 2.0])
 
     @pytest.mark.parametrize("times,values,exc,message", [
-        ([-1.0, 0.0, 1.0], [1.0, 2.0], ValueError,
+        ([-1.0, 0.0, 1.0], [1.0, 2.0], DimensionMismatch,
          "times and values differ in length: 3 vs 2"),
         ([], [], TooShort, "need at least 3 samples, got 0"),
         ([-1.0, 1.0], [1.0, 2.0], TooShort,
@@ -377,3 +385,60 @@ class TestRankingResult:
         result = RankingResult(entries=(entry(1, "A", 0.0, 1),))
         with pytest.raises(KeyError):
             result.by_name("Z")
+
+
+# ---------------------------------------------------------------------------
+# Input errors: typed, and still the ValueError they were before
+# ---------------------------------------------------------------------------
+
+_PARAMS = DdeParams(a=0.3, b=0.9, p0=1.0)
+_SERIES = validate_series([-1.0, 0.0, 1.0], [1.0, 2.0, 3.0])
+_ZERO = ((0.0, 0.0), (0.0, 0.0))
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: validate_series([-1.0, 0.0, 1.0], [1.0, 2.0]),
+     DimensionMismatch, "times and values differ in length: 3 vs 2"),
+    (lambda: DdeParams(a=0.3, b=0.9, p0=1.0, half_width=0.0),
+     OutOfRange, "half_width must be positive, got 0.0"),
+    (lambda: FeatureMatrix(("A", ""), ("x", "y"), [[1.0, 2.0], [3.0, 4.0]]),
+     InvalidName, "journal names must be non-empty"),
+    (lambda: FeatureMatrix(("A", "B"), ("", "y"), [[1.0, 2.0], [3.0, 4.0]]),
+     InvalidName, "feature names must be non-empty"),
+    (lambda: FeatureMatrix(("A", "A"), ("x", "y"), [[1.0, 2.0], [3.0, 4.0]]),
+     InvalidName, "journal names must be unique"),
+    (lambda: FeatureMatrix(("A", "B"), ("x", "x"), [[1.0, 2.0], [3.0, 4.0]]),
+     InvalidName, "feature names must be unique"),
+    (lambda: FeatureMatrix((), ("x", "y"), np.empty((0, 2))),
+     TooShort, "need at least one journal"),
+    (lambda: FeatureMatrix(("A",), ("x",), [[1.0]]),
+     TooShort, "need at least two features"),
+    (lambda: FeatureMatrix(("A", "B"), ("x", "y"), [[1.0, 2.0]]),
+     DimensionMismatch, "data shape (1, 2) does not match 2 journals x 2 features"),
+    (lambda: svd_values(np.empty((0, 2))),
+     DimensionMismatch, "matrix must be non-empty, got shape (0, 2)"),
+    (lambda: lasso_fit([[1.0]], [1.0], 0.1),
+     TooShort, "need at least 2 observations"),
+    (lambda: lasso_fit([[1.0], [2.0]], [1.0, 2.0], -1.0),
+     OutOfRange, "lam must be non-negative and finite, got -1.0"),
+    (lambda: rank_journals(small_matrix(), "SJR", lam=math.nan),
+     OutOfRange, "lam must be non-negative and finite, got nan"),
+    (lambda: rk4_integrate(_ZERO, (1.0, 1.0), 0.0, 0.1),
+     OutOfRange, "t_end must be positive, got 0.0"),
+    (lambda: rk4_integrate(_ZERO, (1.0, 1.0), 1.0, math.inf),
+     OutOfRange, "step must be positive, got inf"),
+    (lambda: oracle_solution(_PARAMS, -1.0, 0.1),
+     OutOfRange, "t_max must be positive, got -1.0"),
+    (lambda: finite_diff(_SERIES, "central"),
+     OutOfRange, "unknown finite-difference mode: 'central'"),
+], ids=["series-length", "half-width", "empty-journal", "empty-feature",
+        "repeated-journal", "repeated-feature", "no-journal", "one-feature",
+        "data-shape", "empty-matrix", "one-observation", "lasso-lam",
+        "rank-lam", "t-end", "rk4-step", "t-max", "fd-mode"])
+def test_input_errors_are_typed_value_errors(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert type(info.value) is exc
+    assert isinstance(info.value, MirrorDdeError)
+    assert isinstance(info.value, ValueError)
+    assert str(info.value) == message

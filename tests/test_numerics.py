@@ -13,11 +13,13 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mirrordde import (
     ConvergenceFailure,
@@ -43,6 +45,43 @@ from oracles import (
     dense_lasso_sweeps,
     residual_lasso_sweeps,
 )
+
+
+# ---------------------------------------------------------------------------
+# _pow2_scaled
+# ---------------------------------------------------------------------------
+
+class TestPow2Scaled:
+    @given(a=hnp.arrays(np.float64, hnp.array_shapes(max_dims=2, max_side=5),
+                        elements=st.floats(allow_nan=False,
+                                           allow_infinity=False)),
+           axis=st.sampled_from([None, 0]),
+           zero_col=st.one_of(st.none(), st.integers(0, 4)))
+    @example(a=np.array([0.0, -0.0]), axis=None, zero_col=None)
+    @example(a=np.array([[1e308, 5e-324], [-1.7e308, 0.0]]), axis=0,
+             zero_col=None)
+    @settings(max_examples=300, deadline=None)
+    def test_largest_entry_lands_in_half_open_unit_and_scales_back(
+            self, a, axis, zero_col):
+        if zero_col is not None and a.ndim == 2:
+            a[:, zero_col % a.shape[1]] = 0.0
+        scaled, e = numerics._pow2_scaled(a, axis=axis)
+        top = np.abs(a).max(axis=axis)
+        peak = np.abs(scaled).max(axis=axis)
+        zero = top == 0.0
+        assert (np.asarray(e)[zero] == 0).all()
+        assert ((0.5 <= peak) & (peak < 1.0))[~zero].all()
+        # entries at least 2**-1021 times the largest stay normal when scaled
+        exact = np.abs(a) >= np.ldexp(top, -1021)
+        assert np.ldexp(scaled, e)[exact].tobytes() == a[exact].tobytes()
+
+    def test_one_binade_lower_can_round(self):
+        # 1.5 scales by 2**-1, which takes an entry just above 1.5 * 2**-1022
+        # into the subnormals, where its last bit is lost
+        x = math.ldexp(1.5, -1022) + math.ldexp(1.0, -1074)
+        scaled, e = numerics._pow2_scaled(np.array([1.5, x]))
+        assert e == 1
+        assert np.ldexp(scaled, e)[1] != x
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +248,38 @@ class TestSolve2x2:
         else:
             assert solve_2x2(m11, m12, m21, m22, 1.0, -1.0) == (
                 (1.0 * m22 - m12 * -1.0) / det, (m11 * -1.0 - m21 * 1.0) / det)
+
+    @given(mantissas=st.lists(st.floats(1.0, 2.0, exclude_max=True),
+                              min_size=6, max_size=6),
+           signs=st.lists(st.booleans(), min_size=6, max_size=6),
+           powers=st.lists(st.integers(-300, 300), min_size=6, max_size=6),
+           near=st.one_of(st.none(), st.none(), st.floats(-1e-3, 1e-3)))
+    @settings(max_examples=400, deadline=None)
+    def test_within_first_order_cramer_error_of_exact(self, mantissas, signs,
+                                                      powers, near):
+        """Each component is within the first-order error of Cramer's rule,
+        measured against the exact rational solution of the same floats."""
+        m11, m12, m21, m22, r1, r2 = (
+            math.ldexp(-u if neg else u, k)
+            for u, neg, k in zip(mantissas, signs, powers))
+        if near is not None:
+            # a second row nearly proportional to the first: det near 0
+            m21, m22 = m11 * r1, m12 * r1 * (1.0 + near)
+        try:
+            got = solve_2x2(m11, m12, m21, m22, r1, r2)
+        except SingularSystem:
+            return
+        f11, f12, f21, f22, g1, g2 = map(Fraction,
+                                         (m11, m12, m21, m22, r1, r2))
+        det = f11 * f22 - f12 * f21
+        exact = ((g1 * f22 - f12 * g2) / det, (f11 * g2 - f21 * g1) / det)
+        eps, tiny = Fraction(1, 2**53), Fraction(1, 2**1074)
+        gram = abs(f11 * f22) + abs(f12 * f21)
+        for x_hat, x, terms in zip(got, exact,
+                                   (abs(g1 * f22) + abs(f12 * g2),
+                                    abs(f11 * g2) + abs(f21 * g1))):
+            bound = 4 * eps * (terms + abs(x) * gram) / abs(det) + 4 * tiny
+            assert abs(Fraction(x_hat) - x) <= bound
 
     def test_matches_dense_solver(self):
         rng = np.random.default_rng(11)
