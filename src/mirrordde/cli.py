@@ -55,11 +55,11 @@ from .fitting import fit_pipeline
 from .numerics import FdMode
 from .ranking import rank_journals
 from .solver import (
+    _max_deviation,
     _require_regime,
     classify,
     eta_article,
     evaluate,
-    oracle_solution,
 )
 
 if TYPE_CHECKING:
@@ -263,6 +263,14 @@ def cmd_simulate(args) -> None:
     # Endpoint-exact affine blend; keeps symmetric windows exactly symmetric.
     times = [(args.t_min * (steps - i) + args.t_max * i) / steps
              for i in range(steps + 1)]
+    if (max(abs(args.t_min), abs(args.t_max)) * steps >= 2.0**1023
+            and not all(map(math.isfinite, times))):
+        # the products overflowed: blend copies scaled by 2**-j, where
+        # 2**j >= 2 * steps keeps every sum below 2**1023, and scale back
+        j = (2 * steps - 1).bit_length()
+        lo, hi = math.ldexp(args.t_min, -j), math.ldexp(args.t_max, -j)
+        times = [math.ldexp((lo * (steps - i) + hi * i) / steps, j)
+                 for i in range(steps + 1)]
 
     warning_flag = None
     if config is None and classify(params).tag is RegimeTag.OSCILLATORY:
@@ -499,15 +507,7 @@ def cmd_verify(args) -> None:
     # The closed form is base_solution's: refuse its regime before integrating.
     _require_regime(params, "base_solution")
 
-    times, oracle = oracle_solution(params, args.t_max, args.step)
-    # the largest |closed - p| / max(1, |closed|); dividing by 1 is a no-op
-    deviation = 0.0
-    for closed, p in zip(evaluate(params, times), oracle):
-        d = abs(closed - p)
-        if abs(closed) > 1.0:
-            d /= abs(closed)
-        if d > deviation:
-            deviation = d
+    deviation = _max_deviation(params, args.t_max, args.step)
     sys.stdout.write(fmt(deviation) + "\n")
     if deviation > VERIFY_TOL:
         raise _CliError(

@@ -7,7 +7,9 @@ kernels are written directly for that size class: Cramer's rule for 2x2
 systems, cyclic coordinate descent with covariance updates for the l1 fit
 (one Gram product per call, then O(q) work per coordinate step for q
 nonzero coefficients), and classical RK4 on local floats for the one system
-integrated, ``y' = M y`` with a constant 2x2 ``M``.  Singular values, which
+integrated, ``y' = M y`` with a constant 2x2 ``M``, yielded in blocks of
+steps so that a caller can fold the trajectory without holding all of it
+(``verify`` holds one block).  Singular values, which
 no command needs, come from numpy's LAPACK SVD on a power-of-two-scaled
 copy.  The 2x2 solve and RK4 run on ``math`` alone; numpy is imported by
 the array kernels (singular values, the l1 fit, finite differences) when
@@ -44,9 +46,14 @@ LASSO_TOL = 1e-8
 #: Hard cap on coordinate-descent sweeps.
 LASSO_MAX_SWEEPS = 10_000
 
-#: Hard cap on RK4 steps per call: each recorded step holds about 265 bytes,
-#: so the cap bounds the output near 0.3 GB.
+#: Hard cap on RK4 steps per call.  It bounds the run time of every
+#: integration and the size of the whole-trajectory lists of
+#: :func:`rk4_integrate` (about 265 bytes a step, so near 0.3 GB).
 RK4_MAX_STEPS = 2**20
+
+#: :func:`_rk4_blocks` yields the trajectory this many steps at a time, so a
+#: caller that folds each block in turn holds only one.
+RK4_BLOCK_STEPS = 256
 
 
 def _as_matrix_array(m) -> NDArray[np.float64]:
@@ -239,18 +246,13 @@ def lasso_objective(X, y, lam: float, w) -> float:
 State = tuple[float, float]
 
 
-def rk4_integrate(m: tuple[State, State], y0: State, t_end: float,
-                  step: float) -> list[tuple[float, State]]:
-    """Classical fourth-order Runge-Kutta for ``y' = M y`` from t=0 to t_end
-    inclusive, ``m = ((m11, m12), (m21, m22))``.
-
-    Operation for operation the textbook scheme on ``f(y) = M y``.  Returns
-    the list of (t, state) pairs including both endpoints.  If t_end is not
-    a whole number of steps, or is shorter than one, the final step is
-    shortened to land on it exactly.  A non-finite step count, or one above
-    :data:`RK4_MAX_STEPS`, raises :class:`OutOfRange` before any step, and a
-    non-finite state :class:`NonFiniteState`.
-    """
+def _rk4_blocks(m: tuple[State, State], y0: State, t_end: float, step: float
+                ) -> Iterator[tuple[list[float], list[float], list[float]]]:
+    """The RK4 trajectory of :func:`rk4_integrate` as ``(times, u, v)``
+    lists, block by block: each block holds at most :data:`RK4_BLOCK_STEPS`
+    steps, and the first also starts with t=0.  The checks and their errors
+    are :func:`rk4_integrate`'s; a non-finite state raises when its block is
+    reached, after the blocks before it were yielded."""
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise OutOfRange(f"t_end must be positive, got {t_end!r}")
     if not (math.isfinite(step) and step > 0.0):
@@ -266,7 +268,6 @@ def rk4_integrate(m: tuple[State, State], y0: State, t_end: float,
     remainder = t_end - n_whole * step
     (m11, m12), (m21, m22) = m
 
-    out: list[tuple[float, State]] = [(0.0, (u, v))]
     # whole steps, then one shortened step if they fall short of t_end; the
     # last is recorded at t_end (hiding rounding), an error names its own t
     shortened = n_whole == 0 or remainder > 1e-9 * step
@@ -274,23 +275,47 @@ def rk4_integrate(m: tuple[State, State], y0: State, t_end: float,
     if last + 1 > RK4_MAX_STEPS:
         raise OutOfRange(f"step count {t_end!r}/{step!r} exceeds the cap "
                          f"of {RK4_MAX_STEPS} steps")
+    block = RK4_BLOCK_STEPS
+    times, us, vs = [0.0], [u], [v]
     h, half, sixth = step, 0.5 * step, step / 6.0
-    for i in range(last + 1):
-        if i == n_whole:
-            h, half, sixth = remainder, 0.5 * remainder, remainder / 6.0
-        k1u, k1v = m11 * u + m12 * v, m21 * u + m22 * v
-        x, y = u + half * k1u, v + half * k1v
-        k2u, k2v = m11 * x + m12 * y, m21 * x + m22 * y
-        x, y = u + half * k2u, v + half * k2v
-        k3u, k3v = m11 * x + m12 * y, m21 * x + m22 * y
-        x, y = u + h * k3u, v + h * k3v
-        k4u, k4v = m11 * x + m12 * y, m21 * x + m22 * y
-        u = u + sixth * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        v = v + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        if not (math.isfinite(u) and math.isfinite(v)):
-            t = t_end if i == n_whole else (i + 1) * step
-            raise NonFiniteState(f"state became non-finite at t={t!r}")
-        out.append((t_end if i == last else (i + 1) * step, (u, v)))
+    for start in range(0, last + 1, block):
+        for i in range(start, min(start + block, last + 1)):
+            if i == n_whole:
+                h, half, sixth = remainder, 0.5 * remainder, remainder / 6.0
+            k1u, k1v = m11 * u + m12 * v, m21 * u + m22 * v
+            x, y = u + half * k1u, v + half * k1v
+            k2u, k2v = m11 * x + m12 * y, m21 * x + m22 * y
+            x, y = u + half * k2u, v + half * k2v
+            k3u, k3v = m11 * x + m12 * y, m21 * x + m22 * y
+            x, y = u + h * k3u, v + h * k3v
+            k4u, k4v = m11 * x + m12 * y, m21 * x + m22 * y
+            u = u + sixth * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+            v = v + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+            if not (math.isfinite(u) and math.isfinite(v)):
+                t = t_end if i == n_whole else (i + 1) * step
+                raise NonFiniteState(f"state became non-finite at t={t!r}")
+            times.append(t_end if i == last else (i + 1) * step)
+            us.append(u)
+            vs.append(v)
+        yield times, us, vs
+        times, us, vs = [], [], []
+
+
+def rk4_integrate(m: tuple[State, State], y0: State, t_end: float,
+                  step: float) -> list[tuple[float, State]]:
+    """Classical fourth-order Runge-Kutta for ``y' = M y`` from t=0 to t_end
+    inclusive, ``m = ((m11, m12), (m21, m22))``.
+
+    Operation for operation the textbook scheme on ``f(y) = M y``.  Returns
+    the list of (t, state) pairs including both endpoints.  If t_end is not
+    a whole number of steps, or is shorter than one, the final step is
+    shortened to land on it exactly.  A non-finite step count, or one above
+    :data:`RK4_MAX_STEPS`, raises :class:`OutOfRange` before any step, and a
+    non-finite state :class:`NonFiniteState`.
+    """
+    out: list[tuple[float, State]] = []
+    for times, us, vs in _rk4_blocks(m, y0, t_end, step):
+        out += zip(times, zip(us, vs))
     return out
 
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .core import (
     DEGENERACY_RTOL,
@@ -54,7 +54,7 @@ from .errors import (
     WrongRegime,
     ZeroCoefficient,
 )
-from .numerics import rk4_integrate, solve_2x2
+from .numerics import _rk4_blocks, solve_2x2
 
 #: Relative tolerance for the resonance guard on forcing rates.
 RESONANCE_RTOL = 1e-12
@@ -336,7 +336,12 @@ def _homogeneous(params: DdeParams, times: Sequence[float]) -> list[float]:
     if regime.tag is RegimeTag.EXPONENTIAL:
         return [p0 * (math.cosh(rt := r * t) + k * math.sinh(rt))
                 for t in times]
-    return [p0 * (math.cos(wt := r * t) + k * math.sin(wt)) for t in times]
+    try:
+        return [p0 * (math.cos(wt := r * t) + k * math.sin(wt)) for t in times]
+    except ValueError:  # cos(inf) is a domain error
+        t = next(t for t in times if not math.isfinite(r * t))
+        raise NonFiniteValue(f"w*t overflows float64 at t={t!r} "
+                             f"(w={r!r})") from None
 
 
 def _two_mode(params: DdeParams, times: Sequence[float],
@@ -358,6 +363,17 @@ def _two_mode(params: DdeParams, times: Sequence[float],
 # numerical oracle
 # ---------------------------------------------------------------------------
 
+def _oracle_blocks(params: DdeParams, t_max: float, step: float
+                   ) -> Iterator[tuple[list[float], list[float], list[float]]]:
+    """The oracle's RK4 blocks ``(times, p(t), p(-t))``, t ascending from 0
+    (first block) to t_max (last); see :func:`oracle_solution`."""
+    if not (math.isfinite(t_max) and t_max > 0.0):
+        raise OutOfRange(f"t_max must be positive, got {t_max!r}")
+    a, b = params.a, params.b
+    # (-a) u + (-b) v is -(b v + a u) bit for bit, up to the sign of a zero
+    return _rk4_blocks(((b, a), (-a, -b)), (params.p0, params.p0), t_max, step)
+
+
 def oracle_solution(params: DdeParams, t_max: float,
                     step: float) -> tuple[list[float], list[float]]:
     """Runge-Kutta reference trajectory on the symmetric window [-t_max, t_max].
@@ -368,13 +384,52 @@ def oracle_solution(params: DdeParams, t_max: float,
     Returns two parallel lists ``(times, values)``, ascending in time with a
     single entry at t=0.
     """
-    if not (math.isfinite(t_max) and t_max > 0.0):
-        raise OutOfRange(f"t_max must be positive, got {t_max!r}")
-    a, b = params.a, params.b
-    # (-a) u + (-b) v is -(b v + a u) bit for bit, up to the sign of a zero
-    trajectory = rk4_integrate(((b, a), (-a, -b)), (params.p0, params.p0),
-                               t_max, step)
-    mirrored = trajectory[:0:-1]           # t > 0, descending
-    times = [-t for t, _ in mirrored] + [t for t, _ in trajectory]
-    values = [v for _, (_, v) in mirrored] + [u for _, (u, _) in trajectory]
-    return times, values
+    times: list[float] = []
+    ahead: list[float] = []
+    behind: list[float] = []
+    for block_times, block_ahead, block_behind in _oracle_blocks(params, t_max,
+                                                                 step):
+        times += block_times
+        ahead += block_ahead
+        behind += block_behind
+    # the mirrored half descends from t_max and stops short of t = 0
+    return [-t for t in times[:0:-1]] + times, behind[:0:-1] + ahead
+
+
+def _max_deviation(params: DdeParams, t_max: float, step: float) -> float:
+    """The largest |c - p| / max(1, |c|) between the homogeneous closed form
+    c and the oracle p over [-t_max, t_max], one RK4 block at a time.
+
+    It raises what ``evaluate`` over the whole of :func:`oracle_solution`'s
+    window would, after it: an RK4 error when the integration reaches it;
+    then, once the integration finishes, the closed form's error at the
+    first failing t in ascending order.  A ``math`` overflow (cosh, sinh, or
+    cos of an infinite phase) happens for every |t| from some bound on, so
+    it happens at -t_max too, first in that order as ``evaluate`` raises it
+    first.
+    """
+    deviation = 0.0
+    error: NonFiniteValue | None = None
+    for n, (times, ahead, behind) in enumerate(_oracle_blocks(params, t_max,
+                                                              step)):
+        back = slice(None, None if n else 0, -1)  # descending, t = 0 once
+        for side, oracle, mirrored in (
+                ([-t for t in times[back]], behind[back], True),
+                (times, ahead, False)):
+            try:
+                closed = evaluate(params, side)
+            except NonFiniteValue as exc:
+                # a later block mirrors to a more negative t
+                if mirrored or error is None:
+                    error = exc
+                continue
+            if error is None:
+                for c, p in zip(closed, oracle):
+                    d = abs(c - p)
+                    if abs(c) > 1.0:
+                        d /= abs(c)  # dividing by max(1, |c|) = 1 is a no-op
+                    if d > deviation:
+                        deviation = d
+    if error is not None:
+        raise error
+    return deviation

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from mirrordde import SingularSystem, cli, numerics
 
-from helpers import run_cli, run_cli_bytes
+from helpers import cli_peak_rss_mb, run_cli, run_cli_bytes
 from oracles import max_relative_deviation
 
 SIMULATE_GOLDENS = sorted(
@@ -225,7 +225,7 @@ class TestSimulate:
         assert target.read_bytes() == golden
 
     @pytest.mark.parametrize("argv", [
-        # the grid itself overflows to -inf/inf
+        # cosh(1e308) overflows
         ("--a", "0", "--b", "1", "--p0", "1", "--t-min=-1e308",
          "--t-max=1e308", "--steps", "2"),
         # p0 (1 + (a+b) t) overflows without an OverflowError
@@ -237,8 +237,8 @@ class TestSimulate:
         # the particular term overflows: inf - inf = nan
         ("--a", "0", "--b", "1", "--p0", "1", "--theta-lin", "1e308,0",
          "--t-min=-5", "--t-max=5", "--steps", "2"),
-        # cos(inf) was a bare "math domain error"
-        ("--a", "2", "--b", "1", "--p0", "1", "--t-min=-1e308",
+        # cos(inf) was a bare "math domain error"; w t overflows here
+        ("--a", "20", "--b", "1", "--p0", "1", "--t-min=-1e308",
          "--t-max=1e308", "--steps", "2", "--allow-oscillatory"),
     ])
     def test_non_finite_is_an_error_line(self, argv):
@@ -247,6 +247,13 @@ class TestSimulate:
         assert "Traceback" not in err
         assert err.count("ERROR 2: ") == 1 and err.count("\n") == 1
         assert "math domain error" not in err
+
+    def test_grid_whose_blend_overflows(self):
+        # t_min * steps overflowed to -inf: "t must be finite, got -inf"
+        code, out, err = run_cli("simulate", "--a", "0", "--b", "0", "--p0",
+                                 "1", "--t-min=-1e308", "--t-max", "1e308",
+                                 "--steps", "2")
+        assert (code, out, err) == (0, "t,p\n-1e+308,1\n0,1\n1e+308,1\n", "")
 
     @pytest.mark.parametrize("forcing", [("--theta-exp", "1e155"),
                                          ("--eta-exp", "1,1e300")])
@@ -854,9 +861,9 @@ class TestVerify:
 
     def test_regime_checked_before_integration(self, monkeypatch):
         def no_oracle(*args):
-            raise AssertionError("oracle_solution must not run")
+            raise AssertionError("the oracle must not run")
 
-        monkeypatch.setattr(cli, "oracle_solution", no_oracle)
+        monkeypatch.setattr(cli, "_max_deviation", no_oracle)
         code, out, err = run_cli("verify", "--a", "2", "--b", "1", "--p0", "1",
                                  "--t-max", "5", "--step", "1e-5")
         assert code == 3 and out == ""
@@ -867,6 +874,36 @@ class TestVerify:
         code, _, err = run_cli("verify", "--a", "0.3", "--b", "0.5",
                                "--p0", "1", "--step", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("argv, err", [
+        # RK4 fails at t = 7200; the closed form, from t = 7010 on, later
+        (("--a", "0", "--b", "0.2", "--p0", "1e-300", "--t-max", "7500",
+          "--step", "10"), "state became non-finite at t=7200.0"),
+        (("--a", "0", "--b", "0.2", "--p0", "1e-300", "--t-max", "7100",
+          "--step", "10"), "p(t) overflows float64 (math range error)"),
+        # the first non-finite p in ascending t, on either side of 0
+        (("--a=0", "--b=-0.1", "--p0=2.4880700676029834e+221",
+          "--t-max=2000", "--step=10.0"), "p(-2000.0) = inf overflows float64"),
+        (("--a=0", "--b=0.1", "--p0=2.4880700676029834e+221",
+          "--t-max=2000", "--step=10.0"), "p(2000.0) = inf overflows float64"),
+    ])
+    def test_errors_of_the_whole_window(self, argv, err):
+        """The oracle's error first, then the closed form's error over the
+        ascending window, though both are checked one block at a time."""
+        assert run_cli("verify", *argv) == (2, "", f"ERROR 2: {err}\n")
+
+    @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+    def test_memory_does_not_grow_with_the_step_count(self):
+        """One block of RK4 steps is held at a time: 2**18 steps peak
+        within 4 MB of 2**11 (a whole window held about 300 bytes a step,
+        some 80 MB here)."""
+        argv = ("verify", "--a", "0.3", "--b", "0.9", "--p0", "1",
+                "--t-max", "1", "--step")
+        code, out, small = cli_peak_rss_mb(*argv, repr(2.0 ** -11))
+        assert (code, out) == (0, b"2.28426448608e-15\n")
+        code, out, large = cli_peak_rss_mb(*argv, repr(2.0 ** -18))
+        assert (code, out) == (0, b"3.04422267836e-14\n")
+        assert large <= small + 4.0
 
     @given(
         a=st.floats(min_value=-2.0, max_value=2.0),

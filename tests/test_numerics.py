@@ -662,6 +662,35 @@ class TestRk4:
         assert str(got.value) == str(want.value)
         assert str(got.value).endswith(f"t={3 * 0.1!r}")
 
+    @pytest.mark.parametrize("block", [1, 7, 256])
+    @pytest.mark.parametrize("t_end, step", [(3.0, 0.1), (0.35, 0.1),
+                                             (1e-12, 1.0), (2.0, 0.25)])
+    def test_blocks_tile_the_trajectory(self, monkeypatch, block, t_end,
+                                        step):
+        """Every block but the last holds RK4_BLOCK_STEPS steps, the first
+        also t=0, and together they are the reference trajectory."""
+        monkeypatch.setattr(numerics, "RK4_BLOCK_STEPS", block)
+        m = ((0.5, 0.3), (-0.3, -0.5))
+        blocks = list(numerics._rk4_blocks(m, (1.0, 1.0), t_end, step))
+        steps = [len(times) for times, _, _ in blocks]
+        steps[0] -= 1
+        assert steps[:-1] == [block] * (len(steps) - 1)
+        assert 1 <= steps[-1] <= block
+        assert blocks[0][0][0] == 0.0
+        assert [(t, (u, v)) for times, us, vs in blocks
+                for t, u, v in zip(times, us, vs)] == \
+            closure_rk4(matrix_field(m), (1.0, 1.0), t_end, step)
+
+    def test_blowup_raises_after_the_blocks_before_it(self, monkeypatch):
+        # as in test_blowup_raises: the state overflows on the sixth step
+        monkeypatch.setattr(numerics, "RK4_BLOCK_STEPS", 2)
+        blocks = numerics._rk4_blocks(((1e6, 0.0), (0.0, 0.0)), (1e200, 0.0),
+                                      1.0, 0.1)
+        assert [times for times, _, _ in itertools.islice(blocks, 2)] == \
+            [[0.0, 0.1, 0.2], [0.30000000000000004, 0.4]]
+        with pytest.raises(NonFiniteState, match=f"t={6 * 0.1!r}"):
+            next(blocks)
+
     @given(
         m=st.tuples(*[st.floats(min_value=-4.0, max_value=4.0)] * 4),
         y0=st.tuples(*[st.floats(min_value=-10.0, max_value=10.0)

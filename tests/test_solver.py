@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from mirrordde import (
     EtaArticleBased,
     EtaTimeExponential,
     GrowthKind,
+    MirrorDdeError,
     NegativeInfluenceWarning,
     NonFiniteState,
     NonFiniteValue,
@@ -39,10 +41,13 @@ from mirrordde import (
     oracle_solution,
     oscillatory_solution,
 )
+from mirrordde import numerics, solver
+from mirrordde.solver import _max_deviation
 
 from oracles import (
     loop_forced_evaluate,
     loop_initial_conditions_to_modes,
+    max_relative_deviation,
     mp_forced_solution,
     mp_forcing,
     mp_substitution_residual,
@@ -502,6 +507,14 @@ class TestEvaluate:
             0.7 * (math.cos(w * t) + ((0.5 - 0.3) / w) * math.sin(w * t))
             for t in TIMES]
 
+    def test_overflowing_phase_is_non_finite_value(self):
+        # w t = inf left cos with a bare ValueError ("math domain error")
+        params = DdeParams(a=20.0, b=1.0, p0=1.0)
+        w = math.sqrt(399.0)
+        with pytest.raises(NonFiniteValue) as got:
+            evaluate(params, [0.0, 1e307, -1e308])
+        assert str(got.value) == f"w*t overflows float64 at t=1e+307 (w={w!r})"
+
     @pytest.mark.parametrize("eta", ETAS)
     @pytest.mark.parametrize("theta", THETAS)
     def test_forced_equals_control_solution_bitwise(self, theta, eta):
@@ -815,3 +828,103 @@ class TestOracleSolution:
         # the integrator checks every state, so no non-finite sample is built
         with pytest.raises(NonFiniteState):
             oracle_solution(DdeParams(a=0.3, b=0.5, p0=1e308), 5.0, 1e-3)
+
+
+# ---------------------------------------------------------------------------
+# _max_deviation, verify's streamed comparison
+# ---------------------------------------------------------------------------
+
+def whole_window_deviation(params, t_max, step):
+    """The largest relative gap between ``evaluate`` over the whole oracle
+    window and the oracle, or the type and message of the first error."""
+    try:
+        times, oracle = oracle_solution(params, t_max, step)
+        return max_relative_deviation(evaluate(params, times), oracle)
+    except MirrorDdeError as exc:
+        return type(exc), str(exc)
+
+
+def streamed_deviation(params, t_max, step):
+    try:
+        return _max_deviation(params, t_max, step)
+    except MirrorDdeError as exc:
+        return type(exc), str(exc)
+
+
+class TestMaxDeviation:
+    @given(
+        a=st.floats(min_value=-1.0, max_value=1.0),
+        b=st.floats(min_value=-1.0, max_value=1.0),
+        p0=st.builds(lambda m, e: m * 10.0 ** e,
+                     st.floats(min_value=0.1, max_value=10.0)
+                     | st.floats(min_value=-10.0, max_value=-0.1),
+                     st.integers(min_value=-300, max_value=300)),
+        t_max=st.floats(min_value=1e-3, max_value=8000.0),
+        steps=st.floats(min_value=0.5, max_value=800.0),
+    )
+    # RK4 overflows at t = 7200 before the closed form's deferred overflow,
+    # which starts near t = 7010 (math.cosh), is raised
+    @example(a=0.0, b=0.2, p0=1e-300, t_max=7500.0, steps=750.0)
+    @example(a=0.0, b=0.2, p0=1e-300, t_max=7100.0, steps=710.0)
+    # the first non-finite p is the most negative t, in the last block ...
+    @example(a=0.0, b=-0.1, p0=2.4880700676029834e+221, t_max=2000.0,
+             steps=200.0)
+    # ... or else the smallest positive t, in an earlier block
+    @example(a=0.0, b=0.1, p0=2.4880700676029834e+221, t_max=2000.0,
+             steps=200.0)
+    @example(a=0.3, b=0.5, p0=1.0, t_max=1e-12, steps=1e-12)
+    @settings(max_examples=150, deadline=None)
+    def test_streamed_equals_whole_window(self, a, b, p0, t_max, steps):
+        """Blocks of 7 RK4 steps give the whole window's deviation, or its
+        error: the same type and message."""
+        params = DdeParams(a=a, b=b, p0=p0)
+        step = t_max / steps
+        with mock.patch.object(numerics, "RK4_BLOCK_STEPS", 7):
+            assert streamed_deviation(params, t_max, step) == \
+                whole_window_deviation(params, t_max, step)
+
+    def test_block_size_leaves_the_value(self):
+        params = DdeParams(a=0.3, b=0.9, p0=-2.0)
+        want = _max_deviation(params, 4.0, 2.0 ** -11)
+        assert want == whole_window_deviation(params, 4.0, 2.0 ** -11)
+        for block in (1, 2, 8192, 8193):
+            with mock.patch.object(numerics, "RK4_BLOCK_STEPS", block):
+                assert _max_deviation(params, 4.0, 2.0 ** -11) == want
+
+    @given(
+        n=st.integers(min_value=1, max_value=40),
+        negative=st.frozensets(st.integers(min_value=1, max_value=40)),
+        positive=st.frozensets(st.integers(min_value=1, max_value=40)),
+        overflow=st.none() | st.integers(min_value=1, max_value=40),
+        bad=st.sampled_from([math.inf, -math.inf, math.nan]),
+    )
+    @example(n=20, negative=frozenset({3, 16}), positive=frozenset({2}),
+             overflow=None, bad=math.inf)
+    @example(n=20, negative=frozenset({3}), positive=frozenset({2}),
+             overflow=18, bad=math.inf)
+    @settings(max_examples=150, deadline=None)
+    def test_error_order_of_any_pointwise_closed_form(self, n, negative,
+                                                      positive, overflow,
+                                                      bad):
+        """A stand-in closed form fails at chosen grid points i * step: it
+        is ``bad`` at -i for i in ``negative`` and at +i for i in
+        ``positive``, and its ``math`` call overflows from |i| = overflow
+        on.  Blocks of 7 steps raise the whole window's error: an overflow
+        anywhere, else the first non-finite p in ascending t."""
+        step = 0.125
+
+        def closed(params, times):
+            values = []
+            for t in times:
+                i = round(abs(t) / step)
+                if overflow is not None and i >= overflow:
+                    raise OverflowError("math range error")
+                failing = negative if t < 0.0 else positive if t > 0.0 else ()
+                values.append(bad if i in failing else t)
+            return values
+
+        params = DdeParams(a=0.3, b=0.5, p0=1.0)
+        with mock.patch.object(numerics, "RK4_BLOCK_STEPS", 7), \
+                mock.patch.object(solver, "_homogeneous", closed):
+            assert streamed_deviation(params, n * step, step) == \
+                whole_window_deviation(params, n * step, step)
