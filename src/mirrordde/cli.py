@@ -63,7 +63,7 @@ from .solver import (
 )
 
 if TYPE_CHECKING:
-    from array import array
+    from collections.abc import Iterator
 
     import numpy as np
     from numpy.typing import ArrayLike
@@ -271,6 +271,9 @@ def cmd_simulate(args) -> None:
         lo, hi = math.ldexp(args.t_min, -j), math.ldexp(args.t_max, -j)
         times = [math.ldexp((lo * (steps - i) + hi * i) / steps, j)
                  for i in range(steps + 1)]
+    # the ends are the flags themselves: fl(fl(x n) / n) need not be x, and
+    # the scaled blend rounds a subnormal end
+    times[0], times[-1] = args.t_min, args.t_max
 
     warning_flag = None
     if config is None and classify(params).tag is RegimeTag.OSCILLATORY:
@@ -318,30 +321,40 @@ def _read_bytes(path: str) -> bytes:
         raise _CliError(EXIT_USAGE, f"cannot read {path!r}: {exc}") from exc
 
 
-def _csv_rows(path: str, data: bytes) -> tuple[list[list[str]], array[int]]:
-    """Non-empty CSV rows of ``data``, the bytes of ``path``, and the number
-    of each row's last line; none is ERROR 2.
+def _csv_rows(path: str, data: bytes) -> Iterator[tuple[int, list[str]]]:
+    """``(line number, row)`` of each non-empty CSV row of ``data``, the bytes
+    of ``path``, as the csv reader reaches it; a csv fault, or no row at all
+    once the bytes end, is ERROR 2.
 
     The bytes are decoded as ``open(path, encoding="utf-8-sig", newline="")``
-    would decode them, chunk by chunk.  The line numbers are kept in an
-    array, which costs 8 bytes a row against about 80 for a tuple.
+    would decode them, chunk by chunk, and no row is kept: a reader that
+    stores what it converts holds the bytes and its own columns only.
     """
     import csv
-    from array import array
 
     text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
     reader = csv.reader(text)
-    rows, line_numbers = [], array("q")
+    empty = True
     try:
         for row in reader:
             if row:
-                rows.append(row)
-                line_numbers.append(reader.line_num)
+                empty = False
+                yield reader.line_num, row
     except csv.Error as exc:
         raise _CliError(EXIT_USAGE, f"{path!r}: {exc}") from exc
-    if not rows:
+    if empty:
         raise _CliError(EXIT_USAGE, f"{path!r} is empty")
-    return rows, line_numbers
+
+
+def _after_rest(rows: Iterator[tuple[int, list[str]]],
+                fault: _CliError) -> _CliError:
+    """``fault``, once the rest of ``rows`` is read and dropped: a csv fault
+    further on is raised instead, so a file reports what a reader of every
+    row before any check would (csv fault, empty file, header, first bad
+    row)."""
+    for _ in rows:
+        pass
+    return fault
 
 
 def _plain_series(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
@@ -353,7 +366,8 @@ def _plain_series(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     ``float`` either both reject a token or both round it to the same double,
     so the columns equal the csv reader's bit for bit.  Any other file, and
     any exception (numpy's parse errors differ between versions), is left to
-    the csv reader and its error lines.
+    the csv reader and its error lines.  The checks read ``data`` in place or
+    one window at a time, so no copy of the file is made.
     """
     import csv
 
@@ -361,7 +375,7 @@ def _plain_series(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
 
     lines = data.count(b"\n") - 1 + (not data.endswith(b"\n"))
     if (not data.startswith(b"t,p\n") or data.count(b",") != lines + 1
-            or lines < 1 or data.translate(None, _PLAIN_BODY_BYTES) != b"tp"):
+            or lines < 1):
         return None
     # No line, so no field, may pass the csv limit: a newline-free run of
     # 2k - 1 bytes would cover one of these k-byte windows, so a newline
@@ -369,6 +383,9 @@ def _plain_series(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     k = csv.field_size_limit() // 2 + 1
     if any(data.find(b"\n", i, i + k) < 0
            for i in range(0, len(data) - k + 1, k)):
+        return None
+    if any(data[i:i + k].translate(None, _PLAIN_BODY_BYTES)
+           for i in range(4, len(data), k)):
         return None
     try:
         # With one comma a line on average, loadtxt raising on ragged rows and
@@ -383,40 +400,44 @@ def _plain_series(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
 
 
 def _read_series_csv(path: str) -> tuple[ArrayLike, ArrayLike]:
+    """The t and p columns of the ``t,p`` file at ``path``: the plain reader's
+    float64 arrays, else two ``array('d')`` that the csv rows are converted
+    into one by one."""
+    from array import array
+
     data = _read_bytes(path)
     columns = _plain_series(data)
     if columns is not None:
         return columns
-    rows, line_numbers = _csv_rows(path, data)
-    header = [cell.strip() for cell in rows[0][:2]]
-    if header != ["t", "p"]:
-        raise _CliError(
+    rows = _csv_rows(path, data)
+    _, header = next(rows)
+    if [cell.strip() for cell in header[:2]] != ["t", "p"]:
+        raise _after_rest(rows, _CliError(
             EXIT_USAGE,
-            f"{path!r} must start with header 't,p', got {rows[0]!r}",
-        )
-    times: list[float] = []
-    values: list[float] = []
-    for lineno, row in zip(line_numbers[1:], rows[1:]):
+            f"{path!r} must start with header 't,p', got {header!r}",
+        ))
+    times, values = array("d"), array("d")
+    for lineno, row in rows:
         if len(row) < 2:
-            raise _CliError(
+            raise _after_rest(rows, _CliError(
                 EXIT_USAGE, f"{path!r} line {lineno}: expected 't,p' values"
-            )
+            ))
         try:
             times.append(float(row[0]))
             values.append(float(row[1]))
         except ValueError:
-            raise _CliError(
+            raise _after_rest(rows, _CliError(
                 EXIT_USAGE,
                 f"{path!r} line {lineno}: not numeric: {row[:2]!r}",
-            ) from None
+            )) from None
     return times, values
 
 
 def cmd_fit(args) -> None:
     import json
 
-    times, values = _read_series_csv(args.input)
-    series = validate_series(times, values)
+    # the file's bytes and columns die here: the series holds its own copies
+    series = validate_series(*_read_series_csv(args.input))
     report = fit_pipeline(series, FdMode(args.fd))
 
     modes = report.modes
@@ -442,31 +463,31 @@ def cmd_fit(args) -> None:
 
 
 def _read_journals_csv(path: str) -> FeatureMatrix:
-    rows, line_numbers = _csv_rows(path, _read_bytes(path))
-    header = rows[0]
+    rows = _csv_rows(path, _read_bytes(path))
+    _, header = next(rows)
     if header[0].strip() != "journal" or len(header) < 3:
-        raise _CliError(
+        raise _after_rest(rows, _CliError(
             EXIT_USAGE,
             f"{path!r} must start with header 'journal,<feature1>,"
             f"<feature2>,...', got {header!r}",
-        )
+        ))
     feature_names = [cell.strip() for cell in header[1:]]
     journal_names: list[str] = []
     data: list[list[float]] = []
-    for lineno, row in zip(line_numbers[1:], rows[1:]):
+    for lineno, row in rows:
         if len(row) != len(header):
-            raise _CliError(
+            raise _after_rest(rows, _CliError(
                 EXIT_USAGE,
                 f"{path!r} line {lineno}: expected {len(header)} cells, "
                 f"got {len(row)}",
-            )
+            ))
         journal_names.append(row[0].strip())
         try:
             data.append([float(cell) for cell in row[1:]])
         except ValueError:
-            raise _CliError(
+            raise _after_rest(rows, _CliError(
                 EXIT_USAGE, f"{path!r} line {lineno}: non-numeric feature value"
-            ) from None
+            )) from None
     return FeatureMatrix(journal_names=tuple(journal_names),
                          feature_names=tuple(feature_names),
                          data=data)

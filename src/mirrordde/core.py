@@ -167,10 +167,14 @@ class InfluenceSeries(_Record, derived=("step",)):
         # (-1, 0, 2) is reported as asymmetric, not as unevenly spaced.
         # Two large times of one sign may sum to inf, which still counts as
         # asymmetric.
+        # two window-length buffers: the tolerance, and |t| then |t + t[::-1]|
         a = np.abs(t)
-        tol = GRID_RTOL * np.maximum(1.0, np.maximum(a, a[::-1]))
+        tol = np.maximum(a, a[::-1])
+        np.maximum(1.0, tol, out=tol)
+        np.multiply(GRID_RTOL, tol, out=tol)
         with np.errstate(over="ignore"):
-            i = _first_true(np.abs(t + t[::-1]) > tol)
+            np.add(t, t[::-1], out=a)
+        i = _first_true(np.abs(a, out=a) > tol)
         if i is not None:
             j = n - 1 - i
             raise AsymmetricGrid(
@@ -186,11 +190,12 @@ class InfluenceSeries(_Record, derived=("step",)):
             raise NonUniformGrid(
                 f"step must be finite and positive, got {step!r}")
         d = t[1:] - t[:-1]
-        i = _first_true(np.abs(d - step) > GRID_RTOL * step)
+        d -= step
+        i = _first_true(np.abs(d, out=d) > GRID_RTOL * step)
         if i is not None:
             raise NonUniformGrid(
-                f"spacing between times[{i}] and times[{i + 1}] is {float(d[i])!r}, "
-                f"expected {step!r}"
+                f"spacing between times[{i}] and times[{i + 1}] is "
+                f"{float(t[i + 1] - t[i])!r}, expected {step!r}"
             )
 
     def __len__(self) -> int:

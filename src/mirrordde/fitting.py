@@ -48,8 +48,9 @@ def _lstsq2(u: NDArray[np.float64], v: NDArray[np.float64], z: NDArray[np.float6
     import numpy as np
 
     with np.errstate(over="ignore", invalid="ignore"):
-        suu, suv, svv, szu, szv = map(_sum_left_to_right,
-                                      (u * u, u * v, v * v, z * u, z * v))
+        # one product at a time, each summed and dropped before the next
+        suu, suv, svv, szu, szv = (_sum_left_to_right(x * y) for x, y in
+                                   ((u, u), (u, v), (v, v), (z, u), (z, v)))
         try:
             c1, c2 = solve_2x2(suu, suv, suv, svv, szu, szv)
         except SingularSystem as exc:
@@ -57,8 +58,10 @@ def _lstsq2(u: NDArray[np.float64], v: NDArray[np.float64], z: NDArray[np.float6
                 f"normal equations for {unknowns} are singular: {exc}",
                 stage=stage,
             ) from exc
-        resid = z - c1 * u - c2 * v
-        return c1, c2, _sum_left_to_right(resid * resid)
+        resid = z - c1 * u
+        resid -= c2 * v
+        resid *= resid
+        return c1, c2, _sum_left_to_right(resid)
 
 
 def fit_ab(series: InfluenceSeries,
@@ -85,7 +88,7 @@ def fit_ab(series: InfluenceSeries,
     import numpy as np
 
     values, e = _pow2_scaled(series.values)
-    z = np.ldexp(z, -e)
+    np.ldexp(z, -e, out=z)
     first = 1 if fd_mode is FdMode.CENTRAL else 0
     usable = slice(first, first + len(z))
     a, b, rss = _lstsq2(values[::-1][usable], values[usable], z, "(a, b)",
@@ -117,10 +120,10 @@ def fit_modes(series: InfluenceSeries, r: float) -> tuple[float, float, float]:
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             X = np.fromiter(map(math.exp, memoryview(2.0 * r * t)), float, n)
-            e_rt = np.fromiter(map(math.exp, memoryview(r * t)), float, n)
+            Y = np.fromiter(map(math.exp, memoryview(r * t)), float, n)
         except OverflowError as exc:
             raise NonFiniteValue(f"e^(2rt) overflows float64 ({exc})") from exc
-        Y = e_rt * series.values
+        Y *= series.values      # e^{rt} p(t), in the buffer of e^{rt}
     w1, w2, rss = _lstsq2(X, np.ones(n), Y, "(w1, w2)", "fit_modes")
     return w1, w2, rss / n
 

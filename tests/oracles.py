@@ -8,6 +8,8 @@ package against these re-derivations rather than against itself.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import statistics
 import warnings
@@ -15,10 +17,12 @@ import warnings
 import mpmath as mp
 import numpy as np
 
+from mirrordde.cli import EXIT_USAGE, _CliError, _read_bytes
 from mirrordde.core import (
     GRID_RTOL,
     EtaArticleBased,
     EtaTimeExponential,
+    FeatureMatrix,
     RegimeTag,
     ThetaConstant,
     ThetaExponential,
@@ -688,3 +692,82 @@ def max_relative_deviation(closed, oracle):
     """``verify``'s deviation as one expression: the largest
     ``|c - p| / max(1, |c|)`` over paired samples."""
     return max(abs(c - p) / max(1.0, abs(c)) for c, p in zip(closed, oracle))
+
+
+# ---------------------------------------------------------------------------
+# List-based CSV readers
+# ---------------------------------------------------------------------------
+
+def list_csv_rows(path, data):
+    """Every non-empty CSV row of ``data`` and the number of each row's last
+    line, read into two lists before any row is checked; none is ERROR 2."""
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
+    reader = csv.reader(text)
+    rows, line_numbers = [], []
+    try:
+        for row in reader:
+            if row:
+                rows.append(row)
+                line_numbers.append(reader.line_num)
+    except csv.Error as exc:
+        raise _CliError(EXIT_USAGE, f"{path!r}: {exc}") from exc
+    if not rows:
+        raise _CliError(EXIT_USAGE, f"{path!r} is empty")
+    return rows, line_numbers
+
+
+def list_read_series_csv(path):
+    """``fit``'s csv reader over the lists of :func:`list_csv_rows`: the
+    header, then each row in turn, the first fault raised."""
+    rows, line_numbers = list_csv_rows(path, _read_bytes(path))
+    header = [cell.strip() for cell in rows[0][:2]]
+    if header != ["t", "p"]:
+        raise _CliError(
+            EXIT_USAGE,
+            f"{path!r} must start with header 't,p', got {rows[0]!r}",
+        )
+    times, values = [], []
+    for lineno, row in zip(line_numbers[1:], rows[1:]):
+        if len(row) < 2:
+            raise _CliError(
+                EXIT_USAGE, f"{path!r} line {lineno}: expected 't,p' values"
+            )
+        try:
+            times.append(float(row[0]))
+            values.append(float(row[1]))
+        except ValueError:
+            raise _CliError(
+                EXIT_USAGE,
+                f"{path!r} line {lineno}: not numeric: {row[:2]!r}",
+            ) from None
+    return times, values
+
+
+def list_read_journals_csv(path):
+    """``rank``'s reader over the lists of :func:`list_csv_rows`."""
+    rows, line_numbers = list_csv_rows(path, _read_bytes(path))
+    header = rows[0]
+    if header[0].strip() != "journal" or len(header) < 3:
+        raise _CliError(
+            EXIT_USAGE,
+            f"{path!r} must start with header 'journal,<feature1>,"
+            f"<feature2>,...', got {header!r}",
+        )
+    journal_names, data = [], []
+    for lineno, row in zip(line_numbers[1:], rows[1:]):
+        if len(row) != len(header):
+            raise _CliError(
+                EXIT_USAGE,
+                f"{path!r} line {lineno}: expected {len(header)} cells, "
+                f"got {len(row)}",
+            )
+        journal_names.append(row[0].strip())
+        try:
+            data.append([float(cell) for cell in row[1:]])
+        except ValueError:
+            raise _CliError(
+                EXIT_USAGE, f"{path!r} line {lineno}: non-numeric feature value"
+            ) from None
+    return FeatureMatrix(journal_names=tuple(journal_names),
+                         feature_names=tuple(cell.strip() for cell in header[1:]),
+                         data=data)

@@ -255,6 +255,36 @@ class TestSimulate:
                                  "--steps", "2")
         assert (code, out, err) == (0, "t,p\n-1e+308,1\n0,1\n1e+308,1\n", "")
 
+    @given(ends=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                         min_size=2, max_size=2, unique=True).map(sorted),
+           steps=st.integers(1, 64))
+    # the scaled blend rounds a subnormal t_min
+    @example(ends=[1e-320, 1.7976931348623157e308], steps=5)
+    # the plain blend: fl(fl(x n) / n) != x
+    @example(ends=[-4070.5986625161095, 1.0], steps=579716)
+    @settings(max_examples=100, deadline=None)
+    def test_grid_ends_are_the_flags(self, ends, steps):
+        class GridSeen(Exception):
+            pass
+
+        t_min, t_max = ends
+        with mock.patch.object(cli, "evaluate", side_effect=GridSeen) as seen:
+            with pytest.raises(GridSeen):
+                cli.main(["simulate", "--a", "0", "--b", "0", "--p0", "1",
+                          f"--t-min={t_min!r}", f"--t-max={t_max!r}",
+                          "--steps", str(steps)])
+        times = seen.call_args.args[1]
+        assert len(times) == steps + 1
+        assert (times[0].hex(), times[-1].hex()) == (t_min.hex(), t_max.hex())
+
+    def test_subnormal_end_prints_as_itself(self):
+        code, out, err = run_cli("simulate", "--a", "0", "--b", "0", "--p0",
+                                 "1", "--t-min=1e-320",
+                                 "--t-max", "1.7976931348623157e308",
+                                 "--steps", "5")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == "9.99988867183e-321,1"
+
     @pytest.mark.parametrize("forcing", [("--theta-exp", "1e155"),
                                          ("--eta-exp", "1,1e300")])
     def test_rate_with_overflowing_square_is_not_resonant(self, forcing):
@@ -576,6 +606,122 @@ class TestSeriesReaders:
                              stdin=data) == (
             0, (data_dir / f"golden_fit_{name}.out").read_bytes(),
             (data_dir / f"golden_fit_{name}.err").read_bytes())
+
+
+# ---------------------------------------------------------------------------
+# fit and rank: the streaming csv readers against the list-based reference
+# ---------------------------------------------------------------------------
+
+@st.composite
+def faulty_tables(draw, header: str, cells) -> bytes:
+    """``header``, then rows of ``cells``, then up to four faults: short rows,
+    bad cells or headers, blank lines, NUL bytes, quotes, an over-long field,
+    an undecodable byte, a BOM, CRLF line ends, or no bytes at all."""
+    rows = [header] + [",".join(draw(st.lists(cells, min_size=1, max_size=4)))
+                       for _ in range(draw(st.integers(0, 6)))]
+    bad = {
+        "blank": "",
+        "short": draw(cells),
+        "text": draw(st.text("tpjournal,\"x -.1\x00", max_size=6)),
+        "huge": "1," + "1" * (csv.field_size_limit() + draw(st.integers(0, 1))),
+        "quote": '"' + draw(cells),
+        "header": draw(st.sampled_from(["t,q", "journal", "time,value", "p,t"])),
+    }
+    eol, bom = "\n", ""
+    for kind in draw(st.lists(st.sampled_from(
+            [*bad, "bytes", "bom", "crlf", "empty"]), max_size=4)):
+        i = draw(st.integers(0, len(rows)))
+        if kind == "bom":
+            bom = "\ufeff"
+        elif kind == "crlf":
+            eol = "\r\n"
+        elif kind == "empty":
+            rows = []
+        elif kind == "bytes":
+            rows.insert(i, "\udcff")      # an undecodable byte, 0xff
+        else:
+            rows.insert(i, bad[kind])
+    text = bom + "".join(row + eol for row in rows)
+    return text.encode("utf-8", "surrogateescape")
+
+
+#: Cells of a series file: mostly numbers, so that some files pass.
+SERIES_CELLS = st.sampled_from(["-1", "0", "1", "2", "x", "", " 1", "1e400"])
+#: Cells of a feature table: a journal name or a number.
+TABLE_CELLS = st.sampled_from(["J", '"J,2"', "0", "1", "2.5", "-3", "x", ""])
+
+
+def run_with(name: str, reference, *argv: str) -> tuple[int, str, str]:
+    """``run_cli(*argv)`` with ``cli.<name>`` replaced by ``reference``."""
+    with mock.patch.object(cli, name, reference):
+        return run_cli(*argv)
+
+
+def peak_traced_bytes(*argv: str) -> int:
+    """Peak bytes ``tracemalloc`` sees while ``cli.main(argv)`` runs, once
+    its imports are loaded by a first run."""
+    import tracemalloc
+
+    run_cli(*argv)
+    tracemalloc.start()
+    try:
+        run_cli(*argv)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamingReaders:
+    @given(data=faulty_tables("t,p", SERIES_CELLS))
+    # a bad row, then a field over the limit: the csv fault is reported
+    @example(data=b"t,p\n-1,x\n0,1\n1," + b"1" * 200_000 + b"\n")
+    @example(data=b"time,value\n-1,1\n" + b"1" * 200_000 + b"\n")
+    @example(data=b"t,p\n-1\n0,\xff\n")
+    @example(data=b"\xef\xbb\xbf\r\n\r\n")
+    @settings(max_examples=200, deadline=None)
+    def test_fit_reports_what_the_list_reader_reports(self, tmp_path_factory,
+                                                      data):
+        from oracles import list_read_series_csv
+
+        path = str(tmp_path_factory.getbasetemp() / "faulty_series.csv")
+        pathlib.Path(path).write_bytes(data)
+        assert run_cli("fit", "--input", path) == run_with(
+            "_read_series_csv", list_read_series_csv, "fit", "--input", path)
+
+    @given(data=faulty_tables("journal,CiteScore,h", TABLE_CELLS))
+    @example(data=b"journal,a,b\nJ,1\nK,1,2\nL," + b"1" * 200_000 + b",3\n")
+    @example(data=b"journal,a\nJ,1,2\n\xff\n")
+    @example(data=b"journal,a,b\nJ,1,2\nK,2,1\nL,3,3\n")
+    @settings(max_examples=200, deadline=None)
+    def test_rank_reports_what_the_list_reader_reports(self, tmp_path_factory,
+                                                       data):
+        from oracles import list_read_journals_csv
+
+        path = str(tmp_path_factory.getbasetemp() / "faulty_table.csv")
+        pathlib.Path(path).write_bytes(data)
+        assert run_cli("rank", "--input", path) == run_with(
+            "_read_journals_csv", list_read_journals_csv, "rank", "--input",
+            path)
+
+    @pytest.mark.parametrize("eol", [
+        pytest.param("\n", marks=pytest.mark.skipif(
+            tuple(map(int, np.__version__.split(".")[:2])) < (1, 23),
+            reason="np.loadtxt before numpy 1.23 parses through Python lists")),
+        "\r\n",
+    ], ids=["plain", "crlf"])
+    def test_fit_holds_the_bytes_and_few_columns(self, tmp_path, eol):
+        """2**16 intervals: the peak stays below the file's bytes plus six
+        float64 columns, for the plain reader and the csv reader alike (with
+        a byte check that copied the file and a csv reader that listed its
+        rows, it was 2.7 and 9.6 times the bytes)."""
+        m = 2**15
+        rows = 2 * m + 1
+        path = tmp_path / "wide.csv"
+        path.write_bytes(("t,p" + eol + "".join(
+            f"{t!r},{math.exp(0.5 * t) + math.exp(-0.5 * t)!r}{eol}"
+            for t in (5.0 / m * (i - m) for i in range(rows)))).encode())
+        peak = peak_traced_bytes("fit", "--input", str(path))
+        assert peak < path.stat().st_size + 6 * 8 * rows
 
 
 # ---------------------------------------------------------------------------

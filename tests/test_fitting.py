@@ -162,10 +162,12 @@ class TestFitAb:
     @settings(max_examples=200, deadline=None)
     def test_power_of_two_scale_leaves_ab_bitwise(self, series, mode, data):
         # any 2**k that keeps every sample and difference quotient a normal
-        # float64 scales out of (a, b) exactly
+        # float64, in the series and in its scaled copy, scales out of (a, b)
+        # exactly
         mags = np.abs(np.concatenate([series.values,
                                       finite_diff(series, mode)]))
         assume(np.isfinite(mags).all() and mags.max() > 0.0)
+        assume(mags[mags > 0.0].min() >= np.finfo(float).tiny)
         lo = -1021 - math.frexp(float(mags[mags > 0.0].min()))[1]
         hi = 1024 - math.frexp(float(mags.max()))[1]
         assume(lo <= hi)
