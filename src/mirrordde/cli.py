@@ -8,6 +8,7 @@ with that code:
 code   meaning
 =====  ==========================================================
 0      success
+1      stdout was closed before all output was written (provisional)
 2      flag or input validation failed, or a float64 overflow
 3      wrong regime or resonant forcing
 4      degenerate fitting stage (singular normal equations)
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import io
 import math
+import os
 import re
 import sys
 import warnings
@@ -69,6 +71,8 @@ if TYPE_CHECKING:
     from numpy.typing import ArrayLike
 
 EXIT_OK = 0
+#: the exit code of the Python documentation's note on SIGPIPE
+EXIT_BROKEN_PIPE = 1
 EXIT_USAGE = 2
 EXIT_REGIME = 3
 EXIT_DEGENERATE = 4
@@ -553,7 +557,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         args.func(args)
+        sys.stdout.flush()  # a closed reader fails here, not at exit
         return EXIT_OK
+    except BrokenPipeError:
+        # as the Python documentation's note on SIGPIPE advises: stdout now
+        # points at devnull, so the interpreter's last flush cannot fail too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+        detail = "stdout was closed before all output was written"
     except _CliError as exc:
         code, detail = exc.code, str(exc)
     except (WrongRegime, ResonantForcing) as exc:

@@ -6,14 +6,16 @@ handful of columns, trajectories with a few thousand steps — so most
 kernels are written directly for that size class: Cramer's rule for 2x2
 systems, cyclic coordinate descent with covariance updates for the l1 fit
 (one Gram product per call, then O(q) work per coordinate step for q
-nonzero coefficients), and classical RK4 on local floats for the one system
-integrated, ``y' = M y`` with a constant 2x2 ``M``, yielded in blocks of
-steps so that a caller can fold the trajectory without holding all of it
-(``verify`` holds one block).  Singular values, which
-no command needs, come from numpy's LAPACK SVD on a power-of-two-scaled
-copy.  The 2x2 solve and RK4 run on ``math`` alone; numpy is imported by
-the array kernels (singular values, the l1 fit, finite differences) when
-first called, so a process that never uses them never loads it.
+nonzero coefficients), and classical RK4 for the one system integrated,
+``y' = M y`` with a constant 2x2 ``M``, as its one-step propagator: each
+step adds ``E y``, with ``E = R(hM) - I`` built exactly once per step
+length, under compensated summation, and the trajectory is yielded in
+blocks of steps so that a caller can fold it without holding all of it
+(``verify`` holds one block).  Singular values, which no command needs,
+come from numpy's LAPACK SVD on a power-of-two-scaled copy.  The 2x2 solve
+and RK4 run on ``math`` and integers alone; numpy is imported by the array
+kernels (singular values, the l1 fit, finite differences) when first
+called, so a process that never uses them never loads it.
 """
 
 from __future__ import annotations
@@ -246,6 +248,42 @@ def lasso_objective(X, y, lam: float, w) -> float:
 State = tuple[float, float]
 
 
+def _rk4_increment(m: tuple[State, State], h: float
+                   ) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """``E = R(hM) - I`` in row-major order, where ``R(z) = 1 + z + z**2/2 + z**3/6
+    + z**4/24`` is RK4's stability function: one RK4 step of ``y' = M y``
+    is exactly ``y + E y``.
+
+    Horner's ``24 E = Z (24 I + Z (12 I + Z (4 I + Z)))`` on ``Z = hM``
+    runs in integer arithmetic, exactly (a float is an integer over a power
+    of two), and uses no identity of ``M`` (such as ``M**2 = (b**2 - a**2) I``
+    for the mirror system, which the closed forms rest on).  E comes back
+    as the nearest floats and the nearest floats to what those leave out,
+    so a step adds E y with about 106 bits of E: a rounded E would repeat
+    its error on every step.  A non-finite E raises :class:`OutOfRange`."""
+    try:
+        (hn, hd), *entries = [x.as_integer_ratio()
+                              for x in (h, *m[0], *m[1])]
+        # every h * m_ij is an integer over d, and z holds those integers
+        d = hd * max(md for _, md in entries)
+        z = [hn * mn * (d // (hd * md)) for mn, md in entries]
+        acc, scale = z, d
+        for c in (4, 12, 24):
+            x11, x12, x21, x22 = (acc[0] + c * scale, acc[1], acc[2],
+                                  acc[3] + c * scale)
+            acc = [z[0] * x11 + z[1] * x21, z[0] * x12 + z[1] * x22,
+                   z[2] * x11 + z[3] * x21, z[2] * x12 + z[3] * x22]
+            scale *= d
+        scale *= 24  # each entry of E is acc_ij / scale
+        hi = tuple(a / scale for a in acc)
+    except (OverflowError, ValueError) as exc:  # inf or nan in, inf out
+        raise OutOfRange(f"the RK4 step {h!r} on M = {m!r} leaves the "
+                         f"float64 range") from exc
+    lo = tuple((a * q - p * scale) / (scale * q)
+               for a, (p, q) in zip(acc, map(float.as_integer_ratio, hi)))
+    return hi, lo
+
+
 def _rk4_blocks(m: tuple[State, State], y0: State, t_end: float, step: float
                 ) -> Iterator[tuple[list[float], list[float], list[float]]]:
     """The RK4 trajectory of :func:`rk4_integrate` as ``(times, u, v)``
@@ -266,7 +304,6 @@ def _rk4_blocks(m: tuple[State, State], y0: State, t_end: float, step: float
         raise OutOfRange(f"step count {t_end!r}/{step!r} exceeds the float64 range")
     n_whole = int(math.floor(n_steps))
     remainder = t_end - n_whole * step
-    (m11, m12), (m21, m22) = m
 
     # whole steps, then one shortened step if they fall short of t_end; the
     # last is recorded at t_end (hiding rounding), an error names its own t
@@ -275,22 +312,27 @@ def _rk4_blocks(m: tuple[State, State], y0: State, t_end: float, step: float
     if last + 1 > RK4_MAX_STEPS:
         raise OutOfRange(f"step count {t_end!r}/{step!r} exceeds the cap "
                          f"of {RK4_MAX_STEPS} steps")
+    # the E of each step length taken, both built before the first step
+    (e11, e12, e21, e22), (l11, l12, l21, l22) = _rk4_increment(
+        m, step if n_whole else remainder)
+    short = _rk4_increment(m, remainder) if shortened else None
     block = RK4_BLOCK_STEPS
     times, us, vs = [0.0], [u], [v]
-    h, half, sixth = step, 0.5 * step, step / 6.0
+    # Kahan summation of the increments: cu and cv carry what rounding took
+    # from u and v, so the sum does not drift with the step count
+    cu = cv = 0.0
     for start in range(0, last + 1, block):
         for i in range(start, min(start + block, last + 1)):
             if i == n_whole:
-                h, half, sixth = remainder, 0.5 * remainder, remainder / 6.0
-            k1u, k1v = m11 * u + m12 * v, m21 * u + m22 * v
-            x, y = u + half * k1u, v + half * k1v
-            k2u, k2v = m11 * x + m12 * y, m21 * x + m22 * y
-            x, y = u + half * k2u, v + half * k2v
-            k3u, k3v = m11 * x + m12 * y, m21 * x + m22 * y
-            x, y = u + h * k3u, v + h * k3v
-            k4u, k4v = m11 * x + m12 * y, m21 * x + m22 * y
-            u = u + sixth * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-            v = v + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+                (e11, e12, e21, e22), (l11, l12, l21, l22) = short
+            du = e11 * u + e12 * v + (l11 * u + l12 * v) - cu
+            dv = e21 * u + e22 * v + (l21 * u + l22 * v) - cv
+            s = u + du
+            cu = (s - u) - du
+            u = s
+            s = v + dv
+            cv = (s - v) - dv
+            v = s
             if not (math.isfinite(u) and math.isfinite(v)):
                 t = t_end if i == n_whole else (i + 1) * step
                 raise NonFiniteState(f"state became non-finite at t={t!r}")
@@ -306,11 +348,21 @@ def rk4_integrate(m: tuple[State, State], y0: State, t_end: float,
     """Classical fourth-order Runge-Kutta for ``y' = M y`` from t=0 to t_end
     inclusive, ``m = ((m11, m12), (m21, m22))``.
 
-    Operation for operation the textbook scheme on ``f(y) = M y``.  Returns
-    the list of (t, state) pairs including both endpoints.  If t_end is not
-    a whole number of steps, or is shorter than one, the final step is
-    shortened to land on it exactly.  A non-finite step count, or one above
-    :data:`RK4_MAX_STEPS`, raises :class:`OutOfRange` before any step, and a
+    For a constant ``M`` one RK4 step of length h is exactly
+    ``y <- R(hM) y``, where ``R(z) = 1 + z + z**2/2 + z**3/6 + z**4/24`` is
+    the method's stability function (Hairer & Wanner, *Solving Ordinary
+    Differential Equations II*, sec. IV.2).  So each step adds ``E y``,
+    with ``E = R(hM) - I`` formed exactly once per step length and held to
+    about 106 bits, and a Kahan compensation term per component carries
+    the rounding of those sums from step to step: the states stay within a
+    few ulps of exact-arithmetic RK4 at any step count, where the textbook
+    stage form, which they match up to rounding, drifts with it.
+
+    Returns the list of (t, state) pairs including both endpoints.  If
+    t_end is not a whole number of steps, or is shorter than one, the final
+    step is shortened to land on it exactly.  A non-finite step count, one
+    above :data:`RK4_MAX_STEPS`, or a non-finite ``E`` (``|hM|`` above
+    about 1e77) raises :class:`OutOfRange` before any step, and a
     non-finite state :class:`NonFiniteState`.
     """
     out: list[tuple[float, State]] = []

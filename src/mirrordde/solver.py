@@ -157,15 +157,22 @@ def nonsymmetric_solution(a_c: float, b_c: float, c_c: float,
 
     and for c_c = 0 it degrades gracefully to the linear ramp
     p0 + (b_c/a_c) t.  ``a_c = 0`` leaves no derivative to solve for and
-    raises :class:`ZeroCoefficient`.
+    raises :class:`ZeroCoefficient`, and a p beyond the float64 range (an
+    overflowing exponential included) :class:`NonFiniteValue`.
     """
     _check_first_order(a_c, b_c, c_c, p0, t)
     if c_c == 0.0:
-        return NonsymmetricValue(value=p0 + (b_c / a_c) * t,
+        return NonsymmetricValue(value=_finite_p(t, p0 + (b_c / a_c) * t),
                                  kind=GrowthKind.LINEAR)
     shift = b_c / c_c
-    value = -shift + (p0 + shift) * math.exp((c_c / a_c) * t)
-    return NonsymmetricValue(value=value, kind=GrowthKind.EXPONENTIAL)
+    amplitude = p0 + shift
+    try:
+        # at the equilibrium p0 = -b_c/c_c no exponential is evaluated
+        growth = amplitude * math.exp((c_c / a_c) * t) if amplitude else 0.0
+    except OverflowError as exc:
+        raise NonFiniteValue(f"p(t) overflows float64 ({exc})") from exc
+    return NonsymmetricValue(value=_finite_p(t, -shift + growth),
+                             kind=GrowthKind.EXPONENTIAL)
 
 
 def linear_growth_solution(a_c: float, b_c: float, c_c: float,
@@ -173,10 +180,17 @@ def linear_growth_solution(a_c: float, b_c: float, c_c: float,
     """First-order (in time) picture of the nonsymmetric model's early growth.
 
     Expanding the exponential branch to first order around t=0 gives the
-    straight line p0 + (b_c/a_c + (c_c/a_c) p0) t, exact when c_c = 0.
+    straight line p0 + (b_c/a_c + (c_c/a_c) p0) t, exact when c_c = 0.  A
+    p beyond the float64 range raises :class:`NonFiniteValue`.
     """
     _check_first_order(a_c, b_c, c_c, p0, t)
-    return p0 + (b_c / a_c + (c_c / a_c) * p0) * t
+    return _finite_p(t, p0 + (b_c / a_c + (c_c / a_c) * p0) * t)
+
+
+def _finite_p(t: float, p: float) -> float:
+    if not math.isfinite(p):
+        raise NonFiniteValue(f"p({t!r}) = {p!r} overflows float64")
+    return p
 
 
 def _check_first_order(a_c, b_c, c_c, p0, t) -> None:
@@ -370,7 +384,6 @@ def _oracle_blocks(params: DdeParams, t_max: float, step: float
     if not (math.isfinite(t_max) and t_max > 0.0):
         raise OutOfRange(f"t_max must be positive, got {t_max!r}")
     a, b = params.a, params.b
-    # (-a) u + (-b) v is -(b v + a u) bit for bit, up to the sign of a zero
     return _rk4_blocks(((b, a), (-a, -b)), (params.p0, params.p0), t_max, step)
 
 

@@ -667,22 +667,57 @@ def _closure_rk4_step(f, y, h):
 
 
 # ---------------------------------------------------------------------------
+# RK4 in exact arithmetic
+# ---------------------------------------------------------------------------
+
+def exact_rk4(m, y0, t_end, step, dps=40):
+    """RK4 on ``y' = M y`` without rounding, ``m = ((m11, m12), (m21, m22))``.
+
+    For a constant ``M`` one RK4 step of length h is exactly
+    ``y <- R(hM) y`` with ``R(Z) = I + Z + Z**2/2 + Z**3/6 + Z**4/24``, the
+    method's stability function; each step applies that matrix, formed
+    from the float h and ``m`` by mpmath at ``dps`` digits.  The steps are
+    :func:`closure_rk4`'s: whole steps of ``step``, then one step of the
+    float remainder ``t_end - n * step`` if they fall short of t_end or
+    none fits.  Returns (t, (u, v)) pairs with t as :func:`closure_rk4`
+    records it and the state as unrounded mpf values, which may lie beyond
+    the float64 range.
+    """
+    n_whole = int(math.floor(t_end / step + 1e-9))
+    remainder = t_end - n_whole * step
+    with mp.workdps(dps):
+        def propagator(h):
+            z = mp.mpf(h) * mp.matrix(m)
+            r = mp.eye(2) + z + z**2 / 2 + z**3 / 6 + z**4 / 24
+            return r[0, 0], r[0, 1], r[1, 0], r[1, 1]
+
+        r11, r12, r21, r22 = propagator(step)
+        u, v = mp.mpf(y0[0]), mp.mpf(y0[1])
+        out = [(0.0, (u, v))]
+        for i in range(n_whole):
+            u, v = r11 * u + r12 * v, r21 * u + r22 * v
+            out.append(((i + 1) * step, (u, v)))
+        if n_whole == 0 or remainder > 1e-9 * step:
+            r11, r12, r21, r22 = propagator(remainder)
+            u, v = r11 * u + r12 * v, r21 * u + r22 * v
+            out.append((t_end, (u, v)))
+        else:
+            out[-1] = (t_end, out[-1][1])
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Sample-by-sample layout of the integration oracle
 # ---------------------------------------------------------------------------
 
-def sample_layout_oracle(a, b, p0, t_max, step):
-    """``(t, p)`` samples of the mirror-system integration, one at a time.
+def sample_layout_oracle(trajectory):
+    """``(t, p)`` samples of a mirror-system trajectory, one at a time.
 
-    Integrates u' = b u + a v, v' = -(b v + a u) from u = v = p0 with
-    :func:`closure_rk4` on that right-hand side and lays its output out
-    sample by sample: the t > 0 entries in reverse as ``(-t, v)``, then
+    ``trajectory`` is the (t, (u, v)) list of u' = b u + a v,
+    v' = -(b v + a u) from u = v = p0, where u(t) is p(t) and v(t) is
+    p(-t); the samples are its t > 0 entries in reverse as ``(-t, v)``, then
     every entry as ``(t, u)``.
     """
-    def rhs(y):
-        u, v = y
-        return (b * u + a * v, -(b * v + a * u))
-
-    trajectory = closure_rk4(rhs, (p0, p0), t_max, step)
     samples = [(-t, v) for t, (u, v) in reversed(trajectory) if t > 0.0]
     samples.extend((t, u) for t, (u, v) in trajectory)
     return samples

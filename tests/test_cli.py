@@ -10,6 +10,7 @@ import os
 import pathlib
 import re
 import shlex
+import subprocess
 import sys
 import warnings
 from unittest import mock
@@ -1003,7 +1004,7 @@ class TestVerify:
         code, out, err = run_cli("verify", "--a", "1e154", "--b", "1.3e154",
                                  "--p0", "1", "--t-max", "1e-154",
                                  "--step", "1e-156")
-        assert (code, out, err) == (0, "8.28181967449e-11\n", "")
+        assert (code, out, err) == (0, "8.28185298118e-11\n", "")
 
     def test_regime_checked_before_integration(self, monkeypatch):
         def no_oracle(*args):
@@ -1046,9 +1047,9 @@ class TestVerify:
         argv = ("verify", "--a", "0.3", "--b", "0.9", "--p0", "1",
                 "--t-max", "1", "--step")
         code, out, small = cli_peak_rss_mb(*argv, repr(2.0 ** -11))
-        assert (code, out) == (0, b"2.28426448608e-15\n")
+        assert (code, out) == (0, b"5.531842727e-16\n")
         code, out, large = cli_peak_rss_mb(*argv, repr(2.0 ** -18))
-        assert (code, out) == (0, b"3.04422267836e-14\n")
+        assert (code, out) == (0, b"5.13478148889e-16\n")
         assert large <= small + 4.0
 
     @given(
@@ -1185,6 +1186,28 @@ class TestDispatch:
                       "--a", "0.3", "--b", "0.8")
         assert got == (code, "", f"ERROR {code}: {detail}\n")
 
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--a", "0.3", "--b", "0.9", "--p0", "1",
+         "--steps", "200000"),
+        # one short line, so the failure waits for main's flush
+        ("verify", "--a", "0.3", "--b", "0.5", "--p0", "1", "--t-max", "0.5"),
+    ])
+    def test_closed_stdout_is_one_error_line(self, argv):
+        """A reader that closes stdout early (``simulate ... | head -1``)
+        gets exit 1 and one ERROR 1 line, not a BrokenPipeError
+        traceback."""
+        proc = subprocess.Popen([sys.executable, "-m", "mirrordde", *argv],
+                                stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE)
+        if argv[0] == "simulate":
+            assert proc.stdout.readline() == b"t,p\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=300) == 1
+        assert err == b"ERROR 1: stdout was closed before all output was " \
+            b"written\n"
+
     def test_module_entry_point(self, data_dir):
         code, out, err = run_cli_bytes("rank", "--input",
                                        str(data_dir / "rank_m5.csv"))
@@ -1238,7 +1261,7 @@ class TestNegativeNumbers:
 
     def test_verify_spot_value(self):
         assert run_cli("verify", "--a", "-2e-05", "--b", "0.5",
-                       "--p0", "1") == (0, "6.13541863937e-15\n", "")
+                       "--p0", "1") == (0, "2.42861286637e-15\n", "")
 
     def test_option_like_value_still_rejected(self):
         code, _, err = run_cli("verify", "--a", "-x", "--b", "0.5",

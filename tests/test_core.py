@@ -427,6 +427,9 @@ _ZERO = ((0.0, 0.0), (0.0, 0.0))
      OutOfRange, "t_end must be positive, got 0.0"),
     (lambda: rk4_integrate(_ZERO, (1.0, 1.0), 1.0, math.inf),
      OutOfRange, "step must be positive, got inf"),
+    (lambda: rk4_integrate(((0.0, 0.0), (0.0, 1e100)), (1.0, 1.0), 1.0, 1.0),
+     OutOfRange, "the RK4 step 1.0 on M = ((0.0, 0.0), (0.0, 1e+100)) leaves "
+     "the float64 range"),
     (lambda: oracle_solution(_PARAMS, -1.0, 0.1),
      OutOfRange, "t_max must be positive, got -1.0"),
     (lambda: finite_diff(_SERIES, "central"),
@@ -434,7 +437,8 @@ _ZERO = ((0.0, 0.0), (0.0, 0.0))
 ], ids=["series-length", "half-width", "empty-journal", "empty-feature",
         "repeated-journal", "repeated-feature", "no-journal", "one-feature",
         "data-shape", "empty-matrix", "one-observation", "lasso-lam",
-        "rank-lam", "t-end", "rk4-step", "t-max", "fd-mode"])
+        "rank-lam", "t-end", "rk4-step", "rk4-propagator", "t-max",
+        "fd-mode"])
 def test_input_errors_are_typed_value_errors(call, exc, message):
     with pytest.raises(exc) as info:
         call()

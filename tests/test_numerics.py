@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -43,8 +45,10 @@ from oracles import (
     charpoly_singular_values,
     closure_rk4,
     dense_lasso_sweeps,
+    exact_rk4,
     residual_lasso_sweeps,
 )
+from test_acceptance import TRIPLES
 
 
 # ---------------------------------------------------------------------------
@@ -649,18 +653,96 @@ class TestRk4:
         assert str(got.value) == str(want.value)
         assert str(got.value).endswith(f"t={6 * 0.1!r}")
 
-    def test_blowup_on_last_whole_step_names_the_step_time(self):
-        """The last whole step is recorded at t_end = 0.3, but an overflow
-        on it names the t the step reached, 3 * 0.1, as the reference does."""
+    def test_state_beyond_a_stage_overflow_is_returned(self):
+        """The textbook form's ``2.0 * k2u`` overflows on the third step
+        here, so its reference raises, but the RK4 state there, 2.0188e307,
+        is representable: the kernel returns it as exact RK4 rounds it."""
         m = ((2.0, 0.0), (0.0, -2.0))
         y0 = (1.1079719796608072e307, 1.1079719796608072e307)
+        with pytest.raises(NonFiniteState):
+            closure_rk4(matrix_field(m), y0, 0.3, 0.1)
+        t, (u, _) = rk4_integrate(m, y0, 0.3, 0.1)[-1]
+        assert t == 0.3 and 2.0188e307 < u < 2.0189e307
+        assert u == pytest.approx(float(exact_rk4(m, y0, 0.3, 0.1)[-1][1][0]),
+                                  rel=2.0 ** -50)
+
+    def test_blowup_on_last_whole_step_names_the_step_time(self):
+        """The last whole step is recorded at t_end = 0.3, but an overflow
+        on it names the t the step reached, 3 * 0.1; exact RK4 leaves the
+        float64 range on that step and not before."""
+        m = ((2.0, 0.0), (0.0, -2.0))
+        y0 = (1e308, 1e308)
+        sizes = [u for _, (u, _) in exact_rk4(m, y0, 0.3, 0.1)]
+        assert sizes[2] < sys.float_info.max < sizes[3]
         assert rk4_integrate(m, y0, 0.2, 0.1)[-1][0] == 0.2
         with pytest.raises(NonFiniteState) as got:
             rk4_integrate(m, y0, 0.3, 0.1)
-        with pytest.raises(NonFiniteState) as want:
-            closure_rk4(matrix_field(m), y0, 0.3, 0.1)
-        assert str(got.value) == str(want.value)
         assert str(got.value).endswith(f"t={3 * 0.1!r}")
+
+    def test_non_finite_propagator_raises_before_any_step(self):
+        """|h M| near 1e77 makes (hM)**4 / 24 overflow: OutOfRange, even
+        for a zero state that no step would move.  Only the steps taken
+        count: a t_end below one step builds the shortened step's alone."""
+        m = ((0.0, 0.0), (0.0, 1e100))
+        for t_end in (1.0, 2.5):
+            with pytest.raises(OutOfRange, match="leaves the float64 range"):
+                rk4_integrate(m, (0.0, 0.0), t_end, 1.0)
+        assert rk4_integrate(m, (0.0, 0.0), 1e-40, 1.0) == \
+            [(0.0, (0.0, 0.0)), (1e-40, (0.0, 0.0))]
+
+    @given(m=st.tuples(*[st.floats(min_value=-4.0, max_value=4.0)] * 4),
+           h=st.floats(min_value=2.0 ** -30, max_value=1.0)
+           | st.floats(min_value=5e-324, max_value=1e-300))
+    @example(m=(1.0, 0.999, -0.999, -1.0), h=1.0)
+    @settings(max_examples=100, deadline=None)
+    def test_increment_is_exact_to_two_floats(self, m, h):
+        """The propagator's increment comes back as E = Z + Z**2/2 +
+        Z**3/6 + Z**4/24 (Z = hM, summed as a series in fractions, not in
+        Horner's form) rounded to the nearest float, and E minus that
+        rounded to the nearest float."""
+        z = [[Fraction(h) * Fraction(x) for x in row] for row in (m[:2], m[2:])]
+
+        def times(a, b):
+            return [[a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in (0, 1)]
+                    for i in (0, 1)]
+
+        z2 = times(z, z)
+        z3 = times(z2, z)
+        z4 = times(z3, z)
+        e = [z[i][j] + z2[i][j] / 2 + z3[i][j] / 6 + z4[i][j] / 24
+             for i in (0, 1) for j in (0, 1)]
+        hi, lo = numerics._rk4_increment((m[:2], m[2:]), h)
+        assert hi == tuple(map(float, e))
+        assert lo == tuple(float(x - Fraction(y)) for x, y in zip(e, hi))
+
+    def test_near_defective_matrix_over_many_coarse_steps(self):
+        """M = ((1, 0.999), (-0.999, -1)) is nearly defective (M**2 is
+        0.002 I), and 300 steps of h = 1 stay within 2**-43 of exact RK4,
+        relative to the largest |y|: a rounded E, whose error every step
+        repeats, misses by 5x (5.5e-13)."""
+        m = ((1.0, 0.999), (-0.999, -1.0))
+        got = rk4_integrate(m, (1.0, 1.0), 300.0, 1.0)
+        exact = exact_rk4(m, (1.0, 1.0), 300.0, 1.0)
+        gap = max(max(abs(u - eu), abs(v - ev)) / max(abs(eu), abs(ev))
+                  for (_, (u, v)), (_, (eu, ev)) in zip(got, exact))
+        assert gap <= 2.0 ** -43
+
+    def test_within_2_49_of_exact_rk4_on_c01_pairs(self):
+        """On C01's 20 seeded pairs (the mirror system, step 1e-3 to t = 5)
+        every state is within 2**-49 of exact-arithmetic RK4, relative to
+        max(1, |u|, |v|) of the exact state.  The textbook stage form
+        misses this by up to 4x (6.8e-15); the increment form stays below
+        3.3e-16."""
+        worst = 0.0
+        for a, b, p0 in TRIPLES:
+            m = ((b, a), (-a, -b))
+            got = rk4_integrate(m, (p0, p0), 5.0, 1e-3)
+            exact = exact_rk4(m, (p0, p0), 5.0, 1e-3)
+            assert [t for t, _ in got] == [t for t, _ in exact]
+            for (_, (u, v)), (_, (eu, ev)) in zip(got, exact):
+                gap = max(abs(u - eu), abs(v - ev)) / max(1, abs(eu), abs(ev))
+                worst = max(worst, float(gap))
+        assert worst <= 2.0 ** -49
 
     @pytest.mark.parametrize("block", [1, 7, 256])
     @pytest.mark.parametrize("t_end, step", [(3.0, 0.1), (0.35, 0.1),
@@ -668,9 +750,13 @@ class TestRk4:
     def test_blocks_tile_the_trajectory(self, monkeypatch, block, t_end,
                                         step):
         """Every block but the last holds RK4_BLOCK_STEPS steps, the first
-        also t=0, and together they are the reference trajectory."""
-        monkeypatch.setattr(numerics, "RK4_BLOCK_STEPS", block)
+        also t=0, and together they are the trajectory of one block, bit
+        for bit: the compensation carries from block to block."""
         m = ((0.5, 0.3), (-0.3, -0.5))
+        monkeypatch.setattr(numerics, "RK4_BLOCK_STEPS",
+                            numerics.RK4_MAX_STEPS)
+        whole = rk4_integrate(m, (1.0, 1.0), t_end, step)
+        monkeypatch.setattr(numerics, "RK4_BLOCK_STEPS", block)
         blocks = list(numerics._rk4_blocks(m, (1.0, 1.0), t_end, step))
         steps = [len(times) for times, _, _ in blocks]
         steps[0] -= 1
@@ -678,8 +764,7 @@ class TestRk4:
         assert 1 <= steps[-1] <= block
         assert blocks[0][0][0] == 0.0
         assert [(t, (u, v)) for times, us, vs in blocks
-                for t, u, v in zip(times, us, vs)] == \
-            closure_rk4(matrix_field(m), (1.0, 1.0), t_end, step)
+                for t, u, v in zip(times, us, vs)] == whole
 
     def test_blowup_raises_after_the_blocks_before_it(self, monkeypatch):
         # as in test_blowup_raises: the state overflows on the sixth step
@@ -705,13 +790,68 @@ class TestRk4:
     @example(m=(-1.5, 2.0, 0.7, 3.0), y0=(-2.0, 7.5), t_end=3.0, step=1e-3)
     @example(m=(4.0, 4.0, 4.0, 4.0), y0=(1e300, 1e300), t_end=3.0, step=0.5)
     @settings(max_examples=80, deadline=None)
-    def test_equal_to_closure_reference(self, m, y0, t_end, step):
-        """Pair for pair, times included, the trajectory (or the error) of
-        the textbook scheme driven by ``f(y) = M y``: a step longer than
-        t_end, a shortened final step, and the snap to t_end alike."""
+    def test_close_to_closure_reference(self, m, y0, t_end, step):
+        """The textbook scheme driven by ``f(y) = M y`` gives the same
+        times (a step longer than t_end, a shortened final step and the
+        snap to t_end alike), and states that differ from the kernel's
+        after k steps by at most the rounding bound
+
+            B_k = k rho**k (2**-45 |y0| + 2**-1065)
+
+        in each component, where |y0| is the largest |y0_i|,
+        z = step * (largest row sum of |M|) and
+        rho = 1 + z + z**2/2 + z**3/6 + z**4/24 >= |R(hM)| for every step
+        h <= step.  Each step of either form rounds by less than 2**-47
+        rho |y| plus a few subnormal units, and R(hM) carries it on.  Where
+        either one overflows, exact-arithmetic RK4 decides instead: the
+        kernel raises at a step whose exact state is within B_k of the
+        float64 range or beyond it, and at no earlier step."""
         matrix = (m[:2], m[2:])
-        assert rk4_outcome(rk4_integrate, matrix, y0, t_end, step) == \
-            rk4_outcome(closure_rk4, matrix_field(matrix), y0, t_end, step)
+        got = rk4_outcome(rk4_integrate, matrix, y0, t_end, step)
+        want = rk4_outcome(closure_rk4, matrix_field(matrix), y0, t_end, step)
+        if isinstance(got, list) and isinstance(want, list):
+            assert [t for t, _ in got] == [t for t, _ in want]
+            bounds = rk4_rounding_bounds(matrix, y0, step, len(got))
+            for (_, (u, v)), (_, (wu, wv)), bound in zip(got, want, bounds):
+                assert abs(u - wu) <= bound and abs(v - wv) <= bound
+            return
+        exact = exact_rk4(matrix, y0, t_end, step)
+        bounds = rk4_rounding_bounds(matrix, y0, step, len(exact))
+        sizes = [max(abs(u), abs(v)) for _, (u, v) in exact]
+        top = sys.float_info.max
+        reached = len(got) if isinstance(got, list) else \
+            states_before_error(matrix, y0, t_end, step)
+        assert all(size <= top + bound
+                   for size, bound in zip(sizes[:reached], bounds))
+        if reached < len(exact):
+            assert got[0] is NonFiniteState
+            assert sizes[reached] >= top - bounds[reached]
+
+
+def rk4_rounding_bounds(matrix, y0, step, n):
+    """B_0 .. B_{n-1} of :meth:`TestRk4.test_close_to_closure_reference`."""
+    z = step * max(abs(x) + abs(y) for x, y in matrix)
+    rho = 1.0 + z + z * z / 2.0 + z ** 3 / 6.0 + z ** 4 / 24.0
+    scale = 2.0 ** -45 * max(map(abs, y0)) + 2.0 ** -1065
+    bounds = []
+    for k in range(n):
+        try:
+            bounds.append(k * rho ** k * scale)
+        except OverflowError:
+            bounds.append(math.inf)
+    return bounds
+
+
+def states_before_error(matrix, y0, t_end, step):
+    """How many states the kernel yields before a NonFiniteState."""
+    count = 0
+    with mock.patch.object(numerics, "RK4_BLOCK_STEPS", 1):
+        try:
+            for times, _, _ in numerics._rk4_blocks(matrix, y0, t_end, step):
+                count += len(times)
+        except NonFiniteState:
+            pass
+    return count
 
 
 # ---------------------------------------------------------------------------

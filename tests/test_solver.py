@@ -40,6 +40,7 @@ from mirrordde import (
     nonsymmetric_solution,
     oracle_solution,
     oscillatory_solution,
+    rk4_integrate,
 )
 from mirrordde import numerics, solver
 from mirrordde.solver import _max_deviation
@@ -253,8 +254,6 @@ class TestNonsymmetricSolution:
     def test_against_integration(self):
         # a_c p' = b_c + c_c p integrated with RK4 on the augmented linear
         # state (p, 1): p' = (c_c/a_c) p + (b_c/a_c) 1, 1' = 0
-        from mirrordde import rk4_integrate
-
         a_c, b_c, c_c, p0 = 2.0, -0.5, 0.8, 1.2
         out = rk4_integrate(((c_c / a_c, b_c / a_c), (0.0, 0.0)), (p0, 1.0),
                             2.0, 1e-3)
@@ -281,6 +280,25 @@ class TestNonsymmetricSolution:
                                match=f"^{name} must be finite, got inf$"):
                 solution(*args)
 
+    @pytest.mark.parametrize("args, message", [
+        # e^1000 overflows math.exp
+        ((1.0, 0.0, 1.0, 1.0, 1000.0),
+         "p(t) overflows float64 (math range error)"),
+        # b_c / c_c overflows, and -inf + inf * e is nan
+        ((1e-300, 1e300, 1e-300, 1.0, 1.0), "p(1.0) = nan overflows float64"),
+        ((1.0, 1e308, 1.0, 1e308, 1.0), "p(1.0) = inf overflows float64"),
+        ((1e-300, 1e300, 0.0, 1.0, 1.0), "p(1.0) = inf overflows float64"),
+    ])
+    def test_overflowing_value_is_typed(self, args, message):
+        with pytest.raises(NonFiniteValue) as info:
+            nonsymmetric_solution(*args)
+        assert str(info.value) == message
+
+    def test_equilibrium_evaluates_no_exponential(self):
+        # p0 = -b_c/c_c stays put, however large e^{(c_c/a_c) t} would be
+        assert nonsymmetric_solution(1.0, -2.0, 1.0, 2.0, 1000.0) == \
+            (2.0, GrowthKind.EXPONENTIAL)
+
 
 class TestLinearGrowthSolution:
     def test_worked_example(self):
@@ -304,6 +322,11 @@ class TestLinearGrowthSolution:
     def test_zero_derivative_coefficient(self):
         with pytest.raises(ZeroCoefficient):
             linear_growth_solution(0.0, 1.0, 1.0, 1.0, 1.0)
+
+    def test_overflowing_value_is_typed(self):
+        with pytest.raises(NonFiniteValue,
+                           match=r"^p\(1\.0\) = inf overflows float64$"):
+            linear_growth_solution(1e-300, 1e300, 1.0, 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -806,12 +829,14 @@ class TestOracleSolution:
     @settings(max_examples=60, deadline=None)
     def test_bitwise_equal_to_sample_layout(self, a, margin, sign, p0,
                                             t_max, step):
-        """(times, values) are the per-sample layout of a closure-driven
-        RK4, value for value, whether or not step divides t_max."""
+        """(times, values) are the per-sample layout of the mirror system's
+        RK4 trajectory run as one block, value for value, whether or not
+        step divides t_max."""
         b = sign * (abs(a) + margin)
         times, values = oracle_solution(DdeParams(a=a, b=b, p0=p0),
                                         t_max, step)
-        samples = sample_layout_oracle(a, b, p0, t_max, step)
+        samples = sample_layout_oracle(one_block_mirror_rk4(a, b, p0, t_max,
+                                                            step))
         assert times == [t for t, _ in samples]
         assert values == [p for _, p in samples]
 
@@ -820,14 +845,22 @@ class TestOracleSolution:
         a, b, p0 = 0.3, 0.5, 1.0
         times, values = oracle_solution(DdeParams(a=a, b=b, p0=p0), 1e-12, 1.0)
         assert times == [-1e-12, 0.0, 1e-12]
-        assert values == [p for _, p in sample_layout_oracle(a, b, p0,
-                                                             1e-12, 1.0)]
+        assert values == [p for _, p in sample_layout_oracle(
+            one_block_mirror_rk4(a, b, p0, 1e-12, 1.0))]
         assert values[0] < values[1] == p0 < values[2]
 
     def test_overflowing_trajectory_raises(self):
         # the integrator checks every state, so no non-finite sample is built
         with pytest.raises(NonFiniteState):
             oracle_solution(DdeParams(a=0.3, b=0.5, p0=1e308), 5.0, 1e-3)
+
+
+def one_block_mirror_rk4(a, b, p0, t_max, step):
+    """rk4_integrate on u' = b u + a v, v' = -(a u + b v) from u = v = p0,
+    all of it in one block."""
+    with mock.patch.object(numerics, "RK4_BLOCK_STEPS",
+                           numerics.RK4_MAX_STEPS):
+        return rk4_integrate(((b, a), (-a, -b)), (p0, p0), t_max, step)
 
 
 # ---------------------------------------------------------------------------
