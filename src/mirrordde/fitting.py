@@ -107,7 +107,8 @@ def fit_modes(series: InfluenceSeries, r: float) -> tuple[float, float, float]:
     (per-sample, so the figure is comparable across window sizes, and 0 for
     exact two-mode data at the supplied rate).  A grid too narrow to spread
     X raises :class:`DegenerateSystem` with stage ``"fit_modes"``; an X
-    beyond the float64 range raises :class:`NonFiniteValue`.
+    beyond the float64 range, or normal equations whose solution leaves it
+    (as sums of Y that overflow do), raise :class:`NonFiniteValue`.
     """
     if not (math.isfinite(r) and r > 0.0):
         raise NonPositiveR(f"mode fit needs a positive rate, got {r!r}")
@@ -132,7 +133,8 @@ def modes_to_AB(w1: float, w2: float, a: float, b: float) -> tuple[float, float]
     """Recover the underlying pair: solve a A + b B = w1, b A + a B = w2.
 
     Raises :class:`SingularSystem` when a**2 = b**2 to working precision, in
-    which case the two equations no longer separate the amplitudes.
+    which case the two equations no longer separate the amplitudes, and
+    :class:`NonFiniteValue` when (A, B) leaves the float64 range.
     """
     return solve_2x2(a, b, b, a, w1, w2)
 

@@ -5,13 +5,14 @@ The problems this package actually solves are small — matrices with a
 handful of columns, trajectories with a few thousand steps — so most
 kernels are written directly for that size class: Cramer's rule for 2x2
 systems, cyclic coordinate descent with covariance updates for the l1 fit
-(one Gram product per call, then O(q) work per coordinate step for q
-nonzero coefficients), and classical RK4 for the one system integrated,
-``y' = M y`` with a constant 2x2 ``M``, as its one-step propagator: each
-step adds ``E y``, with ``E = R(hM) - I`` built exactly once per step
-length, under compensated summation, and the trajectory is yielded in
-blocks of steps so that a caller can fold it without holding all of it
-(``verify`` holds one block).  Singular values, which no command needs,
+(one Gram product per call, then sweeps in straight-line code generated
+once per column count k, with O(k**2) source and work per sweep), and
+classical RK4 for the one system integrated, ``y' = M y`` with a constant
+2x2 ``M``, as its one-step propagator: each step adds ``E y``, with
+``E = R(hM) - I`` built exactly once per step length, under compensated
+summation, and the trajectory is yielded in blocks of steps so that a
+caller can fold it without holding all of it (``verify`` holds one
+block).  Singular values, which no command needs,
 come from numpy's LAPACK SVD on a power-of-two-scaled copy.  The 2x2 solve
 and RK4 run on ``math`` and integers alone; numpy is imported by the array
 kernels (singular values, the l1 fit, finite differences) when first
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from .core import InfluenceSeries
 from .errors import (
@@ -120,7 +121,9 @@ def solve_2x2(m11: float, m12: float, m21: float, m22: float,
 
     Uses Cramer's rule; raises :class:`SingularSystem` when the determinant
     is not finite or is below :data:`SOLVE2_RTOL` relative to the product of
-    the row norms (which also catches the all-zero matrix).
+    the row norms (which also catches the all-zero matrix), and
+    :class:`NonFiniteValue` when the solution is not finite (a quotient
+    beyond the float64 range, or a non-finite right-hand side).
     """
     det = m11 * m22 - m12 * m21
     h2 = math.hypot(m21, m22)
@@ -134,7 +137,69 @@ def solve_2x2(m11: float, m12: float, m21: float, m22: float,
         )
     x = (r1 * m22 - m12 * r2) / det
     y = (m11 * r2 - m21 * r1) / det
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise NonFiniteValue(f"2x2 solution ({x!r}, {y!r}) of right-hand "
+                             f"side ({r1!r}, {r2!r}) overflows float64")
     return x, y
+
+
+#: The coordinate-descent sweep generators of :func:`_sweep_kernel`, by
+#: column count; each is built on first use.
+_SWEEP_KERNELS: dict[int, Callable[..., Iterator[list[float]]]] = {}
+
+
+def _sweep_kernel(k: int) -> Callable[..., Iterator[list[float]]]:
+    """The sweep generator for k columns,
+    ``kernel(c, G, scale, m, lam, tol)``, built on first use and cached.
+
+    Its source is straight-line code with every ``c_j``, ``G_ji``, ``w_i``
+    and ``scale_j`` in a local: for each coordinate j in turn,
+    ``v = (c_j - G_j0 * w_0 - ...) / m`` over every i != j in ascending
+    order, then the soft threshold and the largest-change rule.  Only k
+    enters the source, which holds k (k - 1) terms, so it grows and runs as
+    O(k**2).
+    """
+    kernel = _SWEEP_KERNELS.get(k)
+    if kernel is not None:
+        return kernel
+    cols = range(k)
+    ws = "".join(f"w{i}, " for i in cols)
+    lines = [
+        "def sweeps(c, G, scale, m, lam, tol):",
+        "    " + "".join(f"c{j}, " for j in cols) + "= c",
+        "    " + "".join(f"s{j}, " for j in cols) + "= scale",
+        "    " + "".join("(" + "".join(f"g{j}_{i}, " for i in cols) + "), "
+                        for j in cols) + "= G",
+        "    " + "".join(f"w{i} = " for i in cols) + "0.0",
+        "    nlam = -lam",
+        "    while True:",
+        "        delta = 0.0",
+    ]
+    for j in cols:
+        rho = "".join(f" - g{j}_{i} * w{i}" for i in cols if i != j)
+        lines += [
+            f"        v = (c{j}{rho}) / m",
+            "        if v > lam:",
+            f"            wj = (v - lam) / s{j}",
+            "        elif v < nlam:",
+            f"            wj = (v + lam) / s{j}",
+            "        else:",
+            "            wj = 0.0",
+            f"        if wj != w{j}:",
+            f"            change = wj - w{j} if wj > w{j} else w{j} - wj",
+            "            if change > delta:",
+            "                delta = change",
+            f"            w{j} = wj",
+        ]
+    lines += [
+        f"        yield [{ws}]",
+        "        if delta <= tol:",
+        "            return",
+    ]
+    namespace: dict = {}
+    exec("\n".join(lines), namespace)
+    kernel = _SWEEP_KERNELS[k] = namespace["sweeps"]
+    return kernel
 
 
 def _lasso_sweeps(X: NDArray[np.float64], y: NDArray[np.float64],
@@ -144,18 +209,17 @@ def _lasso_sweeps(X: NDArray[np.float64], y: NDArray[np.float64],
     Covariance updates (Friedman, Hastie & Tibshirani, JSS 2010, sec. 2.2):
     ``G = X^T X`` and ``c = X^T y`` are formed once, after which each
     coordinate's correlation with the partial residual,
-    ``c_j - sum_{i != j} G_ji w_i``, costs O(q) for q nonzero coefficients
-    instead of O(m).  The sum runs over the ascending indices of the nonzero
-    coefficients only.  A zero coefficient's term ``g * 0.0`` is a signed
-    zero, which leaves a nonzero partial sum as it is and at most flips the
-    sign of a zero one, and a zero correlation thresholds to 0.0 whatever
-    its sign; so with a finite ``G`` the iterates are bit for bit those of
-    the sum over every i.  Up to rounding, they are those of the
-    residual-update form from the same zero start.  The iterator stops on
-    its own once the largest single-coefficient change in a sweep drops to
-    :data:`LASSO_TOL` or below; the caller enforces the sweep cap.  Columns
-    with zero sum of squares keep a zero coefficient.  A ``G`` or ``c``
-    beyond the float64 range raises :class:`NonFiniteValue`.
+    ``c_j - sum_{i != j} G_ji w_i``, costs O(k) instead of O(m).  The
+    sweeps run in the straight-line generator :func:`_sweep_kernel` builds
+    for the column count k, which sums over every i != j in ascending
+    order; up to rounding, its iterates are those of the residual-update
+    form from the same zero start.  The iterator stops on its own once the
+    largest single-coefficient change in a sweep drops to :data:`LASSO_TOL`
+    or below; the caller enforces the sweep cap.  A column with zero sum of
+    squares (all zeros, or entries whose squares underflow) gets an infinite
+    scale, so its update is a signed zero, which equals its 0.0 and never
+    moves it.  A ``G`` or ``c`` beyond the float64 range raises
+    :class:`NonFiniteValue`.
     """
     import numpy as np
 
@@ -167,36 +231,8 @@ def _lasso_sweeps(X: NDArray[np.float64], y: NDArray[np.float64],
     # by Cauchy-Schwarz a finite diagonal bounds every entry of G
     if not all(map(math.isfinite, col_sq + c)):
         raise NonFiniteValue("X^T X or X^T y overflows float64")
-    G = G.tolist()
-    for j, row in enumerate(G):
-        row[j] = 0.0  # so the sums skip i == j
-    coords = [(j, c[j], G[j], col_sq[j] / m)
-              for j in range(k) if col_sq[j] != 0.0]
-    w = [0.0] * k
-    nonzero: list[int] = []  # ascending indices i with w[i] != 0
-    while True:
-        delta = 0.0
-        for j, rho, g, scale in coords:
-            for i in nonzero:
-                rho -= g[i] * w[i]
-            v = rho / m
-            if v > lam:
-                wj = (v - lam) / scale
-            elif v < -lam:
-                wj = (v + lam) / scale
-            else:
-                wj = 0.0
-            old = w[j]
-            if wj != old:
-                w[j] = wj
-                change = wj - old if wj > old else old - wj
-                if change > delta:
-                    delta = change
-                if old == 0.0 or wj == 0.0:
-                    nonzero = [i for i in range(k) if w[i] != 0.0]
-        yield list(w)
-        if delta <= LASSO_TOL:
-            return
+    scale = [sq / m if sq != 0.0 else math.inf for sq in col_sq]
+    yield from _sweep_kernel(k)(c, G.tolist(), scale, m, lam, LASSO_TOL)
 
 
 def lasso_fit(X, y, lam: float) -> list[float]:
@@ -223,8 +259,16 @@ def lasso_fit(X, y, lam: float) -> list[float]:
         raise TooShort("need at least 2 observations")
     if not (math.isfinite(lam) and lam >= 0.0):
         raise OutOfRange(f"lam must be non-negative and finite, got {lam!r}")
+    return _lasso_capped(A, rhs, lam)
 
-    for count, w in enumerate(_lasso_sweeps(A, rhs, lam), 1):
+
+def _lasso_capped(X: NDArray[np.float64], y: NDArray[np.float64],
+                  lam: float) -> list[float]:
+    """:func:`lasso_fit` without its checks: the last of at most
+    :data:`LASSO_MAX_SWEEPS` sweeps, or :class:`ConvergenceFailure`.  The
+    caller guarantees a finite float design with at least 2 rows, a
+    matching finite response and a finite ``lam >= 0``."""
+    for count, w in enumerate(_lasso_sweeps(X, y, lam), 1):
         if count > LASSO_MAX_SWEEPS:
             raise ConvergenceFailure(
                 f"coordinate descent did not converge within "

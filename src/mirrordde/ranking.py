@@ -22,7 +22,7 @@ from .errors import (
     UnknownResponseFeature,
     ZeroVarianceColumn,
 )
-from .numerics import _pow2_scaled, _sum_left_to_right, lasso_fit
+from .numerics import _lasso_capped, _pow2_scaled, _sum_left_to_right
 
 if TYPE_CHECKING:
     import numpy as np
@@ -137,7 +137,7 @@ def rank_journals(matrix: FeatureMatrix, response_feature: str,
     data, e = _pow2_scaled(matrix.data, axis=0)
     names = matrix.journal_names
 
-    remaining = np.arange(m)
+    remaining = list(range(m))
     steps: list[TraceStep] = []
     row_norm = singval = survivor_col_norm = 0.0
 
@@ -145,7 +145,8 @@ def rank_journals(matrix: FeatureMatrix, response_feature: str,
         try:
             std = _standardized(data.take(remaining, axis=0), e,
                                 matrix.feature_names)
-            coeffs = lasso_fit(std[:, pred_idx], std[:, resp_idx], lam)
+            # the block is finite with at least 2 rows, and lam is checked
+            coeffs = _lasso_capped(std[:, pred_idx], std[:, resp_idx], lam)
         except ZeroVarianceColumn as exc:
             raise ZeroVarianceColumn(
                 f"step {step}: {exc}", column=exc.column, step=step
@@ -170,7 +171,7 @@ def rank_journals(matrix: FeatureMatrix, response_feature: str,
             chosen_col_norm=float(col_norms[best]),
             singval=singval,
         ))
-        remaining = np.delete(remaining, best)
+        del remaining[best]
 
     # The survivor inherits the score of the last regression it was part of.
     steps.append(TraceStep(

@@ -276,10 +276,7 @@ def initial_conditions_to_modes(params: DdeParams,
     (p0/2r)(r - a - b).  Amplitudes beyond the float64 range raise
     :class:`NonFiniteValue`.
     """
-    modes = _forced_start(params, config, None)[2]
-    if not all(map(math.isfinite, modes)):
-        raise NonFiniteValue(f"(c1, c2) = {modes!r} overflows float64")
-    return modes
+    return _forced_start(params, config, None)[2]
 
 
 def _forced_start(params: DdeParams, config: ControlConfig,

@@ -304,12 +304,12 @@ def residual_lasso_sweeps(X, y, lam):
 def dense_lasso_sweeps(X, y, lam):
     """Yield the coefficients after each sweep of dense covariance descent.
 
-    Covariance-update coordinate descent over the full sum: every coordinate
-    subtracts ``G_ji * w_i`` for all i, zero coefficients and its own zeroed
-    diagonal included, in ascending order, where the library sums over the
-    nonzero coefficients only.  A zero coefficient's term ``g * 0.0`` is a
-    signed zero, which leaves every nonzero partial sum as it is, so the two
-    must agree to the bit, sweep for sweep.
+    Covariance-update coordinate descent over the full sum, as loops: every
+    coordinate subtracts ``G_ji * w_i`` for all i, its own zeroed diagonal
+    included, in ascending order, where the library's generated kernel
+    writes out the terms for i != j.  The diagonal's term ``0.0 * w_j`` is
+    a signed zero, which leaves every nonzero partial sum as it is, so the
+    two must agree to the bit, sweep for sweep.
     """
 
     def soft_threshold(v, lam):

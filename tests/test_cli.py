@@ -343,6 +343,20 @@ class TestFit:
         assert report["n_points"] == 121
         assert report["rss_ab"] <= 1e-6 and report["rss_modes"] <= 1e-6
 
+    def test_overflowing_mode_sums_name_the_solve(self, tmp_path):
+        # the mode fit's sums reach 5e307, so Cramer's products overflow;
+        # it used to print "ModeCoefficients must be finite, got nan"
+        path = str(tmp_path / "series.csv")
+        code, _, _ = run_cli("simulate", "--a", "0.3", "--b", "0.9",
+                             "--p0", "1e305", "--t-min=-1", "--t-max", "1",
+                             "--steps", "100", "--out", path)
+        assert code == 0
+        code, out, err = run_cli("fit", "--input", path)
+        assert (code, out) == (2, "")
+        assert err.startswith("ERROR 2: 2x2 solution (nan, nan) of "
+                              "right-hand side (")
+        assert err.endswith(") overflows float64\n")
+
     def test_prediction_key_appended(self, tmp_path):
         path = exponential_csv(tmp_path / "series.csv")
         code, out, _ = run_cli("fit", "--input", path, "--predict", "4.0")

@@ -294,6 +294,16 @@ class TestFitModes:
         with pytest.raises(NonFiniteValue, match="overflows float64"):
             fit_modes(series, 400.0)
 
+    def test_overflowing_sums_are_non_finite_value(self):
+        # e^(rt) p(t) reaches 7.4e308 = inf at t = 2, and inf - inf sums
+        # made the fit return (nan, nan, nan)
+        series = validate_series([-2.0, -1.0, 0.0, 1.0, 2.0],
+                                 [1e308, -1e308, 1e308, 1e308, -1e308])
+        with pytest.raises(NonFiniteValue, match=(
+                r"^2x2 solution \(nan, nan\) of right-hand side "
+                r"\(nan, nan\) overflows float64$")):
+            fit_modes(series, 1.0)
+
 
 # ---------------------------------------------------------------------------
 # modes_to_AB
@@ -316,6 +326,11 @@ class TestModesToAB:
         assert math.isfinite(A) and math.isfinite(B)
         assert 1e154 * A + 1.3e154 * B == pytest.approx(1.0, rel=1e-14)
         assert 1.3e154 * A + 1e154 * B == pytest.approx(2.0, rel=1e-14)
+
+    def test_overflowing_amplitudes_are_non_finite_value(self):
+        # det = 1e-20 passes the relative test; A = 1e300 * 1e-10 / 1e-20
+        with pytest.raises(NonFiniteValue, match=r"^2x2 solution \(inf, "):
+            modes_to_AB(1e300, 1.0, 1e-10, 0.0)
 
     def test_worked_inversion(self):
         # forward: w1 = 0.3*2 + 0.5*3 = 2.1, w2 = 0.3*3 + 0.5*2 = 1.9

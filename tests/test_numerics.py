@@ -229,6 +229,15 @@ class TestSolve2x2:
         x, y = solve_2x2(1e154, 1.3e154, 1.3e154, 1e154, 1.0, 2.0)
         assert (x, y) == (2.3188405797101453e-154, -1.0144927536231889e-154)
 
+    def test_non_finite_solution_is_typed(self):
+        # det = 1e-300 passes the relative test; x = 1e10 / 1e-300 = inf
+        with pytest.raises(NonFiniteValue, match=(
+                r"^2x2 solution \(inf, 1\.0\) of right-hand side "
+                r"\(10000000000\.0, 1\) overflows float64$")):
+            solve_2x2(1e-300, 0, 0, 1, 1e10, 1)
+        with pytest.raises(NonFiniteValue, match=r"\(nan, 1\.0\)"):
+            solve_2x2(1.0, 0.0, 0.0, 1.0, math.nan, 1.0)
+
     def test_zero_row_under_an_overflowing_norm_is_singular(self):
         with pytest.raises(SingularSystem, match=r"\(det=0\.0\)"):
             solve_2x2(1.5e308, 1.5e308, 0.0, 0.0, 1.0, 1.0)
@@ -249,9 +258,13 @@ class TestSolve2x2:
         if not math.isfinite(det) or abs(det) <= 1e-12 * scale:
             with pytest.raises(SingularSystem):
                 solve_2x2(m11, m12, m21, m22, 1.0, -1.0)
+            return
+        want = ((1.0 * m22 - m12 * -1.0) / det, (m11 * -1.0 - m21 * 1.0) / det)
+        if all(map(math.isfinite, want)):
+            assert solve_2x2(m11, m12, m21, m22, 1.0, -1.0) == want
         else:
-            assert solve_2x2(m11, m12, m21, m22, 1.0, -1.0) == (
-                (1.0 * m22 - m12 * -1.0) / det, (m11 * -1.0 - m21 * 1.0) / det)
+            with pytest.raises(NonFiniteValue, match="overflows float64"):
+                solve_2x2(m11, m12, m21, m22, 1.0, -1.0)
 
     @given(mantissas=st.lists(st.floats(1.0, 2.0, exclude_max=True),
                               min_size=6, max_size=6),
@@ -475,15 +488,18 @@ REENTRY = dict(m=8, k=5, seed=6, standardized=False, zero_col=False,
 
 
 class TestLassoAgainstDenseKernel:
-    """The kernel that sums over nonzero coefficients only, against the
-    dense kernel that sums over all of them: the same iterates to the bit.
+    """The straight-line kernel built for each column count, against the
+    dense kernel written as loops: the same iterates to the bit.
 
-    A skipped term is ``g * 0.0 = +-0``; subtracting it leaves every nonzero
-    partial sum as it is, and a zero correlation thresholds to 0.0 whatever
-    its sign, so no entry of any sweep may differ.
+    Both subtract ``G_ji * w_i`` in ascending i; the dense kernel also
+    subtracts its zeroed diagonal's ``0.0 * w_j``, a signed zero, which
+    leaves every nonzero partial sum as it is, and a zero correlation
+    thresholds to 0.0 whatever its sign, so no entry of any sweep may
+    differ.  A column with zero sum of squares never moves from 0.0 in
+    either.  Kernels are generated per k, so k covers a dozen sizes.
     """
 
-    @given(m=st.integers(2, 30), k=st.integers(1, 8),
+    @given(m=st.integers(2, 30), k=st.integers(1, 12),
            seed=st.integers(0, 2**32 - 1), standardized=st.booleans(),
            zero_col=st.booleans(), dup_col=st.booleans(),
            lam=st.just(0.0) | st.floats(0.0, 1.0),
@@ -523,14 +539,45 @@ class TestLassoAgainstDenseKernel:
         assert hex_sweeps(seen) == hex_sweeps(want[:cap + 1])
 
     def test_reentry_example_leaves_zero_twice(self):
-        """The first example above rebuilds the nonzero list three times for
-        one coefficient: it leaves zero, returns to it and leaves again."""
+        """In the first example above one coefficient leaves zero, returns
+        to it and leaves again, so the terms it adds to the other
+        coordinates' sums switch between signed zeros and nonzero values
+        three times."""
         args = dict(REENTRY)
         lam = args.pop("lam")
         X, y = drawn_design(**args)
         path = [0.0] + [w[1] for w in _lasso_sweeps(X, y, lam)]
         moves = [(a == 0.0) != (b == 0.0) for a, b in zip(path, path[1:])]
         assert sum(moves) >= 3 and path[-1] != 0.0
+
+    def test_column_whose_squares_underflow_keeps_zero(self):
+        """Entries of 1e-170 square to 0.0, so the column's sum of squares
+        is zero while its correlation and Gram row are not: the kernel must
+        leave its coefficient at 0.0 without dividing by its zero scale."""
+        X, y = drawn_design(9, 4, 3, False, False, False)
+        X[:, 2] = 1e-170 * np.arange(1, 10)
+        for lam in (0.0, 0.1):
+            want = list(dense_lasso_sweeps(X, y, lam))
+            got = list(_lasso_sweeps(X, y, lam))
+            assert hex_sweeps(got) == hex_sweeps(want)
+            assert all(w[2].hex() == "0x0.0p+0" for w in got)
+
+
+class TestSweepKernelCache:
+    """Sweep kernels are generated on first use, once per column count."""
+
+    def test_each_column_count_is_built_once(self, monkeypatch):
+        kernels: dict = {}
+        monkeypatch.setattr(numerics, "_SWEEP_KERNELS", kernels)
+        X, y = drawn_design(12, 5, 0, True, False, False)
+        first = lasso_fit(X[:, :3], y, 0.1)
+        built = kernels[3]
+        assert list(kernels) == [3]
+        assert lasso_fit(X[:, :3], y, 0.1) == first
+        lasso_fit(X, y, 0.1)
+        assert list(kernels) == [3, 5]
+        assert kernels[3] is built
+        assert numerics._sweep_kernel(3) is built
 
 
 # ---------------------------------------------------------------------------
