@@ -43,7 +43,9 @@ def _lstsq2(u: NDArray[np.float64], v: NDArray[np.float64], z: NDArray[np.float6
     """Least squares of z ~ c1 u + c2 v by its normal equations: (c1, c2, rss).
 
     A singular system, or sums that overflow to a non-finite determinant,
-    raises :class:`DegenerateSystem` labeled with ``stage``.
+    raises :class:`DegenerateSystem` labeled with ``stage``; a non-finite
+    solution of the normal equations (as overflowing right-hand-side sums
+    give) raises :class:`NonFiniteValue`.
     """
     import numpy as np
 
@@ -76,9 +78,11 @@ def fit_ab(series: InfluenceSeries,
     :func:`~mirrordde.numerics._pow2_scaled`, so no sum overflows and (a, b)
     do not change bit for bit when the series is scaled by a power of two
     (while every sample and difference quotient stays a normal float).
-    A flat or mirror-symmetric series, or sums that still overflow float64,
-    make the normal matrix singular and raise :class:`DegenerateSystem` with
-    stage ``"fit_ab"``.
+    A flat or mirror-symmetric series, or Gram sums that still overflow
+    float64, make the normal matrix singular and raise
+    :class:`DegenerateSystem` with stage ``"fit_ab"``; a non-finite solution
+    of the normal equations (as overflowing right-hand-side sums give)
+    raises :class:`NonFiniteValue`.
     """
     z = finite_diff(series, fd_mode)
     if len(z) < 3:
@@ -163,9 +167,11 @@ def fit_pipeline(series: InfluenceSeries,
     """Full coefficient recovery: (a, b), regime, then modes if available.
 
     Stage failures propagate as :class:`DegenerateSystem` labeled with the
-    stage name.  Outside the exponential regime the mode stage is skipped
-    rather than failed: the report still carries the coefficient estimates
-    and the regime, with a note in ``modes_note``.
+    stage name; a stage whose normal equations have a non-finite solution
+    (as overflowing right-hand-side sums give) raises
+    :class:`NonFiniteValue`.  Outside the exponential regime the mode stage
+    is skipped rather than failed: the report still carries the coefficient
+    estimates and the regime, with a note in ``modes_note``.
     """
     a, b, rss_ab = fit_ab(series, fd_mode)
     params = DdeParams(a=a, b=b, p0=series.value_at_zero,

@@ -5,9 +5,10 @@ The problems this package actually solves are small — matrices with a
 handful of columns, trajectories with a few thousand steps — so most
 kernels are written directly for that size class: Cramer's rule for 2x2
 systems, cyclic coordinate descent with covariance updates for the l1 fit
-(one Gram product per call, then sweeps in straight-line code generated
-once per column count k, with O(k**2) source and work per sweep), and
-classical RK4 for the one system integrated, ``y' = M y`` with a constant
+(one Gram product per call, then, for up to 20 columns, sweeps in
+straight-line code generated once per column count k, with O(k**2) source
+and work per sweep; wider designs sum over the nonzero coefficients only),
+and classical RK4 for the one system integrated, ``y' = M y`` with a constant
 2x2 ``M``, as its one-step propagator: each step adds ``E y``, with
 ``E = R(hM) - I`` built exactly once per step length, under compensated
 summation, and the trajectory is yielded in blocks of steps so that a
@@ -143,13 +144,21 @@ def solve_2x2(m11: float, m12: float, m21: float, m22: float,
     return x, y
 
 
+#: Widest design, in columns, whose sweeps run in a generated kernel.  Its
+#: source and each of its sweeps cost O(k**2), against O(k q) for the loop
+#: over q nonzero coefficients that wider designs take: past about 20
+#: columns a sparse fit runs faster in the loop, and the generated source
+#: of a few thousand columns would not even compile (its sums nest k deep).
+SWEEP_KERNEL_MAX_K = 20
+
 #: The coordinate-descent sweep generators of :func:`_sweep_kernel`, by
-#: column count; each is built on first use.
+#: column count; each is built on first use, so there are at most
+#: :data:`SWEEP_KERNEL_MAX_K` of them.
 _SWEEP_KERNELS: dict[int, Callable[..., Iterator[list[float]]]] = {}
 
 
 def _sweep_kernel(k: int) -> Callable[..., Iterator[list[float]]]:
-    """The sweep generator for k columns,
+    """The sweep generator for k <= :data:`SWEEP_KERNEL_MAX_K` columns,
     ``kernel(c, G, scale, m, lam, tol)``, built on first use and cached.
 
     Its source is straight-line code with every ``c_j``, ``G_ji``, ``w_i``
@@ -202,6 +211,48 @@ def _sweep_kernel(k: int) -> Callable[..., Iterator[list[float]]]:
     return kernel
 
 
+def _nonzero_sweeps(c: list[float], G: list[list[float]],
+                    col_sq: list[float], m: int, lam: float, tol: float
+                    ) -> Iterator[list[float]]:
+    """The sweeps of a design too wide for :func:`_sweep_kernel`: each sum
+    runs over the ascending indices of the nonzero coefficients only, in
+    O(k q) for q of them, and columns with zero sum of squares are skipped.
+    A skipped term ``g * 0.0`` is a signed zero, which leaves a nonzero
+    partial sum as it is and at most flips the sign of a zero one, and a
+    zero correlation thresholds to 0.0 whatever its sign; so the iterates
+    are bit for bit those of the generated kernel."""
+    k = len(c)
+    for j, row in enumerate(G):
+        row[j] = 0.0  # so the sums skip i == j
+    coords = [(j, c[j], G[j], col_sq[j] / m)
+              for j in range(k) if col_sq[j] != 0.0]
+    w = [0.0] * k
+    nonzero: list[int] = []  # ascending indices i with w[i] != 0
+    while True:
+        delta = 0.0
+        for j, rho, g, scale in coords:
+            for i in nonzero:
+                rho -= g[i] * w[i]
+            v = rho / m
+            if v > lam:
+                wj = (v - lam) / scale
+            elif v < -lam:
+                wj = (v + lam) / scale
+            else:
+                wj = 0.0
+            old = w[j]
+            if wj != old:
+                w[j] = wj
+                change = wj - old if wj > old else old - wj
+                if change > delta:
+                    delta = change
+                if old == 0.0 or wj == 0.0:
+                    nonzero = [i for i in range(k) if w[i] != 0.0]
+        yield list(w)
+        if delta <= tol:
+            return
+
+
 def _lasso_sweeps(X: NDArray[np.float64], y: NDArray[np.float64],
                   lam: float) -> Iterator[list[float]]:
     """Yield the coefficient vector after each coordinate-descent sweep.
@@ -209,17 +260,19 @@ def _lasso_sweeps(X: NDArray[np.float64], y: NDArray[np.float64],
     Covariance updates (Friedman, Hastie & Tibshirani, JSS 2010, sec. 2.2):
     ``G = X^T X`` and ``c = X^T y`` are formed once, after which each
     coordinate's correlation with the partial residual,
-    ``c_j - sum_{i != j} G_ji w_i``, costs O(k) instead of O(m).  The
-    sweeps run in the straight-line generator :func:`_sweep_kernel` builds
-    for the column count k, which sums over every i != j in ascending
-    order; up to rounding, its iterates are those of the residual-update
-    form from the same zero start.  The iterator stops on its own once the
-    largest single-coefficient change in a sweep drops to :data:`LASSO_TOL`
-    or below; the caller enforces the sweep cap.  A column with zero sum of
-    squares (all zeros, or entries whose squares underflow) gets an infinite
-    scale, so its update is a signed zero, which equals its 0.0 and never
-    moves it.  A ``G`` or ``c`` beyond the float64 range raises
-    :class:`NonFiniteValue`.
+    ``c_j - sum_{i != j} G_ji w_i``, costs O(k) instead of O(m).  Up to
+    :data:`SWEEP_KERNEL_MAX_K` columns the sweeps run in the straight-line
+    generator :func:`_sweep_kernel` builds for the column count k, which
+    sums over every i != j in ascending order; wider designs run the loop
+    of :func:`_nonzero_sweeps`, which gives the same bits.  Up to rounding,
+    the iterates are those of the residual-update form from the same zero
+    start.  The iterator stops on its own once the largest
+    single-coefficient change in a sweep drops to :data:`LASSO_TOL` or
+    below; the caller enforces the sweep cap.  A column with zero sum of
+    squares (all zeros, or entries whose squares underflow) keeps a zero
+    coefficient: the generated kernel gives it an infinite scale, so its
+    update is a signed zero, which equals its 0.0 and never moves it.  A
+    ``G`` or ``c`` beyond the float64 range raises :class:`NonFiniteValue`.
     """
     import numpy as np
 
@@ -231,6 +284,9 @@ def _lasso_sweeps(X: NDArray[np.float64], y: NDArray[np.float64],
     # by Cauchy-Schwarz a finite diagonal bounds every entry of G
     if not all(map(math.isfinite, col_sq + c)):
         raise NonFiniteValue("X^T X or X^T y overflows float64")
+    if k > SWEEP_KERNEL_MAX_K:
+        yield from _nonzero_sweeps(c, G.tolist(), col_sq, m, lam, LASSO_TOL)
+        return
     scale = [sq / m if sq != 0.0 else math.inf for sq in col_sq]
     yield from _sweep_kernel(k)(c, G.tolist(), scale, m, lam, LASSO_TOL)
 

@@ -755,6 +755,30 @@ class TestRank:
         golden = (data_dir / "golden_rank_m3.csv").read_text()
         assert out == golden
 
+    def test_wide_short_table_ranks_in_the_loop(self, tmp_path, monkeypatch):
+        """1000 predictors over 3 journals rank in the loop over nonzero
+        coefficients and build no sweep kernel: a generated kernel that
+        wide would take seconds to build, and one a few times wider would
+        not compile (its sums nest k deep).  At lambda = 2 every
+        standardized correlation thresholds to 0, so each fit is one
+        sweep."""
+        kernels: dict = {}
+        monkeypatch.setattr(numerics, "_SWEEP_KERNELS", kernels)
+        data = np.random.default_rng(0).lognormal(0.0, 0.75, size=(3, 1001))
+        path = tmp_path / "wide.csv"
+        path.write_text(
+            "journal," + ",".join(f"f{i}" for i in range(1001)) + "\n"
+            + "".join(f"J{r}," + ",".join(map(repr, row)) + "\n"
+                      for r, row in enumerate(data.tolist())))
+        code, out, err = run_cli("rank", "--input", str(path),
+                                 "--lambda", "2")
+        assert (code, err) == (0, "response=f0 lambda=2\n")
+        lines = out.splitlines()
+        assert lines[0] == "rank,journal,singval,elimination_step"
+        assert sorted(line.split(",")[1] for line in lines[1:]) == [
+            "J0", "J1", "J2"]
+        assert kernels == {}
+
     @pytest.mark.skipif(not os.path.exists("/dev/stdin"),
                         reason="needs /dev/stdin")
     def test_reads_a_pipe(self, data_dir):

@@ -496,10 +496,13 @@ class TestLassoAgainstDenseKernel:
     leaves every nonzero partial sum as it is, and a zero correlation
     thresholds to 0.0 whatever its sign, so no entry of any sweep may
     differ.  A column with zero sum of squares never moves from 0.0 in
-    either.  Kernels are generated per k, so k covers a dozen sizes.
+    either.  Kernels are generated per k, so k covers every size that gets
+    one, and ten sizes past it, which run the loop over the nonzero
+    coefficients and must give the same bits too.
     """
 
-    @given(m=st.integers(2, 30), k=st.integers(1, 12),
+    @given(m=st.integers(2, 30),
+           k=st.integers(1, numerics.SWEEP_KERNEL_MAX_K + 10),
            seed=st.integers(0, 2**32 - 1), standardized=st.booleans(),
            zero_col=st.booleans(), dup_col=st.booleans(),
            lam=st.just(0.0) | st.floats(0.0, 1.0),
@@ -550,11 +553,13 @@ class TestLassoAgainstDenseKernel:
         moves = [(a == 0.0) != (b == 0.0) for a, b in zip(path, path[1:])]
         assert sum(moves) >= 3 and path[-1] != 0.0
 
-    def test_column_whose_squares_underflow_keeps_zero(self):
+    @pytest.mark.parametrize("k", [4, numerics.SWEEP_KERNEL_MAX_K + 4])
+    def test_column_whose_squares_underflow_keeps_zero(self, k):
         """Entries of 1e-170 square to 0.0, so the column's sum of squares
-        is zero while its correlation and Gram row are not: the kernel must
-        leave its coefficient at 0.0 without dividing by its zero scale."""
-        X, y = drawn_design(9, 4, 3, False, False, False)
+        is zero while its correlation and Gram row are not: the generated
+        kernel and the loop must both leave its coefficient at 0.0 without
+        dividing by its zero scale."""
+        X, y = drawn_design(9, k, 3, False, False, False)
         X[:, 2] = 1e-170 * np.arange(1, 10)
         for lam in (0.0, 0.1):
             want = list(dense_lasso_sweeps(X, y, lam))
@@ -578,6 +583,16 @@ class TestSweepKernelCache:
         assert list(kernels) == [3, 5]
         assert kernels[3] is built
         assert numerics._sweep_kernel(3) is built
+
+    def test_wider_designs_build_none(self, monkeypatch):
+        kernels: dict = {}
+        monkeypatch.setattr(numerics, "_SWEEP_KERNELS", kernels)
+        wide = numerics.SWEEP_KERNEL_MAX_K + 1
+        X, y = drawn_design(2 * wide, wide, 0, True, False, False)
+        lasso_fit(X[:, :-1], y, 0.1)
+        assert list(kernels) == [wide - 1]
+        lasso_fit(X, y, 0.1)
+        assert list(kernels) == [wide - 1]
 
 
 # ---------------------------------------------------------------------------
