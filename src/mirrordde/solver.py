@@ -23,7 +23,10 @@ All branches satisfy p(0) = p0 and p'(0) = (a + b) p0.
 
 :func:`evaluate` settles regime, forcing checks and mode amplitudes once per
 trajectory, then applies one closed form per t.  The scalar solutions are
-one-point wrappers around it, so each formula is written once.
+one-point wrappers around it, so each formula is written once.  The one
+other evaluation of a closed form is the oracle comparison's, which in the
+exponential regime takes one cosh and one sinh at each t for the pair t, -t
+(:func:`_exponential_block`); it gives :func:`evaluate`'s bits.
 
 The oracle integrates the equivalent mirror system u' = b u + a v,
 v' = -(b v + a u) with u(0) = v(0) = p0, where u(t) = p(t) and v(t) = p(-t);
@@ -406,9 +409,56 @@ def oracle_solution(params: DdeParams, t_max: float,
     return [-t for t in times[:0:-1]] + times, behind[:0:-1] + ahead
 
 
+def _exponential_block(p0: float, r: float, k: float, times: Sequence[float],
+                       ahead: Sequence[float], behind: Sequence[float]
+                       ) -> float | None:
+    """The largest |c - p| / max(1, |c|) over one oracle block of the
+    exponential regime, or None where ``math`` overflows or a c is not
+    finite.
+
+    One cosh and one sinh at each t serve both of its samples: with
+    x = r t, ch = cosh(x) and ks = k sinh(x), the closed form is
+    p0 (ch + ks) at t, against ``ahead``, and p0 (ch - ks) at -t, against
+    ``behind``.  r (-t) = -(r t) exactly, cosh is even and sinh odd, so the
+    second is :func:`evaluate`'s value at -t bit for bit.  A sum of the
+    gaps, which a nan or inf makes non-finite, finds the values that are
+    not finite.
+    """
+    hi = lo = total = 0.0
+    try:
+        for t, u, v in zip(times, ahead, behind):
+            ch = math.cosh(x := r * t)
+            ks = k * math.sinh(x)
+            c = p0 * (ch + ks)
+            d = c - u
+            if c > 1.0 or c < -1.0:
+                d /= c  # |(c - p) / c| is |c - p| / |c| bit for bit
+            c = p0 * (ch - ks)
+            e = c - v
+            if c > 1.0 or c < -1.0:
+                e /= c
+            total += d + e
+            # the gaps keep their signs, so the largest |gap| is max(hi, -lo)
+            if d > hi:
+                hi = d
+            elif d < lo:
+                lo = d
+            if e > hi:
+                hi = e
+            elif e < lo:
+                lo = e
+    except OverflowError:
+        return None
+    return max(hi, -lo) if math.isfinite(total) else None
+
+
 def _max_deviation(params: DdeParams, t_max: float, step: float) -> float:
     """The largest |c - p| / max(1, |c|) between the homogeneous closed form
     c and the oracle p over [-t_max, t_max], one RK4 block at a time.
+
+    In the exponential regime :func:`_exponential_block` compares each
+    block in one pass.  A block it cannot serve, and every block of the
+    other regimes, is compared through :func:`evaluate` at its +t and -t.
 
     It raises what ``evaluate`` over the whole of :func:`oracle_solution`'s
     window would, after it: an RK4 error when the integration reaches it;
@@ -418,10 +468,22 @@ def _max_deviation(params: DdeParams, t_max: float, step: float) -> float:
     it happens at -t_max too, first in that order as ``evaluate`` raises it
     first.
     """
+    try:
+        regime = classify(params)
+    except NonFiniteValue:  # evaluate raises it at each block, in order
+        regime = None
+    fused = regime is not None and regime.tag is RegimeTag.EXPONENTIAL
+    if fused:
+        r, k = regime.r, (params.a + params.b) / regime.r
     deviation = 0.0
     error: NonFiniteValue | None = None
     for n, (times, ahead, behind) in enumerate(_oracle_blocks(params, t_max,
                                                               step)):
+        if fused:
+            worst = _exponential_block(params.p0, r, k, times, ahead, behind)
+            if worst is not None:
+                deviation = max(deviation, worst)
+                continue
         back = slice(None, None if n else 0, -1)  # descending, t = 0 once
         for side, oracle, mirrored in (
                 ([-t for t in times[back]], behind[back], True),

@@ -1071,11 +1071,25 @@ class TestVerify:
           "--t-max=2000", "--step=10.0"), "p(-2000.0) = inf overflows float64"),
         (("--a=0", "--b=0.1", "--p0=2.4880700676029834e+221",
           "--t-max=2000", "--step=10.0"), "p(2000.0) = inf overflows float64"),
+        # the first RK4 step already leaves the range
+        (("--a", "0", "--b", "1e100", "--p0", "0", "--t-max", "1",
+          "--step", "1"), "the RK4 step 1.0 on M = ((1e+100, 0.0), "
+                          "(-0.0, -1e+100)) leaves the float64 range"),
     ])
     def test_errors_of_the_whole_window(self, argv, err):
         """The oracle's error first, then the closed form's error over the
         ascending window, though both are checked one block at a time."""
         assert run_cli("verify", *argv) == (2, "", f"ERROR 2: {err}\n")
+
+    @pytest.mark.parametrize("argv, out", [
+        # the benchmark's shape: 8192 steps, 32 blocks
+        (("--a=-0.37", "--b", "0.61", "--p0", "1.7", "--t-max", "4",
+          "--step", "0.00048828125"), "6.87591293084e-16"),
+        (("--a", "0.3", "--b", "0.9", "--p0=-2", "--t-max", "4",
+          "--step", "0.00048828125"), "1.99535511112e-15"),
+    ])
+    def test_deviation_bytes(self, argv, out):
+        assert run_cli("verify", *argv) == (0, out + "\n", "")
 
     @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
     def test_memory_does_not_grow_with_the_step_count(self):

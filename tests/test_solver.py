@@ -918,6 +918,54 @@ class TestMaxDeviation:
             assert streamed_deviation(params, t_max, step) == \
                 whole_window_deviation(params, t_max, step)
 
+    @given(
+        b=st.builds(lambda m, e: m * 10.0 ** e,
+                    st.floats(min_value=1.0, max_value=10.0)
+                    | st.floats(min_value=-10.0, max_value=-1.0),
+                    st.integers(min_value=-3, max_value=2)),
+        # a / b: k = (a + b) / r is +-1 at 0, near it for a tiny ratio, and
+        # far from it near +-1
+        ratio=st.just(0.0) | st.floats(min_value=-1e-9, max_value=1e-9)
+        | st.floats(min_value=-0.999999999999, max_value=0.999999999999),
+        p0=st.floats(min_value=-1e300, max_value=1e300),
+        # t = 0, a subnormal t, or t = x / r with |rt| = x up to and past
+        # where cosh overflows, near 710.48
+        t=st.tuples(st.just("t"), st.just(0.0)
+                    | st.floats(min_value=5e-324,
+                                max_value=2.2250738585072014e-308))
+        | st.tuples(st.just("x"), st.floats(min_value=0.0, max_value=712.0)),
+    )
+    @example(b=0.5, ratio=0.0, p0=-1.7, t=("t", 0.0))
+    @example(b=-0.5, ratio=0.0, p0=1.0, t=("t", 5e-324))
+    @example(b=0.61, ratio=-0.37 / 0.61, p0=1.7, t=("x", 710.47))
+    @example(b=0.61, ratio=-0.37 / 0.61, p0=1.7, t=("x", 710.48))
+    @example(b=2.0, ratio=0.999999999999, p0=-3.0, t=("x", 700.0))
+    @settings(max_examples=400, deadline=None)
+    def test_one_cosh_sinh_pair_gives_both_mirrored_values(self, b, ratio,
+                                                          p0, t):
+        """With x = r t, ch = cosh(x) and ks = k sinh(x), ``evaluate`` at
+        t and -t is p0 (ch + ks) and p0 (ch - ks), bit for bit, or raises
+        where they overflow: the identity the oracle comparison's one pass
+        over an exponential block rests on."""
+        params = DdeParams(a=b * ratio, b=b, p0=p0)
+        regime = classify(params)
+        assume(regime.tag is RegimeTag.EXPONENTIAL)
+        r, k = regime.r, (params.a + params.b) / regime.r
+        t = t[1] if t[0] == "t" else t[1] / r
+        try:
+            ch = math.cosh(r * t)
+            ks = k * math.sinh(r * t)
+        except OverflowError:
+            want = None
+        else:
+            want = [p0 * (ch + ks), p0 * (ch - ks)]
+        if want is None or not all(map(math.isfinite, want)):
+            with pytest.raises(NonFiniteValue):
+                evaluate(params, [t, -t])
+        else:
+            assert [v.hex() for v in evaluate(params, [t, -t])] == \
+                [v.hex() for v in want]
+
     def test_block_size_leaves_the_value(self):
         params = DdeParams(a=0.3, b=0.9, p0=-2.0)
         want = _max_deviation(params, 4.0, 2.0 ** -11)
@@ -944,8 +992,11 @@ class TestMaxDeviation:
         """A stand-in closed form fails at chosen grid points i * step: it
         is ``bad`` at -i for i in ``negative`` and at +i for i in
         ``positive``, and its ``math`` call overflows from |i| = overflow
-        on.  Blocks of 7 steps raise the whole window's error: an overflow
-        anywhere, else the first non-finite p in ascending t."""
+        on.  It stands in for both of the exponential regime's closed
+        forms, the one-pass block and ``evaluate``'s, so a failing block
+        goes from the first to the second.  Blocks of 7 steps raise the
+        whole window's error: an overflow anywhere, else the first
+        non-finite p in ascending t."""
         step = 0.125
 
         def closed(params, times):
@@ -958,8 +1009,18 @@ class TestMaxDeviation:
                 values.append(bad if i in failing else t)
             return values
 
+        def closed_block(p0, r, k, times, ahead, behind):
+            try:
+                values = closed(None, times) + closed(None, [-t for t in times])
+            except OverflowError:
+                return None
+            gaps = [abs(c - p) / max(1.0, abs(c))
+                    for c, p in zip(values, ahead + behind)]
+            return max(gaps) if all(map(math.isfinite, gaps)) else None
+
         params = DdeParams(a=0.3, b=0.5, p0=1.0)
         with mock.patch.object(numerics, "RK4_BLOCK_STEPS", 7), \
+                mock.patch.object(solver, "_exponential_block", closed_block), \
                 mock.patch.object(solver, "_homogeneous", closed):
             assert streamed_deviation(params, n * step, step) == \
                 whole_window_deviation(params, n * step, step)
