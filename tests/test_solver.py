@@ -908,6 +908,8 @@ class TestMaxDeviation:
     @example(a=0.0, b=0.1, p0=2.4880700676029834e+221, t_max=2000.0,
              steps=200.0)
     @example(a=0.3, b=0.5, p0=1.0, t_max=1e-12, steps=1e-12)
+    # b**2 overflows, and the RK4 error still comes first
+    @example(a=0.0, b=1e200, p0=1.0, t_max=1.0, steps=1.0)
     @settings(max_examples=150, deadline=None)
     def test_streamed_equals_whole_window(self, a, b, p0, t_max, steps):
         """Blocks of 7 RK4 steps give the whole window's deviation, or its
