@@ -73,7 +73,9 @@ class ResonantForcing(MirrorDdeError):
 
 
 class DegenerateSystem(MirrorDdeError):
-    """A fitting stage produced a singular normal system.
+    """A fitting stage cannot identify its unknowns from the data: a
+    singular normal system, or no rate or no s = a + b that the mode fit
+    can take from the series.
 
     ``stage`` names the pipeline stage that failed (``"fit_ab"`` or
     ``"fit_modes"``) so callers can report where the data went flat.

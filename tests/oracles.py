@@ -35,6 +35,7 @@ from mirrordde.errors import (
     NegativeInfluenceWarning,
     NonFiniteState,
     NonFiniteValue,
+    NonPositiveR,
     NonUniformGrid,
     OutOfRange,
     ResonantForcing,
@@ -356,6 +357,21 @@ def lstsq_coefficients(design, target):
     return [float(v) for v in sol]
 
 
+def mp_two_mode_lstsq(series, r, dps=50):
+    """(w1, w2) minimizing sum (p - w1 e^{rt} - w2 e^{-rt})**2 over the
+    whole grid: the normal equations in ``dps``-digit arithmetic, from the
+    float samples, times and rate taken as exact."""
+    with mp.workdps(dps):
+        r = mp.mpf(r)
+        rows = [(mp.exp(r * mp.mpf(t)), mp.exp(-r * mp.mpf(t)), mp.mpf(p))
+                for t, p in zip(series.times.tolist(), series.values.tolist())]
+        gram = mp.matrix([[sum(u[i] * u[j] for u in rows) for j in (0, 1)]
+                          for i in (0, 1)])
+        rhs = mp.matrix([sum(u[i] * u[2] for u in rows) for i in (0, 1)])
+        w = mp.lu_solve(gram, rhs)
+        return float(w[0]), float(w[1])
+
+
 # ---------------------------------------------------------------------------
 # Series grid checks as per-index loops
 # ---------------------------------------------------------------------------
@@ -436,11 +452,7 @@ def loop_fit_ab(series, fd_mode=FdMode.CENTRAL):
         raise TooShort(
             f"need at least 3 usable derivative estimates, got {len(derivs)}"
         )
-    peak, e = max(map(abs, v)), 0
-    while peak >= 1.0:
-        peak, e = peak / 2.0, e + 1
-    while 0.0 < peak < 0.5:
-        peak, e = peak * 2.0, e - 1
+    e = _pow2_exponent(v)
     v = [math.ldexp(x, -e) for x in v]
     derivs = [math.ldexp(z, -e) for z in derivs]
     sxx = sxy = syy = szx = szy = 0.0
@@ -462,31 +474,93 @@ def loop_fit_ab(series, fd_mode=FdMode.CENTRAL):
         return a, b, math.inf
 
 
-def loop_fit_modes(series, r):
-    """``fit_modes`` with its four sums and the residuals as Python loops.
+def _pow2_exponent(xs):
+    """e with 2**(e-1) <= max|x| < 2**e (0 for all zeros), by halving."""
+    peak, e = max(map(abs, xs)), 0
+    while peak >= 1.0:
+        peak, e = peak / 2.0, e + 1
+    while 0.0 < peak < 0.5:
+        peak, e = peak * 2.0, e - 1
+    return e
 
-    An ``OverflowError`` of ``math.exp`` is reported as the library's
-    :class:`NonFiniteValue`; e^(2rt) overflows before e^(rt) can.
-    """
-    n = len(series)
-    times, values = series.times.tolist(), series.values.tolist()
-    sx = sxx = sy = sxy = 0.0
+
+def _ldexp(x, e):
     try:
-        for t, p in zip(times, values):
-            X = math.exp(2.0 * r * t)
-            Y = math.exp(r * t) * p
-            sx += X
-            sxx += X * X
-            sy += Y
-            sxy += X * Y
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+def loop_fit_modes(series, r):
+    """``fit_modes`` with its sums and residuals as Python loops.
+
+    Over the t >= 0 half: the even part p(t) + p(-t) (p(0) once) and the
+    odd part p(t) - p(-t), against C = cosh(rt) and S = sinh(rt)/r, each
+    divided by its power of two, as in :func:`loop_fit_ab`.  Then
+    s = beta/alpha, a = (s - r)(s + r)/2s, and w1, w2 = alpha (r +- s)/2r,
+    with r -+ s from (r + s)(r - s) = -2as where it cancels.
+    """
+    if not (math.isfinite(r) and r > 0.0):
+        raise NonPositiveR(f"mode fit needs a positive rate, got {r!r}")
+    n, m = len(series), len(series) // 2
+    v, times = series.values.tolist(), series.times.tolist()
+    e = _pow2_exponent(v)
+    v = [math.ldexp(x, -e) for x in v]
+    cs, ss = [], []
+    try:
+        if math.isinf(r * times[-1]):
+            raise OverflowError("r*t overflows")
+        for t in times[m:]:
+            cs.append(math.cosh(r * t))
+        for t in times[m:]:
+            ss.append(math.sinh(r * t) / r)
+        if math.isinf(ss[-1]):
+            raise OverflowError("sinh(rt)/r overflows")
     except OverflowError as exc:
-        raise NonFiniteValue(f"e^(2rt) overflows float64 ({exc})") from exc
-    w1, w2 = _solve_normal(sxx, sx, float(n), sxy, sy, "(w1, w2)", "fit_modes")
-    rss = 0.0
-    for t, p in zip(times, values):
-        resid = math.exp(r * t) * p - w1 * math.exp(2.0 * r * t) - w2
-        rss += resid * resid
-    return w1, w2, rss / n
+        raise NonFiniteValue(f"the mode fit's columns leave float64 "
+                             f"({exc})") from exc
+    ec, es = _pow2_exponent(cs), _pow2_exponent(ss)
+    cs = [math.ldexp(c, -ec) for c in cs]
+    ss = [math.ldexp(x, -es) for x in ss]
+    sec = scc = sos = sss = 0.0
+    for i, (c, s_) in enumerate(zip(cs, ss)):
+        p, q = v[m + i], v[m - i]
+        sec += (p if i == 0 else p + q) * c
+        scc += c * c * (0.5 if i == 0 else 1.0)
+        sos += (p - q) * s_
+        sss += s_ * s_
+    if sss == 0.0:
+        raise DegenerateSystem(f"sinh(rt)/r is 0 on the whole grid at "
+                               f"r = {r!r}", stage="fit_modes")
+    alpha, beta = sec / (2.0 * scc), sos / (2.0 * sss)
+    if alpha == 0.0 or beta == 0.0:
+        part = "even" if alpha == 0.0 else "odd (a = -b)"
+        raise DegenerateSystem(
+            f"the {part} part of the series fits to zero, so a - b "
+            f"cannot be identified", stage="fit_modes")
+    s = _ldexp(beta / alpha, ec - es)
+    if not math.isfinite(s):
+        raise DegenerateSystem(
+            "the even part of the series fits to almost zero (a + b "
+            "overflows), so a - b cannot be identified", stage="fit_modes")
+    rss_pos = rss_neg = 0.0
+    for i, (c, s_) in enumerate(zip(cs, ss)):
+        resid = v[m + i] - c * alpha - s_ * beta
+        rss_pos += resid * resid
+        if i:
+            resid = v[m - i] - c * alpha + s_ * beta
+            rss_neg += resid * resid
+    rss = _ldexp((rss_pos + rss_neg) / n, 2 * e)
+    alpha = _ldexp(alpha, e - ec)
+    a = 0.5 * (s - r) * ((s + r) / s)
+    big = r + abs(s)
+    small = -2.0 * a * (s / big)
+    plus, minus = (big, small) if s >= 0.0 else (small, big)
+    w1, w2 = alpha * (plus / (2.0 * r)), alpha * (minus / (2.0 * r))
+    if not (math.isfinite(w1) and math.isfinite(w2)):
+        raise NonFiniteValue(f"mode amplitudes ({w1!r}, {w2!r}) leave the "
+                             f"float64 range")
+    return w1, w2, rss
 
 
 # ---------------------------------------------------------------------------

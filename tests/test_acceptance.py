@@ -13,10 +13,14 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from mirrordde import (
     ControlConfig,
@@ -34,6 +38,7 @@ from mirrordde import (
     control_solution,
     degenerate_solution,
     eta_article,
+    evaluate,
     fit_ab,
     fit_pipeline,
     modes_to_AB,
@@ -379,3 +384,69 @@ def test_c13_cli_round_trip_and_byte_stability(tmp_path, data_dir):
     assert run_cli_bytes(*fit_args) == run_cli_bytes(*fit_args)
     rank_args = ("rank", "--input", str(data_dir / "rank_m8.csv"))
     assert run_cli_bytes(*rank_args) == run_cli_bytes(*rank_args)
+
+
+@st.composite
+def round_trip_windows(draw):
+    """(regime, a, b, p0, T, steps, t): a pair built from its rate r and
+    k = (a + b)/r, p0 with four significant digits (so the 12-digit CSV
+    holds it exactly), and the window [-T, T] with r T in [0.5, 6].
+
+    |k| stays in [0.25, 2.5]: a - b = -q/s, so the CSV's 12-digit rounding
+    moves a and b by about |q/s**2| times its move of s, which grows without
+    bound as s = a + b -> 0 (near a = -b) and as k grows (near a = b, the
+    degenerate regime).  r T below 0.5 leaves the rate to the rounding as
+    well, and the amplitudes' error grows with r T: at r T = 6 it is about
+    3e-11 of |w1| + |w2| on 12-digit data.
+    """
+    regime = draw(st.sampled_from(["exponential", "oscillatory"]))
+    r = draw(st.floats(0.1, 2.0))
+    s = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.25, 2.5)) * r
+    q = r * r if regime == "exponential" else -r * r
+    p0 = draw(st.sampled_from([-1, 1])) * draw(st.integers(1, 9999)) / 1000
+    T = draw(st.floats(0.5, 6.0)) / r
+    steps = 2 * draw(st.integers(10, 200))
+    t = draw(st.floats(-T, T))
+    return regime, (s - q / s) / 2, (s + q / s) / 2, p0, T, steps, t
+
+
+@given(window=round_trip_windows())
+@settings(max_examples=150, deadline=None)
+def test_c14_simulate_fit_round_trip(window):
+    """simulate --out then fit recovers the generator from its 12-digit CSV.
+
+    a and b within 1e-10 of the larger of |a|, |b| (either alone may be near
+    0), p0 exactly, and in the exponential regime w1 and w2 within 1e-10 of
+    |w1| + |w2|; fit --predict t is evaluate at the fitted parameters.  A
+    window whose 12-digit times fail the grid check (CHANGES.md line 52)
+    must fail with exactly that error, and is counted as a hypothesis event.
+    """
+    regime, a, b, p0, T, steps, t = window
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "series.csv")
+        argv = ["simulate", f"--a={a!r}", f"--b={b!r}", f"--p0={p0!r}",
+                f"--t-min={-T!r}", f"--t-max={T!r}", f"--steps={steps}",
+                "--out", path]
+        if regime == "oscillatory":
+            argv.append("--allow-oscillatory")
+        assert run_cli(*argv)[0] == 0
+        code, out, err = run_cli("fit", "--input", path, f"--predict={t!r}")
+    if code == 2 and err.startswith("ERROR 2: spacing between times["):
+        event("12-digit times fail the grid check")
+        return
+    assert code == 0, err
+    report = json.loads(out)
+    scale = max(abs(a), abs(b))
+    assert abs(report["a"] - a) <= 1e-10 * scale
+    assert abs(report["b"] - b) <= 1e-10 * scale
+    assert report["p0"] == p0
+    assert report["regime"] == regime
+    modes = None
+    if regime == "exponential":
+        r = math.sqrt(b * b - a * a)
+        w1, w2 = p0 * (r + a + b) / (2 * r), p0 * (r - a - b) / (2 * r)
+        assert abs(report["w1"] - w1) <= 1e-10 * (abs(w1) + abs(w2))
+        assert abs(report["w2"] - w2) <= 1e-10 * (abs(w1) + abs(w2))
+        modes = (report["w1"], report["w2"])
+    fitted = DdeParams(a=report["a"], b=report["b"], p0=report["p0"])
+    assert report["prediction"] == evaluate(fitted, (t,), modes=modes)[0]

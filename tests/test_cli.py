@@ -328,6 +328,17 @@ class TestSimulate:
 EXPECTED_KEYS = ["a", "b", "p0", "r", "regime", "A", "B", "w1", "w2",
                  "rss_ab", "rss_modes", "n_points"]
 
+#: (golden name, simulate argv) of each ``golden_fit_pipe_<name>.out``
+FIT_PIPE_GOLDEN_RUNS = [
+    ("default", ("--a", "0.3", "--b", "0.9", "--p0", "1")),
+    ("a1_b2", ("--a", "1", "--b", "2", "--p0", "1", "--t-min=-5",
+               "--t-max", "5", "--steps", "10000")),
+    ("a1_b4", ("--a", "1", "--b", "4", "--p0", "1", "--t-min=-5",
+               "--t-max", "5", "--steps", "200")),
+    ("a0_b80", ("--a", "0", "--b", "80", "--p0", "1", "--t-min=-5",
+                "--t-max", "5", "--steps", "1000")),
+]
+
 
 class TestFit:
     def test_report_on_synthetic_series(self, tmp_path):
@@ -343,19 +354,24 @@ class TestFit:
         assert report["n_points"] == 121
         assert report["rss_ab"] <= 1e-6 and report["rss_modes"] <= 1e-6
 
-    def test_overflowing_mode_sums_name_the_solve(self, tmp_path):
-        # the mode fit's sums reach 5e307, so Cramer's products overflow;
-        # it used to print "ModeCoefficients must be finite, got nan"
+    def test_mode_fit_near_float_max(self, tmp_path):
+        # the line fit's unscaled sums reached 5e307 here, so Cramer's
+        # products overflowed and fit exited 2; the mode fit scales by a
+        # power of two, and only the residuals in p's units overflow
         path = str(tmp_path / "series.csv")
         code, _, _ = run_cli("simulate", "--a", "0.3", "--b", "0.9",
                              "--p0", "1e305", "--t-min=-1", "--t-max", "1",
                              "--steps", "100", "--out", path)
         assert code == 0
         code, out, err = run_cli("fit", "--input", path)
-        assert (code, out) == (2, "")
-        assert err.startswith("ERROR 2: 2x2 solution (nan, nan) of "
-                              "right-hand side (")
-        assert err.endswith(") overflows float64\n")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        r = math.sqrt(0.9 ** 2 - 0.3 ** 2)
+        assert report["w1"] == pytest.approx(1e305 * (r + 1.2) / (2 * r),
+                                             rel=1e-11)
+        assert report["w2"] == pytest.approx(1e305 * (r - 1.2) / (2 * r),
+                                             rel=1e-11)
+        assert report["rss_modes"] == math.inf
 
     def test_prediction_key_appended(self, tmp_path):
         path = exponential_csv(tmp_path / "series.csv")
@@ -368,8 +384,8 @@ class TestFit:
         assert report["prediction"] == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("t,want", [
-        ("4.0", 11.579106043569585),
-        ("-2.7", -0.690936807981872),
+        ("4.0", 11.57801838101874),
+        ("-2.7", -0.691850019093361),
     ])
     def test_prediction_exact_on_exponential_series(self, tmp_path, t, want):
         # w1 e^{rt} + w2 e^{-rt} with the fitted modes, to the last bit
@@ -379,8 +395,8 @@ class TestFit:
         assert json.loads(out)["prediction"] == want
 
     @pytest.mark.parametrize("t,want", [
-        ("2.5", 1.5530003285946303),
-        ("-4.2", -1.7011143608451589),
+        ("2.5", 1.5528556920385905),
+        ("-4.2", -1.7010110402023517),
     ])
     def test_prediction_exact_on_oscillatory_series(self, tmp_path, t, want):
         # p0 (cos(wt) + ((a+b)/w) sin(wt)) with the fitted (a, b)
@@ -436,6 +452,18 @@ class TestFit:
         assert code == 0
         assert out.encode() == (data_dir / f"golden_fit_{name}.out").read_bytes()
         assert err.encode() == (data_dir / f"golden_fit_{name}.err").read_bytes()
+
+    @pytest.mark.parametrize("name,argv", FIT_PIPE_GOLDEN_RUNS)
+    def test_pipe_matches_golden(self, tmp_path, data_dir, name, argv):
+        """``simulate <argv> | fit --input /dev/stdin`` prints
+        ``golden_fit_pipe_<name>.out`` byte for byte, and nothing to stderr:
+        the windows on which the line fit in e^{2rt} went wrong (w2 off by
+        a factor of 2.5 and 1.9) or failed (exit 4 and exit 2)."""
+        path = str(tmp_path / "series.csv")
+        assert run_cli("simulate", *argv, "--out", path)[0] == 0
+        code, out, err = run_cli_bytes("fit", "--input", path)
+        assert (code, err) == (0, b"")
+        assert out == (data_dir / f"golden_fit_pipe_{name}.out").read_bytes()
 
     def test_too_short_input(self, tmp_path):
         path = write_series_csv(tmp_path / "short.csv", [-1.0, 1.0], [1.0, 2.0])

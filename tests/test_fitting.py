@@ -21,6 +21,7 @@ from mirrordde import (
     SingularSystem,
     TooShort,
     base_solution,
+    evaluate,
     fit_ab,
     fit_modes,
     finite_diff,
@@ -30,7 +31,8 @@ from mirrordde import (
     validate_series,
 )
 
-from oracles import loop_fit_ab, loop_fit_modes, lstsq_coefficients
+from oracles import (loop_fit_ab, loop_fit_modes, lstsq_coefficients,
+                     mp_two_mode_lstsq)
 
 
 def symmetric_grid(half_width: float, h: float) -> list[float]:
@@ -265,14 +267,18 @@ class TestFitModes:
         assert abs(w2 - 0.0) <= 1e-6
 
     def test_matches_dense_least_squares(self):
-        series = self.two_mode_series(1.3, -0.4)
+        """Least squares of p on e^{rt}, e^{-rt} over the whole grid, solved
+        in 50-digit arithmetic from the same float samples: on exact
+        two-mode data, and with a cubic that no two-mode curve fits."""
         r = 0.4
-        w1, w2, _ = fit_modes(series, r)
-        X = [math.exp(2 * r * t) for t in series.times]
-        Y = [math.exp(r * t) * p for t, p in zip(series.times, series.values)]
-        want = lstsq_coefficients([[xi, 1.0] for xi in X], Y)
-        assert w1 == pytest.approx(want[0], rel=1e-9, abs=1e-12)
-        assert w2 == pytest.approx(want[1], rel=1e-9, abs=1e-12)
+        exact = self.two_mode_series(1.3, -0.4, r=r)
+        cubic = validate_series(exact.times,
+                                exact.values + 0.01 * exact.times ** 3)
+        for series in (exact, cubic):
+            w1, w2, _ = fit_modes(series, r)
+            want = mp_two_mode_lstsq(series, r)
+            assert w1 == pytest.approx(want[0], rel=1e-12)
+            assert w2 == pytest.approx(want[1], rel=1e-12)
 
     def test_rate_must_be_positive(self):
         series = self.two_mode_series(2.0, 3.0)
@@ -282,27 +288,63 @@ class TestFitModes:
             fit_modes(series, -0.4)
 
     def test_vanishing_rate_collapses_design(self):
+        # e^{rt} and e^{-rt} agree to 1e-12, but cosh(rt) is 1.0 and
+        # sinh(rt)/r is t to rounding: the fit is the straight line
+        # alpha + beta t, and w1, w2 = (alpha +- beta/r)/2
         series = self.two_mode_series(2.0, 3.0)
-        with pytest.raises(DegenerateSystem) as excinfo:
-            fit_modes(series, 1e-12)
-        assert excinfo.value.stage == "fit_modes"
+        r = 1e-12
+        w1, w2, _ = fit_modes(series, r)
+        alpha, beta = lstsq_coefficients(
+            [[1.0, t] for t in series.times], series.values)
+        assert w1 == pytest.approx((alpha + beta / r) / 2, rel=1e-12)
+        assert w2 == pytest.approx((alpha - beta / r) / 2, rel=1e-12)
 
     def test_overflowing_exponential_is_non_finite_value(self):
-        # e^(2rt) = e^800 at t = 1 leaves float64, so math.exp raises
+        # cosh(rt) = cosh(800) at t = 1 leaves float64, so math.cosh raises
         times = symmetric_grid(1.0, 0.02)
         series = validate_series(times, [1 + t for t in times])
-        with pytest.raises(NonFiniteValue, match="overflows float64"):
-            fit_modes(series, 400.0)
+        with pytest.raises(NonFiniteValue, match=(
+                r"^the mode fit's columns leave float64 \(math range "
+                r"error\)$")):
+            fit_modes(series, 800.0)
+        # sinh(710) = 1.1e308 is finite, sinh(710)/0.5 is not
+        times = symmetric_grid(1420.0, 1.0)
+        series = validate_series(times, [1 + t for t in times])
+        with pytest.raises(NonFiniteValue, match=r"\(sinh\(rt\)/r overflows\)$"):
+            fit_modes(series, 0.5)
+        # r t itself is beyond float64
+        times = symmetric_grid(1e10, 1e9)
+        series = validate_series(times, [1 + t for t in times])
+        with pytest.raises(NonFiniteValue, match=r"\(r\*t overflows\)$"):
+            fit_modes(series, 1e300)
 
-    def test_overflowing_sums_are_non_finite_value(self):
-        # e^(rt) p(t) reaches 7.4e308 = inf at t = 2, and inf - inf sums
-        # made the fit return (nan, nan, nan)
+    def test_samples_near_float_max_are_scaled(self):
+        # e^(rt) p(t) reached 7.4e308 = inf in the line fit, whose sums then
+        # gave (nan, nan, nan); the series is scaled by a power of two now,
+        # and only the mean squared residual in p's units leaves float64
         series = validate_series([-2.0, -1.0, 0.0, 1.0, 2.0],
                                  [1e308, -1e308, 1e308, 1e308, -1e308])
-        with pytest.raises(NonFiniteValue, match=(
-                r"^2x2 solution \(nan, nan\) of right-hand side "
-                r"\(nan, nan\) overflows float64$")):
-            fit_modes(series, 1.0)
+        w1, w2, rss = fit_modes(series, 1.0)
+        want = mp_two_mode_lstsq(series, 1.0)
+        assert w1 == pytest.approx(want[0], rel=1e-12)
+        assert w2 == pytest.approx(want[1], rel=1e-12)
+        assert rss == math.inf
+
+    def test_even_series_has_no_s(self):
+        # s = beta/alpha = 0, as a = -b gives: a - b cannot be identified
+        times = symmetric_grid(3.0, 0.05)
+        for values in ([2.0] * len(times), [math.cosh(0.4 * t) for t in times]):
+            with pytest.raises(DegenerateSystem) as excinfo:
+                fit_modes(validate_series(times, values), 0.4)
+            assert excinfo.value.stage == "fit_modes"
+            assert "odd (a = -b) part" in str(excinfo.value)
+
+    def test_odd_series_has_no_alpha(self):
+        times = symmetric_grid(3.0, 0.05)
+        with pytest.raises(DegenerateSystem) as excinfo:
+            fit_modes(validate_series(times, times), 0.4)
+        assert excinfo.value.stage == "fit_modes"
+        assert "even part" in str(excinfo.value)
 
 
 # ---------------------------------------------------------------------------
@@ -420,3 +462,82 @@ class TestFitPipeline:
         with pytest.raises(DegenerateSystem) as excinfo:
             fit_pipeline(validate_series(times, [2.0] * len(times)))
         assert excinfo.value.stage == "fit_ab"
+
+    # ROADMAP item 2's five series: (a, b, half width, steps)
+    MODEL_SERIES = [
+        (0.3, 0.9, 5.0, 100),       # simulate's default window
+        (1.0, 2.0, 5.0, 10000),
+        (1.0, 4.0, 5.0, 200),       # r T = 19.4: the line fit's det 2.6e36
+        (0.9, 0.3, 5.0, 100),       # oscillatory
+        (-0.7, 0.2, 5.0, 100),
+    ]
+
+    @staticmethod
+    def model_series(a, b, half_width, steps, p0=1.0):
+        times = [(-half_width * (steps - i) + half_width * i) / steps
+                 for i in range(steps + 1)]
+        return validate_series(times, evaluate(DdeParams(a=a, b=b, p0=p0),
+                                               times))
+
+    @pytest.mark.parametrize("a,b,half_width,steps", MODEL_SERIES)
+    @pytest.mark.parametrize("mode", list(FdMode))
+    def test_exact_on_model_data(self, a, b, half_width, steps, mode):
+        report = fit_pipeline(self.model_series(a, b, half_width, steps), mode)
+        assert report.params.a == pytest.approx(a, rel=1e-12)
+        assert report.params.b == pytest.approx(b, rel=1e-12)
+        assert report.regime.r == pytest.approx(math.sqrt(abs(b * b - a * a)),
+                                                rel=1e-12)
+
+    @pytest.mark.parametrize("a,b,half_width,steps", MODEL_SERIES)
+    def test_central_and_forward_agree(self, a, b, half_width, steps):
+        # both invert their own difference quotient exactly, so --fd moves
+        # only rss_ab and rounding
+        series = self.model_series(a, b, half_width, steps)
+        central = fit_pipeline(series, FdMode.CENTRAL)
+        forward = fit_pipeline(series, FdMode.FORWARD)
+        assert forward.params.a == pytest.approx(central.params.a, rel=1e-12)
+        assert forward.params.b == pytest.approx(central.params.b, rel=1e-12)
+        assert forward.rss_ab != central.rss_ab
+
+    @pytest.mark.parametrize("mode", list(FdMode))
+    def test_wide_window_two_mode_series(self, mode):
+        # 49 points at h = 0.5 on [-12, 12]: the line fit in e^{2rt} gave
+        # w2 = 3.5e8 from the sinh(rh)/(rh) bias of the rate
+        r, w1, w2 = 1.1476, 0.5434, 0.2246
+        times = symmetric_grid(12.0, 0.5)
+        series = validate_series(times, [w1 * math.exp(r * t)
+                                         + w2 * math.exp(-r * t)
+                                         for t in times])
+        report = fit_pipeline(series, mode)
+        assert report.regime.r == pytest.approx(r, rel=1e-14)
+        assert report.modes.w1 == pytest.approx(w1, rel=1e-13)
+        assert report.modes.w2 == pytest.approx(w2, rel=1e-13)
+
+    def test_under_sampled_oscillation_is_degenerate(self):
+        # (a, b) = (1.5, 0.5) at h = 1: sin(w h) would be sqrt(2)
+        series = validate_series([-2.0, -1.0, 0.0, 1.0, 2.0],
+                                 [-1.0, 1.0, 0.0, 0.0, 3.0])
+        with pytest.raises(DegenerateSystem, match="under-sampled") as excinfo:
+            fit_pipeline(series)
+        assert excinfo.value.stage == "fit_modes"
+
+    def test_forward_differences_past_the_rate(self):
+        # a = -1, b = -3 at h = 0.75: 1 + h b_fd = cosh(rh) + (s/r) sinh(rh)
+        # < 0, so no rate has these forward quotients; central ones do
+        series = self.model_series(-1.0, -3.0, 6.0, 16)
+        with pytest.raises(DegenerateSystem, match="1 \\+ h\\*b") as excinfo:
+            fit_pipeline(series, FdMode.FORWARD)
+        assert excinfo.value.stage == "fit_modes"
+        report = fit_pipeline(series)
+        assert report.params.a == pytest.approx(-1.0, rel=1e-12)
+        assert report.params.b == pytest.approx(-3.0, rel=1e-12)
+
+    def test_degenerate_pair_passes_through(self):
+        # inside the degenerate band r = 0, where a difference quotient is
+        # exact: the pipeline reports fit_ab's pair
+        series = self.model_series(0.37, 0.37, 5.0, 400, p0=0.9)
+        a, b, rss_ab = fit_ab(series)
+        report = fit_pipeline(series)
+        assert report.regime.tag is RegimeTag.DEGENERATE
+        assert (report.params.a, report.params.b, report.rss_ab) == (a, b, rss_ab)
+        assert report.modes is None and report.rss_modes is None
