@@ -5,9 +5,10 @@ The problems this package actually solves are small — matrices with a
 handful of columns, trajectories with a few thousand steps — so most
 kernels are written directly for that size class: Cramer's rule for 2x2
 systems, cyclic coordinate descent with covariance updates for the l1 fit
-(one Gram product per call, then, for up to 20 columns, sweeps in
-straight-line code generated once per column count k, with O(k**2) source
-and work per sweep; wider designs sum over the nonzero coefficients only),
+(one Gram product per call, with its diagonal zeroed and an infinite scale
+for a zero column, then the same inputs to either sweep kernel: for up to 20
+columns straight-line code generated once per column count k, with O(k**2)
+source and work per sweep; wider designs sum over the nonzero coefficients),
 and classical RK4 for the one system integrated, ``y' = M y`` with a constant
 2x2 ``M``, as its one-step propagator: each step adds ``E y``, with
 ``E = R(hM) - I`` built exactly once per step length, under compensated
@@ -212,32 +213,30 @@ def _sweep_kernel(k: int) -> Callable[..., Iterator[list[float]]]:
 
 
 def _nonzero_sweeps(c: list[float], G: list[list[float]],
-                    col_sq: list[float], m: int, lam: float, tol: float
+                    scale: list[float], m: int, lam: float, tol: float
                     ) -> Iterator[list[float]]:
-    """The sweeps of a design too wide for :func:`_sweep_kernel`: each sum
-    runs over the ascending indices of the nonzero coefficients only, in
-    O(k q) for q of them, and columns with zero sum of squares are skipped.
-    A skipped term ``g * 0.0`` is a signed zero, which leaves a nonzero
-    partial sum as it is and at most flips the sign of a zero one, and a
-    zero correlation thresholds to 0.0 whatever its sign; so the iterates
-    are bit for bit those of the generated kernel."""
+    """The sweeps of a design too wide for :func:`_sweep_kernel`, from the
+    generated kernel's inputs (G's diagonal zeroed, an infinite scale for a
+    zero column): each sum runs over the ascending indices of the nonzero
+    coefficients only, in O(k q) for q of them.  A skipped term ``g * 0.0``
+    is a signed zero, which leaves a nonzero partial sum as it is and at
+    most flips the sign of a zero one, and a zero correlation thresholds to
+    0.0 whatever its sign; so the iterates are bit for bit those of the
+    generated kernel, and a zero column never enters the nonzero list."""
     k = len(c)
-    for j, row in enumerate(G):
-        row[j] = 0.0  # so the sums skip i == j
-    coords = [(j, c[j], G[j], col_sq[j] / m)
-              for j in range(k) if col_sq[j] != 0.0]
+    coords = list(zip(range(k), c, G, scale))
     w = [0.0] * k
     nonzero: list[int] = []  # ascending indices i with w[i] != 0
     while True:
         delta = 0.0
-        for j, rho, g, scale in coords:
+        for j, rho, g, sj in coords:
             for i in nonzero:
                 rho -= g[i] * w[i]
             v = rho / m
             if v > lam:
-                wj = (v - lam) / scale
+                wj = (v - lam) / sj
             elif v < -lam:
-                wj = (v + lam) / scale
+                wj = (v + lam) / sj
             else:
                 wj = 0.0
             old = w[j]
@@ -255,24 +254,25 @@ def _nonzero_sweeps(c: list[float], G: list[list[float]],
 
 def _lasso_sweeps(X: NDArray[np.float64], y: NDArray[np.float64],
                   lam: float) -> Iterator[list[float]]:
-    """Yield the coefficient vector after each coordinate-descent sweep.
+    """The coefficient vector after each coordinate-descent sweep.
 
     Covariance updates (Friedman, Hastie & Tibshirani, JSS 2010, sec. 2.2):
     ``G = X^T X`` and ``c = X^T y`` are formed once, after which each
     coordinate's correlation with the partial residual,
-    ``c_j - sum_{i != j} G_ji w_i``, costs O(k) instead of O(m).  Up to
-    :data:`SWEEP_KERNEL_MAX_K` columns the sweeps run in the straight-line
-    generator :func:`_sweep_kernel` builds for the column count k, which
-    sums over every i != j in ascending order; wider designs run the loop
-    of :func:`_nonzero_sweeps`, which gives the same bits.  Up to rounding,
-    the iterates are those of the residual-update form from the same zero
-    start.  The iterator stops on its own once the largest
-    single-coefficient change in a sweep drops to :data:`LASSO_TOL` or
-    below; the caller enforces the sweep cap.  A column with zero sum of
-    squares (all zeros, or entries whose squares underflow) keeps a zero
-    coefficient: the generated kernel gives it an infinite scale, so its
-    update is a signed zero, which equals its 0.0 and never moves it.  A
-    ``G`` or ``c`` beyond the float64 range raises :class:`NonFiniteValue`.
+    ``c_j - sum_{i != j} G_ji w_i``, costs O(k) instead of O(m).  Both
+    kernels take the inputs prepared here, ``kernel(c, G, scale, m, lam,
+    tol)``: G with its diagonal zeroed, and column j's scale, its sum of
+    squares over m, or inf where that sum is zero (all zeros, or squares
+    that underflow), so that such a column's update is a signed zero, which
+    equals its 0.0 and never moves.  Up to :data:`SWEEP_KERNEL_MAX_K`
+    columns the kernel is the straight-line generator :func:`_sweep_kernel`
+    builds for k; wider designs run :func:`_nonzero_sweeps`, which gives
+    the same bits.  Up to rounding, the iterates are those of the
+    residual-update form from the same zero start.  The iterator stops on
+    its own once the largest single-coefficient change in a sweep drops to
+    :data:`LASSO_TOL` or below; the caller enforces the sweep cap.  A ``G``
+    or ``c`` beyond the float64 range raises :class:`NonFiniteValue` when
+    this is called, before any sweep.
     """
     import numpy as np
 
@@ -284,11 +284,10 @@ def _lasso_sweeps(X: NDArray[np.float64], y: NDArray[np.float64],
     # by Cauchy-Schwarz a finite diagonal bounds every entry of G
     if not all(map(math.isfinite, col_sq + c)):
         raise NonFiniteValue("X^T X or X^T y overflows float64")
-    if k > SWEEP_KERNEL_MAX_K:
-        yield from _nonzero_sweeps(c, G.tolist(), col_sq, m, lam, LASSO_TOL)
-        return
+    np.fill_diagonal(G, 0.0)
     scale = [sq / m if sq != 0.0 else math.inf for sq in col_sq]
-    yield from _sweep_kernel(k)(c, G.tolist(), scale, m, lam, LASSO_TOL)
+    kernel = _sweep_kernel(k) if k <= SWEEP_KERNEL_MAX_K else _nonzero_sweeps
+    return kernel(c, G.tolist(), scale, m, lam, LASSO_TOL)
 
 
 def lasso_fit(X, y, lam: float) -> list[float]:

@@ -67,12 +67,14 @@ def mp_forced_solution(a, b, c1, c2, theta=None, eta=None, dps=60):
 
     Returns a callable mapping ``t`` to an ``mp.mpf``.  The parameters are
     converted from float64 exactly, so the evaluator sees the same numbers the
-    library does.
+    library does.  ``c1`` and ``c2`` may also be mpmath numbers: with b^2 < a^2
+    r is imaginary, and conjugate complex amplitudes give a p whose real part
+    is the oscillatory solution.
     """
 
     with mp.workdps(dps):
         a_, b_ = mp.mpf(a), mp.mpf(b)
-        c1_, c2_ = mp.mpf(c1), mp.mpf(c2)
+        c1_, c2_ = mp.mpmathify(c1), mp.mpmathify(c2)
         disc = b_ * b_ - a_ * a_
         r = mp.sqrt(disc)
 

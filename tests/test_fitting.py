@@ -5,9 +5,10 @@ from __future__ import annotations
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from mirrordde import (
@@ -32,7 +33,8 @@ from mirrordde import (
 )
 
 from oracles import (loop_fit_ab, loop_fit_modes, lstsq_coefficients,
-                     mp_two_mode_lstsq)
+                     mp_forced_solution, mp_two_mode_lstsq)
+from test_acceptance import round_trip_windows
 
 
 def symmetric_grid(half_width: float, h: float) -> list[float]:
@@ -487,6 +489,45 @@ class TestFitPipeline:
         assert report.params.b == pytest.approx(b, rel=1e-12)
         assert report.regime.r == pytest.approx(math.sqrt(abs(b * b - a * a)),
                                                 rel=1e-12)
+
+    @given(window=round_trip_windows(), mode=st.sampled_from(list(FdMode)))
+    @example(window=("exponential", 1.875, -2.125, -0.001, 6.0, 20, 0.0),
+             mode=FdMode.FORWARD)  # 1 + h b < 0
+    @settings(max_examples=200, deadline=None)
+    def test_exact_on_mpmath_model_data(self, window, mode):
+        """C14's windows, sampled in mpmath at 50 digits and rounded once:
+        a and b within 1e-12 of max(|a|, |b|), and in the exponential
+        regime w1 and w2 within 1e-12 of |w1| + |w2|, both against the
+        exact values of the float (a, b, p0).  Forward quotients whose
+        1 + h b is not positive match no rate, and must fail with that
+        error (counted as a hypothesis event)."""
+        regime, a, b, p0, half_width, steps, _ = window
+        times = [(-half_width * (steps - i) + half_width * i) / steps
+                 for i in range(steps + 1)]
+        with mp.workdps(50):
+            # r is imaginary in the oscillatory regime
+            r = mp.sqrt(mp.mpf(b) ** 2 - mp.mpf(a) ** 2)
+            s = mp.mpf(a) + mp.mpf(b)
+            w1, w2 = p0 * (r + s) / (2 * r), p0 * (r - s) / (2 * r)
+            p = mp_forced_solution(a, b, w1, w2, dps=50)
+            values = [float(mp.re(p(t))) for t in times]
+        try:
+            report = fit_pipeline(validate_series(times, values), mode)
+        except DegenerateSystem as exc:
+            assert mode is FdMode.FORWARD, exc
+            assert str(exc).startswith("forward differences identify no "
+                                       "rate: 1 + h*b = "), exc
+            event("forward quotients identify no rate")
+            return
+        assert report.regime.tag.value == regime
+        scale = max(abs(a), abs(b))
+        assert abs(report.params.a - a) <= 1e-12 * scale
+        assert abs(report.params.b - b) <= 1e-12 * scale
+        if regime == "exponential":
+            w1, w2 = float(w1), float(w2)
+            bound = 1e-12 * (abs(w1) + abs(w2))
+            assert abs(report.modes.w1 - w1) <= bound
+            assert abs(report.modes.w2 - w2) <= bound
 
     @pytest.mark.parametrize("a,b,half_width,steps", MODEL_SERIES)
     def test_central_and_forward_agree(self, a, b, half_width, steps):

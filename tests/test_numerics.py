@@ -498,7 +498,9 @@ class TestLassoAgainstDenseKernel:
     differ.  A column with zero sum of squares never moves from 0.0 in
     either.  Kernels are generated per k, so k covers every size that gets
     one, and ten sizes past it, which run the loop over the nonzero
-    coefficients and must give the same bits too.
+    coefficients and must give the same bits too.  With ``loop`` drawn, the
+    width bound is patched to 0, so the loop runs at every k from 1, on the
+    same prepared inputs, and no kernel is built.
     """
 
     @given(m=st.integers(2, 30),
@@ -506,13 +508,29 @@ class TestLassoAgainstDenseKernel:
            seed=st.integers(0, 2**32 - 1), standardized=st.booleans(),
            zero_col=st.booleans(), dup_col=st.booleans(),
            lam=st.just(0.0) | st.floats(0.0, 1.0),
-           cap=st.none() | st.integers(1, 5))
-    @example(**REENTRY, cap=None)
+           cap=st.none() | st.integers(1, 5), loop=st.booleans())
+    @example(**REENTRY, cap=None, loop=False)
+    @example(**REENTRY, cap=None, loop=True)
     @example(m=5, k=6, seed=1, standardized=True, zero_col=False,
-             dup_col=False, lam=0.0, cap=3)
+             dup_col=False, lam=0.0, cap=3, loop=False)
+    @example(m=5, k=6, seed=1, standardized=True, zero_col=False,
+             dup_col=False, lam=0.0, cap=3, loop=True)
     @settings(deadline=None)
     def test_same_sweeps_bitwise(self, m, k, seed, standardized, zero_col,
-                                 dup_col, lam, cap):
+                                 dup_col, lam, cap, loop):
+        # hypothesis reuses fixtures across examples, so patch per example
+        with pytest.MonkeyPatch.context() as patch:
+            if loop:
+                patch.setattr(numerics, "SWEEP_KERNEL_MAX_K", 0)
+                patch.setattr(numerics, "_SWEEP_KERNELS", {})
+            self.check_same_sweeps(m, k, seed, standardized, zero_col,
+                                   dup_col, lam, cap)
+            if loop:
+                assert numerics._SWEEP_KERNELS == {}
+
+    @staticmethod
+    def check_same_sweeps(m, k, seed, standardized, zero_col, dup_col, lam,
+                          cap):
         X, y = drawn_design(m, k, seed, standardized, zero_col, dup_col)
         want = list(itertools.islice(dense_lasso_sweeps(X, y, lam),
                                      SWEEP_WINDOW))
@@ -557,8 +575,8 @@ class TestLassoAgainstDenseKernel:
     def test_column_whose_squares_underflow_keeps_zero(self, k):
         """Entries of 1e-170 square to 0.0, so the column's sum of squares
         is zero while its correlation and Gram row are not: the generated
-        kernel and the loop must both leave its coefficient at 0.0 without
-        dividing by its zero scale."""
+        kernel and the loop must both leave its coefficient at 0.0, which
+        its infinite scale does, without dividing by zero."""
         X, y = drawn_design(9, k, 3, False, False, False)
         X[:, 2] = 1e-170 * np.arange(1, 10)
         for lam in (0.0, 0.1):

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from mirrordde import (
@@ -22,6 +23,7 @@ from mirrordde import (
     NonFiniteState,
     NonFiniteValue,
     OutOfRange,
+    Regime,
     RegimeTag,
     ResonantForcing,
     ThetaConstant,
@@ -37,10 +39,12 @@ from mirrordde import (
     evaluate,
     initial_conditions_to_modes,
     linear_growth_solution,
+    modes_to_AB,
     nonsymmetric_solution,
     oracle_solution,
     oscillatory_solution,
     rk4_integrate,
+    solve_2x2,
 )
 from mirrordde import numerics, solver
 from mirrordde.solver import _max_deviation
@@ -1026,3 +1030,113 @@ class TestMaxDeviation:
                 mock.patch.object(solver, "_homogeneous", closed):
             assert streamed_deviation(params, n * step, step) == \
                 whole_window_deviation(params, n * step, step)
+
+
+# ---------------------------------------------------------------------------
+# every scalar-argument entry point: a finite result or a typed error
+# ---------------------------------------------------------------------------
+
+#: Floats at the edges of float64 and of the closed forms' exponentials.
+EDGE_FLOATS = st.sampled_from([
+    sign * v for sign in (1.0, -1.0)
+    for v in (0.0, 5e-324, 1e-320, 1e-300, 1e-8, 0.3, 1.0, 3.0, 700.0,
+              710.0, 1e16, 1e300, 1e308, sys.float_info.max)])
+SCALARS = EDGE_FLOATS | st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _f(data) -> float:
+    return data.draw(SCALARS)
+
+
+def _params(data, tag: RegimeTag | None = None) -> DdeParams:
+    """Drawn (a, b, p0).  For a ``tag``, a is drawn as u b with |u| < 1
+    (exponential), b as u a (oscillatory), or a as +-b (degenerate), so that
+    entry points bound to one regime get past its check.  Without one the
+    tag is drawn, None (a and b both free) included."""
+    if tag is None:
+        tag = data.draw(st.sampled_from([None, *RegimeTag]))
+    a, b = _f(data), _f(data)
+    u = data.draw(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+    if tag is RegimeTag.EXPONENTIAL:
+        a = u * b
+    elif tag is RegimeTag.OSCILLATORY:
+        b = u * a
+    elif tag is RegimeTag.DEGENERATE:
+        a = data.draw(st.sampled_from([b, -b]))
+    return DdeParams(a=a, b=b, p0=_f(data))
+
+
+def _config(data) -> ControlConfig:
+    theta = data.draw(st.sampled_from(
+        [ThetaConstant, ThetaLinear, ThetaExponential]))
+    eta = data.draw(st.sampled_from(
+        [None, EtaArticleBased, EtaTimeExponential]))
+    terms = [None if kind is None
+             else kind(*(_f(data) for _ in kind.__match_args__))
+             for kind in (theta, eta)]
+    return ControlConfig(*terms)
+
+
+EXP = RegimeTag.EXPONENTIAL
+
+ENTRY_POINTS = {
+    "classify": lambda d: classify(_params(d)),
+    "evaluate": lambda d: evaluate(_params(d), [_f(d)]),
+    "evaluate forced": lambda d: evaluate(_params(d, EXP), [_f(d)],
+                                          _config(d)),
+    "evaluate modes": lambda d: evaluate(_params(d, EXP), [_f(d)],
+                                         modes=(_f(d), _f(d))),
+    "base_solution": lambda d: base_solution(_params(d, EXP), _f(d)),
+    "degenerate_solution": lambda d: degenerate_solution(
+        _params(d, RegimeTag.DEGENERATE), _f(d)),
+    "oscillatory_solution": lambda d: oscillatory_solution(
+        _params(d, RegimeTag.OSCILLATORY), _f(d)),
+    "control_solution": lambda d: control_solution(
+        _params(d, EXP), _config(d), _f(d), _f(d), _f(d)),
+    "initial_conditions_to_modes": lambda d: initial_conditions_to_modes(
+        _params(d, EXP), _config(d)),
+    "nonsymmetric_solution": lambda d: nonsymmetric_solution(
+        *(_f(d) for _ in range(5))),
+    "linear_growth_solution": lambda d: linear_growth_solution(
+        *(_f(d) for _ in range(5))),
+    "eta_article": lambda d: eta_article(_f(d), _f(d), _params(d)),
+    "solve_2x2": lambda d: solve_2x2(*(_f(d) for _ in range(6))),
+    "modes_to_AB": lambda d: modes_to_AB(*(_f(d) for _ in range(4))),
+}
+
+
+def returned_floats(result) -> list[float]:
+    """Every float in a result: a float, a Regime's r, or the floats of a
+    list or tuple (a NamedTuple's flag and growth kind are not floats)."""
+    if isinstance(result, float):
+        return [result]
+    if isinstance(result, Regime):
+        return [result.r]
+    if isinstance(result, (list, tuple)):
+        return [x for item in result for x in returned_floats(item)]
+    return []
+
+
+class TestFiniteOrTyped:
+    """Each public entry point that takes scalars returns only finite
+    floats or raises a :class:`MirrorDdeError`, on edge and ordinary floats
+    alike.  The package documents three other exceptions: ``KeyError`` from
+    the feature lookups, ``ControlConfig``'s ``TypeError`` for a term of the
+    wrong type, and ``fit_ab``'s infinite ``rss``; none of them is reachable
+    from float arguments to these entry points, so none is allowed here.
+    Warnings (a negative influence at t=0) are ignored."""
+
+    @pytest.mark.parametrize("name", list(ENTRY_POINTS))
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_finite_result_or_typed_error(self, name, data):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                result = ENTRY_POINTS[name](data)
+            except MirrorDdeError as exc:
+                event(type(exc).__name__)
+                return
+        event("result")
+        floats = returned_floats(result)
+        assert floats and all(map(math.isfinite, floats)), result
