@@ -293,11 +293,13 @@ def fit_pipeline(series: InfluenceSeries,
 
     :func:`fit_ab`'s difference-quotient pair gives the regime and the rate
     (:func:`_rate`), the even/odd fit at that rate gives s = a + b, and
-    (a, b) follow from s and the rate, exact on model data whatever the step
-    and ``fd_mode``; ``fd_mode`` moves only ``rss_ab`` and rounding.  In the
-    degenerate band the difference quotients are exact and pass through.  Stage
-    failures propagate as :class:`DegenerateSystem` labeled with the stage
-    name (``"fit_ab"``, or ``"fit_modes"`` for a rate or an s that the data
+    (a, b) follow from s and the rate, exact on model data whatever the step.
+    ``fd_mode`` moves only ``rss_ab`` and rounding, except that forward
+    differences refuse a series whose quotient b has 1 + h b <= 0 (a
+    ``"fit_modes"`` failure, exit 4 in ``fit``).  In the degenerate band the
+    difference quotients are exact and pass through.  Stage failures
+    propagate as :class:`DegenerateSystem` labeled with the stage name
+    (``"fit_ab"``, or ``"fit_modes"`` for a rate or an s that the data
     cannot identify); values beyond float64 raise :class:`NonFiniteValue`.
     Outside the exponential regime the amplitudes are skipped rather than
     failed: the report still carries the coefficients and the regime, with a

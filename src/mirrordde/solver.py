@@ -24,13 +24,17 @@ All branches satisfy p(0) = p0 and p'(0) = (a + b) p0.
 :func:`evaluate` settles regime, forcing checks and mode amplitudes once per
 trajectory, then applies one closed form per t.  The scalar solutions are
 one-point wrappers around it, so each formula is written once.  The one
-other evaluation of a closed form is the oracle comparison's, which in the
-exponential regime takes one cosh and one sinh at each t for the pair t, -t
-(:func:`_exponential_block`); it gives :func:`evaluate`'s bits.
+other evaluation of a closed form is the oracle comparison's
+(:func:`_max_deviation`, behind ``verify``).  It refuses every regime but
+the exponential one before integrating, then takes one cosh and one sinh at
+each t for the pair t, -t (:func:`_exponential_block`), which gives
+:func:`evaluate`'s bits; ``evaluate`` only names the error where they
+overflow or are not finite.
 
 The oracle integrates the equivalent mirror system u' = b u + a v,
-v' = -(b v + a u) with u(0) = v(0) = p0, where u(t) = p(t) and v(t) = p(-t);
-it shares no code path with the closed forms beyond elementary arithmetic.
+v' = -(b v + a u) with u(0) = v(0) = p0, where u(t) = p(t) and v(t) = p(-t),
+in any regime; it shares no code path with the closed forms beyond
+elementary arithmetic.
 """
 
 from __future__ import annotations
@@ -414,17 +418,17 @@ def _exponential_block(p0: float, r: float, k: float, times: Sequence[float],
                        ) -> float | None:
     """The largest |c - p| / max(1, |c|) over one oracle block of the
     exponential regime, or None where ``math`` overflows or a c is not
-    finite.
+    finite: exactly the blocks on which :func:`evaluate` raises.
 
     One cosh and one sinh at each t serve both of its samples: with
     x = r t, ch = cosh(x) and ks = k sinh(x), the closed form is
     p0 (ch + ks) at t, against ``ahead``, and p0 (ch - ks) at -t, against
     ``behind``.  r (-t) = -(r t) exactly, cosh is even and sinh odd, so the
-    second is :func:`evaluate`'s value at -t bit for bit.  A sum of the
-    gaps, which a nan or inf makes non-finite, finds the values that are
-    not finite.
+    second is :func:`evaluate`'s value at -t bit for bit.  The oracle is
+    finite, so a gap is nan exactly where its c is inf or nan; a finite c
+    whose gap overflows gives an infinite deviation.
     """
-    hi = lo = total = 0.0
+    hi = lo = 0.0
     try:
         for t, u, v in zip(times, ahead, behind):
             ch = math.cosh(x := r * t)
@@ -437,7 +441,8 @@ def _exponential_block(p0: float, r: float, k: float, times: Sequence[float],
             e = c - v
             if c > 1.0 or c < -1.0:
                 e /= c
-            total += d + e
+            if d != d or e != e:
+                return None
             # the gaps keep their signs, so the largest |gap| is max(hi, -lo)
             if d > hi:
                 hi = d
@@ -449,59 +454,43 @@ def _exponential_block(p0: float, r: float, k: float, times: Sequence[float],
                 lo = e
     except OverflowError:
         return None
-    return max(hi, -lo) if math.isfinite(total) else None
+    return max(hi, -lo)
 
 
 def _max_deviation(params: DdeParams, t_max: float, step: float) -> float:
-    """The largest |c - p| / max(1, |c|) between the homogeneous closed form
-    c and the oracle p over [-t_max, t_max], one RK4 block at a time.
+    """The largest |c - p| / max(1, |c|) between :func:`base_solution`'s
+    closed form c and the oracle p over [-t_max, t_max], one RK4 block at
+    a time.
 
-    In the exponential regime :func:`_exponential_block` compares each
-    block in one pass.  A block it cannot serve, and every block of the
-    other regimes, is compared through :func:`evaluate` at its +t and -t.
+    It refuses a pair outside the exponential regime before integrating,
+    as ``base_solution`` does, and :func:`_exponential_block` compares each
+    block in one pass.  On a block that the pass cannot serve,
+    :func:`evaluate` at its -t and +t only names the error.
 
     It raises what ``evaluate`` over the whole of :func:`oracle_solution`'s
     window would, after it: an RK4 error when the integration reaches it;
     then, once the integration finishes, the closed form's error at the
-    first failing t in ascending order.  A ``math`` overflow (cosh, sinh, or
-    cos of an infinite phase) happens for every |t| from some bound on, so
-    it happens at -t_max too, first in that order as ``evaluate`` raises it
-    first.
+    first failing t in ascending order.  A ``math`` overflow (cosh or sinh)
+    happens for every |t| from some bound on, so it happens at -t_max too,
+    first in that order as ``evaluate`` raises it first.
     """
-    try:
-        regime = classify(params)
-    except NonFiniteValue:  # evaluate raises it at each block, in order
-        regime = None
-    fused = regime is not None and regime.tag is RegimeTag.EXPONENTIAL
-    if fused:
-        r, k = regime.r, (params.a + params.b) / regime.r
+    regime = _require_regime(params, "base_solution")
+    r, k = regime.r, (params.a + params.b) / regime.r
     deviation = 0.0
     error: NonFiniteValue | None = None
-    for n, (times, ahead, behind) in enumerate(_oracle_blocks(params, t_max,
-                                                              step)):
-        if fused:
-            worst = _exponential_block(params.p0, r, k, times, ahead, behind)
-            if worst is not None:
-                deviation = max(deviation, worst)
-                continue
-        back = slice(None, None if n else 0, -1)  # descending, t = 0 once
-        for side, oracle, mirrored in (
-                ([-t for t in times[back]], behind[back], True),
-                (times, ahead, False)):
+    for times, ahead, behind in _oracle_blocks(params, t_max, step):
+        worst = _exponential_block(params.p0, r, k, times, ahead, behind)
+        if worst is not None:
+            deviation = max(deviation, worst)
+            continue
+        for side, mirrored in (([-t for t in reversed(times)], True),
+                               (times, False)):
             try:
-                closed = evaluate(params, side)
+                evaluate(params, side)
             except NonFiniteValue as exc:
                 # a later block mirrors to a more negative t
                 if mirrored or error is None:
                     error = exc
-                continue
-            if error is None:
-                for c, p in zip(closed, oracle):
-                    d = abs(c - p)
-                    if abs(c) > 1.0:
-                        d /= abs(c)  # dividing by max(1, |c|) = 1 is a no-op
-                    if d > deviation:
-                        deviation = d
     if error is not None:
         raise error
     return deviation

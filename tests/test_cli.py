@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mirrordde import SingularSystem, cli, numerics
+from mirrordde import SingularSystem, cli, numerics, solver
 
 from helpers import cli_peak_rss_mb, run_cli, run_cli_bytes
 from oracles import max_relative_deviation
@@ -1076,7 +1076,7 @@ class TestVerify:
         def no_oracle(*args):
             raise AssertionError("the oracle must not run")
 
-        monkeypatch.setattr(cli, "_max_deviation", no_oracle)
+        monkeypatch.setattr(solver, "_oracle_blocks", no_oracle)
         code, out, err = run_cli("verify", "--a", "2", "--b", "1", "--p0", "1",
                                  "--t-max", "5", "--step", "1e-5")
         assert code == 3 and out == ""

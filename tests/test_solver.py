@@ -47,7 +47,7 @@ from mirrordde import (
     solve_2x2,
 )
 from mirrordde import numerics, solver
-from mirrordde.solver import _max_deviation
+from mirrordde.solver import _max_deviation, _require_regime
 
 from oracles import (
     loop_forced_evaluate,
@@ -890,8 +890,16 @@ def streamed_deviation(params, t_max, step):
         return type(exc), str(exc)
 
 
+def no_oracle(*args):
+    raise AssertionError("the oracle must not run")
+
+
 class TestMaxDeviation:
     @given(
+        # a = u b with |u| < 1 is exponential but for a tiny b; with u None
+        # a is drawn free, and mostly lies outside that regime
+        u=st.none() | st.floats(min_value=-1.0, max_value=1.0,
+                                exclude_min=True, exclude_max=True),
         a=st.floats(min_value=-1.0, max_value=1.0),
         b=st.floats(min_value=-1.0, max_value=1.0),
         p0=st.builds(lambda m, e: m * 10.0 ** e,
@@ -903,23 +911,35 @@ class TestMaxDeviation:
     )
     # RK4 overflows at t = 7200 before the closed form's deferred overflow,
     # which starts near t = 7010 (math.cosh), is raised
-    @example(a=0.0, b=0.2, p0=1e-300, t_max=7500.0, steps=750.0)
-    @example(a=0.0, b=0.2, p0=1e-300, t_max=7100.0, steps=710.0)
+    @example(u=None, a=0.0, b=0.2, p0=1e-300, t_max=7500.0, steps=750.0)
+    @example(u=None, a=0.0, b=0.2, p0=1e-300, t_max=7100.0, steps=710.0)
     # the first non-finite p is the most negative t, in the last block ...
-    @example(a=0.0, b=-0.1, p0=2.4880700676029834e+221, t_max=2000.0,
-             steps=200.0)
+    @example(u=None, a=0.0, b=-0.1, p0=2.4880700676029834e+221,
+             t_max=2000.0, steps=200.0)
     # ... or else the smallest positive t, in an earlier block
-    @example(a=0.0, b=0.1, p0=2.4880700676029834e+221, t_max=2000.0,
+    @example(u=None, a=0.0, b=0.1, p0=2.4880700676029834e+221, t_max=2000.0,
              steps=200.0)
-    @example(a=0.3, b=0.5, p0=1.0, t_max=1e-12, steps=1e-12)
-    # b**2 overflows, and the RK4 error still comes first
-    @example(a=0.0, b=1e200, p0=1.0, t_max=1.0, steps=1.0)
+    @example(u=None, a=0.3, b=0.5, p0=1.0, t_max=1e-12, steps=1e-12)
+    # b**2 overflows: refused before integrating, as the other regimes are
+    @example(u=None, a=0.0, b=1e200, p0=1.0, t_max=1.0, steps=1.0)
+    @example(u=None, a=0.5, b=0.5, p0=1.0, t_max=1.0, steps=10.0)
     @settings(max_examples=150, deadline=None)
-    def test_streamed_equals_whole_window(self, a, b, p0, t_max, steps):
-        """Blocks of 7 RK4 steps give the whole window's deviation, or its
-        error: the same type and message."""
+    def test_streamed_equals_whole_window(self, u, a, b, p0, t_max, steps):
+        """In the exponential regime, blocks of 7 RK4 steps give the whole
+        window's deviation, or its error: the same type and message.  Any
+        other pair raises base_solution's regime error before the first RK4
+        step."""
+        if u is not None:
+            a = u * b
         params = DdeParams(a=a, b=b, p0=p0)
         step = t_max / steps
+        try:
+            _require_regime(params, "base_solution")
+        except MirrorDdeError as exc:
+            with mock.patch.object(solver, "_oracle_blocks", no_oracle):
+                assert streamed_deviation(params, t_max, step) == \
+                    (type(exc), str(exc))
+            return
         with mock.patch.object(numerics, "RK4_BLOCK_STEPS", 7):
             assert streamed_deviation(params, t_max, step) == \
                 whole_window_deviation(params, t_max, step)
@@ -971,6 +991,21 @@ class TestMaxDeviation:
         else:
             assert [v.hex() for v in evaluate(params, [t, -t])] == \
                 [v.hex() for v in want]
+
+    def test_exponential_block_fails_exactly_where_evaluate_does(self):
+        """A finite c whose gap overflows is an infinite deviation; a c that
+        is not finite gives None, and ``evaluate`` raises on it."""
+        assert solver._exponential_block(1e308, 1.0, 0.5, [0.0], [-1e308],
+                                         [-1e308]) == math.inf
+        # cosh(709.9) + sinh(709.9) overflows, and 0 * inf is nan
+        params = DdeParams(a=0.0, b=1.0, p0=0.0)
+        regime = classify(params)
+        r, k = regime.r, (params.a + params.b) / regime.r
+        assert solver._exponential_block(params.p0, r, k, [709.9], [0.0],
+                                         [0.0]) is None
+        with pytest.raises(NonFiniteValue) as info:
+            evaluate(params, [709.9])
+        assert str(info.value) == "p(709.9) = nan overflows float64"
 
     def test_block_size_leaves_the_value(self):
         params = DdeParams(a=0.3, b=0.9, p0=-2.0)
