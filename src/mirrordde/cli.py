@@ -19,11 +19,15 @@ code   meaning
 ``simulate``, ``rank``, ``verify`` and ``eta`` print floats with 12
 significant digits; ``fit`` prints JSON floats in their round-trip repr.
 Either way output files are stable byte-for-byte across runs.
+
+``main`` builds its argument parser on the first call and reuses it for the
+rest of the process; :func:`build_parser` returns a fresh one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import math
 import os
@@ -216,6 +220,13 @@ def build_parser() -> _Parser:
     eta_cmd.set_defaults(func=cmd_eta)
 
     return parser
+
+
+@functools.cache
+def _shared_parser() -> _Parser:
+    """The parser of every ``main`` call in this process, built on the first:
+    parsing only reads a parser, so one serves every call."""
+    return build_parser()
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +560,7 @@ def cmd_eta(args) -> None:
 # ---------------------------------------------------------------------------
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
         args.func(args)

@@ -296,8 +296,8 @@ def lasso_fit(X, y, lam: float) -> list[float]:
     Minimizes ``||y - X w||**2 / (2 m) + lam * ||w||_1`` for an m-by-k
     design ``X``.  The caller is expected to standardize columns; the update
     itself only requires nonzero column norms (flat columns keep weight 0).
-    ``lam=0`` reduces to ordinary least squares.  An ``X^T X`` or ``X^T y``
-    beyond the float64 range raises :class:`NonFiniteValue`.
+    ``lam=0`` reduces to ordinary least squares.  An ``X^T X``, ``X^T y`` or
+    coefficient beyond the float64 range raises :class:`NonFiniteValue`.
     """
     import numpy as np
 
@@ -314,7 +314,10 @@ def lasso_fit(X, y, lam: float) -> list[float]:
         raise TooShort("need at least 2 observations")
     if not (math.isfinite(lam) and lam >= 0.0):
         raise OutOfRange(f"lam must be non-negative and finite, got {lam!r}")
-    return _lasso_capped(A, rhs, lam)
+    w = _lasso_capped(A, rhs, lam)
+    if not all(map(math.isfinite, w)):
+        raise NonFiniteValue("a coefficient overflows float64")
+    return w
 
 
 def _lasso_capped(X: NDArray[np.float64], y: NDArray[np.float64],

@@ -1598,3 +1598,53 @@ def test_help_matches_golden(data_dir, monkeypatch, capsys, subcommand):
     golden = data_dir / f"golden_help{'_' + subcommand if subcommand else ''}.txt"
     out, err = capsys.readouterr()
     assert (out.encode(), err) == (golden.read_bytes(), "")
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+def test_build_parser_returns_a_new_parser():
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_main_reuses_one_parser(data_dir, monkeypatch, capsys):
+    """A mixed sequence of ``main`` calls in one process builds the parser
+    once, and each call gives the exit code and bytes of a fresh process:
+    every subcommand, an unknown flag, two flags of one exclusive group and
+    then one of them alone, the first call again, and ``--help`` last, with
+    its golden bytes."""
+    monkeypatch.setenv("COLUMNS", "80")
+    model = ["--a", "0.3", "--b", "0.9", "--p0", "1", "--steps", "4"]
+    argvs = [
+        ["simulate", *model],
+        ["fit", "--input", str(data_dir / "golden_simulate_exponential.csv"),
+         "--predict", "1.5"],
+        ["rank", "--input", str(data_dir / "rank_m8.csv")],
+        ["verify", "--a", "0.3", "--b", "0.5", "--p0", "1", "--t-max", "1"],
+        ["eta", "--art", "0.5", "--alpha", "0.2", "--a", "0.3", "--b", "0.8"],
+        ["simulate", *model, "--no-such-flag"],
+        ["simulate", *model, "--theta-const", "0.1", "--theta-lin", "0.1,0.2"],
+        ["simulate", *model, "--theta-lin", "0.1,0.2"],
+        ["simulate", *model],
+        ["--help"],
+    ]
+
+    cli._shared_parser.cache_clear()
+    shared = []
+    for argv in argvs:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # --help
+            code = exc.code
+        out, err = capsys.readouterr()
+        shared.append((code, out.encode(), err.encode()))
+    info = cli._shared_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(argvs) - 1)
+    assert shared == [run_cli_bytes(*argv) for argv in argvs]
+    assert [code for code, _, _ in shared] == [0] * 5 + [2, 2, 0, 0, 0]
+    assert shared[6][2] == (b"ERROR 2: argument --theta-lin: not allowed "
+                            b"with argument --theta-const\n")
+    if sys.version_info < (3, 13):  # as in test_help_matches_golden
+        assert shared[-1][1:] == (
+            (data_dir / "golden_help.txt").read_bytes(), b"")

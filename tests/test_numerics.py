@@ -420,6 +420,16 @@ class TestLasso:
                                match=r"X\^T X or X\^T y overflows float64"):
                 lasso_fit(X, y, 0.1)
 
+    @pytest.mark.parametrize("X, lam", [
+        ([[1e-150], [-1e-150]], 0.1),
+        ([[1e-150, 1.0], [-1e-150, 2.0]], 0.0),
+    ])
+    def test_overflowing_coefficient(self, X, lam):
+        # G and c are finite, but the minimizer is about 1e450
+        with pytest.raises(NonFiniteValue,
+                           match="^a coefficient overflows float64$"):
+            lasso_fit(X, [1e300, -1e300], lam)
+
 
 def standardized_design(seed, m, k):
     """Population z-scored lognormal columns: a response and k predictors."""

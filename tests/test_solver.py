@@ -17,13 +17,13 @@ from mirrordde import (
     DdeParams,
     EtaArticleBased,
     EtaTimeExponential,
+    FeatureMatrix,
     GrowthKind,
     MirrorDdeError,
     NegativeInfluenceWarning,
     NonFiniteState,
     NonFiniteValue,
     OutOfRange,
-    Regime,
     RegimeTag,
     ResonantForcing,
     ThetaConstant,
@@ -38,13 +38,17 @@ from mirrordde import (
     eta_article,
     evaluate,
     initial_conditions_to_modes,
+    lasso_fit,
     linear_growth_solution,
     modes_to_AB,
     nonsymmetric_solution,
     oracle_solution,
     oscillatory_solution,
+    rank_journals,
     rk4_integrate,
     solve_2x2,
+    standardize,
+    svd_values,
 )
 from mirrordde import numerics, solver
 from mirrordde.solver import _max_deviation, _require_regime
@@ -1068,7 +1072,7 @@ class TestMaxDeviation:
 
 
 # ---------------------------------------------------------------------------
-# every scalar-argument entry point: a finite result or a typed error
+# every entry point on scalars or tables: a finite result or a typed error
 # ---------------------------------------------------------------------------
 
 #: Floats at the edges of float64 and of the closed forms' exponentials.
@@ -1112,6 +1116,32 @@ def _config(data) -> ControlConfig:
     return ControlConfig(*terms)
 
 
+def _table(data) -> list[list[float]]:
+    """A drawn table of 2-6 rows and 2-4 columns."""
+    rows, columns = data.draw(st.integers(2, 6)), data.draw(st.integers(2, 4))
+    return [[_f(data) for _ in range(columns)] for _ in range(rows)]
+
+
+def _features(data) -> FeatureMatrix:
+    """A drawn table as journals j0, j1, ... by features f0, f1, ..."""
+    table = _table(data)
+    return FeatureMatrix(journal_names=[f"j{i}" for i in range(len(table))],
+                         feature_names=[f"f{j}" for j in range(len(table[0]))],
+                         data=table)
+
+
+#: Penalty weights: plain least squares, the CLI's default 0.1 and two
+#: weights beside it.
+LAMBDAS = st.sampled_from([0.0, 0.05, 0.1, 1.0])
+
+
+def _lasso(data) -> list[float]:
+    """``lasso_fit`` of a drawn table's first column on its other columns."""
+    table = _table(data)
+    return lasso_fit([row[1:] for row in table], [row[0] for row in table],
+                     data.draw(LAMBDAS))
+
+
 EXP = RegimeTag.EXPONENTIAL
 
 ENTRY_POINTS = {
@@ -1137,29 +1167,38 @@ ENTRY_POINTS = {
     "eta_article": lambda d: eta_article(_f(d), _f(d), _params(d)),
     "solve_2x2": lambda d: solve_2x2(*(_f(d) for _ in range(6))),
     "modes_to_AB": lambda d: modes_to_AB(*(_f(d) for _ in range(4))),
+    "svd_values": lambda d: svd_values(_table(d)),
+    "standardize": lambda d: standardize(_features(d)),
+    "lasso_fit": _lasso,
+    "rank_journals": lambda d: rank_journals(_features(d), "f0",
+                                             d.draw(LAMBDAS)),
 }
 
 
 def returned_floats(result) -> list[float]:
-    """Every float in a result: a float, a Regime's r, or the floats of a
-    list or tuple (a NamedTuple's flag and growth kind are not floats)."""
+    """Every float in a result: a float, or the floats of a list, tuple,
+    array or record's fields (flags, growth kinds, regime tags, names and
+    indices are not floats)."""
     if isinstance(result, float):
         return [result]
-    if isinstance(result, Regime):
-        return [result.r]
+    if isinstance(result, np.ndarray):
+        result = result.tolist()
+    elif hasattr(result, "_fields"):  # a record or a NamedTuple
+        result = [getattr(result, name) for name in result._fields]
     if isinstance(result, (list, tuple)):
         return [x for item in result for x in returned_floats(item)]
     return []
 
 
 class TestFiniteOrTyped:
-    """Each public entry point that takes scalars returns only finite
-    floats or raises a :class:`MirrorDdeError`, on edge and ordinary floats
-    alike.  The package documents three other exceptions: ``KeyError`` from
-    the feature lookups, ``ControlConfig``'s ``TypeError`` for a term of the
-    wrong type, and ``fit_ab``'s infinite ``rss``; none of them is reachable
-    from float arguments to these entry points, so none is allowed here.
-    Warnings (a negative influence at t=0) are ignored."""
+    """Each public entry point that takes scalars, or a small table of
+    them, returns only finite floats or raises a :class:`MirrorDdeError`, on
+    edge and ordinary floats alike.  The package documents three other
+    exceptions: ``KeyError`` from the feature lookups, ``ControlConfig``'s
+    ``TypeError`` for a term of the wrong type, and ``fit_ab``'s infinite
+    ``rss``; none of them is reachable from float arguments to these entry
+    points, so none is allowed here.  Warnings (a negative influence at
+    t=0) are ignored."""
 
     @pytest.mark.parametrize("name", list(ENTRY_POINTS))
     @given(data=st.data())
