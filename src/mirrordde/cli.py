@@ -21,7 +21,7 @@ significant digits; ``fit`` prints JSON floats in their round-trip repr.
 Either way output files are stable byte-for-byte across runs.
 
 ``main`` builds its argument parser on the first call and reuses it for the
-rest of the process; :func:`build_parser` returns a fresh one.
+rest of the process.
 """
 
 from __future__ import annotations
@@ -145,7 +145,10 @@ def _finite(text: str) -> float:
     return v
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser of every ``main`` call in this process, built on the first:
+    parsing only reads a parser, so one serves every call."""
     parser = _Parser(prog="mirrordde",
                      description="Mirrored-time influence model toolkit")
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -220,13 +223,6 @@ def build_parser() -> _Parser:
     eta_cmd.set_defaults(func=cmd_eta)
 
     return parser
-
-
-@functools.cache
-def _shared_parser() -> _Parser:
-    """The parser of every ``main`` call in this process, built on the first:
-    parsing only reads a parser, so one serves every call."""
-    return build_parser()
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +556,7 @@ def cmd_eta(args) -> None:
 # ---------------------------------------------------------------------------
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _shared_parser()
+    parser = build_parser()
     try:
         args = parser.parse_args(argv)
         args.func(args)

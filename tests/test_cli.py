@@ -1604,10 +1604,6 @@ def test_help_matches_golden(data_dir, monkeypatch, capsys, subcommand):
 # one parser per process
 # ---------------------------------------------------------------------------
 
-def test_build_parser_returns_a_new_parser():
-    assert cli.build_parser() is not cli.build_parser()
-
-
 def test_main_reuses_one_parser(data_dir, monkeypatch, capsys):
     """A mixed sequence of ``main`` calls in one process builds the parser
     once, and each call gives the exit code and bytes of a fresh process:
@@ -1630,7 +1626,7 @@ def test_main_reuses_one_parser(data_dir, monkeypatch, capsys):
         ["--help"],
     ]
 
-    cli._shared_parser.cache_clear()
+    cli.build_parser.cache_clear()
     shared = []
     for argv in argvs:
         try:
@@ -1639,7 +1635,7 @@ def test_main_reuses_one_parser(data_dir, monkeypatch, capsys):
             code = exc.code
         out, err = capsys.readouterr()
         shared.append((code, out.encode(), err.encode()))
-    info = cli._shared_parser.cache_info()
+    info = cli.build_parser.cache_info()
     assert (info.misses, info.hits) == (1, len(argvs) - 1)
     assert shared == [run_cli_bytes(*argv) for argv in argvs]
     assert [code for code, _, _ in shared] == [0] * 5 + [2, 2, 0, 0, 0]

@@ -135,7 +135,7 @@ def test_import_builds_no_parser():
     """The CLI's argument parser is built on the first ``main`` call, not at
     import."""
     out = fresh_python("import mirrordde.cli as cli\n"
-                       "print(cli._shared_parser.cache_info().currsize)")
+                       "print(cli.build_parser.cache_info().currsize)")
     assert out == "0"
 
 
