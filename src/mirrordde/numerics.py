@@ -213,7 +213,7 @@ def _sweep_kernel(k: int) -> Callable[..., Iterator[list[float]]]:
 
 
 def _nonzero_sweeps(c: list[float], G: list[list[float]],
-                    scale: list[float], m: int, lam: float, tol: float
+                    scale: list[float], m: float, lam: float, tol: float
                     ) -> Iterator[list[float]]:
     """The sweeps of a design too wide for :func:`_sweep_kernel`, from the
     generated kernel's inputs (G's diagonal zeroed, an infinite scale for a
@@ -273,21 +273,26 @@ def _lasso_sweeps(X: NDArray[np.float64], y: NDArray[np.float64],
     :data:`LASSO_TOL` or below; the caller enforces the sweep cap.  A ``G``
     or ``c`` beyond the float64 range raises :class:`NonFiniteValue` when
     this is called, before any sweep.
+
+    G is read and its diagonal zeroed as nested lists, and the kernels get
+    m as a float: it converts exactly below 2**53, so every ``/ m`` keeps
+    its bits and takes CPython's float-by-float division.
     """
     import numpy as np
 
-    m, k = X.shape
+    m, k = float(X.shape[0]), X.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        G = X.T @ X
+        G = (X.T @ X).tolist()
         c = (X.T @ y).tolist()
-    col_sq = G.diagonal().tolist()
+    col_sq = [row[j] for j, row in enumerate(G)]
     # by Cauchy-Schwarz a finite diagonal bounds every entry of G
     if not all(map(math.isfinite, col_sq + c)):
         raise NonFiniteValue("X^T X or X^T y overflows float64")
-    np.fill_diagonal(G, 0.0)
+    for j, row in enumerate(G):
+        row[j] = 0.0
     scale = [sq / m if sq != 0.0 else math.inf for sq in col_sq]
     kernel = _sweep_kernel(k) if k <= SWEEP_KERNEL_MAX_K else _nonzero_sweeps
-    return kernel(c, G.tolist(), scale, m, lam, LASSO_TOL)
+    return kernel(c, G, scale, m, lam, LASSO_TOL)
 
 
 def lasso_fit(X, y, lam: float) -> list[float]:
@@ -336,15 +341,37 @@ def _lasso_capped(X: NDArray[np.float64], y: NDArray[np.float64],
 
 
 def lasso_objective(X, y, lam: float, w) -> float:
-    """The objective ``||y - X w||**2 / (2 m) + lam * ||w||_1``."""
+    """The objective ``||y - X w||**2 / (2 m) + lam * ||w||_1``.
+
+    The inputs are checked as :func:`lasso_fit` checks them, with ``w``
+    held to one coefficient per column of ``X``: a shape that does not fit
+    raises :class:`DimensionMismatch`, a non-finite entry
+    :class:`NonFiniteValue` and a negative or non-finite ``lam``
+    :class:`OutOfRange`.  A residual or objective beyond the float64 range
+    raises :class:`NonFiniteValue`, without a warning.
+    """
     import numpy as np
 
     A = _as_matrix_array(m=X)
+    m, k = A.shape
     rhs = np.asarray(y, dtype=float)
     wv = np.asarray(w, dtype=float)
-    resid = rhs - A @ wv
-    m = A.shape[0]
-    return float(resid @ resid) / (2.0 * m) + lam * float(np.abs(wv).sum())
+    for name, v, size in (("response", rhs, m), ("coefficient vector", wv, k)):
+        if v.shape != (size,):
+            raise DimensionMismatch(
+                f"{name} of shape {v.shape} does not match design of shape "
+                f"{A.shape}")
+        if not np.isfinite(v).all():
+            raise NonFiniteValue(f"{name} contains non-finite entries")
+    if not (math.isfinite(lam) and lam >= 0.0):
+        raise OutOfRange(f"lam must be non-negative and finite, got {lam!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = rhs - A @ wv
+        value = (float(resid @ resid) / (2.0 * m)
+                 + lam * float(np.abs(wv).sum()))
+    if not math.isfinite(value):
+        raise NonFiniteValue("the residual or the objective overflows float64")
+    return value
 
 
 State = tuple[float, float]

@@ -48,7 +48,7 @@ class EliminationTrace(_Record):
     steps: tuple[TraceStep, ...]
 
 
-def _standardized(block: NDArray[np.float64], e: NDArray[np.intc],
+def _standardized(block: NDArray[np.float64], e: list[int],
                   feature_names: tuple[str, ...]) -> NDArray[np.float64]:
     """Standardize the columns of a journals-by-features array.
 
@@ -56,24 +56,32 @@ def _standardized(block: NDArray[np.float64], e: NDArray[np.intc],
     :func:`~mirrordde.numerics._pow2_scaled`); the z-scores are those of
     the unscaled columns bit for bit, since every step commutes with a power
     of two, and the flatness rule of :func:`standardize` is decided on the
-    unscaled mean and spread.  The block is copied to Fortran order first:
-    there each column reduction sums the contiguous column in numpy's
-    pairwise order, as a 1-d column view does, whereas on a C-ordered block
-    numpy sums row by row and the last bit differs.
+    unscaled mean and spread.  Each column of ``block`` must be contiguous
+    with axis 0 the smallest stride, as in a Fortran-ordered array or a
+    leading-rows view of one: then each column reduction sums the
+    contiguous column in numpy's pairwise order, as a 1-d column view does,
+    whereas on a C-ordered block numpy sums row by row and the last bit
+    differs.  The block is only read.
     """
     import numpy as np
 
-    block = np.asfortranarray(block)
     m = block.shape[0]
     mu = block.sum(axis=0) / m  # the bits of block.mean(axis=0)
     dev = block - mu
     sigma = np.sqrt((dev ** 2).sum(axis=0) / m)
-    flat = (np.ldexp(sigma, e)
-            <= STD_RTOL * np.maximum(1.0, np.ldexp(np.abs(mu), e)))
-    if flat.any():
-        name = feature_names[int(flat.argmax())]
-        raise ZeroVarianceColumn(f"feature {name!r} has zero variance",
-                                 column=name)
+    # the rule on the k statistics as floats, with np.ldexp's decisions:
+    # math.ldexp raises where np.ldexp gives inf, which takes e = 1024 and
+    # a scaled |mu| or sigma of at least 1; an infinite mean makes any
+    # spread flat, and an infinite spread alone is not flat
+    for name, s, u, ej in zip(feature_names, sigma.tolist(), mu.tolist(), e):
+        try:
+            flat = (math.ldexp(s, ej)
+                    <= STD_RTOL * max(1.0, math.ldexp(abs(u), ej)))
+        except OverflowError:
+            flat = abs(u) >= 1.0
+        if flat:
+            raise ZeroVarianceColumn(f"feature {name!r} has zero variance",
+                                     column=name)
     if m == 2:
         # past the flat check both deviations are nonzero and opposite: ±1
         return np.sign(dev)
@@ -86,9 +94,13 @@ def standardize(matrix: FeatureMatrix) -> FeatureMatrix:
     Uses the population standard deviation (divide by m, not m-1).  A column
     whose spread is at or below 1e-12 relative to its mean magnitude cannot
     be scaled and raises :class:`ZeroVarianceColumn` naming the first such
-    feature.
+    feature.  The power-of-two-scaled copy is made in Fortran order, so that
+    each column reduction is numpy's pairwise sum over the column.
     """
-    out = _standardized(*_pow2_scaled(matrix.data, axis=0),
+    import numpy as np
+
+    scaled, e = _pow2_scaled(matrix.data, axis=0)
+    out = _standardized(np.asfortranarray(scaled), e.tolist(),
                         matrix.feature_names)
     return FeatureMatrix(journal_names=matrix.journal_names,
                          feature_names=matrix.feature_names,
@@ -116,6 +128,13 @@ def rank_journals(matrix: FeatureMatrix, response_feature: str,
     carried over from the last executed regression.  Ranks sort by
     ascending score, ties broken by the earlier elimination step.
 
+    The power-of-two-scaled table is copied once, in Fortran order, into a
+    working buffer whose leading rows are the journals in play, in input
+    order; an elimination shifts the rows below it up by one.  Each step
+    standardizes a view of those rows, in which every column is still
+    contiguous with the smallest stride, so each column reduction is the
+    same pairwise sum as on a fresh copy of the rows, bit for bit.
+
     Returns the ranking together with the full elimination trace.  A
     feature column going flat mid-elimination raises
     :class:`ZeroVarianceColumn`, and a regression that does not converge
@@ -134,7 +153,9 @@ def rank_journals(matrix: FeatureMatrix, response_feature: str,
     pred_idx = [j for j in range(matrix.n_features) if j != resp_idx]
     n = matrix.n_features
     m = matrix.n_journals
-    data, e = _pow2_scaled(matrix.data, axis=0)
+    scaled, e = _pow2_scaled(matrix.data, axis=0)
+    buf = np.asfortranarray(scaled)  # the journals in play: buf[:rows]
+    e = e.tolist()
     names = matrix.journal_names
 
     remaining = list(range(m))
@@ -142,9 +163,9 @@ def rank_journals(matrix: FeatureMatrix, response_feature: str,
     row_norm = singval = survivor_col_norm = 0.0
 
     for step in range(1, m):
+        rows = len(remaining)
         try:
-            std = _standardized(data.take(remaining, axis=0), e,
-                                matrix.feature_names)
+            std = _standardized(buf[:rows], e, matrix.feature_names)
             # the block is finite with at least 2 rows, and lam is checked
             coeffs = _lasso_capped(std[:, pred_idx], std[:, resp_idx], lam)
         except ZeroVarianceColumn as exc:
@@ -160,7 +181,8 @@ def rank_journals(matrix: FeatureMatrix, response_feature: str,
 
         # C order sums each row in pairwise order, as a 1-d row view would
         col_norms = np.abs(std, order="C").sum(axis=1) / n
-        best = int(np.argmin(np.abs(col_norms - row_norm)))
+        gaps = col_norms - row_norm
+        best = int(np.abs(gaps, out=gaps).argmin())
 
         if step == m - 1:
             survivor_col_norm = float(col_norms[1 - best])
@@ -172,6 +194,7 @@ def rank_journals(matrix: FeatureMatrix, response_feature: str,
             singval=singval,
         ))
         del remaining[best]
+        buf[best:rows - 1] = buf[best + 1:rows]
 
     # The survivor inherits the score of the last regression it was part of.
     steps.append(TraceStep(

@@ -23,6 +23,8 @@ from mirrordde.core import (
     EtaArticleBased,
     EtaTimeExponential,
     FeatureMatrix,
+    RankingEntry,
+    RankingResult,
     RegimeTag,
     ThetaConstant,
     ThetaExponential,
@@ -30,6 +32,7 @@ from mirrordde.core import (
 )
 from mirrordde.errors import (
     AsymmetricGrid,
+    ConvergenceFailure,
     DegenerateSystem,
     DimensionMismatch,
     NegativeInfluenceWarning,
@@ -42,13 +45,21 @@ from mirrordde.errors import (
     SingularSystem,
     TooShort,
     WrongRegime,
+    ZeroVarianceColumn,
 )
 from mirrordde.numerics import (
+    LASSO_MAX_SWEEPS,
     LASSO_TOL,
+    SWEEP_KERNEL_MAX_K,
     FdMode,
+    _nonzero_sweeps,
+    _pow2_scaled,
+    _sum_left_to_right,
+    _sweep_kernel,
     lasso_fit,
     solve_2x2,
 )
+from mirrordde.ranking import STD_RTOL, EliminationTrace, TraceStep
 from mirrordde.solver import RESONANCE_RTOL, classify
 
 
@@ -263,6 +274,95 @@ def brute_force_ranking(journal_names, feature_names, rows, response, lam):
         for rank, idx in enumerate(order, start=1)
     ]
     return entries, trace
+
+
+def _stepwise_standardized(block, e, feature_names):
+    """One step's z-scores as a fresh Fortran copy of the block, with the
+    flatness rule decided on numpy arrays (``np.ldexp`` gives inf where the
+    unscaled statistic overflows)."""
+    block = np.asfortranarray(block)
+    m = block.shape[0]
+    mu = block.sum(axis=0) / m
+    dev = block - mu
+    sigma = np.sqrt((dev ** 2).sum(axis=0) / m)
+    flat = (np.ldexp(sigma, e)
+            <= STD_RTOL * np.maximum(1.0, np.ldexp(np.abs(mu), e)))
+    if flat.any():
+        name = feature_names[int(flat.argmax())]
+        raise ZeroVarianceColumn(f"feature {name!r} has zero variance",
+                                 column=name)
+    if m == 2:
+        return np.sign(dev)
+    return dev / sigma
+
+
+def _stepwise_lasso(X, y, lam):
+    """The capped coordinate descent with G's diagonal read and zeroed on
+    the numpy array and an integer m handed to the sweep kernel."""
+    m, k = X.shape
+    G = X.T @ X
+    c = (X.T @ y).tolist()
+    col_sq = G.diagonal().tolist()
+    np.fill_diagonal(G, 0.0)
+    scale = [sq / m if sq != 0.0 else math.inf for sq in col_sq]
+    kernel = _sweep_kernel(k) if k <= SWEEP_KERNEL_MAX_K else _nonzero_sweeps
+    for count, w in enumerate(kernel(c, G.tolist(), scale, m, lam,
+                                     LASSO_TOL), 1):
+        if count > LASSO_MAX_SWEEPS:
+            raise ConvergenceFailure(
+                f"coordinate descent did not converge within "
+                f"{LASSO_MAX_SWEEPS} sweeps")
+    return w
+
+
+def stepwise_ranking(matrix, response, lam):
+    """The elimination of ``rank_journals`` rebuilt afresh at every
+    step: the surviving rows gathered with ``take`` and copied to Fortran
+    order, numpy's flatness decision, and ``np.argmin`` over the gaps.  Its
+    records, exceptions and messages are meant to be ``rank_journals``'
+    bit for bit; it skips the argument checks, which the callers pass."""
+    n = matrix.n_features
+    m = matrix.n_journals
+    resp = matrix.feature_index(response)
+    preds = [j for j in range(n) if j != resp]
+    data, e = _pow2_scaled(matrix.data, axis=0)
+    names = matrix.journal_names
+    remaining = list(range(m))
+    steps = []
+    row_norm = singval = survivor_col_norm = 0.0
+    for step in range(1, m):
+        try:
+            std = _stepwise_standardized(data.take(remaining, axis=0), e,
+                                         matrix.feature_names)
+            coeffs = _stepwise_lasso(std[:, preds], std[:, resp], lam)
+        except ZeroVarianceColumn as exc:
+            raise ZeroVarianceColumn(f"step {step}: {exc}", column=exc.column,
+                                     step=step) from exc
+        except ConvergenceFailure as exc:
+            raise ConvergenceFailure(f"step {step}: {exc}") from exc
+        w = np.array(coeffs)
+        singval = math.sqrt(float(w @ w))
+        row_norm = _sum_left_to_right(np.abs(w)) / (n - 1)
+        col_norms = np.abs(std, order="C").sum(axis=1) / n
+        best = int(np.argmin(np.abs(col_norms - row_norm)))
+        if step == m - 1:
+            survivor_col_norm = float(col_norms[1 - best])
+        steps.append(TraceStep(step_index=step,
+                               journal_name=names[remaining[best]],
+                               row_norm=row_norm,
+                               chosen_col_norm=float(col_norms[best]),
+                               singval=singval))
+        del remaining[best]
+    steps.append(TraceStep(step_index=m, journal_name=names[remaining[0]],
+                           row_norm=row_norm,
+                           chosen_col_norm=survivor_col_norm,
+                           singval=singval))
+    order = sorted(steps, key=lambda s: (s.singval, s.step_index))
+    entries = tuple(RankingEntry(journal_name=s.journal_name,
+                                 elimination_step=s.step_index,
+                                 singval=s.singval, rank=rank)
+                    for rank, s in enumerate(order, start=1))
+    return RankingResult(entries=entries), EliminationTrace(steps=tuple(steps))
 
 
 # ---------------------------------------------------------------------------

@@ -918,8 +918,28 @@ class TestRank:
                         "Gamma Letters,1.1,0.5,1.6,260\n")
         code, _, err = run_cli("rank", "--input", str(path))
         assert code == 5
-        assert err.strip().splitlines()[-1].startswith("ERROR 5: ")
-        assert "SNIP" in err and "step 2" in err
+        assert err.strip().splitlines()[-1] == (
+            "ERROR 5: step 2: feature 'SNIP' has zero variance")
+
+    def test_flatness_floor_ignores_units(self, tmp_path):
+        # the floor is absolute (ROADMAP item 9): a column whose largest
+        # magnitude is 2**-511 is flat, and the same column times 2**511
+        # ranks
+        tiny = math.ldexp(1.0, -511)
+        cells = [(tiny, 1), (-tiny, 2), (0.0, 3), (tiny / 2, 7)]
+
+        def rank(scale):
+            path = tmp_path / "units.csv"
+            path.write_text("journal,CiteScore,SJR\n" + "".join(
+                f"{name},{a * scale!r},{b}\n"
+                for name, (a, b) in zip("ABCD", cells)))
+            return run_cli("rank", "--input", str(path))
+
+        assert rank(1.0) == (5, "", "response=CiteScore lambda=0.1\n"
+                             "ERROR 5: step 1: feature 'CiteScore' has zero "
+                             "variance\n")
+        code, _, err = rank(math.ldexp(1.0, 511))
+        assert code == 0, err
 
     def test_malformed_table(self, tmp_path):
         path = tmp_path / "bad.csv"

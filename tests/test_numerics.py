@@ -431,6 +431,41 @@ class TestLasso:
             lasso_fit(X, [1e300, -1e300], lam)
 
 
+class TestLassoObjective:
+    def test_value_of_a_hand_example(self):
+        # residuals (0, -2), so 4 / 4, plus 0.1 * (1 + 2)
+        got = lasso_objective([[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0], 0.1,
+                              [1.0, 2.0])
+        assert got == 1.0 + 0.1 * 3.0
+
+    def test_overflow_raises_without_a_warning(self):
+        # the residual 2e200 is finite, its square is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue, match="overflows float64"):
+                lasso_objective([[1e200]], [1e200], 0.1, [-1e200])
+
+    @pytest.mark.parametrize("y, w, error, match", [
+        ([math.nan, 1.0], [1.0], NonFiniteValue,
+         "response contains non-finite"),
+        ([1.0, 2.0], [math.inf], NonFiniteValue,
+         "coefficient vector contains non-finite"),
+        ([1.0, 2.0], [1.0, 2.0], DimensionMismatch,
+         r"coefficient vector of shape \(2,\) does not match"),
+        ([1.0, 2.0, 3.0], [1.0], DimensionMismatch,
+         r"response of shape \(3,\) does not match"),
+    ])
+    def test_inputs_checked_as_lasso_fit_checks_them(self, y, w, error,
+                                                     match):
+        with pytest.raises(error, match=match):
+            lasso_objective([[1.0], [2.0]], y, 0.1, w)
+
+    @pytest.mark.parametrize("lam", [-0.1, math.inf, math.nan])
+    def test_penalty_weight_checked(self, lam):
+        with pytest.raises(OutOfRange):
+            lasso_objective([[1.0], [2.0]], [1.0, 2.0], lam, [1.0])
+
+
 def standardized_design(seed, m, k):
     """Population z-scored lognormal columns: a response and k predictors."""
     rng = np.random.default_rng(seed)

@@ -5,10 +5,11 @@ from __future__ import annotations
 import csv
 import math
 import statistics
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from mirrordde import (
@@ -21,7 +22,10 @@ from mirrordde import (
     svd_values,
 )
 
-from oracles import brute_force_ranking
+from mirrordde.numerics import _pow2_scaled
+from mirrordde.ranking import STD_RTOL, _standardized
+
+from oracles import brute_force_ranking, stepwise_ranking
 
 M3_NAMES = ("Alpha Journal", "Beta Review", "Gamma Letters")
 M3_FEATS = ("CiteScore", "SJR", "SNIP", "CitationCount")
@@ -300,9 +304,9 @@ def lognormal_table(seed, m, k):
     return np.exp(mu + sigma * (rho * z[:, None] + np.sqrt(1 - rho ** 2) * e))
 
 
-def ranking_outcome(matrix_, response, lam):
+def ranking_outcome(matrix_, response, lam, rank=rank_journals):
     try:
-        result, trace = rank_journals(matrix_, response, lam)
+        result, trace = rank(matrix_, response, lam)
     except MirrorDdeError as exc:
         return type(exc), str(exc)
     return result.entries, trace.steps
@@ -369,3 +373,123 @@ class TestColumnScale:
             assert abs(s.row_norm - row_norm) <= 1e-9
             assert abs(s.chosen_col_norm - col_norm) <= 1e-9
             assert abs(s.singval - singval) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the working buffer against the step-by-step rebuild
+# ---------------------------------------------------------------------------
+
+def outcome_bits(outcome):
+    """A ranking outcome with every float as its hex string, so that equal
+    outcomes agree to the bit (and to the sign of a zero)."""
+    if isinstance(outcome[0], type):
+        return outcome
+    return tuple(
+        tuple(tuple(v.hex() if isinstance(v, float) else v
+                    for v in record._values())
+              for record in records)
+        for records in outcome)
+
+
+class TestWorkingBuffer:
+    @given(seed=st.integers(min_value=0, max_value=2**31 - 1),
+           m=st.integers(min_value=3, max_value=40),
+           k=st.integers(min_value=3, max_value=10),
+           lam=st.sampled_from([0.0, 0.05, 0.1]),
+           data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_bits_of_the_stepwise_rebuild(self, seed, m, k, lam, data):
+        # one column scaled by a power of two up to the top of float64, and
+        # optionally one journal's cell copied into others, so that the
+        # column goes flat once the journals holding other values are gone;
+        # from 8 features the row sums of the column norms run pairwise
+        values = lognormal_table(seed, m, k)
+        col = data.draw(st.integers(min_value=0, max_value=k - 1))
+        top = 1024 - math.frexp(float(values[:, col].max()))[1]
+        power = data.draw(st.integers(min_value=0, max_value=top))
+        values[:, col] = np.ldexp(values[:, col], power)
+        copies = data.draw(st.lists(st.integers(min_value=0, max_value=m - 1),
+                                    max_size=m - 1, unique=True))
+        if copies:
+            source, flat_col = copies[0], data.draw(st.integers(0, k - 1))
+            values[copies, flat_col] = values[source, flat_col]
+        names = tuple(f"J{i}" for i in range(m))
+        feats = tuple(f"f{j}" for j in range(k))
+        response = data.draw(st.sampled_from(feats))
+        table = FeatureMatrix(names, feats, values)
+        got = ranking_outcome(table, response, lam)
+        if got[0] is ZeroVarianceColumn:
+            event("flat at step 1" if got[1].startswith("step 1:")
+                  else "flat mid-elimination")
+        else:
+            event(got[0].__name__ if isinstance(got[0], type) else "ranked")
+        want = ranking_outcome(table, response, lam, stepwise_ranking)
+        assert outcome_bits(got) == outcome_bits(want)
+
+
+class TestFlatnessEdges:
+    """The flatness rule, decided on Python floats, against numpy's decision
+    on the same statistics at both ends of float64."""
+
+    @staticmethod
+    def numpy_flat(block, e):
+        block = np.asfortranarray(block, dtype=float)
+        mu = block.sum(axis=0) / block.shape[0]
+        sigma = np.sqrt(((block - mu) ** 2).sum(axis=0) / block.shape[0])
+        with np.errstate(over="ignore"):
+            return (np.ldexp(sigma, e)
+                    <= STD_RTOL * np.maximum(1.0, np.ldexp(np.abs(mu), e)))
+
+    def python_flat(self, block, e):
+        flat = []
+        for j in range(len(e)):
+            try:
+                _standardized(np.asfortranarray(block)[:, [j]], [e[j]],
+                              (f"f{j}",))
+                flat.append(False)
+            except ZeroVarianceColumn:
+                flat.append(True)
+        return flat
+
+    def test_constant_column_at_the_float64_top(self):
+        top = sys.float_info.max
+        rows = [[top, 1.0], [top, 2.0], [top, 3.0]]
+        with pytest.raises(ZeroVarianceColumn) as excinfo:
+            standardize(FeatureMatrix(("A", "B", "C"), ("x", "y"), rows))
+        assert excinfo.value.column == "x"
+        table = FeatureMatrix(("A", "B", "C"), ("x", "y"), rows)
+        got = ranking_outcome(table, "y", 0.1)
+        assert got == (ZeroVarianceColumn,
+                       "step 1: feature 'x' has zero variance")
+        assert got == ranking_outcome(table, "y", 0.1, stepwise_ranking)
+
+    def test_spread_of_the_smallest_subnormal(self):
+        # a spread of about 2**-1074 is flat under the absolute floor
+        tiny = 5e-324
+        rows = [[tiny, 1.0], [0.0, 2.0], [tiny, 3.0]]
+        scaled, e = _pow2_scaled(np.array(rows), axis=0)
+        assert list(self.numpy_flat(scaled, e)) == [True, False]
+        table = FeatureMatrix(("A", "B", "C"), ("x", "y"), rows)
+        with pytest.raises(ZeroVarianceColumn) as excinfo:
+            standardize(table)
+        assert excinfo.value.column == "x"
+        got = ranking_outcome(table, "y", 0.1)
+        assert got == (ZeroVarianceColumn,
+                       "step 1: feature 'x' has zero variance")
+        assert got == ranking_outcome(table, "y", 0.1, stepwise_ranking)
+
+    @pytest.mark.parametrize("block, e", [
+        # scaled statistics of 1 or more at e = 1024, where np.ldexp gives
+        # inf and math.ldexp raises: an infinite mean is flat, an infinite
+        # spread alone is not
+        ([[1.0], [1.0]], [1024]),
+        ([[1.0], [-1.0]], [1024]),
+        ([[1.0], [-1.0], [1.0], [-1.0]], [1024]),
+        ([[2.0], [0.0]], [1024]),
+        ([[0.75], [1.0]], [1024]),
+        ([[0.5], [0.25]], [1023]),
+        ([[5e-324], [0.0], [5e-324]], [0]),
+        ([[0.5], [0.5 + 2**-53]], [-1073]),
+    ])
+    def test_decisions_equal_numpys(self, block, e):
+        assert self.python_flat(block, e) == list(self.numpy_flat(block, e))

@@ -51,6 +51,7 @@ from mirrordde import (
     svd_values,
 )
 from mirrordde import numerics, solver
+from mirrordde.numerics import lasso_objective
 from mirrordde.solver import _max_deviation, _require_regime
 
 from oracles import (
@@ -1142,6 +1143,15 @@ def _lasso(data) -> list[float]:
                      data.draw(LAMBDAS))
 
 
+def _objective(data) -> float:
+    """``lasso_objective`` of a drawn table's first column on its other
+    columns, at drawn coefficients."""
+    table = _table(data)
+    return lasso_objective([row[1:] for row in table],
+                           [row[0] for row in table], data.draw(LAMBDAS),
+                           [_f(data) for _ in table[0][1:]])
+
+
 EXP = RegimeTag.EXPONENTIAL
 
 ENTRY_POINTS = {
@@ -1170,6 +1180,7 @@ ENTRY_POINTS = {
     "svd_values": lambda d: svd_values(_table(d)),
     "standardize": lambda d: standardize(_features(d)),
     "lasso_fit": _lasso,
+    "lasso_objective": _objective,
     "rank_journals": lambda d: rank_journals(_features(d), "f0",
                                              d.draw(LAMBDAS)),
 }
@@ -1192,8 +1203,8 @@ def returned_floats(result) -> list[float]:
 
 class TestFiniteOrTyped:
     """Each public entry point that takes scalars, or a small table of
-    them, returns only finite floats or raises a :class:`MirrorDdeError`, on
-    edge and ordinary floats alike.  The package documents three other
+    them, and C12's ``lasso_objective``, returns only finite floats or
+    raises a :class:`MirrorDdeError`, on edge and ordinary floats alike.  The package documents three other
     exceptions: ``KeyError`` from the feature lookups, ``ControlConfig``'s
     ``TypeError`` for a term of the wrong type, and ``fit_ab``'s infinite
     ``rss``; none of them is reachable from float arguments to these entry
