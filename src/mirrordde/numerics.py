@@ -133,7 +133,9 @@ def solve_2x2(m11: float, m12: float, m21: float, m22: float,
     if not tol < math.inf:
         # the product of the row norms overflowed: scale before multiplying
         tol = math.hypot(SOLVE2_RTOL * m11, SOLVE2_RTOL * m12) * h2
-    if not math.isfinite(det) or abs(det) <= tol:
+    # tol is nan only as 0 * inf: a zero first row under an overflowing
+    # second-row norm, which is singular
+    if not math.isfinite(det) or not abs(det) > tol:
         raise SingularSystem(
             f"2x2 system is singular to working precision (det={det!r})"
         )

@@ -242,6 +242,11 @@ class TestSolve2x2:
         with pytest.raises(SingularSystem, match=r"\(det=0\.0\)"):
             solve_2x2(1.5e308, 1.5e308, 0.0, 0.0, 1.0, 1.0)
 
+    def test_zero_first_row_under_an_overflowing_norm_is_singular(self):
+        # the tolerance is 0 * inf = nan here; this once divided by det = 0
+        with pytest.raises(SingularSystem, match=r"\(det=0\.0\)"):
+            solve_2x2(0.0, 0.0, 1e308, 1.7976931348623157e308, 0.0, 0.0)
+
     @given(m=st.lists(st.floats(allow_nan=False, allow_infinity=False),
                       min_size=4, max_size=4),
            near=st.floats(min_value=-4e-12, max_value=4e-12),
