@@ -154,20 +154,26 @@ def solve_2x2(m11: float, m12: float, m21: float, m22: float,
 #: of a few thousand columns would not even compile (its sums nest k deep).
 SWEEP_KERNEL_MAX_K = 20
 
-#: The coordinate-descent sweep generators of :func:`_sweep_kernel`, by
-#: column count; each is built on first use, so there are at most
+#: The coordinate-descent sweep kernels of :func:`_sweep_kernel`, by column
+#: count; each is built on first use, so there are at most
 #: :data:`SWEEP_KERNEL_MAX_K` of them.
-_SWEEP_KERNELS: dict[int, Callable[..., Iterator[list[float]]]] = {}
+_SWEEP_KERNELS: dict[int, Callable[..., tuple[list[float], bool]]] = {}
 
 
-def _sweep_kernel(k: int) -> Callable[..., Iterator[list[float]]]:
-    """The sweep generator for k <= :data:`SWEEP_KERNEL_MAX_K` columns,
-    ``kernel(c, G, scale, m, lam, tol)``, built on first use and cached.
+def _sweep_kernel(k: int) -> Callable[..., tuple[list[float], bool]]:
+    """The sweep kernel for k <= :data:`SWEEP_KERNEL_MAX_K` columns,
+    ``kernel(w, c, G, scale, m, lam, tol, budget)``, built on first use and
+    cached.
 
-    Its source is straight-line code with every ``c_j``, ``G_ji``, ``w_i``
-    and ``scale_j`` in a local: for each coordinate j in turn,
+    From the start vector ``w`` it sweeps until the largest coefficient
+    change in a sweep is at most ``tol``, or ``budget`` sweeps have run, and
+    returns the last iterate as a new list with whether it converged.  Its
+    source is straight-line code with every ``c_j``, ``G_ji``, ``w_i`` and
+    ``scale_j`` in a local: for each coordinate j in turn,
     ``v = (c_j - G_j0 * w_0 - ...) / m`` over every i != j in ascending
-    order, then the soft threshold and the largest-change rule.  Only k
+    order, then the soft threshold and the largest-change rule.  A sweep
+    reads nothing but its inputs and the previous iterate, so one call with
+    budget b and b chained calls with budget 1 give the same bits.  Only k
     enters the source, which holds k (k - 1) terms, so it grows and runs as
     O(k**2).
     """
@@ -177,14 +183,14 @@ def _sweep_kernel(k: int) -> Callable[..., Iterator[list[float]]]:
     cols = range(k)
     ws = "".join(f"w{i}, " for i in cols)
     lines = [
-        "def sweeps(c, G, scale, m, lam, tol):",
+        "def sweeps(w, c, G, scale, m, lam, tol, budget):",
         "    " + "".join(f"c{j}, " for j in cols) + "= c",
         "    " + "".join(f"s{j}, " for j in cols) + "= scale",
         "    " + "".join("(" + "".join(f"g{j}_{i}, " for i in cols) + "), "
                         for j in cols) + "= G",
-        "    " + "".join(f"w{i} = " for i in cols) + "0.0",
+        f"    {ws}= w",
         "    nlam = -lam",
-        "    while True:",
+        "    for _ in range(budget):",
         "        delta = 0.0",
     ]
     for j in cols:
@@ -204,9 +210,9 @@ def _sweep_kernel(k: int) -> Callable[..., Iterator[list[float]]]:
             f"            w{j} = wj",
         ]
     lines += [
-        f"        yield [{ws}]",
         "        if delta <= tol:",
-        "            return",
+        f"            return [{ws}], True",
+        f"    return [{ws}], False",
     ]
     namespace: dict = {}
     exec("\n".join(lines), namespace)
@@ -214,22 +220,25 @@ def _sweep_kernel(k: int) -> Callable[..., Iterator[list[float]]]:
     return kernel
 
 
-def _nonzero_sweeps(c: list[float], G: list[list[float]],
-                    scale: list[float], m: float, lam: float, tol: float
-                    ) -> Iterator[list[float]]:
-    """The sweeps of a design too wide for :func:`_sweep_kernel`, from the
-    generated kernel's inputs (G's diagonal zeroed, an infinite scale for a
-    zero column): each sum runs over the ascending indices of the nonzero
-    coefficients only, in O(k q) for q of them.  A skipped term ``g * 0.0``
-    is a signed zero, which leaves a nonzero partial sum as it is and at
-    most flips the sign of a zero one, and a zero correlation thresholds to
-    0.0 whatever its sign; so the iterates are bit for bit those of the
-    generated kernel, and a zero column never enters the nonzero list."""
+def _nonzero_sweeps(w: list[float], c: list[float], G: list[list[float]],
+                    scale: list[float], m: float, lam: float, tol: float,
+                    budget: int) -> tuple[list[float], bool]:
+    """The sweeps of a design too wide for :func:`_sweep_kernel`, with the
+    generated kernel's arguments and result (G's diagonal zeroed, an
+    infinite scale for a zero column): each sum runs over the ascending
+    indices of the nonzero coefficients only, in O(k q) for q of them.  The
+    list of those indices is rebuilt from the start vector, so it holds
+    what a longer call would have held at that sweep.  A skipped term
+    ``g * 0.0`` is a signed zero, which leaves a nonzero partial sum as it
+    is and at most flips the sign of a zero one, and a zero correlation
+    thresholds to 0.0 whatever its sign; so the iterates are bit for bit
+    those of the generated kernel, and a zero column never enters the
+    nonzero list."""
     k = len(c)
     coords = list(zip(range(k), c, G, scale))
-    w = [0.0] * k
-    nonzero: list[int] = []  # ascending indices i with w[i] != 0
-    while True:
+    w = list(w)
+    nonzero = [i for i in range(k) if w[i] != 0.0]  # ascending
+    for _ in range(budget):
         delta = 0.0
         for j, rho, g, sj in coords:
             for i in nonzero:
@@ -249,43 +258,37 @@ def _nonzero_sweeps(c: list[float], G: list[list[float]],
                     delta = change
                 if old == 0.0 or wj == 0.0:
                     nonzero = [i for i in range(k) if w[i] != 0.0]
-        yield list(w)
         if delta <= tol:
-            return
+            return w, True
+    return w, False
 
 
-def _lasso_sweeps(X: NDArray[np.float64], y: NDArray[np.float64],
-                  lam: float) -> Iterator[list[float]]:
-    """The coefficient vector after each coordinate-descent sweep.
+def _lasso_inputs(X: NDArray[np.float64], y: NDArray[np.float64]
+                  ) -> tuple[Callable[..., tuple[list[float], bool]], tuple]:
+    """The sweep kernel that fits the width of ``X`` and its inputs
+    ``(c, G, scale, m)``, formed once per fit.
 
     Covariance updates (Friedman, Hastie & Tibshirani, JSS 2010, sec. 2.2):
     ``G = X^T X`` and ``c = X^T y`` are formed once, after which each
     coordinate's correlation with the partial residual,
-    ``c_j - sum_{i != j} G_ji w_i``, costs O(k) instead of O(m).  Both
-    kernels take the inputs prepared here, ``kernel(c, G, scale, m, lam,
-    tol)``: G with its diagonal zeroed, and column j's scale, its sum of
-    squares over m, or inf where that sum is zero (all zeros, or squares
-    that underflow), so that such a column's update is a signed zero, which
+    ``c_j - sum_{i != j} G_ji w_i``, costs O(k) instead of O(m).  G comes
+    with its diagonal zeroed, and column j's scale is its sum of squares
+    over m, or inf where that sum is zero (all zeros, or squares that
+    underflow), so that such a column's update is a signed zero, which
     equals its 0.0 and never moves.  Up to :data:`SWEEP_KERNEL_MAX_K`
-    columns the kernel is the straight-line generator :func:`_sweep_kernel`
+    columns the kernel is the straight-line one :func:`_sweep_kernel`
     builds for k; wider designs run :func:`_nonzero_sweeps`, which gives
-    the same bits.  Up to rounding, the iterates are those of the
-    residual-update form from the same zero start.  The iterator stops on
-    its own once the largest single-coefficient change in a sweep drops to
-    :data:`LASSO_TOL` or below; the caller enforces the sweep cap.  A ``G``
-    or ``c`` beyond the float64 range raises :class:`NonFiniteValue` when
-    this is called, before any sweep.
+    the same bits.  A ``G`` or ``c`` beyond the float64 range raises
+    :class:`NonFiniteValue`; the caller holds numpy's overflow and invalid
+    warnings off (``np.errstate``), once for all its fits.
 
     G is read and its diagonal zeroed as nested lists, and the kernels get
     m as a float: it converts exactly below 2**53, so every ``/ m`` keeps
     its bits and takes CPython's float-by-float division.
     """
-    import numpy as np
-
     m, k = float(X.shape[0]), X.shape[1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        G = (X.T @ X).tolist()
-        c = (X.T @ y).tolist()
+    G = (X.T @ X).tolist()
+    c = (X.T @ y).tolist()
     col_sq = [row[j] for j, row in enumerate(G)]
     # by Cauchy-Schwarz a finite diagonal bounds every entry of G
     if not all(map(math.isfinite, col_sq + c)):
@@ -294,7 +297,35 @@ def _lasso_sweeps(X: NDArray[np.float64], y: NDArray[np.float64],
         row[j] = 0.0
     scale = [sq / m if sq != 0.0 else math.inf for sq in col_sq]
     kernel = _sweep_kernel(k) if k <= SWEEP_KERNEL_MAX_K else _nonzero_sweeps
-    return kernel(c, G, scale, m, lam, LASSO_TOL)
+    return kernel, (c, G, scale, m)
+
+
+def _lasso_sweeps(X: NDArray[np.float64], y: NDArray[np.float64],
+                  lam: float) -> Iterator[list[float]]:
+    """The coefficient vector after each coordinate-descent sweep.
+
+    Each sweep is one call of the kernel from :func:`_lasso_inputs` with a
+    budget of one sweep, started from the previous iterate (zero at
+    first), so the iterates are bit for bit those of the single call that
+    :func:`lasso_fit` makes.  Up to rounding they are those of the
+    residual-update form from the same zero start.  The iterator stops on
+    its own after the first sweep whose largest single-coefficient change
+    is :data:`LASSO_TOL` or below; the caller enforces any sweep cap.  A
+    ``G`` or ``c`` beyond the float64 range raises :class:`NonFiniteValue`
+    when this is called, before any sweep, without a warning.
+    """
+    import numpy as np
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        kernel, inputs = _lasso_inputs(X, y)
+
+    def sweeps() -> Iterator[list[float]]:
+        w, converged = [0.0] * X.shape[1], False
+        while not converged:
+            w, converged = kernel(w, *inputs, lam, LASSO_TOL, 1)
+            yield w
+
+    return sweeps()
 
 
 def lasso_fit(X, y, lam: float) -> list[float]:
@@ -304,7 +335,8 @@ def lasso_fit(X, y, lam: float) -> list[float]:
     design ``X``.  The caller is expected to standardize columns; the update
     itself only requires nonzero column norms (flat columns keep weight 0).
     ``lam=0`` reduces to ordinary least squares.  An ``X^T X``, ``X^T y`` or
-    coefficient beyond the float64 range raises :class:`NonFiniteValue`.
+    coefficient beyond the float64 range raises :class:`NonFiniteValue`,
+    without a numpy warning.
     """
     import numpy as np
 
@@ -321,7 +353,8 @@ def lasso_fit(X, y, lam: float) -> list[float]:
         raise TooShort("need at least 2 observations")
     if not (math.isfinite(lam) and lam >= 0.0):
         raise OutOfRange(f"lam must be non-negative and finite, got {lam!r}")
-    w = _lasso_capped(A, rhs, lam)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = _lasso_capped(A, rhs, lam)
     if not all(map(math.isfinite, w)):
         raise NonFiniteValue("a coefficient overflows float64")
     return w
@@ -329,16 +362,21 @@ def lasso_fit(X, y, lam: float) -> list[float]:
 
 def _lasso_capped(X: NDArray[np.float64], y: NDArray[np.float64],
                   lam: float) -> list[float]:
-    """:func:`lasso_fit` without its checks: the last of at most
-    :data:`LASSO_MAX_SWEEPS` sweeps, or :class:`ConvergenceFailure`.  The
-    caller guarantees a finite float design with at least 2 rows, a
-    matching finite response and a finite ``lam >= 0``."""
-    for count, w in enumerate(_lasso_sweeps(X, y, lam), 1):
-        if count > LASSO_MAX_SWEEPS:
-            raise ConvergenceFailure(
-                f"coordinate descent did not converge within "
-                f"{LASSO_MAX_SWEEPS} sweeps"
-            )
+    """:func:`lasso_fit` without its checks: one kernel call from zero with
+    a budget of :data:`LASSO_MAX_SWEEPS` sweeps (read at call time), whose
+    last iterate is :func:`_lasso_sweeps`' last, or
+    :class:`ConvergenceFailure` if the budget runs out first.  The caller
+    guarantees a finite float design with at least 2 rows, a matching
+    finite response and a finite ``lam >= 0``, and holds numpy's overflow
+    and invalid warnings off (see :func:`_lasso_inputs`)."""
+    kernel, inputs = _lasso_inputs(X, y)
+    w, converged = kernel([0.0] * X.shape[1], *inputs, lam, LASSO_TOL,
+                          LASSO_MAX_SWEEPS)
+    if not converged:
+        raise ConvergenceFailure(
+            f"coordinate descent did not converge within "
+            f"{LASSO_MAX_SWEEPS} sweeps"
+        )
     return w
 
 
@@ -349,8 +387,16 @@ def lasso_objective(X, y, lam: float, w) -> float:
     held to one coefficient per column of ``X``: a shape that does not fit
     raises :class:`DimensionMismatch`, a non-finite entry
     :class:`NonFiniteValue` and a negative or non-finite ``lam``
-    :class:`OutOfRange`.  A residual or objective beyond the float64 range
-    raises :class:`NonFiniteValue`, without a warning.
+    :class:`OutOfRange`.  An objective beyond the float64 range raises
+    :class:`NonFiniteValue`, without a warning.
+
+    The value is the plain expression wherever that is finite.  Where the
+    residual's sum of squares or the l1 norm overflows, it is formed again
+    from power-of-two-scaled vectors, so an objective that float64 holds
+    is returned even when one of its sums is not.  A residual entry beyond
+    the float64 range raises: a product in ``X w`` has then overflowed,
+    and unless such products are exact, float64 resolves their sum only to
+    about 1e292, whose square is beyond the range too.
     """
     import numpy as np
 
@@ -371,6 +417,17 @@ def lasso_objective(X, y, lam: float, w) -> float:
         resid = rhs - A @ wv
         value = (float(resid @ resid) / (2.0 * m)
                  + lam * float(np.abs(wv).sum()))
+        if not math.isfinite(value) and np.isfinite(resid).all():
+            # both sums of the vectors scaled by _pow2_scaled, scaled back
+            # by math.ldexp: wherever no scaled square underflows, each is
+            # the plain sum times a power of two, bit for bit
+            r, er = _pow2_scaled(resid)
+            a, ea = _pow2_scaled(wv)
+            try:
+                value = (math.ldexp(float(r @ r) / (2.0 * m), 2 * int(er))
+                         + math.ldexp(lam * float(np.abs(a).sum()), int(ea)))
+            except OverflowError:
+                pass  # beyond float64: value stays non-finite
     if not math.isfinite(value):
         raise NonFiniteValue("the residual or the objective overflows float64")
     return value

@@ -22,7 +22,7 @@ from .errors import (
     UnknownResponseFeature,
     ZeroVarianceColumn,
 )
-from .numerics import _lasso_capped, _pow2_scaled, _sum_left_to_right
+from .numerics import _lasso_capped, _pow2_scaled
 
 if TYPE_CHECKING:
     import numpy as np
@@ -61,14 +61,19 @@ def _standardized(block: NDArray[np.float64], e: list[int],
     leading-rows view of one: then each column reduction sums the
     contiguous column in numpy's pairwise order, as a 1-d column view does,
     whereas on a C-ordered block numpy sums row by row and the last bit
-    differs.  The block is only read.
+    differs.  The block is only read; each statistic is reduced with
+    ``np.add.reduce``, which is what ``ndarray.sum`` calls, and divided in
+    place.
     """
     import numpy as np
 
     m = block.shape[0]
-    mu = block.sum(axis=0) / m  # the bits of block.mean(axis=0)
+    mu = np.add.reduce(block, axis=0)
+    mu /= m  # the bits of block.mean(axis=0)
     dev = block - mu
-    sigma = np.sqrt((dev ** 2).sum(axis=0) / m)
+    sigma = np.add.reduce(dev * dev, axis=0)
+    sigma /= m
+    np.sqrt(sigma, out=sigma)
     # the rule on the k statistics as floats, with np.ldexp's decisions:
     # math.ldexp raises where np.ldexp gives inf, which takes e = 1024 and
     # a scaled |mu| or sigma of at least 1; an infinite mean makes any
@@ -84,8 +89,9 @@ def _standardized(block: NDArray[np.float64], e: list[int],
                                      column=name)
     if m == 2:
         # past the flat check both deviations are nonzero and opposite: ±1
-        return np.sign(dev)
-    return dev / sigma
+        return np.sign(dev, out=dev)
+    dev /= sigma
+    return dev
 
 
 def standardize(matrix: FeatureMatrix) -> FeatureMatrix:
@@ -133,7 +139,13 @@ def rank_journals(matrix: FeatureMatrix, response_feature: str,
     order; an elimination shifts the rows below it up by one.  Each step
     standardizes a view of those rows, in which every column is still
     contiguous with the smallest stride, so each column reduction is the
-    same pairwise sum as on a fresh copy of the rows, bit for bit.
+    same pairwise sum as on a fresh copy of the rows, bit for bit.  Each
+    regression is one call of the sweep kernel, and one ``np.errstate``
+    holds numpy's overflow and invalid warnings off for the whole
+    elimination, as the lasso's preparation needs; no standardization or
+    norm of a finite table overflows or makes a nan.  The row norm sums the
+    coefficients as Python floats left to right, in the order of
+    ``s = 0.0; s += x`` (from Python 3.12 the builtin ``sum`` compensates).
 
     Returns the ranking together with the full elimination trace.  A
     feature column going flat mid-elimination raises
@@ -162,39 +174,47 @@ def rank_journals(matrix: FeatureMatrix, response_feature: str,
     steps: list[TraceStep] = []
     row_norm = singval = survivor_col_norm = 0.0
 
-    for step in range(1, m):
-        rows = len(remaining)
-        try:
-            std = _standardized(buf[:rows], e, matrix.feature_names)
-            # the block is finite with at least 2 rows, and lam is checked
-            coeffs = _lasso_capped(std[:, pred_idx], std[:, resp_idx], lam)
-        except ZeroVarianceColumn as exc:
-            raise ZeroVarianceColumn(
-                f"step {step}: {exc}", column=exc.column, step=step
-            ) from exc
-        except ConvergenceFailure as exc:
-            raise ConvergenceFailure(f"step {step}: {exc}") from exc
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, m):
+            rows = len(remaining)
+            try:
+                std = _standardized(buf[:rows], e, matrix.feature_names)
+                # the block is finite with at least 2 rows, and lam is
+                # checked
+                coeffs = _lasso_capped(std[:, pred_idx], std[:, resp_idx],
+                                       lam)
+            except ZeroVarianceColumn as exc:
+                raise ZeroVarianceColumn(
+                    f"step {step}: {exc}", column=exc.column, step=step
+                ) from exc
+            except ConvergenceFailure as exc:
+                raise ConvergenceFailure(f"step {step}: {exc}") from exc
 
-        w = np.array(coeffs)
-        singval = math.sqrt(float(w @ w))
-        row_norm = _sum_left_to_right(np.abs(w)) / (n - 1)
+            w = np.array(coeffs)
+            singval = math.sqrt(float(w @ w))
+            row_norm = 0.0
+            for x in coeffs:
+                row_norm += abs(x)
+            row_norm /= n - 1
 
-        # C order sums each row in pairwise order, as a 1-d row view would
-        col_norms = np.abs(std, order="C").sum(axis=1) / n
-        gaps = col_norms - row_norm
-        best = int(np.abs(gaps, out=gaps).argmin())
+            # C order sums each row in pairwise order, as a 1-d row view
+            # would
+            col_norms = np.add.reduce(np.abs(std, order="C"), axis=1)
+            col_norms /= n
+            gaps = col_norms - row_norm
+            best = int(np.abs(gaps, out=gaps).argmin())
 
-        if step == m - 1:
-            survivor_col_norm = float(col_norms[1 - best])
-        steps.append(TraceStep(
-            step_index=step,
-            journal_name=names[remaining[best]],
-            row_norm=row_norm,
-            chosen_col_norm=float(col_norms[best]),
-            singval=singval,
-        ))
-        del remaining[best]
-        buf[best:rows - 1] = buf[best + 1:rows]
+            if step == m - 1:
+                survivor_col_norm = float(col_norms[1 - best])
+            steps.append(TraceStep(
+                step_index=step,
+                journal_name=names[remaining[best]],
+                row_norm=row_norm,
+                chosen_col_norm=float(col_norms[best]),
+                singval=singval,
+            ))
+            del remaining[best]
+            buf[best:rows - 1] = buf[best + 1:rows]
 
     # The survivor inherits the score of the last regression it was part of.
     steps.append(TraceStep(

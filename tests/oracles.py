@@ -298,20 +298,28 @@ def _stepwise_standardized(block, e, feature_names):
 
 def _stepwise_lasso(X, y, lam):
     """The capped coordinate descent with G's diagonal read and zeroed on
-    the numpy array and an integer m handed to the sweep kernel."""
+    the numpy array and an integer m handed to the sweep kernel.  The
+    kernel runs one sweep per call, chained from the previous iterate and
+    counted here against the cap, and the fit holds numpy's overflow and
+    invalid warnings off on its own, so the caller's ``np.errstate``
+    reaches the standardization and the norms alone."""
     m, k = X.shape
-    G = X.T @ X
-    c = (X.T @ y).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = X.T @ X
+        c = (X.T @ y).tolist()
     col_sq = G.diagonal().tolist()
     np.fill_diagonal(G, 0.0)
+    G = G.tolist()
     scale = [sq / m if sq != 0.0 else math.inf for sq in col_sq]
     kernel = _sweep_kernel(k) if k <= SWEEP_KERNEL_MAX_K else _nonzero_sweeps
-    for count, w in enumerate(kernel(c, G.tolist(), scale, m, lam,
-                                     LASSO_TOL), 1):
+    w, converged, count = [0.0] * k, False, 0
+    while not converged:
+        count += 1
         if count > LASSO_MAX_SWEEPS:
             raise ConvergenceFailure(
                 f"coordinate descent did not converge within "
                 f"{LASSO_MAX_SWEEPS} sweeps")
+        w, converged = kernel(w, c, G, scale, m, lam, LASSO_TOL, 1)
     return w
 
 

@@ -887,6 +887,23 @@ class TestRank:
             "ERROR 2: step 1: coordinate descent did not converge within "
             "1 sweeps")
 
+    def test_sweep_cap_of_an_ordinary_table(self, data_dir):
+        """A benchmark-style table that reaches the real sweep cap.
+
+        ``rank_cap_m36.csv`` is ``bench/workloads.py::_write_table(path, 1,
+        names, 8)`` with journals ``J000001``..``J000036``: the table seed
+        that the benchmark's 36-by-8 table skips because it fails.  At step
+        34, with 3 journals and 7 predictors left, coordinate descent runs
+        out of its 10000 sweeps."""
+        code, out, err = run_cli("rank", "--input",
+                                 str(data_dir / "rank_cap_m36.csv"),
+                                 "--response", "SJR", "--lambda", "0.08")
+        assert (code, out) == (2, "")
+        assert err == (
+            "response=SJR lambda=0.08\n"
+            "ERROR 2: step 34: coordinate descent did not converge within "
+            "10000 sweeps\n")
+
     def test_explicit_response_and_lambda(self, data_dir):
         code, _, err = run_cli("rank", "--input",
                                str(data_dir / "rank_m5.csv"),

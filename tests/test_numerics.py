@@ -385,15 +385,23 @@ class TestLasso:
         assert w[1] == pytest.approx(1.0, abs=1e-8)
 
     def test_sweep_cap_is_inclusive(self, monkeypatch):
+        # a fit that converges at sweep N returns the last of the N sweeps
+        # under a cap of N and raises under N - 1
         X, y = random_design(7, m=20, k=3)
         sweeps = list(_lasso_sweeps(X, y, 0.05))
         assert len(sweeps) > 1
         monkeypatch.setattr(numerics, "LASSO_MAX_SWEEPS", len(sweeps))
-        assert lasso_fit(X, y, 0.05) == sweeps[-1]
+        assert hex_sweeps([lasso_fit(X, y, 0.05)]) == hex_sweeps(sweeps[-1:])
         monkeypatch.setattr(numerics, "LASSO_MAX_SWEEPS", len(sweeps) - 1)
-        with pytest.raises(ConvergenceFailure,
-                           match=f"within {len(sweeps) - 1} sweeps"):
+        with pytest.raises(ConvergenceFailure) as info:
             lasso_fit(X, y, 0.05)
+        assert str(info.value) == (f"coordinate descent did not converge "
+                                   f"within {len(sweeps) - 1} sweeps")
+
+    def test_sweep_cap_is_inclusive_in_the_loop(self, monkeypatch):
+        # the same boundary in the loop over the nonzero coefficients
+        monkeypatch.setattr(numerics, "SWEEP_KERNEL_MAX_K", 0)
+        self.test_sweep_cap_is_inclusive(monkeypatch)
 
     def test_argument_validation(self):
         X, y = random_design(1)
@@ -449,6 +457,35 @@ class TestLassoObjective:
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteValue, match="overflows float64"):
                 lasso_objective([[1e200]], [1e200], 0.1, [-1e200])
+
+    def test_square_sum_that_overflows_before_the_division(self):
+        # the residual -1.5e154 squares to about 2.25e308, beyond float64,
+        # but half of it is not: the value is the exact square of the float
+        # residual the plain expression forms, rounded once, then halved
+        resid = 1.5 * 1e154
+        want = float(Fraction(resid) ** 2 / 2)
+        assert want == 1.1250000000000002e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = lasso_objective([[1e154]], [0.0], 0.0, [1.5])
+        assert got.hex() == want.hex()
+
+    def test_l1_norm_that_overflows_before_the_penalty_weight(self):
+        # |w|_1 = 2e308 overflows, lam * |w|_1 = 1e308 does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = lasso_objective([[0.0, 0.0]], [0.0], 0.5, [1e308, 1e308])
+        assert got.hex() == (1e308).hex()
+        assert got == float(Fraction(1, 2) * 2 * Fraction(1e308))
+
+    def test_objective_beyond_float64_still_raises(self):
+        # 1.125e308 + 1.5e308: each term is finite once scaled, their sum
+        # is not
+        with pytest.raises(NonFiniteValue, match="overflows float64"):
+            lasso_objective([[1e154]], [0.0], 1e308, [1.5])
+        # a residual entry of -1e310
+        with pytest.raises(NonFiniteValue, match="overflows float64"):
+            lasso_objective([[1e300]], [0.0], 0.0, [1e10])
 
     @pytest.mark.parametrize("y, w, error, match", [
         ([math.nan, 1.0], [1.0], NonFiniteValue,
@@ -589,25 +626,33 @@ class TestLassoAgainstDenseKernel:
         assert hex_sweeps(got) == hex_sweeps(want)
         if cap is None:
             return
-        # lasso_fit stops at the cap after as many sweeps as the dense kernel
+        # lasso_fit makes one kernel call with the cap as its budget, and
+        # stops where the dense kernel stands after as many sweeps
         seen = []
+        prepare = numerics._lasso_inputs
 
-        def counted(*args):
-            for w in _lasso_sweeps(*args):
-                seen.append(w)
-                yield w
+        def recorded(X, y):
+            kernel, inputs = prepare(X, y)
+
+            def run(*args):
+                seen.append(kernel(*args))
+                return seen[-1]
+
+            return run, inputs
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(numerics, "LASSO_MAX_SWEEPS", cap)
-            patch.setattr(numerics, "_lasso_sweeps", counted)
+            patch.setattr(numerics, "_lasso_inputs", recorded)
             if len(want) <= cap:
                 assert hex_sweeps([lasso_fit(X, y, lam)]) == hex_sweeps(want[-1:])
+                assert [converged for _, converged in seen] == [True]
                 return
             with pytest.raises(ConvergenceFailure) as info:
                 lasso_fit(X, y, lam)
         assert str(info.value) == (
             f"coordinate descent did not converge within {cap} sweeps")
-        assert hex_sweeps(seen) == hex_sweeps(want[:cap + 1])
+        assert [converged for _, converged in seen] == [False]
+        assert hex_sweeps([seen[0][0]]) == hex_sweeps(want[cap - 1:cap])
 
     def test_reentry_example_leaves_zero_twice(self):
         """In the first example above one coefficient leaves zero, returns
@@ -634,6 +679,53 @@ class TestLassoAgainstDenseKernel:
             got = list(_lasso_sweeps(X, y, lam))
             assert hex_sweeps(got) == hex_sweeps(want)
             assert all(w[2].hex() == "0x0.0p+0" for w in got)
+
+
+class TestKernelBudget:
+    """A kernel call with a budget of b sweeps is b chained calls with a
+    budget of one, each from the previous iterate, to the bit: a sweep
+    reads only its inputs and the iterate it starts from, and the loop over
+    the nonzero coefficients rebuilds its index list from that iterate.
+    ``_lasso_sweeps`` is such a chain and ``lasso_fit`` one long call, so
+    this is what lets C12's sweeps stand for the fit's."""
+
+    @given(m=st.integers(2, 30),
+           k=st.integers(1, numerics.SWEEP_KERNEL_MAX_K + 10),
+           seed=st.integers(0, 2**32 - 1), standardized=st.booleans(),
+           zero_col=st.booleans(), dup_col=st.booleans(),
+           lam=st.sampled_from([0.0, 0.05, 0.1]))
+    @example(**REENTRY)
+    @example(m=5, k=6, seed=1, standardized=True, zero_col=True,
+             dup_col=False, lam=0.0)
+    @example(m=9, k=numerics.SWEEP_KERNEL_MAX_K + 4, seed=3,
+             standardized=False, zero_col=True, dup_col=True, lam=0.05)
+    @settings(deadline=None)
+    def test_one_call_is_chained_single_sweeps(self, m, k, seed, standardized,
+                                               zero_col, dup_col, lam):
+        X, y = drawn_design(m, k, seed, standardized, zero_col, dup_col)
+        kernel, inputs = numerics._lasso_inputs(X, y)
+        assert (kernel is numerics._nonzero_sweeps) == (
+            k > numerics.SWEEP_KERNEL_MAX_K)
+        start = [0.0] * k
+        w, converged = kernel(start, *inputs, lam, numerics.LASSO_TOL,
+                              SWEEP_WINDOW)
+        chained, done, count = start, False, 0
+        while not done and count < SWEEP_WINDOW:
+            chained, done = kernel(chained, *inputs, lam, numerics.LASSO_TOL,
+                                   1)
+            count += 1
+        assert start == [0.0] * k  # the start vector is only read
+        assert (hex_sweeps([w]), converged) == (hex_sweeps([chained]), done)
+        if zero_col and k > 1:
+            assert w[k // 2].hex() == "0x0.0p+0"
+
+    @pytest.mark.parametrize("k", [3, numerics.SWEEP_KERNEL_MAX_K + 2])
+    def test_zero_budget_returns_the_start_unconverged(self, k):
+        X, y = drawn_design(12, k, 0, True, False, False)
+        kernel, inputs = numerics._lasso_inputs(X, y)
+        start = [0.5] * k
+        w, converged = kernel(start, *inputs, 0.1, numerics.LASSO_TOL, 0)
+        assert (w, converged) == (start, False) and w is not start
 
 
 class TestSweepKernelCache:

@@ -391,32 +391,41 @@ def outcome_bits(outcome):
         for records in outcome)
 
 
+def working_buffer_table(seed, m, k, data):
+    """A lognormal table with one column scaled by a power of two up to the
+    top of float64, and optionally one journal's cell copied into others,
+    so that the column goes flat once the journals holding other values are
+    gone; from 8 features the row sums of the column norms run pairwise.
+    Returns the table and a drawn response feature."""
+    values = lognormal_table(seed, m, k)
+    col = data.draw(st.integers(min_value=0, max_value=k - 1))
+    top = 1024 - math.frexp(float(values[:, col].max()))[1]
+    power = data.draw(st.integers(min_value=0, max_value=top))
+    values[:, col] = np.ldexp(values[:, col], power)
+    copies = data.draw(st.lists(st.integers(min_value=0, max_value=m - 1),
+                                max_size=m - 1, unique=True))
+    if copies:
+        source, flat_col = copies[0], data.draw(st.integers(0, k - 1))
+        values[copies, flat_col] = values[source, flat_col]
+    names = tuple(f"J{i}" for i in range(m))
+    feats = tuple(f"f{j}" for j in range(k))
+    response = data.draw(st.sampled_from(feats))
+    return FeatureMatrix(names, feats, values), response
+
+
+working_buffer_draws = given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    m=st.integers(min_value=3, max_value=40),
+    k=st.integers(min_value=3, max_value=10),
+    lam=st.sampled_from([0.0, 0.05, 0.1]),
+    data=st.data())
+
+
 class TestWorkingBuffer:
-    @given(seed=st.integers(min_value=0, max_value=2**31 - 1),
-           m=st.integers(min_value=3, max_value=40),
-           k=st.integers(min_value=3, max_value=10),
-           lam=st.sampled_from([0.0, 0.05, 0.1]),
-           data=st.data())
+    @working_buffer_draws
     @settings(max_examples=150, deadline=None)
     def test_bits_of_the_stepwise_rebuild(self, seed, m, k, lam, data):
-        # one column scaled by a power of two up to the top of float64, and
-        # optionally one journal's cell copied into others, so that the
-        # column goes flat once the journals holding other values are gone;
-        # from 8 features the row sums of the column norms run pairwise
-        values = lognormal_table(seed, m, k)
-        col = data.draw(st.integers(min_value=0, max_value=k - 1))
-        top = 1024 - math.frexp(float(values[:, col].max()))[1]
-        power = data.draw(st.integers(min_value=0, max_value=top))
-        values[:, col] = np.ldexp(values[:, col], power)
-        copies = data.draw(st.lists(st.integers(min_value=0, max_value=m - 1),
-                                    max_size=m - 1, unique=True))
-        if copies:
-            source, flat_col = copies[0], data.draw(st.integers(0, k - 1))
-            values[copies, flat_col] = values[source, flat_col]
-        names = tuple(f"J{i}" for i in range(m))
-        feats = tuple(f"f{j}" for j in range(k))
-        response = data.draw(st.sampled_from(feats))
-        table = FeatureMatrix(names, feats, values)
+        table, response = working_buffer_table(seed, m, k, data)
         got = ranking_outcome(table, response, lam)
         if got[0] is ZeroVarianceColumn:
             event("flat at step 1" if got[1].startswith("step 1:")
@@ -425,6 +434,21 @@ class TestWorkingBuffer:
             event(got[0].__name__ if isinstance(got[0], type) else "ranked")
         want = ranking_outcome(table, response, lam, stepwise_ranking)
         assert outcome_bits(got) == outcome_bits(want)
+
+    @working_buffer_draws
+    @settings(max_examples=150, deadline=None)
+    def test_standardization_and_norms_raise_no_float_error(self, seed, m, k,
+                                                           lam, data):
+        # rank_journals holds numpy's overflow and invalid warnings off for
+        # its whole elimination; the stepwise rebuild holds them off only
+        # inside each fit, so with them raising here, a standardization or
+        # a norm that overflowed or made a nan would raise
+        # FloatingPointError, which is no MirrorDdeError
+        table, response = working_buffer_table(seed, m, k, data)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            outcome = ranking_outcome(table, response, lam, stepwise_ranking)
+        event(outcome[0].__name__ if isinstance(outcome[0], type)
+              else "ranked")
 
 
 class TestFlatnessEdges:
