@@ -59,7 +59,7 @@ from .errors import (
 )
 from .fitting import fit_pipeline
 from .numerics import FdMode
-from .ranking import rank_journals
+from .ranking import DEFAULT_LAMBDA, rank_journals
 from .solver import (
     _max_deviation,
     classify,
@@ -84,9 +84,6 @@ EXIT_VERIFY = 6
 
 #: Verify accepts the closed form when it stays this close to the oracle.
 VERIFY_TOL = 1e-6
-
-#: Default ranking penalty weight.
-DEFAULT_LAMBDA = 0.1
 
 #: Largest ``simulate --steps``: above 2**53, consecutive grid indices are
 #: no longer distinct floats.
@@ -356,17 +353,6 @@ def _csv_rows(path: str, data: bytes) -> Iterator[tuple[int, list[str]]]:
         raise _CliError(EXIT_USAGE, f"{path!r} is empty")
 
 
-def _after_rest(rows: Iterator[tuple[int, list[str]]],
-                fault: _CliError) -> _CliError:
-    """``fault``, once the rest of ``rows`` is read and dropped: a csv fault
-    further on is raised instead, so a file reports what a reader of every
-    row before any check would (csv fault, empty file, header, first bad
-    row)."""
-    for _ in rows:
-        pass
-    return fault
-
-
 def _plain_series(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     """The t and p columns of a plain ``t,p`` file, or None for any other.
 
@@ -412,7 +398,9 @@ def _plain_series(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
 def _read_series_csv(path: str) -> tuple[ArrayLike, ArrayLike]:
     """The t and p columns of the ``t,p`` file at ``path``: the plain reader's
     float64 arrays, else two ``array('d')`` that the csv rows are converted
-    into one by one."""
+    into one by one.  A header or row error is raised once the rest of the
+    rows are read, so a csv fault further on is raised instead: a file
+    reports what a reader of every row before any check would."""
     from array import array
 
     data = _read_bytes(path)
@@ -420,26 +408,26 @@ def _read_series_csv(path: str) -> tuple[ArrayLike, ArrayLike]:
     if columns is not None:
         return columns
     rows = _csv_rows(path, data)
-    _, header = next(rows)
-    if [cell.strip() for cell in header[:2]] != ["t", "p"]:
-        raise _after_rest(rows, _CliError(
-            EXIT_USAGE,
-            f"{path!r} must start with header 't,p', got {header!r}",
-        ))
     times, values = array("d"), array("d")
-    for lineno, row in rows:
-        if len(row) < 2:
-            raise _after_rest(rows, _CliError(
-                EXIT_USAGE, f"{path!r} line {lineno}: expected 't,p' values"
-            ))
-        try:
-            times.append(float(row[0]))
-            values.append(float(row[1]))
-        except ValueError:
-            raise _after_rest(rows, _CliError(
-                EXIT_USAGE,
-                f"{path!r} line {lineno}: not numeric: {row[:2]!r}",
-            )) from None
+    try:
+        _, header = next(rows)
+        if [cell.strip() for cell in header[:2]] != ["t", "p"]:
+            raise _CliError(EXIT_USAGE, f"{path!r} must start with header "
+                                        f"'t,p', got {header!r}")
+        for lineno, row in rows:
+            if len(row) < 2:
+                raise _CliError(EXIT_USAGE, f"{path!r} line {lineno}: "
+                                            f"expected 't,p' values")
+            try:
+                times.append(float(row[0]))
+                values.append(float(row[1]))
+            except ValueError:
+                raise _CliError(EXIT_USAGE, f"{path!r} line {lineno}: not "
+                                            f"numeric: {row[:2]!r}") from None
+    except _CliError:
+        for _ in rows:  # a csv fault further on is raised instead
+            pass
+        raise
     return times, values
 
 
@@ -473,33 +461,35 @@ def cmd_fit(args) -> None:
 
 
 def _read_journals_csv(path: str) -> FeatureMatrix:
+    """The table of the ``journal,<features...>`` file at ``path``, with the
+    error precedence of :func:`_read_series_csv`."""
     rows = _csv_rows(path, _read_bytes(path))
-    _, header = next(rows)
-    if header[0].strip() != "journal" or len(header) < 3:
-        raise _after_rest(rows, _CliError(
-            EXIT_USAGE,
-            f"{path!r} must start with header 'journal,<feature1>,"
-            f"<feature2>,...', got {header!r}",
-        ))
-    feature_names = [cell.strip() for cell in header[1:]]
     journal_names: list[str] = []
     data: list[list[float]] = []
-    for lineno, row in rows:
-        if len(row) != len(header):
-            raise _after_rest(rows, _CliError(
-                EXIT_USAGE,
-                f"{path!r} line {lineno}: expected {len(header)} cells, "
-                f"got {len(row)}",
-            ))
-        journal_names.append(row[0].strip())
-        try:
-            data.append([float(cell) for cell in row[1:]])
-        except ValueError:
-            raise _after_rest(rows, _CliError(
-                EXIT_USAGE, f"{path!r} line {lineno}: non-numeric feature value"
-            )) from None
+    try:
+        _, header = next(rows)
+        if header[0].strip() != "journal" or len(header) < 3:
+            raise _CliError(EXIT_USAGE, f"{path!r} must start with header "
+                                        f"'journal,<feature1>,<feature2>,"
+                                        f"...', got {header!r}")
+        for lineno, row in rows:
+            if len(row) != len(header):
+                raise _CliError(EXIT_USAGE, f"{path!r} line {lineno}: "
+                                            f"expected {len(header)} cells, "
+                                            f"got {len(row)}")
+            journal_names.append(row[0].strip())
+            try:
+                data.append([float(cell) for cell in row[1:]])
+            except ValueError:
+                raise _CliError(EXIT_USAGE, f"{path!r} line {lineno}: non-"
+                                            f"numeric feature value") from None
+    except _CliError:
+        for _ in rows:  # a csv fault further on is raised instead
+            pass
+        raise
     return FeatureMatrix(journal_names=tuple(journal_names),
-                         feature_names=tuple(feature_names),
+                         feature_names=tuple(cell.strip()
+                                             for cell in header[1:]),
                          data=data)
 
 

@@ -58,15 +58,14 @@ def fit_ab(series: InfluenceSeries,
     index i is regressed on the mirrored sample x_i = values[n-1-i] and the
     direct sample y_i = values[i], both slices of the float64 array.  Returns
     (a, b, rss), rss the sum of squared residuals, inf where it exceeds the
-    float64 range.  The regression runs on the series scaled by
-    :func:`~mirrordde.numerics._pow2_scaled`, so no sum overflows and (a, b)
-    do not change bit for bit when the series is scaled by a power of two
-    (while every sample and difference quotient stays a normal float).
-    A flat or mirror-symmetric series, or Gram sums that still overflow
-    float64, make the normal matrix singular and raise
-    :class:`DegenerateSystem` with stage ``"fit_ab"``; a non-finite solution
-    of the normal equations (as overflowing right-hand-side sums give)
-    raises :class:`NonFiniteValue`.
+    float64 range.  The series and the quotients are each scaled by
+    :func:`~mirrordde.numerics._pow2_scaled`, and the solution back, so no
+    sum overflows and (a, b) do not change bit for bit when the series is
+    scaled by a power of two (while every sample and difference quotient
+    stays a normal float).  A flat or mirror-symmetric series, or Gram sums
+    that still overflow float64, make the normal matrix singular and raise
+    :class:`DegenerateSystem` with stage ``"fit_ab"``; an (a, b) beyond the
+    float64 range (as a subnormal step gives) raises :class:`NonFiniteValue`.
     """
     z = finite_diff(series, fd_mode)
     if len(z) < 3:
@@ -76,11 +75,11 @@ def fit_ab(series: InfluenceSeries,
     import numpy as np
 
     values, e = _pow2_scaled(series.values)
-    np.ldexp(z, -e, out=z)
     first = 1 if fd_mode is FdMode.CENTRAL else 0
     usable = slice(first, first + len(z))
     x, y = values[::-1][usable], values[usable]
     with np.errstate(over="ignore", invalid="ignore"):
+        z, ez = _pow2_scaled(z)  # so the fit gives (a, b) * 2**(e - ez)
         # one product at a time, each summed and dropped before the next
         sxx, sxy, syy, szx, szy = (_sum_left_to_right(u * v) for u, v in
                                    ((x, x), (x, y), (y, y), (z, x), (z, y)))
@@ -94,7 +93,11 @@ def fit_ab(series: InfluenceSeries,
         resid = z - a * x
         resid -= b * y
         resid *= resid
-        return a, b, float(np.ldexp(_sum_left_to_right(resid), 2 * e))
+        rss = float(np.ldexp(_sum_left_to_right(resid), 2 * ez))
+        a, b = (float(np.ldexp(v, ez - e)) for v in (a, b))
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise NonFiniteValue(f"fit_ab's (a, b) = ({a!r}, {b!r}) leave float64")
+    return a, b, rss
 
 
 def _rate(a_fd: float, b_fd: float, h: float,

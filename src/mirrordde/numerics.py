@@ -23,6 +23,7 @@ called, so a process that never uses them never loads it.
 
 from __future__ import annotations
 
+import functools
 import math
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Iterator
@@ -154,22 +155,18 @@ def solve_2x2(m11: float, m12: float, m21: float, m22: float,
 #: of a few thousand columns would not even compile (its sums nest k deep).
 SWEEP_KERNEL_MAX_K = 20
 
-#: The coordinate-descent sweep kernels of :func:`_sweep_kernel`, by column
-#: count; each is built on first use, so there are at most
-#: :data:`SWEEP_KERNEL_MAX_K` of them.
-_SWEEP_KERNELS: dict[int, Callable[..., tuple[list[float], bool]]] = {}
 
-
+@functools.cache
 def _sweep_kernel(k: int) -> Callable[..., tuple[list[float], bool]]:
-    """The sweep kernel for k <= :data:`SWEEP_KERNEL_MAX_K` columns,
-    ``kernel(w, c, G, scale, m, lam, tol, budget)``, built on first use and
-    cached.
+    """The sweep kernel for k columns, ``kernel(w, c, G, scale, m, lam, tol,
+    budget)``, chosen once per k: :func:`_nonzero_sweeps` above
+    :data:`SWEEP_KERNEL_MAX_K`, else straight-line code built on first use.
 
     From the start vector ``w`` it sweeps until the largest coefficient
     change in a sweep is at most ``tol``, or ``budget`` sweeps have run, and
-    returns the last iterate as a new list with whether it converged.  Its
-    source is straight-line code with every ``c_j``, ``G_ji``, ``w_i`` and
-    ``scale_j`` in a local: for each coordinate j in turn,
+    returns the last iterate as a new list with whether it converged.  The
+    generated source has every ``c_j``, ``G_ji``, ``w_i`` and ``scale_j`` in
+    a local: for each coordinate j in turn,
     ``v = (c_j - G_j0 * w_0 - ...) / m`` over every i != j in ascending
     order, then the soft threshold and the largest-change rule.  A sweep
     reads nothing but its inputs and the previous iterate, so one call with
@@ -177,9 +174,8 @@ def _sweep_kernel(k: int) -> Callable[..., tuple[list[float], bool]]:
     enters the source, which holds k (k - 1) terms, so it grows and runs as
     O(k**2).
     """
-    kernel = _SWEEP_KERNELS.get(k)
-    if kernel is not None:
-        return kernel
+    if k > SWEEP_KERNEL_MAX_K:
+        return _nonzero_sweeps
     cols = range(k)
     ws = "".join(f"w{i}, " for i in cols)
     lines = [
@@ -216,8 +212,7 @@ def _sweep_kernel(k: int) -> Callable[..., tuple[list[float], bool]]:
     ]
     namespace: dict = {}
     exec("\n".join(lines), namespace)
-    kernel = _SWEEP_KERNELS[k] = namespace["sweeps"]
-    return kernel
+    return namespace["sweeps"]
 
 
 def _nonzero_sweeps(w: list[float], c: list[float], G: list[list[float]],
@@ -275,10 +270,8 @@ def _lasso_inputs(X: NDArray[np.float64], y: NDArray[np.float64]
     with its diagonal zeroed, and column j's scale is its sum of squares
     over m, or inf where that sum is zero (all zeros, or squares that
     underflow), so that such a column's update is a signed zero, which
-    equals its 0.0 and never moves.  Up to :data:`SWEEP_KERNEL_MAX_K`
-    columns the kernel is the straight-line one :func:`_sweep_kernel`
-    builds for k; wider designs run :func:`_nonzero_sweeps`, which gives
-    the same bits.  A ``G`` or ``c`` beyond the float64 range raises
+    equals its 0.0 and never moves.  The kernel is :func:`_sweep_kernel`'s
+    for the width of ``X``.  A ``G`` or ``c`` beyond the float64 range raises
     :class:`NonFiniteValue`; the caller holds numpy's overflow and invalid
     warnings off (``np.errstate``), once for all its fits.
 
@@ -296,8 +289,7 @@ def _lasso_inputs(X: NDArray[np.float64], y: NDArray[np.float64]
     for j, row in enumerate(G):
         row[j] = 0.0
     scale = [sq / m if sq != 0.0 else math.inf for sq in col_sq]
-    kernel = _sweep_kernel(k) if k <= SWEEP_KERNEL_MAX_K else _nonzero_sweeps
-    return kernel, (c, G, scale, m)
+    return _sweep_kernel(k), (c, G, scale, m)
 
 
 def _lasso_sweeps(X: NDArray[np.float64], y: NDArray[np.float64],
@@ -328,31 +320,44 @@ def _lasso_sweeps(X: NDArray[np.float64], y: NDArray[np.float64],
     return sweeps()
 
 
+def _check_lam(lam: float) -> None:
+    """Raise :class:`OutOfRange` unless ``lam`` is finite and >= 0."""
+    if not (math.isfinite(lam) and lam >= 0.0):
+        raise OutOfRange(f"lam must be non-negative and finite, got {lam!r}")
+
+
+def _lasso_vector(name: str, v, size: int, design) -> NDArray[np.float64]:
+    """``v`` as a float64 array of ``size`` finite entries, else
+    :class:`DimensionMismatch` or :class:`NonFiniteValue`."""
+    import numpy as np
+
+    arr = np.asarray(v, dtype=float)
+    if arr.shape != (size,):
+        raise DimensionMismatch(f"{name} of shape {arr.shape} does not match "
+                                f"design of shape {design.shape}")
+    if not np.isfinite(arr).all():
+        raise NonFiniteValue(f"{name} contains non-finite entries")
+    return arr
+
+
 def lasso_fit(X, y, lam: float) -> list[float]:
     """l1-penalized least squares by cyclic coordinate descent.
 
     Minimizes ``||y - X w||**2 / (2 m) + lam * ||w||_1`` for an m-by-k
     design ``X``.  The caller is expected to standardize columns; the update
     itself only requires nonzero column norms (flat columns keep weight 0).
-    ``lam=0`` reduces to ordinary least squares.  An ``X^T X``, ``X^T y`` or
-    coefficient beyond the float64 range raises :class:`NonFiniteValue`,
-    without a numpy warning.
+    ``lam=0`` reduces to ordinary least squares.  X, y and ``lam`` raise as
+    in :func:`lasso_objective`, messages included, and fewer than 2 rows
+    :class:`TooShort`.  An ``X^T X``, ``X^T y`` or coefficient beyond the
+    float64 range raises :class:`NonFiniteValue`, without a numpy warning.
     """
     import numpy as np
 
     A = _as_matrix_array(m=X)
-    rhs = np.asarray(y, dtype=float)
-    if rhs.ndim != 1 or rhs.shape[0] != A.shape[0]:
-        raise DimensionMismatch(
-            f"response of shape {rhs.shape} does not match design "
-            f"with {A.shape[0]} rows"
-        )
-    if not np.isfinite(rhs).all():
-        raise NonFiniteValue("response contains non-finite entries")
+    rhs = _lasso_vector("response", y, A.shape[0], A)
     if A.shape[0] < 2:
         raise TooShort("need at least 2 observations")
-    if not (math.isfinite(lam) and lam >= 0.0):
-        raise OutOfRange(f"lam must be non-negative and finite, got {lam!r}")
+    _check_lam(lam)
     with np.errstate(over="ignore", invalid="ignore"):
         w = _lasso_capped(A, rhs, lam)
     if not all(map(math.isfinite, w)):
@@ -402,17 +407,9 @@ def lasso_objective(X, y, lam: float, w) -> float:
 
     A = _as_matrix_array(m=X)
     m, k = A.shape
-    rhs = np.asarray(y, dtype=float)
-    wv = np.asarray(w, dtype=float)
-    for name, v, size in (("response", rhs, m), ("coefficient vector", wv, k)):
-        if v.shape != (size,):
-            raise DimensionMismatch(
-                f"{name} of shape {v.shape} does not match design of shape "
-                f"{A.shape}")
-        if not np.isfinite(v).all():
-            raise NonFiniteValue(f"{name} contains non-finite entries")
-    if not (math.isfinite(lam) and lam >= 0.0):
-        raise OutOfRange(f"lam must be non-negative and finite, got {lam!r}")
+    rhs = _lasso_vector("response", y, m, A)
+    wv = _lasso_vector("coefficient vector", w, k, A)
+    _check_lam(lam)
     with np.errstate(over="ignore", invalid="ignore"):
         resid = rhs - A @ wv
         value = (float(resid @ resid) / (2.0 * m)

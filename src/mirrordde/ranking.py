@@ -16,13 +16,9 @@ import math
 from typing import TYPE_CHECKING
 
 from .core import FeatureMatrix, RankingEntry, RankingResult, _Record
-from .errors import (
-    ConvergenceFailure,
-    OutOfRange,
-    UnknownResponseFeature,
-    ZeroVarianceColumn,
-)
-from .numerics import _lasso_capped, _pow2_scaled
+from .errors import (ConvergenceFailure, UnknownResponseFeature,
+                     ZeroVarianceColumn)
+from .numerics import _check_lam, _lasso_capped, _pow2_scaled
 
 if TYPE_CHECKING:
     import numpy as np
@@ -30,6 +26,9 @@ if TYPE_CHECKING:
 
 #: Relative threshold below which a column's spread counts as zero.
 STD_RTOL = 1e-12
+
+#: Default l1 penalty weight of :func:`rank_journals` and ``mirrordde rank``.
+DEFAULT_LAMBDA = 0.1
 
 
 class TraceStep(_Record):
@@ -114,7 +113,8 @@ def standardize(matrix: FeatureMatrix) -> FeatureMatrix:
 
 
 def rank_journals(matrix: FeatureMatrix, response_feature: str,
-                  lam: float = 0.1) -> tuple[RankingResult, EliminationTrace]:
+                  lam: float = DEFAULT_LAMBDA
+                  ) -> tuple[RankingResult, EliminationTrace]:
     """Rank journals by recursive norm-matching elimination.
 
     Each iteration, on the journals still in play:
@@ -157,8 +157,7 @@ def rank_journals(matrix: FeatureMatrix, response_feature: str,
             f"response feature {response_feature!r} is not one of "
             f"{list(matrix.feature_names)}"
         )
-    if not (math.isfinite(lam) and lam >= 0.0):
-        raise OutOfRange(f"lam must be non-negative and finite, got {lam!r}")
+    _check_lam(lam)
     import numpy as np
 
     resp_idx = matrix.feature_index(response_feature)

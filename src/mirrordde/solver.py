@@ -264,7 +264,7 @@ def control_solution(params: DdeParams, config: ControlConfig,
     negative at t=0, a :class:`NegativeInfluenceWarning` is emitted — the
     value is still returned.
     """
-    return evaluate(params, (t,), config, (c1, c2))[0]
+    return _evaluate(params, (t,), config, (c1, c2))[0]
 
 
 def initial_conditions_to_modes(params: DdeParams,
@@ -323,6 +323,12 @@ def evaluate(params: DdeParams, times: Sequence[float],
     negative at t=0.  Raises :class:`NonFiniteValue` on a non-finite t or p,
     including a p whose ``math`` evaluation overflows.
     """
+    return _evaluate(params, times, config, modes)
+
+
+def _evaluate(params, times, config, modes) -> list[float]:
+    """:func:`evaluate` one frame down, as :func:`control_solution` calls it
+    too: the warning of :func:`_two_mode` names the caller of either."""
     if modes is not None:
         for name, v in zip(("c1", "c2"), modes):
             _require_finite(name, v)
@@ -371,7 +377,7 @@ def _two_mode(params: DdeParams, times: Sequence[float],
         warnings.warn(
             f"influence at t=0 is negative ({p_zero!r})",
             NegativeInfluenceWarning,
-            stacklevel=3,
+            stacklevel=4,  # past _two_mode, _evaluate and its public caller
         )
     return [c1 * math.exp(r * t) + c2 * math.exp(-r * t) + p
             for t, p in zip(times, _particular(params, forcing, times))]

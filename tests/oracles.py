@@ -50,9 +50,7 @@ from mirrordde.errors import (
 from mirrordde.numerics import (
     LASSO_MAX_SWEEPS,
     LASSO_TOL,
-    SWEEP_KERNEL_MAX_K,
     FdMode,
-    _nonzero_sweeps,
     _pow2_scaled,
     _sum_left_to_right,
     _sweep_kernel,
@@ -311,7 +309,7 @@ def _stepwise_lasso(X, y, lam):
     np.fill_diagonal(G, 0.0)
     G = G.tolist()
     scale = [sq / m if sq != 0.0 else math.inf for sq in col_sq]
-    kernel = _sweep_kernel(k) if k <= SWEEP_KERNEL_MAX_K else _nonzero_sweeps
+    kernel = _sweep_kernel(k)
     w, converged, count = [0.0] * k, False, 0
     while not converged:
         count += 1
@@ -548,8 +546,9 @@ def loop_fit_ab(series, fd_mode=FdMode.CENTRAL):
     difference quotients, the five sums and the residual sum of squares are
     accumulated sample by sample, left to right, starting from 0.0.  The 2x2
     solve is the library's, so both sides reject the same systems.  Samples
-    and quotients are divided by 2**e, 2**(e-1) <= max|p| < 2**e, and the
-    residual sum of squares multiplied back by 4**e.
+    are divided by 2**e, 2**(e-1) <= max|p| < 2**e, and quotients by their
+    own 2**ez (ez = 0 if one is inf); the residual sum of squares is
+    multiplied back by 4**ez, and a and b by 2**(ez - e).
     """
     v, h, n = series.values.tolist(), series.step, len(series)
     if fd_mode is FdMode.CENTRAL:
@@ -564,7 +563,8 @@ def loop_fit_ab(series, fd_mode=FdMode.CENTRAL):
         )
     e = _pow2_exponent(v)
     v = [math.ldexp(x, -e) for x in v]
-    derivs = [math.ldexp(z, -e) for z in derivs]
+    ez = 0 if math.inf in map(abs, derivs) else _pow2_exponent(derivs)
+    derivs = [math.ldexp(z, -ez) for z in derivs]
     sxx = sxy = syy = szx = szy = 0.0
     for z, i in zip(derivs, indices):
         x, y = v[n - 1 - i], v[i]
@@ -578,10 +578,10 @@ def loop_fit_ab(series, fd_mode=FdMode.CENTRAL):
     for z, i in zip(derivs, indices):
         resid = z - a * v[n - 1 - i] - b * v[i]
         rss += resid * resid
-    try:
-        return a, b, math.ldexp(rss, 2 * e)
-    except OverflowError:
-        return a, b, math.inf
+    a, b = _ldexp(a, ez - e), _ldexp(b, ez - e)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise NonFiniteValue(f"fit_ab's (a, b) = ({a!r}, {b!r}) leave float64")
+    return a, b, _ldexp(rss, 2 * ez)
 
 
 def _pow2_exponent(xs):

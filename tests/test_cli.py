@@ -535,6 +535,15 @@ class TestFit:
         assert err == (f"ERROR 2: {str(path)!r}: field larger than field "
                        f"limit ({csv.field_size_limit()})\n")
 
+    def test_subnormal_step_is_one_error_line(self, tmp_path):
+        # in a child process, where numpy's RuntimeWarning would print
+        path = tmp_path / "subnormal.csv"
+        path.write_text("t,p\n-1e-323,1e-320\n-5e-324,2e-320\n0,4e-320\n"
+                        "5e-324,7e-320\n1e-323,1.1e-319\n")
+        code, out, err = run_cli_bytes("fit", "--input", str(path))
+        assert (code, out) == (2, b"")
+        assert err == b"ERROR 2: fit_ab's (a, b) = (inf, inf) leave float64\n"
+
     def test_asymmetric_grid_rejected(self, tmp_path):
         path = write_series_csv(tmp_path / "asym.csv", [-1.0, 0.0, 2.0],
                                 [1.0, 2.0, 3.0])
@@ -783,15 +792,14 @@ class TestRank:
         golden = (data_dir / "golden_rank_m3.csv").read_text()
         assert out == golden
 
-    def test_wide_short_table_ranks_in_the_loop(self, tmp_path, monkeypatch):
+    def test_wide_short_table_ranks_in_the_loop(self, tmp_path):
         """1000 predictors over 3 journals rank in the loop over nonzero
         coefficients and build no sweep kernel: a generated kernel that
         wide would take seconds to build, and one a few times wider would
         not compile (its sums nest k deep).  At lambda = 2 every
         standardized correlation thresholds to 0, so each fit is one
         sweep."""
-        kernels: dict = {}
-        monkeypatch.setattr(numerics, "_SWEEP_KERNELS", kernels)
+        numerics._sweep_kernel.cache_clear()
         data = np.random.default_rng(0).lognormal(0.0, 0.75, size=(3, 1001))
         path = tmp_path / "wide.csv"
         path.write_text(
@@ -805,7 +813,10 @@ class TestRank:
         assert lines[0] == "rank,journal,singval,elimination_step"
         assert sorted(line.split(",")[1] for line in lines[1:]) == [
             "J0", "J1", "J2"]
-        assert kernels == {}
+        # the one width asked for, and the loop chosen for it
+        assert numerics._sweep_kernel.cache_info().currsize == 1
+        assert numerics._sweep_kernel(1000) is numerics._nonzero_sweeps
+        assert numerics._sweep_kernel.cache_info().currsize == 1
 
     @pytest.mark.skipif(not os.path.exists("/dev/stdin"),
                         reason="needs /dev/stdin")

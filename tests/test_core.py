@@ -419,6 +419,9 @@ _ZERO = ((0.0, 0.0), (0.0, 0.0))
      DimensionMismatch, "matrix must be non-empty, got shape (0, 2)"),
     (lambda: lasso_fit([[1.0]], [1.0], 0.1),
      TooShort, "need at least 2 observations"),
+    (lambda: lasso_fit([[1.0], [2.0]], [1.0, 2.0, 3.0], 0.1),
+     DimensionMismatch,
+     "response of shape (3,) does not match design of shape (2, 1)"),
     (lambda: lasso_fit([[1.0], [2.0]], [1.0, 2.0], -1.0),
      OutOfRange, "lam must be non-negative and finite, got -1.0"),
     (lambda: rank_journals(small_matrix(), "SJR", lam=math.nan),
@@ -436,7 +439,8 @@ _ZERO = ((0.0, 0.0), (0.0, 0.0))
      OutOfRange, "unknown finite-difference mode: 'central'"),
 ], ids=["series-length", "half-width", "empty-journal", "empty-feature",
         "repeated-journal", "repeated-feature", "no-journal", "one-feature",
-        "data-shape", "empty-matrix", "one-observation", "lasso-lam",
+        "data-shape", "empty-matrix", "one-observation", "lasso-response",
+        "lasso-lam",
         "rank-lam", "t-end", "rk4-step", "rk4-propagator", "t-max",
         "fd-mode"])
 def test_input_errors_are_typed_value_errors(call, exc, message):

@@ -31,10 +31,17 @@ from mirrordde import (
     oscillatory_solution,
     validate_series,
 )
+from mirrordde.fitting import _rate
 
 from oracles import (loop_fit_ab, loop_fit_modes, lstsq_coefficients,
                      mp_forced_solution, mp_two_mode_lstsq)
 from test_acceptance import round_trip_windows
+
+
+#: A series on a subnormal step: its difference quotients are about 1e323
+#: times its samples, so (a, b) are beyond float64.
+SUBNORMAL_TIMES = [-1e-323, -5e-324, 0.0, 5e-324, 1e-323]
+SUBNORMAL_VALUES = [1e-320, 2e-320, 4e-320, 7e-320, 1.1e-319]
 
 
 def symmetric_grid(half_width: float, h: float) -> list[float]:
@@ -189,6 +196,17 @@ class TestFitAb:
                 fit_ab(validate_series(times, values), mode)
         assert excinfo.value.stage == "fit_ab"
 
+    @pytest.mark.parametrize("mode", list(FdMode))
+    def test_subnormal_step_is_a_quiet_non_finite_value(self, mode):
+        # the quotients used to be scaled by the samples' power of two,
+        # which overflowed with numpy's RuntimeWarning
+        series = validate_series(SUBNORMAL_TIMES, SUBNORMAL_VALUES)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue, match=(
+                    r"^fit_ab's \(a, b\) = \(inf, inf\) leave float64$")):
+                fit_ab(series, mode)
+
     def test_too_few_interior_points(self):
         with pytest.raises(TooShort):
             fit_ab(validate_series([-0.1, 0.0, 0.1], [0.9, 1.0, 1.15]))
@@ -221,6 +239,9 @@ class TestLoopReference:
              mode=FdMode.FORWARD)
     @example(series=series_from_model(0.15, 0.55), mode=FdMode.CENTRAL)
     @example(series=series_from_model(-0.3, 0.9), mode=FdMode.FORWARD)
+    # a subnormal step: the quotients need a scale of their own
+    @example(series=validate_series(SUBNORMAL_TIMES, SUBNORMAL_VALUES),
+             mode=FdMode.CENTRAL)
     @settings(max_examples=300, deadline=None)
     def test_fit_ab_matches_loop(self, series, mode):
         assert outcome(fit_ab, series, mode) == outcome(loop_fit_ab, series, mode)
@@ -331,6 +352,25 @@ class TestFitModes:
         assert w1 == pytest.approx(want[0], rel=1e-12)
         assert w2 == pytest.approx(want[1], rel=1e-12)
         assert rss == math.inf
+
+    def test_rate_times_grid_underflows_to_zero(self):
+        # r t = 5e-324 * 0.25 rounds to 0.0, so sinh(rt)/r is 0 everywhere
+        series = validate_series([-0.25, 0.0, 0.25], [1.0, 2.0, 3.0])
+        with pytest.raises(DegenerateSystem, match="is 0 on the whole grid"):
+            fit_modes(series, 5e-324)
+
+    def test_even_part_near_zero_overflows_s(self):
+        # sinh(rt)/r = t = 1e-300 makes beta/alpha about 2**997 * 3e10
+        series = validate_series([-1e-300, 0.0, 1e-300], [-1.0, 1e-10, 1.0])
+        with pytest.raises(DegenerateSystem, match=r"a \+ b overflows"):
+            fit_modes(series, 1.0)
+
+    def test_amplitudes_beyond_float64(self):
+        # w1 = alpha (r + s) / 2r with r = 5e-324 and s near 1
+        series = validate_series([-2.0, -1.0, 0.0, 1.0, 2.0],
+                                 [-1.0, 0.0, 1.0, 2.0, 3.0])
+        with pytest.raises(NonFiniteValue, match="^mode amplitudes"):
+            fit_modes(series, 5e-324)
 
     def test_even_series_has_no_s(self):
         # s = beta/alpha = 0, as a = -b gives: a - b cannot be identified
@@ -572,6 +612,15 @@ class TestFitPipeline:
         report = fit_pipeline(series)
         assert report.params.a == pytest.approx(-1.0, rel=1e-12)
         assert report.params.b == pytest.approx(-3.0, rel=1e-12)
+
+    @pytest.mark.parametrize("mode", list(FdMode))
+    def test_rate_that_underflows_is_refused(self, mode):
+        # h sqrt(b**2 - a**2) = 5e-324 * 0.1 rounds to 0.0, so r = 0.0.
+        # At a subnormal step fit_ab's quotients are about 2**-53 / h times
+        # the samples, so no series is known to give it so small a pair:
+        # the guard is pinned on _rate itself
+        with pytest.raises(DegenerateSystem, match=r"at step 5e-324 is 0\.0$"):
+            _rate(0.0, 0.1, 5e-324, mode)
 
     def test_degenerate_pair_passes_through(self):
         # inside the degenerate band r = 0, where a difference quotient is

@@ -10,6 +10,7 @@ quadratic longhand.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import sys
@@ -564,6 +565,21 @@ def hex_sweeps(sweeps):
     return [[v.hex() for v in w] for w in sweeps]
 
 
+@contextlib.contextmanager
+def loop_kernels_only():
+    """Every width runs in the loop over nonzero coefficients inside: the
+    widest generated kernel is 0 columns, and ``_sweep_kernel``'s cache is
+    emptied on entry and on exit, so no choice made under the patch
+    outlives it."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numerics, "SWEEP_KERNEL_MAX_K", 0)
+        numerics._sweep_kernel.cache_clear()
+        try:
+            yield
+        finally:
+            numerics._sweep_kernel.cache_clear()
+
+
 #: Sweeps compared per drawn problem; the slow m < k, lam = 0 draws would
 #: otherwise run to the 10 000-sweep cap on both kernels.
 SWEEP_WINDOW = 2000
@@ -606,14 +622,12 @@ class TestLassoAgainstDenseKernel:
     def test_same_sweeps_bitwise(self, m, k, seed, standardized, zero_col,
                                  dup_col, lam, cap, loop):
         # hypothesis reuses fixtures across examples, so patch per example
-        with pytest.MonkeyPatch.context() as patch:
-            if loop:
-                patch.setattr(numerics, "SWEEP_KERNEL_MAX_K", 0)
-                patch.setattr(numerics, "_SWEEP_KERNELS", {})
+        with loop_kernels_only() if loop else contextlib.nullcontext():
             self.check_same_sweeps(m, k, seed, standardized, zero_col,
                                    dup_col, lam, cap)
             if loop:
-                assert numerics._SWEEP_KERNELS == {}
+                assert numerics._sweep_kernel(k) is numerics._nonzero_sweeps
+                assert numerics._sweep_kernel.cache_info().currsize == 1
 
     @staticmethod
     def check_same_sweeps(m, k, seed, standardized, zero_col, dup_col, lam,
@@ -729,30 +743,31 @@ class TestKernelBudget:
 
 
 class TestSweepKernelCache:
-    """Sweep kernels are generated on first use, once per column count."""
+    """Sweep kernels are chosen and generated on first use, once per column
+    count, and wider designs get the loop over nonzero coefficients."""
 
-    def test_each_column_count_is_built_once(self, monkeypatch):
-        kernels: dict = {}
-        monkeypatch.setattr(numerics, "_SWEEP_KERNELS", kernels)
+    def test_each_column_count_is_built_once(self):
+        numerics._sweep_kernel.cache_clear()
         X, y = drawn_design(12, 5, 0, True, False, False)
         first = lasso_fit(X[:, :3], y, 0.1)
-        built = kernels[3]
-        assert list(kernels) == [3]
+        built = numerics._sweep_kernel(3)
+        assert numerics._sweep_kernel.cache_info().currsize == 1
         assert lasso_fit(X[:, :3], y, 0.1) == first
         lasso_fit(X, y, 0.1)
-        assert list(kernels) == [3, 5]
-        assert kernels[3] is built
+        assert numerics._sweep_kernel.cache_info().currsize == 2
         assert numerics._sweep_kernel(3) is built
+        assert built is not numerics._nonzero_sweeps
+        assert numerics._sweep_kernel.cache_info().misses == 2
 
-    def test_wider_designs_build_none(self, monkeypatch):
-        kernels: dict = {}
-        monkeypatch.setattr(numerics, "_SWEEP_KERNELS", kernels)
+    def test_wider_designs_build_none(self):
+        numerics._sweep_kernel.cache_clear()
         wide = numerics.SWEEP_KERNEL_MAX_K + 1
         X, y = drawn_design(2 * wide, wide, 0, True, False, False)
         lasso_fit(X[:, :-1], y, 0.1)
-        assert list(kernels) == [wide - 1]
+        assert numerics._sweep_kernel(wide - 1) is not numerics._nonzero_sweeps
         lasso_fit(X, y, 0.1)
-        assert list(kernels) == [wide - 1]
+        assert numerics._sweep_kernel(wide) is numerics._nonzero_sweeps
+        assert numerics._sweep_kernel.cache_info().misses == 2
 
 
 # ---------------------------------------------------------------------------

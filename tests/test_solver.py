@@ -17,8 +17,10 @@ from mirrordde import (
     DdeParams,
     EtaArticleBased,
     EtaTimeExponential,
+    FdMode,
     FeatureMatrix,
     GrowthKind,
+    InfluenceSeries,
     MirrorDdeError,
     NegativeInfluenceWarning,
     NonFiniteState,
@@ -37,6 +39,9 @@ from mirrordde import (
     degenerate_solution,
     eta_article,
     evaluate,
+    fit_ab,
+    fit_modes,
+    fit_pipeline,
     initial_conditions_to_modes,
     lasso_fit,
     linear_growth_solution,
@@ -49,6 +54,7 @@ from mirrordde import (
     solve_2x2,
     standardize,
     svd_values,
+    validate_series,
 )
 from mirrordde import numerics, solver
 from mirrordde.numerics import lasso_objective
@@ -452,6 +458,15 @@ class TestControlSolution:
         with pytest.warns(NegativeInfluenceWarning):
             value = control_solution(PARAMS, ControlConfig(), -2.0, 0.5, 1.0)
         assert math.isfinite(value)
+
+    @pytest.mark.parametrize("call", [
+        lambda: control_solution(PARAMS, ControlConfig(), -2.0, 0.5, 1.0),
+        lambda: evaluate(PARAMS, [1.0], ControlConfig(), (-2.0, 0.5)),
+    ], ids=["control_solution", "evaluate"])
+    def test_negative_origin_warning_names_the_caller(self, call):
+        with pytest.warns(NegativeInfluenceWarning) as caught:
+            call()
+        assert [w.filename for w in caught] == [__file__]
 
     def test_positive_origin_does_not_warn(self):
         with warnings.catch_warnings():
@@ -1076,12 +1091,14 @@ class TestMaxDeviation:
 # every entry point on scalars or tables: a finite result or a typed error
 # ---------------------------------------------------------------------------
 
-#: Floats at the edges of float64 and of the closed forms' exponentials.
-EDGE_FLOATS = st.sampled_from([
-    sign * v for sign in (1.0, -1.0)
-    for v in (0.0, 5e-324, 1e-320, 1e-300, 1e-8, 0.3, 1.0, 3.0, 700.0,
-              710.0, 1e16, 1e300, 1e308, sys.float_info.max)])
+#: Magnitudes at the edges of float64 and of the closed forms' exponentials.
+EDGE_MAGNITUDES = (0.0, 5e-324, 1e-320, 1e-300, 1e-8, 0.3, 1.0, 3.0, 700.0,
+                   710.0, 1e16, 1e300, 1e308, sys.float_info.max)
+EDGE_FLOATS = st.sampled_from([sign * v for sign in (1.0, -1.0)
+                               for v in EDGE_MAGNITUDES])
 SCALARS = EDGE_FLOATS | st.floats(allow_nan=False, allow_infinity=False)
+#: Grid steps: the positive edge magnitudes, subnormal ones included.
+STEPS = st.sampled_from(EDGE_MAGNITUDES[1:])
 
 
 def _f(data) -> float:
@@ -1152,6 +1169,46 @@ def _objective(data) -> float:
                            [_f(data) for _ in table[0][1:]])
 
 
+def _series(data) -> InfluenceSeries:
+    """A drawn series: 2-5 steps of a drawn edge size either side of t = 0,
+    and at its 5-11 samples small multiples of one drawn scalar, which keep
+    the series within one scale, as data are."""
+    h, m, scale = data.draw(STEPS), data.draw(st.integers(2, 5)), _f(data)
+    return validate_series([i * h for i in range(-m, m + 1)],
+                           [k * scale for k in data.draw(st.lists(
+                               st.integers(-3, 3), min_size=2 * m + 1,
+                               max_size=2 * m + 1))])
+
+
+#: The difference modes of the fit.
+FD_MODES = st.sampled_from(list(FdMode))
+
+
+def _fit_ab(data) -> tuple[float, float]:
+    """``fit_ab``'s (a, b) on a drawn series; its rss may be inf, as
+    documented, but never nan."""
+    a, b, rss = fit_ab(_series(data), data.draw(FD_MODES))
+    assert rss >= 0.0
+    return a, b
+
+
+def _fit_modes(data) -> tuple[float, float]:
+    """``fit_modes``' (w1, w2) on a drawn series at a drawn rate; its rss
+    may be inf, as documented, but never nan."""
+    w1, w2, rss = fit_modes(_series(data), abs(_f(data)))
+    assert rss >= 0.0
+    return w1, w2
+
+
+def _fit_pipeline(data) -> tuple:
+    """The parameters, regime and modes of ``fit_pipeline`` on a drawn
+    series; its two rss may be inf, as documented, but never nan."""
+    report = fit_pipeline(_series(data), data.draw(FD_MODES))
+    assert report.rss_ab >= 0.0
+    assert report.rss_modes is None or report.rss_modes >= 0.0
+    return report.params, report.regime, report.modes
+
+
 EXP = RegimeTag.EXPONENTIAL
 
 ENTRY_POINTS = {
@@ -1183,6 +1240,9 @@ ENTRY_POINTS = {
     "lasso_objective": _objective,
     "rank_journals": lambda d: rank_journals(_features(d), "f0",
                                              d.draw(LAMBDAS)),
+    "fit_ab": _fit_ab,
+    "fit_modes": _fit_modes,
+    "fit_pipeline": _fit_pipeline,
 }
 
 
@@ -1202,21 +1262,24 @@ def returned_floats(result) -> list[float]:
 
 
 class TestFiniteOrTyped:
-    """Each public entry point that takes scalars, or a small table of
-    them, and C12's ``lasso_objective``, returns only finite floats or
-    raises a :class:`MirrorDdeError`, on edge and ordinary floats alike.  The package documents three other
-    exceptions: ``KeyError`` from the feature lookups, ``ControlConfig``'s
-    ``TypeError`` for a term of the wrong type, and ``fit_ab``'s infinite
-    ``rss``; none of them is reachable from float arguments to these entry
-    points, so none is allowed here.  Warnings (a negative influence at
-    t=0) are ignored."""
+    """Each public entry point that takes scalars, a small table of them or
+    a short series of them, and C12's ``lasso_objective``, returns only
+    finite floats or raises a :class:`MirrorDdeError`, on edge and ordinary
+    floats alike, subnormal grid steps included.  The package documents
+    three other exceptions: ``KeyError`` from the feature lookups,
+    ``ControlConfig``'s ``TypeError`` for a term of the wrong type, and the
+    fit's infinite ``rss``.  The first two are not reachable from float
+    arguments to these entry points, so neither is allowed here; each rss
+    is checked on its own, as at most inf.  The negative-influence warning
+    at t=0 is ignored; numpy's ``RuntimeWarning`` fails, as everywhere in
+    the suite."""
 
     @pytest.mark.parametrize("name", list(ENTRY_POINTS))
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_finite_result_or_typed_error(self, name, data):
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            warnings.simplefilter("ignore", NegativeInfluenceWarning)
             try:
                 result = ENTRY_POINTS[name](data)
             except MirrorDdeError as exc:

@@ -117,18 +117,21 @@ def test_fit_loads_numpy(tmp_path, preloaded):
 def test_import_builds_no_sweep_kernel(data_dir):
     """Lasso sweep kernels are generated on first use, not at import: a
     ``rank`` on k + 1 features builds the one kernel for k predictors."""
+    n_features = len((data_dir / "rank_m8.csv").read_text()
+                     .split("\n")[0].split(",")) - 1
     out = fresh_python(
         "import contextlib, io, sys\n"
         "import mirrordde.cli as cli\n"
         "from mirrordde import numerics\n"
-        "print(sorted(numerics._SWEEP_KERNELS))\n"
+        "kernels = numerics._sweep_kernel.cache_info\n"
+        "print(kernels().currsize)\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cli.main(['rank', '--input', sys.argv[1]]) == 0\n"
-        "print(sorted(numerics._SWEEP_KERNELS))",
-        str(data_dir / "rank_m8.csv"))
-    n_features = len((data_dir / "rank_m8.csv").read_text()
-                     .split("\n")[0].split(",")) - 1
-    assert out.split("\n") == ["[]", f"[{n_features - 1}]"]
+        "print(kernels().currsize)\n"
+        "kernel = numerics._sweep_kernel(int(sys.argv[2]))\n"
+        "print(kernel is not numerics._nonzero_sweeps, kernels().currsize)",
+        str(data_dir / "rank_m8.csv"), str(n_features - 1))
+    assert out.split("\n") == ["0", "1", "True 1"]
 
 
 def test_import_builds_no_parser():
