@@ -401,8 +401,9 @@ class TestLasso:
 
     def test_sweep_cap_is_inclusive_in_the_loop(self, monkeypatch):
         # the same boundary in the loop over the nonzero coefficients
-        monkeypatch.setattr(numerics, "SWEEP_KERNEL_MAX_K", 0)
-        self.test_sweep_cap_is_inclusive(monkeypatch)
+        with loop_kernels_only():
+            self.test_sweep_cap_is_inclusive(monkeypatch)
+            assert numerics._sweep_kernel(3) is numerics._nonzero_sweeps
 
     def test_argument_validation(self):
         X, y = random_design(1)
