@@ -54,14 +54,12 @@ from .numerics import (
     FdMode,
     finite_diff,
     lasso_fit,
-    rk4_integrate,
     solve_2x2,
     svd_values,
 )
 from .ranking import EliminationTrace, TraceStep, rank_journals, standardize
 from .solver import (
     GrowthKind,
-    OscillatoryValue,
     base_solution,
     classify,
     control_solution,
@@ -72,7 +70,6 @@ from .solver import (
     linear_growth_solution,
     nonsymmetric_solution,
     oracle_solution,
-    oscillatory_solution,
 )
 
 __version__ = "1.0.0"
@@ -100,7 +97,6 @@ __all__ = [
     "NonFiniteValue",
     "NonPositiveR",
     "NonUniformGrid",
-    "OscillatoryValue",
     "OutOfRange",
     "RankingEntry",
     "RankingResult",
@@ -133,9 +129,7 @@ __all__ = [
     "modes_to_AB",
     "nonsymmetric_solution",
     "oracle_solution",
-    "oscillatory_solution",
     "rank_journals",
-    "rk4_integrate",
     "solve_2x2",
     "standardize",
     "svd_values",

@@ -12,13 +12,14 @@ source and work per sweep; wider designs sum over the nonzero coefficients),
 and classical RK4 for the one system integrated, ``y' = M y`` with a constant
 2x2 ``M``, as its one-step propagator: each step adds ``E y``, with
 ``E = R(hM) - I`` built exactly once per step length, under compensated
-summation, and the trajectory is yielded in blocks of steps so that a
-caller can fold it without holding all of it (``verify`` holds one
-block).  Singular values, which no command needs,
-come from numpy's LAPACK SVD on a power-of-two-scaled copy.  The 2x2 solve
-and RK4 run on ``math`` and integers alone; numpy is imported by the array
-kernels (singular values, the l1 fit, finite differences) when first
-called, so a process that never uses them never loads it.
+summation.  The RK4 kernel is private: it yields the trajectory in blocks
+of steps (:func:`_rk4_blocks`), so that a caller can fold it without
+holding all of it (``verify`` holds one block), and
+``solver.oracle_solution`` is its public face.  Singular values, which no
+command needs, come from numpy's LAPACK SVD on a power-of-two-scaled copy.
+The 2x2 solve and RK4 run on ``math`` and integers alone; numpy is imported
+by the array kernels (singular values, the l1 fit, finite differences) when
+first called, so a process that never uses them never loads it.
 """
 
 from __future__ import annotations
@@ -52,9 +53,8 @@ LASSO_TOL = 1e-8
 #: Hard cap on coordinate-descent sweeps.
 LASSO_MAX_SWEEPS = 10_000
 
-#: Hard cap on RK4 steps per call.  It bounds the run time of every
-#: integration and the size of the whole-trajectory lists of
-#: :func:`rk4_integrate` (about 265 bytes a step, so near 0.3 GB).
+#: Hard cap on RK4 steps per call: it bounds every integration's run time
+#: and the whole-window lists of ``solver.oracle_solution`` (near 0.17 GB).
 RK4_MAX_STEPS = 2**20
 
 #: :func:`_rk4_blocks` yields the trajectory this many steps at a time, so a
@@ -471,11 +471,26 @@ def _rk4_increment(m: tuple[State, State], h: float
 
 def _rk4_blocks(m: tuple[State, State], y0: State, t_end: float, step: float
                 ) -> Iterator[tuple[list[float], list[float], list[float]]]:
-    """The RK4 trajectory of :func:`rk4_integrate` as ``(times, u, v)``
-    lists, block by block: each block holds at most :data:`RK4_BLOCK_STEPS`
-    steps, and the first also starts with t=0.  The checks and their errors
-    are :func:`rk4_integrate`'s; a non-finite state raises when its block is
-    reached, after the blocks before it were yielded."""
+    """Classical RK4 for ``y' = M y``, ``m = ((m11, m12), (m21, m22))``,
+    from t=0 to t_end inclusive, as ``(times, u, v)`` lists of at most
+    :data:`RK4_BLOCK_STEPS` steps each, the first also holding t=0.
+
+    One RK4 step of length h is exactly ``y <- R(hM) y``, with R the
+    method's stability function (Hairer & Wanner, *Solving Ordinary
+    Differential Equations II*, sec. IV.2).  So each step adds ``E y``, with
+    ``E = R(hM) - I`` held to about 106 bits (:func:`_rk4_increment`), and
+    Kahan terms carry the sums' rounding: the states stay within a few ulps
+    of exact-arithmetic RK4 at any step count, where the textbook stage
+    form drifts.  A t_end that is not a whole number of steps, or is below
+    one, ends on one shortened step.
+
+    At the first ``next()``, before any step, a non-positive t_end or step,
+    a step count beyond float64 or above :data:`RK4_MAX_STEPS`, or a
+    non-finite ``E`` (``|hM|`` above about 1e77) raises :class:`OutOfRange`,
+    and a non-finite y0 :class:`NonFiniteState`.  A non-finite state raises
+    :class:`NonFiniteState` when its block is reached, after the blocks
+    before it.
+    """
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise OutOfRange(f"t_end must be positive, got {t_end!r}")
     if not (math.isfinite(step) and step > 0.0):
@@ -526,34 +541,6 @@ def _rk4_blocks(m: tuple[State, State], y0: State, t_end: float, step: float
             vs.append(v)
         yield times, us, vs
         times, us, vs = [], [], []
-
-
-def rk4_integrate(m: tuple[State, State], y0: State, t_end: float,
-                  step: float) -> list[tuple[float, State]]:
-    """Classical fourth-order Runge-Kutta for ``y' = M y`` from t=0 to t_end
-    inclusive, ``m = ((m11, m12), (m21, m22))``.
-
-    For a constant ``M`` one RK4 step of length h is exactly
-    ``y <- R(hM) y``, where ``R(z) = 1 + z + z**2/2 + z**3/6 + z**4/24`` is
-    the method's stability function (Hairer & Wanner, *Solving Ordinary
-    Differential Equations II*, sec. IV.2).  So each step adds ``E y``,
-    with ``E = R(hM) - I`` formed exactly once per step length and held to
-    about 106 bits, and a Kahan compensation term per component carries
-    the rounding of those sums from step to step: the states stay within a
-    few ulps of exact-arithmetic RK4 at any step count, where the textbook
-    stage form, which they match up to rounding, drifts with it.
-
-    Returns the list of (t, state) pairs including both endpoints.  If
-    t_end is not a whole number of steps, or is shorter than one, the final
-    step is shortened to land on it exactly.  A non-finite step count, one
-    above :data:`RK4_MAX_STEPS`, or a non-finite ``E`` (``|hM|`` above
-    about 1e77) raises :class:`OutOfRange` before any step, and a
-    non-finite state :class:`NonFiniteState`.
-    """
-    out: list[tuple[float, State]] = []
-    for times, us, vs in _rk4_blocks(m, y0, t_end, step):
-        out += zip(times, zip(us, vs))
-    return out
 
 
 class FdMode(Enum):

@@ -17,14 +17,18 @@ b**2 - a**2 therefore selects the character of the solution:
       p(t) = p0 cos(wt) + p0 ((a + b)/w) sin(wt),
 
   which solves the equation but describes an influence that keeps changing
-  sign, so it is flagged infeasible for the modelling domain.
+  sign, so it is infeasible for the modelling domain: :func:`evaluate`
+  serves it, and ``simulate`` prints it only under ``--allow-oscillatory``.
 
-All branches satisfy p(0) = p0 and p'(0) = (a + b) p0.
+All branches satisfy p(0) = p0 and p'(0) = (a + b) p0.  A zero p0, or a
+zero mode amplitude, contributes exact zeros, also where the exponential it
+scales overflows.
 
 :func:`evaluate` settles regime, forcing checks and mode amplitudes once per
-trajectory, then applies one closed form per t.  The scalar solutions are
-one-point wrappers around it, so each formula is written once.  The one
-other evaluation of a closed form is the oracle comparison's
+trajectory, then applies one closed form per t.  :func:`base_solution`,
+:func:`degenerate_solution` and :func:`control_solution` are one-point
+wrappers around it, so each formula is written once.  The one other
+evaluation of a closed form is the oracle comparison's
 (:func:`_max_deviation`, behind ``verify``).  It refuses every regime but
 the exponential one before integrating, then takes one cosh and one sinh at
 each t for the pair t, -t (:func:`_exponential_block`), which gives
@@ -94,7 +98,6 @@ def classify(params: DdeParams) -> Regime:
 _REGIME_RULES = {
     RegimeTag.EXPONENTIAL: "the exponential regime (b**2 > a**2)",
     RegimeTag.DEGENERATE: "b**2 = a**2",
-    RegimeTag.OSCILLATORY: "b**2 < a**2",
 }
 
 
@@ -124,24 +127,6 @@ def degenerate_solution(params: DdeParams, t: float) -> float:
     """Boundary-case solution p0 * (1 + (a+b) t), the r -> 0 limit."""
     _require_regime(params, "degenerate_solution", RegimeTag.DEGENERATE)
     return evaluate(params, (t,))[0]
-
-
-class OscillatoryValue(NamedTuple):
-    """Value of the sign-changing branch plus its standing infeasibility flag."""
-
-    value: float
-    infeasible: bool
-
-
-def oscillatory_solution(params: DdeParams, t: float) -> OscillatoryValue:
-    """Oscillatory-branch value p0 cos(wt) + p0 ((a+b)/w) sin(wt).
-
-    The returned flag is always True: a solution that oscillates through
-    zero cannot describe a journal's influence, which is non-negative by
-    nature.  The value is still computed so the branch can be inspected.
-    """
-    _require_regime(params, "oscillatory_solution", RegimeTag.OSCILLATORY)
-    return OscillatoryValue(value=evaluate(params, (t,))[0], infeasible=True)
 
 
 class GrowthKind(enum.Enum):
@@ -321,7 +306,9 @@ def evaluate(params: DdeParams, times: Sequence[float],
     :func:`initial_conditions_to_modes`.  Explicit ``modes`` alone are a
     forced run without forcing; a run with ``config`` warns once per call if
     negative at t=0.  Raises :class:`NonFiniteValue` on a non-finite t or p,
-    including a p whose ``math`` evaluation overflows.
+    including a p whose ``math`` evaluation overflows.  A zero p0 (without
+    ``config`` or ``modes``) or a zero mode amplitude contributes exact
+    zeros, also where the factor it scales overflows.
     """
     return _evaluate(params, times, config, modes)
 
@@ -352,12 +339,18 @@ def _evaluate(params, times, config, modes) -> list[float]:
 
 
 def _homogeneous(params: DdeParams, times: Sequence[float]) -> list[float]:
+    # a zero p0 times the factor's sign is p0 times the factor bit for bit,
+    # where that is not nan (0 * inf) or a math range error
     regime = classify(params)
     p0, s = params.p0, params.a + params.b
     if regime.tag is RegimeTag.DEGENERATE:
+        if not p0:
+            return [p0 * math.copysign(1.0, 1.0 + s * t) for t in times]
         return [p0 * (1.0 + s * t) for t in times]
     r, k = regime.r, s / regime.r
     if regime.tag is RegimeTag.EXPONENTIAL:
+        if not p0:
+            return [p0 * _hyperbolic_sign(k, r * t) for t in times]
         return [p0 * (math.cosh(rt := r * t) + k * math.sinh(rt))
                 for t in times]
     try:
@@ -366,6 +359,15 @@ def _homogeneous(params: DdeParams, times: Sequence[float]) -> list[float]:
         t = next(t for t in times if not math.isfinite(r * t))
         raise NonFiniteValue(f"w*t overflows float64 at t={t!r} "
                              f"(w={r!r})") from None
+
+
+def _hyperbolic_sign(k: float, x: float) -> float:
+    """The sign (+-1.0) of cosh(x) + k sinh(x), or where ``math`` overflows,
+    of (1 + k sign(x)) e^|x| / 2, +1.0 where that is 0 and e^-|x| is left."""
+    try:
+        return math.copysign(1.0, math.cosh(x) + k * math.sinh(x))
+    except OverflowError:
+        return math.copysign(1.0, 1.0 + k * math.copysign(1.0, x))
 
 
 def _two_mode(params: DdeParams, times: Sequence[float],
@@ -379,7 +381,10 @@ def _two_mode(params: DdeParams, times: Sequence[float],
             NegativeInfluenceWarning,
             stacklevel=4,  # past _two_mode, _evaluate and its public caller
         )
-    return [c1 * math.exp(r * t) + c2 * math.exp(-r * t) + p
+    # a zero amplitude times a finite exponential is that zero, and so is
+    # its term at rate 0, where the exponential cannot overflow
+    r1, r2 = (r if c1 else 0.0), (r if c2 else 0.0)
+    return [c1 * math.exp(r1 * t) + c2 * math.exp(-r2 * t) + p
             for t, p in zip(times, _particular(params, forcing, times))]
 
 
@@ -432,8 +437,11 @@ def _exponential_block(p0: float, r: float, k: float, times: Sequence[float],
     ``behind``.  r (-t) = -(r t) exactly, cosh is even and sinh odd, so the
     second is :func:`evaluate`'s value at -t bit for bit.  The oracle is
     finite, so a gap is nan exactly where its c is inf or nan; a finite c
-    whose gap overflows gives an infinite deviation.
+    whose gap overflows gives an infinite deviation.  A zero p0 makes every
+    c a zero, as in ``evaluate``, and every gap the oracle's |p|.
     """
+    if not p0:
+        return max(map(abs, [*ahead, *behind]))
     hi = lo = 0.0
     try:
         for t, u, v in zip(times, ahead, behind):

@@ -52,6 +52,7 @@ from mirrordde.numerics import (
     LASSO_TOL,
     FdMode,
     _pow2_scaled,
+    _rk4_blocks,
     _sum_left_to_right,
     _sweep_kernel,
     lasso_fit,
@@ -766,7 +767,8 @@ def loop_forced_evaluate(params, times, config, modes=None):
 
     Follows the steps of the per-point evaluator: the matching modes when
     ``modes`` is None, the regime and resonance checks again, P(0) for the
-    negative-origin warning, then one sum per t; ``eta=None`` adds 0.0.
+    negative-origin warning, then one sum per t; ``eta=None`` adds 0.0,
+    and a zero amplitude's term is that zero, whatever its exponential.
     """
     theta, eta = config.theta, config.eta
     try:
@@ -777,7 +779,8 @@ def loop_forced_evaluate(params, times, config, modes=None):
         if p_zero < 0.0:
             warnings.warn(f"influence at t=0 is negative ({p_zero!r})",
                           NegativeInfluenceWarning)
-        values = [c1 * math.exp(r * t) + c2 * math.exp(-r * t)
+        values = [(c1 * math.exp(r * t) if c1 else c1)
+                  + (c2 * math.exp(-r * t) if c2 else c2)
                   + (loop_particular(theta, params, t)
                      + loop_particular(eta, params, t)) for t in times]
     except OverflowError as exc:
@@ -888,6 +891,19 @@ def exact_rk4(m, y0, t_end, step, dps=40):
         else:
             out[-1] = (t_end, out[-1][1])
     return out
+
+
+# ---------------------------------------------------------------------------
+# The package's RK4 kernel as one list
+# ---------------------------------------------------------------------------
+
+def rk4_trajectory(m, y0, t_end, step):
+    """The blocks of ``numerics._rk4_blocks`` joined into the (t, (u, v))
+    list that :func:`closure_rk4` returns.  It is a collector, not a
+    reference: the kernel's argument checks raise here, at its first
+    block."""
+    return [(t, (u, v)) for times, us, vs in _rk4_blocks(m, y0, t_end, step)
+            for t, u, v in zip(times, us, vs)]
 
 
 # ---------------------------------------------------------------------------

@@ -320,6 +320,23 @@ class TestSimulate:
             assert p == float(mpmath.nstr(
                 mpmath.cosh(rt) + (a + b) / r * mpmath.sinh(rt), 12))
 
+    @pytest.mark.parametrize("argv, rows", [
+        # 0 times an overflowing cosh was a math range error ...
+        (("--a", "0", "--b", "1000", "--p0", "0", "--t-min=-1",
+          "--t-max", "1"), ["-1,0", "0,0", "1,0"]),
+        # ... and 0 * -inf = nan in the degenerate ramp
+        (("--a", "1", "--b", "1", "--p0", "0", "--t-min=-1e308",
+          "--t-max", "1e308"), ["-1e+308,0", "0,0", "1e+308,0"]),
+        # 0 * exp(800) was a math range error: e^-400 is 1.915e-174
+        (("--a", "0.3", "--b", "0.5", "--p0", "1", "--c1", "0", "--c2", "1",
+          "--t-min", "0", "--t-max", "2000"),
+         ["0,1", "1000,1.91516959671e-174", "2000,0"]),
+    ])
+    def test_zero_amplitude_prints_exact_zeros(self, argv, rows):
+        code, out, err = run_cli("simulate", *argv, "--steps", "2")
+        assert (code, err) == (0, "")
+        assert out == "t,p\n" + "".join(row + "\n" for row in rows)
+
 
 # ---------------------------------------------------------------------------
 # fit
@@ -400,11 +417,11 @@ class TestFit:
     ])
     def test_prediction_exact_on_oscillatory_series(self, tmp_path, t, want):
         # p0 (cos(wt) + ((a+b)/w) sin(wt)) with the fitted (a, b)
-        from mirrordde import DdeParams, oscillatory_solution
+        from mirrordde import DdeParams, evaluate
 
         params = DdeParams(a=0.6, b=0.2, p0=1.0)
         times = [0.05 * (i - 60) for i in range(121)]
-        values = [oscillatory_solution(params, s).value for s in times]
+        values = evaluate(params, times)
         path = write_series_csv(tmp_path / "osc.csv", times, values)
         code, out, _ = run_cli("fit", "--input", path, "--predict", t)
         assert code == 0
@@ -419,11 +436,11 @@ class TestFit:
         assert abs(report["b"] - 0.6) <= 5e-2
 
     def test_oscillatory_series_reports_null_modes(self, tmp_path):
-        from mirrordde import DdeParams, oscillatory_solution
+        from mirrordde import DdeParams, evaluate
 
         params = DdeParams(a=0.6, b=0.2, p0=1.0)
         times = [0.05 * (i - 60) for i in range(121)]
-        values = [oscillatory_solution(params, t).value for t in times]
+        values = evaluate(params, times)
         path = write_series_csv(tmp_path / "osc.csv", times, values)
         code, out, err = run_cli("fit", "--input", path)
         assert code == 0
@@ -1083,6 +1100,13 @@ class TestVerify:
         assert code == 6
         assert float(out.strip()) > 1e-6
         assert err.startswith("ERROR 6: ")
+
+    def test_zero_p0_deviates_by_zero(self):
+        # the oracle stays at 0, and so does the closed form, also where
+        # its cosh overflows (|1000 t| above 710)
+        code, out, err = run_cli("verify", "--a", "0", "--b", "1000",
+                                 "--p0", "0", "--t-max", "1", "--step", "0.01")
+        assert (code, out, err) == (0, "0\n", "")
 
     def test_oscillatory_params_exit_3(self):
         code, _, err = run_cli("verify", "--a", "0.5", "--b", "0.3",

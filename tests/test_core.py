@@ -36,12 +36,11 @@ from mirrordde import (
     lasso_fit,
     oracle_solution,
     rank_journals,
-    rk4_integrate,
     svd_values,
     validate_series,
 )
 
-from oracles import longhand_series_error
+from oracles import longhand_series_error, rk4_trajectory
 
 
 # ---------------------------------------------------------------------------
@@ -426,11 +425,11 @@ _ZERO = ((0.0, 0.0), (0.0, 0.0))
      OutOfRange, "lam must be non-negative and finite, got -1.0"),
     (lambda: rank_journals(small_matrix(), "SJR", lam=math.nan),
      OutOfRange, "lam must be non-negative and finite, got nan"),
-    (lambda: rk4_integrate(_ZERO, (1.0, 1.0), 0.0, 0.1),
+    (lambda: rk4_trajectory(_ZERO, (1.0, 1.0), 0.0, 0.1),
      OutOfRange, "t_end must be positive, got 0.0"),
-    (lambda: rk4_integrate(_ZERO, (1.0, 1.0), 1.0, math.inf),
+    (lambda: rk4_trajectory(_ZERO, (1.0, 1.0), 1.0, math.inf),
      OutOfRange, "step must be positive, got inf"),
-    (lambda: rk4_integrate(((0.0, 0.0), (0.0, 1e100)), (1.0, 1.0), 1.0, 1.0),
+    (lambda: rk4_trajectory(((0.0, 0.0), (0.0, 1e100)), (1.0, 1.0), 1.0, 1.0),
      OutOfRange, "the RK4 step 1.0 on M = ((0.0, 0.0), (0.0, 1e+100)) leaves "
      "the float64 range"),
     (lambda: oracle_solution(_PARAMS, -1.0, 0.1),

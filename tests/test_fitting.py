@@ -28,7 +28,6 @@ from mirrordde import (
     finite_diff,
     fit_pipeline,
     modes_to_AB,
-    oscillatory_solution,
     validate_series,
 )
 from mirrordde.fitting import _rate
@@ -462,7 +461,7 @@ class TestFitPipeline:
     def test_oscillatory_series_skips_modes(self):
         params = DdeParams(a=0.6, b=0.2, p0=1.0)
         times = symmetric_grid(3.0, 0.05)
-        values = [oscillatory_solution(params, t).value for t in times]
+        values = evaluate(params, times)
         report = fit_pipeline(validate_series(times, values))
         assert report.regime.tag is RegimeTag.OSCILLATORY
         assert abs(report.params.a - 0.6) <= 1e-3

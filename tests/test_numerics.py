@@ -34,7 +34,6 @@ from mirrordde import (
     SingularSystem,
     finite_diff,
     lasso_fit,
-    rk4_integrate,
     solve_2x2,
     svd_values,
     validate_series,
@@ -48,6 +47,7 @@ from oracles import (
     dense_lasso_sweeps,
     exact_rk4,
     residual_lasso_sweeps,
+    rk4_trajectory,
 )
 from test_acceptance import TRIPLES
 
@@ -772,7 +772,7 @@ class TestSweepKernelCache:
 
 
 # ---------------------------------------------------------------------------
-# rk4_integrate
+# _rk4_blocks, collected into one list by rk4_trajectory
 # ---------------------------------------------------------------------------
 
 #: y' = (u, 0): u grows as e^t and v stays put.
@@ -795,26 +795,26 @@ def matrix_field(m):
 
 class TestRk4:
     def test_exponential_growth(self):
-        out = rk4_integrate(GROWTH, (1.0, 0.0), 1.0, 1e-3)
+        out = rk4_trajectory(GROWTH, (1.0, 0.0), 1.0, 1e-3)
         t_end, (u, _) = out[-1]
         assert t_end == 1.0
         assert abs(u - math.e) <= 1e-10
 
     def test_fourth_order_convergence(self):
         def err(h):
-            out = rk4_integrate(GROWTH, (1.0, 0.0), 1.0, h)
+            out = rk4_trajectory(GROWTH, (1.0, 0.0), 1.0, h)
             return abs(out[-1][1][0] - math.e)
 
         ratio = err(0.05) / err(0.025)
         assert 15.0 <= ratio <= 17.0
 
     def test_zero_field_is_constant(self):
-        out = rk4_integrate(ZERO, (2.5, -1.5), 3.0, 0.7)
+        out = rk4_trajectory(ZERO, (2.5, -1.5), 3.0, 0.7)
         assert all(state == (2.5, -1.5) for _, state in out)
         assert out[-1][0] == 3.0
 
     def test_partial_final_step_lands_exactly(self):
-        out = rk4_integrate(GROWTH, (1.0, 0.0), 0.35, 0.1)
+        out = rk4_trajectory(GROWTH, (1.0, 0.0), 0.35, 0.1)
         times = [t for t, _ in out]
         assert times[-1] == 0.35
         assert abs(out[-1][1][0] - math.exp(0.35)) <= 1e-6
@@ -822,7 +822,7 @@ class TestRk4:
     def test_end_far_below_one_step_is_one_short_step(self):
         # t_end < 1e-9 * step once fell between the whole steps and the
         # shortened one, and only t=0 came back
-        out = rk4_integrate(GROWTH, (1.0, 0.0), 1e-12, 1.0)
+        out = rk4_trajectory(GROWTH, (1.0, 0.0), 1e-12, 1.0)
         assert [t for t, _ in out] == [0.0, 1e-12]
         assert out[-1][1] == pytest.approx((math.exp(1e-12), 0.0),
                                            rel=1e-15)
@@ -846,46 +846,46 @@ class TestRk4:
                 return float(val.real)
 
             m = ((float(b), float(a)), (float(-a), float(-b)))
-            for t, (u, v) in rk4_integrate(m, (u0, v0), 2.0, 1e-3):
+            for t, (u, v) in rk4_trajectory(m, (u0, v0), 2.0, 1e-3):
                 assert abs((u + v) - s_exact(t)) <= 1e-8 * max(1.0, abs(s_exact(t)))
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            rk4_integrate(ZERO, (1.0, 0.0), 0.0, 0.1)
+            rk4_trajectory(ZERO, (1.0, 0.0), 0.0, 0.1)
         with pytest.raises(ValueError):
-            rk4_integrate(ZERO, (1.0, 0.0), 1.0, -0.1)
+            rk4_trajectory(ZERO, (1.0, 0.0), 1.0, -0.1)
         with pytest.raises(NonFiniteState):
-            rk4_integrate(ZERO, (math.nan, 0.0), 1.0, 0.1)
+            rk4_trajectory(ZERO, (math.nan, 0.0), 1.0, 0.1)
 
     def test_step_count_beyond_float_range(self):
         # any step taken with a NaN matrix would raise NonFiniteState instead
         nan_field = ((math.nan, math.nan), (math.nan, math.nan))
         with pytest.raises(OutOfRange, match="exceeds the float64 range"):
-            rk4_integrate(nan_field, (1.0, 0.0), 1e308, 1e-300)
+            rk4_trajectory(nan_field, (1.0, 0.0), 1e308, 1e-300)
 
     def test_step_count_above_cap(self):
         # a NaN matrix as above: the cap must raise before the first step
         nan_field = ((math.nan, math.nan), (math.nan, math.nan))
         cap = numerics.RK4_MAX_STEPS
         with pytest.raises(OutOfRange, match="exceeds the cap of 1048576 steps"):
-            rk4_integrate(nan_field, (1.0, 0.0), float(cap + 1), 1.0)
+            rk4_trajectory(nan_field, (1.0, 0.0), float(cap + 1), 1.0)
         # a shortened final step counts as a step
         with pytest.raises(OutOfRange, match="step count"):
-            rk4_integrate(nan_field, (1.0, 0.0), cap + 0.5, 1.0)
+            rk4_trajectory(nan_field, (1.0, 0.0), cap + 0.5, 1.0)
 
     def test_step_count_at_cap(self, monkeypatch):
         monkeypatch.setattr(numerics, "RK4_MAX_STEPS", 100)
-        assert len(rk4_integrate(GROWTH, (1.0, 0.0), 100.0, 1.0)) == 101
-        assert len(rk4_integrate(GROWTH, (1.0, 0.0), 0.1, 1e-3)) == 101
+        assert len(rk4_trajectory(GROWTH, (1.0, 0.0), 100.0, 1.0)) == 101
+        assert len(rk4_trajectory(GROWTH, (1.0, 0.0), 0.1, 1e-3)) == 101
         with pytest.raises(OutOfRange, match="exceeds the cap of 100 steps"):
-            rk4_integrate(GROWTH, (1.0, 0.0), 100.5, 1.0)
+            rk4_trajectory(GROWTH, (1.0, 0.0), 100.5, 1.0)
 
     def test_blowup_raises(self):
         # u grows by about (h lambda)^4 / 24 = 4e18 a step and overflows
         # on the sixth
         m = ((1e6, 0.0), (0.0, 0.0))
         with pytest.raises(NonFiniteState) as got:
-            rk4_integrate(m, (1e200, 0.0), 1.0, 0.1)
+            rk4_trajectory(m, (1e200, 0.0), 1.0, 0.1)
         with pytest.raises(NonFiniteState) as want:
             closure_rk4(matrix_field(m), (1e200, 0.0), 1.0, 0.1)
         assert str(got.value) == str(want.value)
@@ -899,7 +899,7 @@ class TestRk4:
         y0 = (1.1079719796608072e307, 1.1079719796608072e307)
         with pytest.raises(NonFiniteState):
             closure_rk4(matrix_field(m), y0, 0.3, 0.1)
-        t, (u, _) = rk4_integrate(m, y0, 0.3, 0.1)[-1]
+        t, (u, _) = rk4_trajectory(m, y0, 0.3, 0.1)[-1]
         assert t == 0.3 and 2.0188e307 < u < 2.0189e307
         assert u == pytest.approx(float(exact_rk4(m, y0, 0.3, 0.1)[-1][1][0]),
                                   rel=2.0 ** -50)
@@ -912,9 +912,9 @@ class TestRk4:
         y0 = (1e308, 1e308)
         sizes = [u for _, (u, _) in exact_rk4(m, y0, 0.3, 0.1)]
         assert sizes[2] < sys.float_info.max < sizes[3]
-        assert rk4_integrate(m, y0, 0.2, 0.1)[-1][0] == 0.2
+        assert rk4_trajectory(m, y0, 0.2, 0.1)[-1][0] == 0.2
         with pytest.raises(NonFiniteState) as got:
-            rk4_integrate(m, y0, 0.3, 0.1)
+            rk4_trajectory(m, y0, 0.3, 0.1)
         assert str(got.value).endswith(f"t={3 * 0.1!r}")
 
     def test_non_finite_propagator_raises_before_any_step(self):
@@ -924,8 +924,8 @@ class TestRk4:
         m = ((0.0, 0.0), (0.0, 1e100))
         for t_end in (1.0, 2.5):
             with pytest.raises(OutOfRange, match="leaves the float64 range"):
-                rk4_integrate(m, (0.0, 0.0), t_end, 1.0)
-        assert rk4_integrate(m, (0.0, 0.0), 1e-40, 1.0) == \
+                rk4_trajectory(m, (0.0, 0.0), t_end, 1.0)
+        assert rk4_trajectory(m, (0.0, 0.0), 1e-40, 1.0) == \
             [(0.0, (0.0, 0.0)), (1e-40, (0.0, 0.0))]
 
     @given(m=st.tuples(*[st.floats(min_value=-4.0, max_value=4.0)] * 4),
@@ -959,7 +959,7 @@ class TestRk4:
         relative to the largest |y|: a rounded E, whose error every step
         repeats, misses by 5x (5.5e-13)."""
         m = ((1.0, 0.999), (-0.999, -1.0))
-        got = rk4_integrate(m, (1.0, 1.0), 300.0, 1.0)
+        got = rk4_trajectory(m, (1.0, 1.0), 300.0, 1.0)
         exact = exact_rk4(m, (1.0, 1.0), 300.0, 1.0)
         gap = max(max(abs(u - eu), abs(v - ev)) / max(abs(eu), abs(ev))
                   for (_, (u, v)), (_, (eu, ev)) in zip(got, exact))
@@ -974,7 +974,7 @@ class TestRk4:
         worst = 0.0
         for a, b, p0 in TRIPLES:
             m = ((b, a), (-a, -b))
-            got = rk4_integrate(m, (p0, p0), 5.0, 1e-3)
+            got = rk4_trajectory(m, (p0, p0), 5.0, 1e-3)
             exact = exact_rk4(m, (p0, p0), 5.0, 1e-3)
             assert [t for t, _ in got] == [t for t, _ in exact]
             for (_, (u, v)), (_, (eu, ev)) in zip(got, exact):
@@ -993,7 +993,7 @@ class TestRk4:
         m = ((0.5, 0.3), (-0.3, -0.5))
         monkeypatch.setattr(numerics, "RK4_BLOCK_STEPS",
                             numerics.RK4_MAX_STEPS)
-        whole = rk4_integrate(m, (1.0, 1.0), t_end, step)
+        whole = rk4_trajectory(m, (1.0, 1.0), t_end, step)
         monkeypatch.setattr(numerics, "RK4_BLOCK_STEPS", block)
         blocks = list(numerics._rk4_blocks(m, (1.0, 1.0), t_end, step))
         steps = [len(times) for times, _, _ in blocks]
@@ -1045,7 +1045,7 @@ class TestRk4:
         kernel raises at a step whose exact state is within B_k of the
         float64 range or beyond it, and at no earlier step."""
         matrix = (m[:2], m[2:])
-        got = rk4_outcome(rk4_integrate, matrix, y0, t_end, step)
+        got = rk4_outcome(rk4_trajectory, matrix, y0, t_end, step)
         want = rk4_outcome(closure_rk4, matrix_field(matrix), y0, t_end, step)
         if isinstance(got, list) and isinstance(want, list):
             assert [t for t, _ in got] == [t for t, _ in want]

@@ -41,6 +41,7 @@ from mirrordde import (
     evaluate,
     fit_ab,
     fit_modes,
+    finite_diff,
     fit_pipeline,
     initial_conditions_to_modes,
     lasso_fit,
@@ -48,9 +49,7 @@ from mirrordde import (
     modes_to_AB,
     nonsymmetric_solution,
     oracle_solution,
-    oscillatory_solution,
     rank_journals,
-    rk4_integrate,
     solve_2x2,
     standardize,
     svd_values,
@@ -67,6 +66,7 @@ from oracles import (
     mp_forced_solution,
     mp_forcing,
     mp_substitution_residual,
+    rk4_trajectory,
     sample_layout_oracle,
 )
 
@@ -228,24 +228,14 @@ class TestDegenerateSolution:
 class TestOscillatorySolution:
     def test_origin_value_and_flag(self):
         params = DdeParams(a=0.5, b=0.3, p0=1.7)
-        out = oscillatory_solution(params, 0.0)
-        assert out.value == 1.7
-        assert out.infeasible is True
+        assert classify(params).tag is RegimeTag.OSCILLATORY
+        assert evaluate(params, [0.0]) == [1.7]
 
     def test_quarter_period(self):
         # w = 1, so at t = pi/2 only the sine term survives: p0 (a+b)/w
         params = DdeParams(a=1.0, b=0.0, p0=1.0)
-        out = oscillatory_solution(params, math.pi / 2.0)
-        assert out.value == pytest.approx(1.0, abs=1e-12)
-
-    def test_always_flagged_infeasible(self):
-        params = DdeParams(a=0.9, b=0.1, p0=1.0)
-        for t in np.linspace(-3.0, 3.0, 13):
-            assert oscillatory_solution(params, t).infeasible is True
-
-    def test_wrong_regime_rejected(self):
-        with pytest.raises(WrongRegime):
-            oscillatory_solution(DdeParams(a=0.3, b=0.5, p0=1.0), 1.0)
+        value, = evaluate(params, [math.pi / 2.0])
+        assert value == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +260,8 @@ class TestNonsymmetricSolution:
         # a_c p' = b_c + c_c p integrated with RK4 on the augmented linear
         # state (p, 1): p' = (c_c/a_c) p + (b_c/a_c) 1, 1' = 0
         a_c, b_c, c_c, p0 = 2.0, -0.5, 0.8, 1.2
-        out = rk4_integrate(((c_c / a_c, b_c / a_c), (0.0, 0.0)), (p0, 1.0),
-                            2.0, 1e-3)
+        out = rk4_trajectory(((c_c / a_c, b_c / a_c), (0.0, 0.0)), (p0, 1.0),
+                             2.0, 1e-3)
         want = out[-1][1][0]
         got = nonsymmetric_solution(a_c, b_c, c_c, p0, 2.0).value
         assert got == pytest.approx(want, rel=1e-9)
@@ -536,8 +526,6 @@ class TestEvaluate:
     @pytest.mark.parametrize("params,wrapper", [
         (PARAMS, base_solution),
         (DdeParams(a=0.4, b=0.4, p0=1.3), degenerate_solution),
-        (DdeParams(a=0.5, b=-0.3, p0=0.7),
-         lambda params, t: oscillatory_solution(params, t).value),
     ])
     def test_homogeneous_equals_wrappers_bitwise(self, params, wrapper):
         assert evaluate(params, TIMES) == [wrapper(params, t) for t in TIMES]
@@ -563,6 +551,45 @@ class TestEvaluate:
         with pytest.raises(NonFiniteValue) as got:
             evaluate(params, [0.0, 1e307, -1e308])
         assert str(got.value) == f"w*t overflows float64 at t=1e+307 (w={w!r})"
+
+    @pytest.mark.parametrize("params, times, signs", [
+        # k = -1.9 / sqrt(0.19) < -1: cosh x + k sinh x is negative from
+        # x near 0.23 on, and math.cosh overflows at |x| = 0.436 * 2000
+        (DdeParams(a=-0.9, b=-1.0, p0=0.0), [-2000.0, -1.0, 0.0, 1.0, 2000.0],
+         [1.0, 1.0, 1.0, -1.0, -1.0]),
+        # k = 1: cosh x + sinh x is e^x, tiny at x = -1000, yet math.cosh
+        # overflows there as at x = 1000
+        (DdeParams(a=0.0, b=1000.0, p0=0.0), [-1.0, 0.0, 1.0],
+         [1.0, 1.0, 1.0]),
+        # 1 + 2 t is -inf, -1, 1 and inf
+        (DdeParams(a=1.0, b=1.0, p0=-0.0), [-1e308, -1.0, 0.0, 1e308],
+         [-1.0, -1.0, 1.0, 1.0]),
+    ])
+    def test_zero_p0_gives_zeros_with_the_factors_signs(self, params, times,
+                                                       signs):
+        """0 * an overflowing cosh was a math range error, and 0 * inf nan.
+        A zero p0 now gives zeros everywhere: p0 times the sign of the
+        factor it scales, or of that factor's limit where math overflows."""
+        got = evaluate(params, times)
+        assert got == [0.0] * len(times)
+        assert [math.copysign(1.0, p) for p in got] == \
+            [s * math.copysign(1.0, params.p0) for s in signs]
+
+    @pytest.mark.parametrize("modes, times", [
+        ((0.0, 1.0), [0.0, 1000.0, 2000.0]),
+        ((-0.0, 1.0), [0.0, 1000.0, 2000.0]),
+        ((1.0, 0.0), [-2000.0, -1000.0, 0.0]),
+        ((0.0, -0.0), [-2000.0, 0.0, 2000.0]),
+    ])
+    def test_zero_amplitude_contributes_its_zero(self, modes, times):
+        """0 * exp(800) was a math range error; a zero amplitude's term is
+        that zero wherever its exponential is finite, and now everywhere."""
+        c1, c2 = modes
+        got = evaluate(PARAMS, times, modes=modes)
+        want = [(c1 * math.exp(0.4 * t) if c1 else c1)
+                + (c2 * math.exp(-0.4 * t) if c2 else c2) + 0.0
+                for t in times]
+        assert [v.hex() for v in got] == [v.hex() for v in want]
 
     @pytest.mark.parametrize("eta", ETAS)
     @pytest.mark.parametrize("theta", THETAS)
@@ -882,11 +909,11 @@ class TestOracleSolution:
 
 
 def one_block_mirror_rk4(a, b, p0, t_max, step):
-    """rk4_integrate on u' = b u + a v, v' = -(a u + b v) from u = v = p0,
-    all of it in one block."""
+    """RK4 on u' = b u + a v, v' = -(a u + b v) from u = v = p0, all of it
+    in one block."""
     with mock.patch.object(numerics, "RK4_BLOCK_STEPS",
                            numerics.RK4_MAX_STEPS):
-        return rk4_integrate(((b, a), (-a, -b)), (p0, p0), t_max, step)
+        return rk4_trajectory(((b, a), (-a, -b)), (p0, p0), t_max, step)
 
 
 # ---------------------------------------------------------------------------
@@ -943,6 +970,8 @@ class TestMaxDeviation:
     # b**2 overflows: refused before integrating, as the other regimes are
     @example(u=None, a=0.0, b=1e200, p0=1.0, t_max=1.0, steps=1.0)
     @example(u=None, a=0.5, b=0.5, p0=1.0, t_max=1.0, steps=10.0)
+    # a zero p0: zeros on both sides, where cosh overflows too
+    @example(u=None, a=0.0, b=1000.0, p0=0.0, t_max=1.0, steps=100.0)
     @settings(max_examples=150, deadline=None)
     def test_streamed_equals_whole_window(self, u, a, b, p0, t_max, steps):
         """In the exponential regime, blocks of 7 RK4 steps give the whole
@@ -986,13 +1015,16 @@ class TestMaxDeviation:
     @example(b=0.61, ratio=-0.37 / 0.61, p0=1.7, t=("x", 710.47))
     @example(b=0.61, ratio=-0.37 / 0.61, p0=1.7, t=("x", 710.48))
     @example(b=2.0, ratio=0.999999999999, p0=-3.0, t=("x", 700.0))
+    @example(b=1.0, ratio=0.0, p0=0.0, t=("x", 711.0))
+    @example(b=-1.0, ratio=0.0, p0=-0.0, t=("x", 709.9))
     @settings(max_examples=400, deadline=None)
     def test_one_cosh_sinh_pair_gives_both_mirrored_values(self, b, ratio,
                                                           p0, t):
         """With x = r t, ch = cosh(x) and ks = k sinh(x), ``evaluate`` at
         t and -t is p0 (ch + ks) and p0 (ch - ks), bit for bit, or raises
         where they overflow: the identity the oracle comparison's one pass
-        over an exponential block rests on."""
+        over an exponential block rests on.  A zero p0 gives zeros, with
+        those bits where they are numbers."""
         params = DdeParams(a=b * ratio, b=b, p0=p0)
         regime = classify(params)
         assume(regime.tag is RegimeTag.EXPONENTIAL)
@@ -1005,7 +1037,12 @@ class TestMaxDeviation:
             want = None
         else:
             want = [p0 * (ch + ks), p0 * (ch - ks)]
-        if want is None or not all(map(math.isfinite, want)):
+        if not p0:
+            got = evaluate(params, [t, -t])
+            assert got == [0.0, 0.0]
+            for v, w in zip(got, want or ()):
+                assert w != w or v.hex() == w.hex()
+        elif want is None or not all(map(math.isfinite, want)):
             with pytest.raises(NonFiniteValue):
                 evaluate(params, [t, -t])
         else:
@@ -1014,18 +1051,25 @@ class TestMaxDeviation:
 
     def test_exponential_block_fails_exactly_where_evaluate_does(self):
         """A finite c whose gap overflows is an infinite deviation; a c that
-        is not finite gives None, and ``evaluate`` raises on it."""
+        is not finite gives None, and ``evaluate`` raises on it.  A zero p0
+        gives zeros to both, also where cosh or sinh overflows."""
         assert solver._exponential_block(1e308, 1.0, 0.5, [0.0], [-1e308],
                                          [-1e308]) == math.inf
-        # cosh(709.9) + sinh(709.9) overflows, and 0 * inf is nan
-        params = DdeParams(a=0.0, b=1.0, p0=0.0)
+        # cosh(709.9) + sinh(709.9) overflows to inf, and 1e-300 * inf is inf
+        params = DdeParams(a=0.0, b=1.0, p0=1e-300)
         regime = classify(params)
         r, k = regime.r, (params.a + params.b) / regime.r
         assert solver._exponential_block(params.p0, r, k, [709.9], [0.0],
                                          [0.0]) is None
         with pytest.raises(NonFiniteValue) as info:
             evaluate(params, [709.9])
-        assert str(info.value) == "p(709.9) = nan overflows float64"
+        assert str(info.value) == "p(709.9) = inf overflows float64"
+        # 0 * inf was nan there, and math.cosh(711) raises
+        zero = DdeParams(a=0.0, b=1.0, p0=0.0)
+        for t in (709.9, 711.0):
+            assert solver._exponential_block(zero.p0, r, k, [t], [0.0],
+                                             [0.0]) == 0.0
+            assert evaluate(zero, [-t, t]) == [0.0, 0.0]
 
     def test_block_size_leaves_the_value(self):
         params = DdeParams(a=0.3, b=0.9, p0=-2.0)
@@ -1180,8 +1224,38 @@ def _series(data) -> InfluenceSeries:
                                max_size=2 * m + 1))])
 
 
+def _validated(data) -> InfluenceSeries:
+    """``validate_series`` on 3-7 drawn values, at sorted drawn times or at
+    multiples of a drawn edge step, symmetric about t = 0 for an odd
+    count."""
+    n, h = data.draw(st.integers(3, 7)), data.draw(STEPS)
+    times = data.draw(st.just([(i - n // 2) * h for i in range(n)])
+                      | st.lists(SCALARS, min_size=n, max_size=n).map(sorted))
+    return validate_series(times, [_f(data) for _ in range(n)])
+
+
 #: The difference modes of the fit.
 FD_MODES = st.sampled_from(list(FdMode))
+
+
+def _finite_diff(data) -> list[float]:
+    """``finite_diff`` on a drawn series, an inf quotient read as 0: a
+    quotient beyond the float64 range is inf, as documented, but none is
+    nan."""
+    d = finite_diff(_series(data), data.draw(FD_MODES)).tolist()
+    assert not any(map(math.isnan, d))
+    return [0.0 if math.isinf(q) else q for q in d]
+
+
+def _oracle(data) -> tuple[list[float], list[float]]:
+    """``oracle_solution`` on a drawn pair, window and step, the step
+    sometimes a whole fraction of the window; the step cap is lowered to
+    64, so that a long draw raises the cap's error instead of running."""
+    params, t_max = _params(data), _f(data)
+    step = data.draw(st.integers(1, 64).map(lambda n: t_max / n)
+                     | SCALARS)
+    with mock.patch.object(numerics, "RK4_MAX_STEPS", 64):
+        return oracle_solution(params, t_max, step)
 
 
 def _fit_ab(data) -> tuple[float, float]:
@@ -1221,8 +1295,8 @@ ENTRY_POINTS = {
     "base_solution": lambda d: base_solution(_params(d, EXP), _f(d)),
     "degenerate_solution": lambda d: degenerate_solution(
         _params(d, RegimeTag.DEGENERATE), _f(d)),
-    "oscillatory_solution": lambda d: oscillatory_solution(
-        _params(d, RegimeTag.OSCILLATORY), _f(d)),
+    "evaluate oscillatory": lambda d: evaluate(
+        _params(d, RegimeTag.OSCILLATORY), [_f(d)]),
     "control_solution": lambda d: control_solution(
         _params(d, EXP), _config(d), _f(d), _f(d), _f(d)),
     "initial_conditions_to_modes": lambda d: initial_conditions_to_modes(
@@ -1243,6 +1317,9 @@ ENTRY_POINTS = {
     "fit_ab": _fit_ab,
     "fit_modes": _fit_modes,
     "fit_pipeline": _fit_pipeline,
+    "validate_series": _validated,
+    "finite_diff": _finite_diff,
+    "oracle_solution": _oracle,
 }
 
 
@@ -1266,11 +1343,12 @@ class TestFiniteOrTyped:
     a short series of them, and C12's ``lasso_objective``, returns only
     finite floats or raises a :class:`MirrorDdeError`, on edge and ordinary
     floats alike, subnormal grid steps included.  The package documents
-    three other exceptions: ``KeyError`` from the feature lookups,
-    ``ControlConfig``'s ``TypeError`` for a term of the wrong type, and the
-    fit's infinite ``rss``.  The first two are not reachable from float
-    arguments to these entry points, so neither is allowed here; each rss
-    is checked on its own, as at most inf.  The negative-influence warning
+    four other exceptions: ``KeyError`` from the feature lookups,
+    ``ControlConfig``'s ``TypeError`` for a term of the wrong type, the
+    fit's infinite ``rss`` and ``finite_diff``'s infinite quotient.  The
+    first two are not reachable from float arguments to these entry
+    points, so neither is allowed here; each rss and quotient is checked on
+    its own, as at most inf.  The negative-influence warning
     at t=0 is ignored; numpy's ``RuntimeWarning`` fails, as everywhere in
     the suite."""
 
