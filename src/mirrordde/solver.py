@@ -308,7 +308,8 @@ def evaluate(params: DdeParams, times: Sequence[float],
     negative at t=0.  Raises :class:`NonFiniteValue` on a non-finite t or p,
     including a p whose ``math`` evaluation overflows.  A zero p0 (without
     ``config`` or ``modes``) or a zero mode amplitude contributes exact
-    zeros, also where the factor it scales overflows.
+    zeros, also where the factor it scales, or that factor's phase,
+    overflows.
     """
     return _evaluate(params, times, config, modes)
 
@@ -340,7 +341,7 @@ def _evaluate(params, times, config, modes) -> list[float]:
 
 def _homogeneous(params: DdeParams, times: Sequence[float]) -> list[float]:
     # a zero p0 times the factor's sign is p0 times the factor bit for bit,
-    # where that is not nan (0 * inf) or a math range error
+    # where that is not nan (0 * inf) or a math range or domain error
     regime = classify(params)
     p0, s = params.p0, params.a + params.b
     if regime.tag is RegimeTag.DEGENERATE:
@@ -353,6 +354,9 @@ def _homogeneous(params: DdeParams, times: Sequence[float]) -> list[float]:
             return [p0 * _hyperbolic_sign(k, r * t) for t in times]
         return [p0 * (math.cosh(rt := r * t) + k * math.sinh(rt))
                 for t in times]
+    if not p0:  # where w t overflows there is no factor: p0 itself
+        return [p0 * math.copysign(1.0, math.cos(wt) + k * math.sin(wt))
+                if math.isfinite(wt := r * t) else p0 for t in times]
     try:
         return [p0 * (math.cos(wt := r * t) + k * math.sin(wt)) for t in times]
     except ValueError:  # cos(inf) is a domain error

@@ -25,30 +25,19 @@ from mirrordde import SingularSystem, cli, numerics, solver
 
 from helpers import cli_peak_rss_mb, run_cli, run_cli_bytes
 from oracles import max_relative_deviation
+from pins import PINS
 
 SIMULATE_GOLDENS = sorted(
     p.name for p in (pathlib.Path(__file__).parent / "data").glob(
         "golden_simulate_*.csv"))
 
 
-#: (golden name, argv) of each ``golden_simulate_<name>.csv``, one per
-#: trajectory path; each adds ``--t-min=-5 --t-max=5 --steps 400``.
+#: (golden name, argv) of each ``golden_simulate_<name>.csv`` pin, one per
+#: trajectory path
 SIMULATE_GOLDEN_RUNS = [
-    ("exponential", ("--a=0.23", "--b=0.61", "--p0=1.3")),
-    ("degenerate", ("--a=0.37", "--b=0.37", "--p0=0.9")),
-    ("oscillatory", ("--a=0.58", "--b=-0.21", "--p0=1.1",
-                     "--allow-oscillatory")),
-    ("modes", ("--a=-0.17", "--b=0.44", "--p0=1", "--c1=0.35",
-               "--c2=-1.2")),
-    ("theta_const_eta_article", ("--a=0.12", "--b=0.47", "--p0=1.4",
-                                 "--theta-const=-0.13",
-                                 "--eta-article=0.62,0.8")),
-    ("theta_lin_eta_exp", ("--a=-0.31", "--b=0.52", "--p0=0.8",
-                           "--theta-lin=0.21,-0.07",
-                           "--eta-exp=-0.15,0.33")),
-    ("theta_exp", ("--a=0.2", "--b=0.55", "--p0=1.2",
-                   "--theta-exp=-0.27")),
-]
+    (pin.out.stem.removeprefix("golden_simulate_"), shlex.split(pin.argv)[1:])
+    for pin in PINS if isinstance(pin.out, pathlib.Path)
+    and pin.out.name.startswith("golden_simulate_")]
 
 
 def write_series_csv(path, times, values, header="t,p"):
@@ -197,15 +186,9 @@ class TestSimulate:
 
     @pytest.mark.parametrize("kind,argv", SIMULATE_GOLDEN_RUNS)
     def test_matches_golden(self, data_dir, tmp_path, kind, argv):
-        """One golden per trajectory path, 401 rows on [-5, 5].
-
-        Each file is ``simulate --t-min=-5 --t-max=5 --steps 400`` plus the
-        argv above; a reordered floating-point expression in the solver
-        shows up as a changed 12th digit somewhere in the 401 rows.
-        """
+        """The golden pins' calls write their stdout bytes to ``--out``."""
         target = tmp_path / "sim.csv"
-        code, out, err = run_cli("simulate", "--t-min=-5", "--t-max=5",
-                                 "--steps", "400", *argv, "--out", str(target))
+        code, out, err = run_cli("simulate", *argv, "--out", str(target))
         assert code == 0 and out == "" and err == ""
         golden = data_dir / f"golden_simulate_{kind}.csv"
         assert target.read_bytes() == golden.read_bytes()
@@ -217,11 +200,10 @@ class TestSimulate:
         stdout and to ``--out``: the same bytes as one block."""
         monkeypatch.setattr(cli, "WRITE_BLOCK_ROWS", 7)
         golden = (data_dir / f"golden_simulate_{kind}.csv").read_bytes()
-        grid = ("simulate", "--t-min=-5", "--t-max=5", "--steps", "400", *argv)
-        code, out, err = run_cli(*grid)
+        code, out, err = run_cli("simulate", *argv)
         assert (code, out.encode(), err) == (0, golden, "")
         target = tmp_path / "sim.csv"
-        code, out, err = run_cli(*grid, "--out", str(target))
+        code, out, err = run_cli("simulate", *argv, "--out", str(target))
         assert (code, out, err) == (0, "", "")
         assert target.read_bytes() == golden
 
@@ -248,13 +230,6 @@ class TestSimulate:
         assert "Traceback" not in err
         assert err.count("ERROR 2: ") == 1 and err.count("\n") == 1
         assert "math domain error" not in err
-
-    def test_grid_whose_blend_overflows(self):
-        # t_min * steps overflowed to -inf: "t must be finite, got -inf"
-        code, out, err = run_cli("simulate", "--a", "0", "--b", "0", "--p0",
-                                 "1", "--t-min=-1e308", "--t-max", "1e308",
-                                 "--steps", "2")
-        assert (code, out, err) == (0, "t,p\n-1e+308,1\n0,1\n1e+308,1\n", "")
 
     @given(ends=st.lists(st.floats(allow_nan=False, allow_infinity=False),
                          min_size=2, max_size=2, unique=True).map(sorted),
@@ -286,23 +261,6 @@ class TestSimulate:
         assert (code, err) == (0, "")
         assert out.splitlines()[1] == "9.99988867183e-321,1"
 
-    @pytest.mark.parametrize("forcing", [("--theta-exp", "1e155"),
-                                         ("--eta-exp", "1,1e300")])
-    def test_rate_with_overflowing_square_is_not_resonant(self, forcing):
-        # it used to print "ERROR 3: ... coincides with b**2 - a**2 = 0.16"
-        code, out, err = run_cli("simulate", "--a", "0.3", "--b", "0.5",
-                                 "--p0", "1", *forcing, "--steps", "2",
-                                 "--t-min=-1", "--t-max", "1")
-        assert (code, out) == (2, "")
-        assert err == "ERROR 2: p(t) overflows float64 (math range error)\n"
-
-    def test_overflowing_squares_name_the_inputs(self):
-        code, out, err = run_cli("simulate", "--a", "0", "--b", "1e200",
-                                 "--p0", "1", "--steps", "2")
-        assert (code, out) == (2, "")
-        assert err == ("ERROR 2: b**2 - a**2 overflows float64 for a=0.0, "
-                       "b=1e+200\n")
-
     def test_squares_whose_sum_overflows(self):
         # b**2 + a**2 overflows, b**2 - a**2 does not: exponential, not the
         # degenerate ramp -1.3, 1, 3.3; the values are mpmath's
@@ -319,23 +277,6 @@ class TestSimulate:
             rt = r * mpmath.mpf(t)
             assert p == float(mpmath.nstr(
                 mpmath.cosh(rt) + (a + b) / r * mpmath.sinh(rt), 12))
-
-    @pytest.mark.parametrize("argv, rows", [
-        # 0 times an overflowing cosh was a math range error ...
-        (("--a", "0", "--b", "1000", "--p0", "0", "--t-min=-1",
-          "--t-max", "1"), ["-1,0", "0,0", "1,0"]),
-        # ... and 0 * -inf = nan in the degenerate ramp
-        (("--a", "1", "--b", "1", "--p0", "0", "--t-min=-1e308",
-          "--t-max", "1e308"), ["-1e+308,0", "0,0", "1e+308,0"]),
-        # 0 * exp(800) was a math range error: e^-400 is 1.915e-174
-        (("--a", "0.3", "--b", "0.5", "--p0", "1", "--c1", "0", "--c2", "1",
-          "--t-min", "0", "--t-max", "2000"),
-         ["0,1", "1000,1.91516959671e-174", "2000,0"]),
-    ])
-    def test_zero_amplitude_prints_exact_zeros(self, argv, rows):
-        code, out, err = run_cli("simulate", *argv, "--steps", "2")
-        assert (code, err) == (0, "")
-        assert out == "t,p\n" + "".join(row + "\n" for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -449,26 +390,6 @@ class TestFit:
         for key in ("A", "B", "w1", "w2", "rss_modes"):
             assert report[key] is None
         assert "oscillatory" in err
-
-    @pytest.mark.parametrize("name,source,extra", [
-        ("exponential", "exponential", ()),
-        ("exponential_forward", "exponential", ("--fd", "forward")),
-        ("oscillatory", "oscillatory", ()),
-        ("degenerate", "degenerate", ()),
-    ])
-    def test_matches_golden(self, data_dir, name, source, extra):
-        """Full-precision JSON and the regime note, byte for byte.
-
-        Inputs are the simulate goldens; each pair of files is stdout and
-        stderr of ``fit --input golden_simulate_<source>.csv --predict 1.5``
-        plus the extra flags.
-        """
-        code, out, err = run_cli(
-            "fit", "--input", str(data_dir / f"golden_simulate_{source}.csv"),
-            "--predict", "1.5", *extra)
-        assert code == 0
-        assert out.encode() == (data_dir / f"golden_fit_{name}.out").read_bytes()
-        assert err.encode() == (data_dir / f"golden_fit_{name}.err").read_bytes()
 
     @pytest.mark.parametrize("name,argv", FIT_PIPE_GOLDEN_RUNS)
     def test_pipe_matches_golden(self, tmp_path, data_dir, name, argv):
@@ -798,17 +719,6 @@ class TestStreamingReaders:
 # ---------------------------------------------------------------------------
 
 class TestRank:
-    def test_fixture_output_and_response_echo(self, data_dir):
-        code, out, err = run_cli("rank", "--input",
-                                 str(data_dir / "rank_m3.csv"))
-        assert code == 0
-        assert err.strip() == "response=CiteScore lambda=0.1"
-        lines = out.strip().splitlines()
-        assert lines[0] == "rank,journal,singval,elimination_step"
-        assert len(lines) == 4
-        golden = (data_dir / "golden_rank_m3.csv").read_text()
-        assert out == golden
-
     def test_wide_short_table_ranks_in_the_loop(self, tmp_path):
         """1000 predictors over 3 journals rank in the loop over nonzero
         coefficients and build no sweep kernel: a generated kernel that
@@ -843,69 +753,6 @@ class TestRank:
                                      stdin=data)
         assert (code, out) == (0, (data_dir / "golden_rank_m8.csv").read_bytes())
 
-    def test_matches_golden_m8(self, data_dir):
-        code, out, _ = run_cli("rank", "--input",
-                               str(data_dir / "rank_m8.csv"))
-        assert code == 0
-        assert out == (data_dir / "golden_rank_m8.csv").read_text()
-
-    def test_column_scaled_by_2_1000_matches_golden_m8(self, data_dir):
-        """``rank_m8_2p1000.csv`` is ``rank_m8.csv`` with CiteScore times
-        2**1000 exactly; standardization divides the scale out, so the
-        bytes are those of the unscaled table.  The squares of its
-        deviations used to overflow: every score printed as 0, and numpy's
-        warning landed on stderr."""
-        code, out, err = run_cli_bytes("rank", "--input",
-                                       str(data_dir / "rank_m8_2p1000.csv"))
-        assert (code, out, err) == (
-            0, (data_dir / "golden_rank_m8.csv").read_bytes(),
-            b"response=CiteScore lambda=0.1\n")
-
-    def test_matches_golden_m60(self, data_dir):
-        """60 journals, so standardization sums columns longer than 8 rows.
-
-        numpy sums such columns in pairwise order, which a row-by-row
-        reduction does not reproduce in the last bit.  The table is
-        ``numpy.random.default_rng(0).lognormal(0.0, 0.75, size=(60, 7))``
-        printed with ``%.6g`` (journals ``Journal 01``..``Journal 60``); the
-        golden is ``rank --input rank_m60.csv --lambda 0.05``.  Seed 0 ranks
-        without error, so no seed was skipped.
-        """
-        code, out, err = run_cli_bytes("rank", "--input",
-                                       str(data_dir / "rank_m60.csv"),
-                                       "--lambda", "0.05")
-        assert code == 0, err
-        assert out == (data_dir / "golden_rank_m60.csv").read_bytes()
-
-    def test_matches_golden_m60_lambda0(self, data_dir):
-        """The last step decided by the tie rule: with two journals left,
-        every standardized entry is exactly ±1, both column norms are 1, and
-        the lower current row (``Journal 24``) is eliminated at step 59.
-        Rounded z-scores of 1 ± an ulp eliminated ``Journal 34`` instead.
-        The golden is ``rank --input rank_m60.csv --lambda 0``.
-        """
-        code, out, err = run_cli_bytes("rank", "--input",
-                                       str(data_dir / "rank_m60.csv"),
-                                       "--lambda", "0")
-        assert code == 0, err
-        assert out == (data_dir / "golden_rank_m60_lambda0.csv").read_bytes()
-
-    def test_matches_golden_m150(self, data_dir):
-        """150 journals by 8 features, down to the late steps where fewer
-        journals than predictors remain and the lasso's nonzero set moves
-        most.
-
-        The table is ``numpy.random.default_rng(0).lognormal(0.0, 0.75,
-        size=(150, 8))`` printed with ``%.6g`` (journals ``Journal 001``..
-        ``Journal 150``); the golden is ``rank --input rank_m150.csv
-        --lambda 0.05``.  Seed 0 ranks without error, so no seed was skipped.
-        """
-        code, out, err = run_cli_bytes("rank", "--input",
-                                       str(data_dir / "rank_m150.csv"),
-                                       "--lambda", "0.05")
-        assert code == 0, err
-        assert out == (data_dir / "golden_rank_m150.csv").read_bytes()
-
     def test_convergence_failure_names_the_step(self, data_dir, monkeypatch):
         monkeypatch.setattr(numerics, "LASSO_MAX_SWEEPS", 1)
         code, out, err = run_cli("rank", "--input",
@@ -914,23 +761,6 @@ class TestRank:
         assert err.strip().splitlines()[-1] == (
             "ERROR 2: step 1: coordinate descent did not converge within "
             "1 sweeps")
-
-    def test_sweep_cap_of_an_ordinary_table(self, data_dir):
-        """A benchmark-style table that reaches the real sweep cap.
-
-        ``rank_cap_m36.csv`` is ``bench/workloads.py::_write_table(path, 1,
-        names, 8)`` with journals ``J000001``..``J000036``: the table seed
-        that the benchmark's 36-by-8 table skips because it fails.  At step
-        34, with 3 journals and 7 predictors left, coordinate descent runs
-        out of its 10000 sweeps."""
-        code, out, err = run_cli("rank", "--input",
-                                 str(data_dir / "rank_cap_m36.csv"),
-                                 "--response", "SJR", "--lambda", "0.08")
-        assert (code, out) == (2, "")
-        assert err == (
-            "response=SJR lambda=0.08\n"
-            "ERROR 2: step 34: coordinate descent did not converge within "
-            "10000 sweeps\n")
 
     def test_explicit_response_and_lambda(self, data_dir):
         code, _, err = run_cli("rank", "--input",
@@ -954,17 +784,6 @@ class TestRank:
         # the response/lambda echo still lands first on stderr
         assert err.strip().splitlines()[-1].startswith("ERROR 2: ")
         assert "Prestige" in err
-
-    def test_zero_variance_exit(self, tmp_path):
-        path = tmp_path / "zv.csv"
-        path.write_text("journal,CiteScore,SJR,SNIP,CitationCount\n"
-                        "Alpha Journal,3.2,1.4,1.1,820\n"
-                        "Beta Review,5.6,2.3,1.6,1450\n"
-                        "Gamma Letters,1.1,0.5,1.6,260\n")
-        code, _, err = run_cli("rank", "--input", str(path))
-        assert code == 5
-        assert err.strip().splitlines()[-1] == (
-            "ERROR 5: step 2: feature 'SNIP' has zero variance")
 
     def test_flatness_floor_ignores_units(self, tmp_path):
         # the floor is absolute (ROADMAP item 9): a column whose largest
@@ -1052,62 +871,7 @@ class TestRank:
 # verify
 # ---------------------------------------------------------------------------
 
-VERIFY_GOLDEN_ARGVS = (
-    # the benchmark size: 8192 steps of 2**-11
-    ("--a", "0.3", "--b", "0.9", "--p0", "1.2", "--t-max", "4",
-     "--step", "0.00048828125"),
-    # a shortened final step
-    ("--a", "0.3", "--b", "0.5", "--p0", "1", "--t-max", "0.35",
-     "--step", "0.1"),
-    ("--a=-0.4", "--b", "0.7", "--p0", "2.5"),
-    # beyond the tolerance: exit 6 with one stderr line
-    ("--a", "0.3", "--b", "0.5", "--p0", "1", "--step", "0.5"),
-    ("--a", "0.3", "--b", "0.5", "--p0", "1", "--t-max", "5",
-     "--step", "0.001"),
-)
-
-
-def verify_transcript() -> bytes:
-    """Exit code, stdout and stderr of ``verify`` for each golden argv.
-
-    ``tests/data/golden_verify.out`` holds these bytes; rewrite it with
-    ``cd tests && PYTHONPATH=../src python -c "import sys, test_cli;
-    sys.stdout.buffer.write(test_cli.verify_transcript())"``.
-    """
-    blocks = []
-    for argv in VERIFY_GOLDEN_ARGVS:
-        code, out, err = run_cli_bytes("verify", *argv)
-        blocks.append(b"$ verify %s\nexit %d\n--- stdout\n%s--- stderr\n%s"
-                      % (" ".join(argv).encode(), code, out, err))
-    return b"".join(blocks)
-
-
 class TestVerify:
-    def test_matches_golden(self, data_dir):
-        """stdout, stderr and exit code of five verify runs, byte for byte."""
-        assert verify_transcript() == \
-            (data_dir / "golden_verify.out").read_bytes()
-
-    def test_agreement_at_default_step(self):
-        code, out, err = run_cli("verify", "--a", "0.3", "--b", "0.5",
-                                 "--p0", "1")
-        assert code == 0 and err == ""
-        assert float(out.strip()) <= 1e-6
-
-    def test_coarse_step_fails_with_exit_6(self):
-        code, out, err = run_cli("verify", "--a", "0.3", "--b", "0.5",
-                                 "--p0", "1", "--step", "0.5")
-        assert code == 6
-        assert float(out.strip()) > 1e-6
-        assert err.startswith("ERROR 6: ")
-
-    def test_zero_p0_deviates_by_zero(self):
-        # the oracle stays at 0, and so does the closed form, also where
-        # its cosh overflows (|1000 t| above 710)
-        code, out, err = run_cli("verify", "--a", "0", "--b", "1000",
-                                 "--p0", "0", "--t-max", "1", "--step", "0.01")
-        assert (code, out, err) == (0, "0\n", "")
-
     def test_oscillatory_params_exit_3(self):
         code, _, err = run_cli("verify", "--a", "0.5", "--b", "0.3",
                                "--p0", "1")
@@ -1131,13 +895,6 @@ class TestVerify:
         assert err == ("ERROR 2: step count 5.0/0.001 exceeds the cap of 100 "
                        "steps\n")
 
-    def test_overflowing_squares_name_the_inputs(self):
-        code, out, err = run_cli("verify", "--a", "1e200", "--b", "1e300",
-                                 "--p0", "1")
-        assert (code, out) == (2, "")
-        assert err == ("ERROR 2: b**2 - a**2 overflows float64 for a=1e+200, "
-                       "b=1e+300\n")
-
     def test_squares_whose_sum_overflows(self):
         code, out, err = run_cli("verify", "--a", "1e154", "--b", "1.3e154",
                                  "--p0", "1", "--t-max", "1e-154",
@@ -1159,37 +916,6 @@ class TestVerify:
         code, _, err = run_cli("verify", "--a", "0.3", "--b", "0.5",
                                "--p0", "1", "--step", "0")
         assert code == 2
-
-    @pytest.mark.parametrize("argv, err", [
-        # RK4 fails at t = 7200; the closed form, from t = 7010 on, later
-        (("--a", "0", "--b", "0.2", "--p0", "1e-300", "--t-max", "7500",
-          "--step", "10"), "state became non-finite at t=7200.0"),
-        (("--a", "0", "--b", "0.2", "--p0", "1e-300", "--t-max", "7100",
-          "--step", "10"), "p(t) overflows float64 (math range error)"),
-        # the first non-finite p in ascending t, on either side of 0
-        (("--a=0", "--b=-0.1", "--p0=2.4880700676029834e+221",
-          "--t-max=2000", "--step=10.0"), "p(-2000.0) = inf overflows float64"),
-        (("--a=0", "--b=0.1", "--p0=2.4880700676029834e+221",
-          "--t-max=2000", "--step=10.0"), "p(2000.0) = inf overflows float64"),
-        # the first RK4 step already leaves the range
-        (("--a", "0", "--b", "1e100", "--p0", "0", "--t-max", "1",
-          "--step", "1"), "the RK4 step 1.0 on M = ((1e+100, 0.0), "
-                          "(-0.0, -1e+100)) leaves the float64 range"),
-    ])
-    def test_errors_of_the_whole_window(self, argv, err):
-        """The oracle's error first, then the closed form's error over the
-        ascending window, though both are checked one block at a time."""
-        assert run_cli("verify", *argv) == (2, "", f"ERROR 2: {err}\n")
-
-    @pytest.mark.parametrize("argv, out", [
-        # the benchmark's shape: 8192 steps, 32 blocks
-        (("--a=-0.37", "--b", "0.61", "--p0", "1.7", "--t-max", "4",
-          "--step", "0.00048828125"), "6.87591293084e-16"),
-        (("--a", "0.3", "--b", "0.9", "--p0=-2", "--t-max", "4",
-          "--step", "0.00048828125"), "1.99535511112e-15"),
-    ])
-    def test_deviation_bytes(self, argv, out):
-        assert run_cli("verify", *argv) == (0, out + "\n", "")
 
     @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
     def test_memory_does_not_grow_with_the_step_count(self):
@@ -1410,10 +1136,6 @@ class TestNegativeNumbers:
         spaced = run_cli(*argv, flag, value)
         assert spaced == run_cli(*argv, f"{flag}={value}")
         assert "expected one argument" not in spaced[2]
-
-    def test_verify_spot_value(self):
-        assert run_cli("verify", "--a", "-2e-05", "--b", "0.5",
-                       "--p0", "1") == (0, "2.42861286637e-15\n", "")
 
     def test_option_like_value_still_rejected(self):
         code, _, err = run_cli("verify", "--a", "-x", "--b", "0.5",
@@ -1651,28 +1373,6 @@ def test_readme_examples_print_what_they_show(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# --help
-# ---------------------------------------------------------------------------
-
-@pytest.mark.skipif(sys.version_info >= (3, 13),
-                    reason="argparse from 3.13 wraps the simulate usage "
-                           "block differently")
-@pytest.mark.parametrize("subcommand",
-                         [None, "simulate", "fit", "rank", "verify", "eta"])
-def test_help_matches_golden(data_dir, monkeypatch, capsys, subcommand):
-    """``--help`` at 80 columns keeps every byte of
-    ``golden_help[_<subcommand>].txt``."""
-    monkeypatch.setenv("COLUMNS", "80")
-    argv = [subcommand, "--help"] if subcommand else ["--help"]
-    with pytest.raises(SystemExit) as info:
-        cli.main(argv)
-    assert info.value.code == 0
-    golden = data_dir / f"golden_help{'_' + subcommand if subcommand else ''}.txt"
-    out, err = capsys.readouterr()
-    assert (out.encode(), err) == (golden.read_bytes(), "")
-
-
-# ---------------------------------------------------------------------------
 # one parser per process
 # ---------------------------------------------------------------------------
 
@@ -1713,6 +1413,6 @@ def test_main_reuses_one_parser(data_dir, monkeypatch, capsys):
     assert [code for code, _, _ in shared] == [0] * 5 + [2, 2, 0, 0, 0]
     assert shared[6][2] == (b"ERROR 2: argument --theta-lin: not allowed "
                             b"with argument --theta-const\n")
-    if sys.version_info < (3, 13):  # as in test_help_matches_golden
+    if sys.version_info < (3, 13):  # as for the help pins
         assert shared[-1][1:] == (
             (data_dir / "golden_help.txt").read_bytes(), b"")

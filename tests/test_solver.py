@@ -501,6 +501,16 @@ class TestInitialConditionsToModes:
         assert math.isfinite(c1) and math.isfinite(c2)
         assert evaluate(PARAMS, [0.0], config) == [c1 + c2 + 0.0]
 
+    def test_resonance_tolerance_grows_with_the_square(self):
+        # |rate**2 - disc| is about 2e-7 here: within 1e-12 of disc = 1e6,
+        # though far above an absolute 1e-12
+        params = DdeParams(a=0.0, b=1000.0, p0=1.0)
+        with pytest.raises(ResonantForcing):
+            initial_conditions_to_modes(
+                params, ControlConfig(theta=ThetaExponential(1000.0000000001)))
+        initial_conditions_to_modes(
+            params, ControlConfig(theta=ThetaExponential(1000.000001)))
+
     def test_overflowing_start_slope_is_non_finite_value(self):
         # k1 * k = inf over (k1 * k1 - disc) = inf makes P'(0) NaN
         config = ControlConfig(eta=EtaTimeExponential(k=1e300, k1=1e300))
@@ -564,10 +574,15 @@ class TestEvaluate:
         # 1 + 2 t is -inf, -1, 1 and inf
         (DdeParams(a=1.0, b=1.0, p0=-0.0), [-1e308, -1.0, 0.0, 1e308],
          [-1.0, -1.0, 1.0, 1.0]),
+        # cos(w t) + k sin(w t) is negative at t = 0.2; w t overflows at
+        # 1e307, where cos(inf) was a domain error
+        (DdeParams(a=20.0, b=1.0, p0=-0.0), [-1e307, 0.0, 0.2, 1e307],
+         [1.0, 1.0, -1.0, 1.0]),
     ])
     def test_zero_p0_gives_zeros_with_the_factors_signs(self, params, times,
                                                        signs):
-        """0 * an overflowing cosh was a math range error, and 0 * inf nan.
+        """0 * an overflowing cosh was a math range error, 0 * inf nan, and
+        cos(inf) a domain error.
         A zero p0 now gives zeros everywhere: p0 times the sign of the
         factor it scales, or of that factor's limit where math overflows."""
         got = evaluate(params, times)
@@ -834,6 +849,10 @@ class TestOracleSolution:
     def test_window_must_be_positive(self, t_max):
         with pytest.raises(ValueError, match="t_max must be positive"):
             oracle_solution(DdeParams(a=0.3, b=0.5, p0=1.0), t_max, 1e-3)
+
+    def test_zero_step_is_out_of_range(self):
+        with pytest.raises(OutOfRange, match="step must be positive"):
+            oracle_solution(DdeParams(a=0.3, b=0.5, p0=1.0), 1.0, 0.0)
 
     def test_pure_present_term(self):
         params = DdeParams(a=0.0, b=1.0, p0=1.0)
