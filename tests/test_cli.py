@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import os
@@ -61,70 +60,6 @@ def exponential_csv(path, a=0.2, b=0.6, p0=1.0, half=3.0, h=0.05):
 # ---------------------------------------------------------------------------
 
 class TestSimulate:
-    def test_plain_exponential_rows(self):
-        code, out, err = run_cli("simulate", "--a", "0", "--b", "1",
-                                 "--p0", "1", "--t-min", "0", "--t-max", "1",
-                                 "--steps", "4")
-        assert code == 0 and err == ""
-        lines = out.strip().splitlines()
-        assert lines[0] == "t,p"
-        assert len(lines) == 6            # header + steps+1 samples
-        assert lines[-1] == "1,2.71828182846"
-
-    def test_symmetric_window_has_exact_endpoints(self):
-        code, out, _ = run_cli("simulate", "--a", "0.3", "--b", "0.5",
-                               "--p0", "1", "--t-min", "-2", "--t-max", "2",
-                               "--steps", "8")
-        assert code == 0
-        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
-        assert rows[0][0] == "-2" and rows[-1][0] == "2"
-        assert rows[4][0] == "0" and rows[4][1] == "1"
-
-    def test_oscillatory_guard(self):
-        code, out, err = run_cli("simulate", "--a", "0.5", "--b", "0.3",
-                                 "--p0", "1")
-        assert code == 3
-        assert out == ""
-        assert err.startswith("ERROR 3: ")
-        assert "oscillatory" in err
-        assert "\n" not in err.strip()
-
-    def test_oscillatory_branch_inspection(self):
-        code, out, err = run_cli("simulate", "--a", "0.5", "--b", "0.3",
-                                 "--p0", "1", "--t-min", "-1", "--t-max", "1",
-                                 "--steps", "4", "--allow-oscillatory")
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0] == "t,p,warning"
-        assert all(line.endswith(",infeasible") for line in lines[1:])
-
-    def test_degenerate_ramp(self):
-        code, out, _ = run_cli("simulate", "--a", "0.4", "--b", "0.4",
-                               "--p0", "1", "--t-min", "0", "--t-max", "1",
-                               "--steps", "2")
-        assert code == 0
-        assert out.strip().splitlines()[1:] == ["0,1", "0.5,1.4", "1,1.8"]
-
-    def test_forced_run_with_explicit_modes(self):
-        code, out, _ = run_cli("simulate", "--a", "0.3", "--b", "0.5",
-                               "--p0", "1", "--t-min", "0", "--t-max", "1",
-                               "--steps", "4", "--theta-const", "0.2",
-                               "--c1", "1", "--c2", "1")
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0] == "t,p"
-        # c1 + c2 + theta/(a-b) = 2 - 1 = 1 at the origin
-        assert lines[1] == "0,1"
-
-    def test_negative_influence_column(self):
-        code, out, _ = run_cli("simulate", "--a", "0.3", "--b", "0.5",
-                               "--p0", "1", "--t-min", "0", "--t-max", "1",
-                               "--steps", "2", "--c1", "-3", "--c2", "0.5")
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0] == "t,p,warning"
-        assert all(line.endswith(",negative-influence") for line in lines[1:])
-
     def test_out_flag_writes_file(self, tmp_path):
         target = tmp_path / "sim.csv"
         code, out, _ = run_cli("simulate", "--a", "0", "--b", "1", "--p0", "1",
@@ -133,56 +68,12 @@ class TestSimulate:
         assert code == 0 and out == ""
         assert target.read_text().splitlines()[-1] == "1,2.71828182846"
 
-    @pytest.mark.parametrize("where, reason", [
-        ("missing/x.csv", "No such file or directory"),
-        (".", "Is a directory"),
-    ])
-    def test_unwritable_out_is_one_error_line(self, tmp_path, where, reason):
-        target = str(tmp_path / where)
-        code, out, err = run_cli("simulate", "--a", "0.3", "--b", "0.9",
-                                 "--p0", "1", "--out", target)
-        assert (code, out) == (2, "")
-        assert err.startswith(f"ERROR 2: cannot write {target!r}: ")
-        assert reason in err and err.count("\n") == 1
-
     def test_deterministic_output(self):
         args = ("simulate", "--a", "0.3", "--b", "0.5", "--p0", "1.2",
                 "--steps", "50")
         first = run_cli(*args)
         second = run_cli(*args)
         assert first == second
-
-    @pytest.mark.parametrize("extra", [
-        ("--steps", "0"),
-        ("--t-min", "2", "--t-max", "-2"),
-        ("--c1", "1"),
-    ])
-    def test_flag_validation(self, extra):
-        code, _, err = run_cli("simulate", "--a", "0.3", "--b", "0.5",
-                               "--p0", "1", *extra)
-        assert code == 2
-        assert err.startswith("ERROR 2: ")
-
-    @pytest.mark.parametrize("steps", [2**53 + 1, 10**400])
-    def test_steps_beyond_distinct_floats(self, steps):
-        code, out, err = run_cli("simulate", "--a", "0.3", "--b", "0.5",
-                                 "--p0", "1", "--steps", str(steps))
-        assert (code, out) == (2, "")
-        assert err == f"ERROR 2: --steps must be <= 9007199254740992, got {steps}\n"
-
-    def test_conflicting_theta_flags(self):
-        code, _, err = run_cli("simulate", "--a", "0.3", "--b", "0.5",
-                               "--p0", "1", "--theta-const", "0.1",
-                               "--theta-exp", "0.2")
-        assert code == 2
-        assert err.startswith("ERROR 2: ")
-
-    def test_resonant_forcing_exit(self):
-        # rate^2 = 0.16 = b^2 - a^2
-        code, _, err = run_cli("simulate", "--a", "0.3", "--b", "0.5",
-                               "--p0", "1", "--theta-exp", "0.4")
-        assert code == 3
-        assert err.startswith("ERROR 3: ")
 
     @pytest.mark.parametrize("kind,argv", SIMULATE_GOLDEN_RUNS)
     def test_matches_golden(self, data_dir, tmp_path, kind, argv):
@@ -207,30 +98,6 @@ class TestSimulate:
         assert (code, out, err) == (0, "", "")
         assert target.read_bytes() == golden
 
-    @pytest.mark.parametrize("argv", [
-        # cosh(1e308) overflows
-        ("--a", "0", "--b", "1", "--p0", "1", "--t-min=-1e308",
-         "--t-max=1e308", "--steps", "2"),
-        # p0 (1 + (a+b) t) overflows without an OverflowError
-        ("--a", "1", "--b", "1", "--p0", "1e308", "--t-min=-5", "--t-max=5",
-         "--steps", "2"),
-        # cosh and sinh stay finite, their weighted sum does not
-        ("--a", "0", "--b", "1", "--p0", "10", "--t-min=-709", "--t-max=709",
-         "--steps", "2"),
-        # the particular term overflows: inf - inf = nan
-        ("--a", "0", "--b", "1", "--p0", "1", "--theta-lin", "1e308,0",
-         "--t-min=-5", "--t-max=5", "--steps", "2"),
-        # cos(inf) was a bare "math domain error"; w t overflows here
-        ("--a", "20", "--b", "1", "--p0", "1", "--t-min=-1e308",
-         "--t-max=1e308", "--steps", "2", "--allow-oscillatory"),
-    ])
-    def test_non_finite_is_an_error_line(self, argv):
-        code, out, err = run_cli("simulate", *argv)
-        assert code == 2 and out == ""
-        assert "Traceback" not in err
-        assert err.count("ERROR 2: ") == 1 and err.count("\n") == 1
-        assert "math domain error" not in err
-
     @given(ends=st.lists(st.floats(allow_nan=False, allow_infinity=False),
                          min_size=2, max_size=2, unique=True).map(sorted),
            steps=st.integers(1, 64))
@@ -252,14 +119,6 @@ class TestSimulate:
         times = seen.call_args.args[1]
         assert len(times) == steps + 1
         assert (times[0].hex(), times[-1].hex()) == (t_min.hex(), t_max.hex())
-
-    def test_subnormal_end_prints_as_itself(self):
-        code, out, err = run_cli("simulate", "--a", "0", "--b", "0", "--p0",
-                                 "1", "--t-min=1e-320",
-                                 "--t-max", "1.7976931348623157e308",
-                                 "--steps", "5")
-        assert (code, err) == (0, "")
-        assert out.splitlines()[1] == "9.99988867183e-321,1"
 
     def test_squares_whose_sum_overflows(self):
         # b**2 + a**2 overflows, b**2 - a**2 does not: exponential, not the
@@ -295,6 +154,7 @@ FIT_PIPE_GOLDEN_RUNS = [
                "--t-max", "5", "--steps", "200")),
     ("a0_b80", ("--a", "0", "--b", "80", "--p0", "1", "--t-min=-5",
                 "--t-max", "5", "--steps", "1000")),
+    ("a02_b06", ("--a", "0.2", "--b", "0.6", "--p0", "1", "--steps", "40")),
 ]
 
 
@@ -396,73 +256,13 @@ class TestFit:
         """``simulate <argv> | fit --input /dev/stdin`` prints
         ``golden_fit_pipe_<name>.out`` byte for byte, and nothing to stderr:
         the windows on which the line fit in e^{2rt} went wrong (w2 off by
-        a factor of 2.5 and 1.9) or failed (exit 4 and exit 2)."""
+        a factor of 2.5 and 1.9) or failed (exit 4 and exit 2), and the
+        41-point window that CI pipes through the installed console script."""
         path = str(tmp_path / "series.csv")
         assert run_cli("simulate", *argv, "--out", path)[0] == 0
         code, out, err = run_cli_bytes("fit", "--input", path)
         assert (code, err) == (0, b"")
         assert out == (data_dir / f"golden_fit_pipe_{name}.out").read_bytes()
-
-    def test_too_short_input(self, tmp_path):
-        path = write_series_csv(tmp_path / "short.csv", [-1.0, 1.0], [1.0, 2.0])
-        code, _, err = run_cli("fit", "--input", path)
-        assert code == 2
-        assert err.startswith("ERROR 2: ")
-
-    def test_overflowing_series_one_error_line(self, tmp_path):
-        # differences and sums beyond float64 must not print numpy warnings
-        times = [0.25 * (i - 8) for i in range(17)]
-        values = [1.7e308 * (-1.0) ** i for i in range(17)]
-        path = write_series_csv(tmp_path / "huge.csv", times, values)
-        code, out, err = run_cli_bytes("fit", "--input", path)
-        assert code == 4 and out == b""
-        assert err.startswith(b"ERROR 4: [fit_ab]") and err.count(b"\n") == 1
-
-    def test_constant_series_degenerate_exit(self, tmp_path):
-        times = [0.25 * (i - 8) for i in range(17)]
-        path = write_series_csv(tmp_path / "const.csv", times,
-                                [1.0] * len(times))
-        code, _, err = run_cli("fit", "--input", path)
-        assert code == 4
-        assert err.startswith("ERROR 4: ")
-        assert "[fit_ab]" in err
-
-    def test_malformed_header(self, tmp_path):
-        path = write_series_csv(tmp_path / "bad.csv", [-1.0, 0.0, 1.0],
-                                [1.0, 2.0, 3.0], header="time,value")
-        code, _, err = run_cli("fit", "--input", path)
-        assert code == 2
-
-    def test_one_cell_header(self, tmp_path):
-        path = tmp_path / "one.csv"
-        path.write_text("t\n0\n")
-        code, out, err = run_cli("fit", "--input", str(path))
-        assert (code, out) == (2, "")
-        assert err == (f"ERROR 2: {str(path)!r} must start with header 't,p', "
-                       f"got ['t']\n")
-
-    def test_line_number_counts_blank_lines(self, tmp_path):
-        path = tmp_path / "blank.csv"
-        path.write_text("t,p\n\n-1,1\n0,x\n1,3\n")
-        code, out, err = run_cli("fit", "--input", str(path))
-        assert (code, out) == (2, "")
-        assert err == (f"ERROR 2: {str(path)!r} line 4: "
-                       f"not numeric: ['0', 'x']\n")
-
-    def test_missing_file(self):
-        code, _, err = run_cli("fit", "--input", "/nonexistent/series.csv")
-        assert code == 2
-        assert err.startswith("ERROR 2: ")
-
-    def test_byte_order_mark_tolerated(self, tmp_path):
-        path = tmp_path / "bom.csv"
-        body = "t,p\n-0.1,0.95\n0,1\n0.1,1.08\n"
-        path.write_bytes(b"\xef\xbb\xbf" + body.encode())
-        code, _, _ = run_cli("fit", "--input", str(path))
-        # parses the header despite the BOM (the tiny series then fails the
-        # interior-point minimum, which is a clean modelling error, not a
-        # parse error)
-        assert code == 2
 
     def test_oversized_field_is_one_error_line(self, tmp_path):
         path = tmp_path / "wide.csv"
@@ -472,22 +272,6 @@ class TestFit:
         assert (code, out) == (2, "")
         assert err == (f"ERROR 2: {str(path)!r}: field larger than field "
                        f"limit ({csv.field_size_limit()})\n")
-
-    def test_subnormal_step_is_one_error_line(self, tmp_path):
-        # in a child process, where numpy's RuntimeWarning would print
-        path = tmp_path / "subnormal.csv"
-        path.write_text("t,p\n-1e-323,1e-320\n-5e-324,2e-320\n0,4e-320\n"
-                        "5e-324,7e-320\n1e-323,1.1e-319\n")
-        code, out, err = run_cli_bytes("fit", "--input", str(path))
-        assert (code, out) == (2, b"")
-        assert err == b"ERROR 2: fit_ab's (a, b) = (inf, inf) leave float64\n"
-
-    def test_asymmetric_grid_rejected(self, tmp_path):
-        path = write_series_csv(tmp_path / "asym.csv", [-1.0, 0.0, 2.0],
-                                [1.0, 2.0, 3.0])
-        code, _, err = run_cli("fit", "--input", path)
-        assert code == 2
-        assert "mirror" in err or "symmetric" in err or "partner" in err
 
 
 # ---------------------------------------------------------------------------
@@ -762,29 +546,6 @@ class TestRank:
             "ERROR 2: step 1: coordinate descent did not converge within "
             "1 sweeps")
 
-    def test_explicit_response_and_lambda(self, data_dir):
-        code, _, err = run_cli("rank", "--input",
-                               str(data_dir / "rank_m5.csv"),
-                               "--response", "SJR", "--lambda", "0.25")
-        assert code == 0
-        assert err.strip() == "response=SJR lambda=0.25"
-
-    def test_default_response_without_citescore(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("journal,x,y\nA,1,4\nB,2,6\nC,3.5,5\n")
-        code, _, err = run_cli("rank", "--input", str(path))
-        assert code == 0
-        assert err.strip() == "response=x lambda=0.1"
-
-    def test_unknown_response(self, data_dir):
-        code, _, err = run_cli("rank", "--input",
-                               str(data_dir / "rank_m3.csv"),
-                               "--response", "Prestige")
-        assert code == 2
-        # the response/lambda echo still lands first on stderr
-        assert err.strip().splitlines()[-1].startswith("ERROR 2: ")
-        assert "Prestige" in err
-
     def test_flatness_floor_ignores_units(self, tmp_path):
         # the floor is absolute (ROADMAP item 9): a column whose largest
         # magnitude is 2**-511 is flat, and the same column times 2**511
@@ -805,88 +566,12 @@ class TestRank:
         code, _, err = rank(math.ldexp(1.0, 511))
         assert code == 0, err
 
-    def test_malformed_table(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("name,x,y\nA,1,2\n")
-        code, _, err = run_cli("rank", "--input", str(path))
-        assert code == 2
-
-    @pytest.mark.parametrize("row, detail", [
-        ("B,1", "expected 3 cells, got 2"),
-        ("B,1,2,3", "expected 3 cells, got 4"),
-        ("B,1,high", "non-numeric feature value"),
-    ])
-    def test_malformed_row(self, tmp_path, row, detail):
-        path = tmp_path / "rows.csv"
-        path.write_text(f"journal,CiteScore,SJR\nA,1,2\n{row}\n")
-        code, out, err = run_cli("rank", "--input", str(path))
-        assert (code, out) == (2, "")
-        assert err.splitlines()[-1] == f"ERROR 2: {str(path)!r} line 3: {detail}"
-
-    def test_line_number_counts_blank_lines(self, tmp_path):
-        path = tmp_path / "blank.csv"
-        path.write_text("journal,A,B\n\nJ1,1,2\nJ2,1,y\n")
-        code, out, err = run_cli("rank", "--input", str(path))
-        assert (code, out) == (2, "")
-        assert err == (f"ERROR 2: {str(path)!r} line 4: "
-                       f"non-numeric feature value\n")
-
-    def test_line_number_of_a_multiline_row_is_its_last(self, tmp_path):
-        path = tmp_path / "multiline.csv"
-        path.write_text('journal,A,B\n"J\n1",1,2\nJ2,1\n')
-        code, _, err = run_cli("rank", "--input", str(path))
-        assert code == 2
-        assert err.endswith(f"{str(path)!r} line 4: expected 3 cells, got 2\n")
-
-    def test_oversized_field_is_one_error_line(self, tmp_path):
-        path = tmp_path / "wide.csv"
-        path.write_text("journal,CiteScore,SJR\nA,1," + "1" * 200_000 + "\n")
-        code, out, err = run_cli("rank", "--input", str(path))
-        assert (code, out) == (2, "")
-        assert err == (f"ERROR 2: {str(path)!r}: field larger than field "
-                       f"limit ({csv.field_size_limit()})\n")
-
-    def test_quoted_journal_names_roundtrip(self, tmp_path):
-        path = tmp_path / "quoted.csv"
-        path.write_text('journal,CiteScore,SJR\n'
-                        '"Annals, Applied",3.2,1.4\n'
-                        'Plain Review,5.6,2.3\n'
-                        'Other Letters,1.1,0.5\n')
-        code, out, _ = run_cli("rank", "--input", str(path))
-        assert code == 0
-        assert '"Annals, Applied"' in out
-
-    def test_carriage_return_in_name_roundtrips(self, tmp_path):
-        path = tmp_path / "cr.csv"
-        path.write_bytes(b'journal,CiteScore,SJR\n"J\rX",3.2,1.4\n'
-                         b'Plain Review,5.6,2.3\nOther Letters,1.1,0.5\n')
-        code, out, _ = run_cli("rank", "--input", str(path))
-        assert code == 0
-        rows = list(csv.reader(io.StringIO(out, newline="")))
-        assert len(rows) == 4
-        assert "J\rX" in [row[1] for row in rows]
-
 
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
 
 class TestVerify:
-    def test_oscillatory_params_exit_3(self):
-        code, _, err = run_cli("verify", "--a", "0.5", "--b", "0.3",
-                               "--p0", "1")
-        assert code == 3
-        assert err.startswith("ERROR 3: ")
-
-    def test_step_count_beyond_float_range_is_one_error_line(self):
-        code, out, err = run_cli_bytes("verify", "--a", "0.3", "--b", "0.5",
-                                       "--p0", "1", "--t-max", "1e308",
-                                       "--step", "1e-300")
-        assert code == 2 and out == b""
-        assert b"Traceback" not in err
-        assert err.count(b"ERROR 2: ") == 1 and err.count(b"\n") == 1
-        assert b"step count" in err
-
     def test_step_count_above_cap_is_one_error_line(self, monkeypatch):
         monkeypatch.setattr(numerics, "RK4_MAX_STEPS", 100)
         code, out, err = run_cli("verify", "--a", "0.3", "--b", "0.5",
@@ -894,12 +579,6 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == ("ERROR 2: step count 5.0/0.001 exceeds the cap of 100 "
                        "steps\n")
-
-    def test_squares_whose_sum_overflows(self):
-        code, out, err = run_cli("verify", "--a", "1e154", "--b", "1.3e154",
-                                 "--p0", "1", "--t-max", "1e-154",
-                                 "--step", "1e-156")
-        assert (code, out, err) == (0, "8.28185298118e-11\n", "")
 
     def test_regime_checked_before_integration(self, monkeypatch):
         def no_oracle(*args):
@@ -911,11 +590,6 @@ class TestVerify:
         assert code == 3 and out == ""
         assert err == ("ERROR 3: base_solution requires the exponential regime "
                        "(b**2 > a**2); a=2.0, b=1.0 is oscillatory\n")
-
-    def test_step_validation(self):
-        code, _, err = run_cli("verify", "--a", "0.3", "--b", "0.5",
-                               "--p0", "1", "--step", "0")
-        assert code == 2
 
     @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
     def test_memory_does_not_grow_with_the_step_count(self):
@@ -963,92 +637,10 @@ class TestVerify:
 
 
 # ---------------------------------------------------------------------------
-# eta
-# ---------------------------------------------------------------------------
-
-class TestEta:
-    def test_spot_value(self):
-        code, out, err = run_cli("eta", "--art", "0", "--alpha", "2",
-                                 "--a", "0.5", "--b", "0.3")
-        assert code == 0 and err == ""
-        assert out.strip() == "1.4"
-
-    def test_share_out_of_range(self):
-        code, _, err = run_cli("eta", "--art", "1.5", "--alpha", "1",
-                               "--a", "0.5", "--b", "0.3")
-        assert code == 2
-        assert err.startswith("ERROR 2: ")
-
-    def test_overflow_is_an_error_line(self):
-        code, out, err = run_cli("eta", "--art", "0.5", "--alpha", "1e300",
-                                 "--a", "1e300", "--b=-1e300")
-        assert (code, out) == (2, "")
-        assert err == "ERROR 2: eta must be finite, got inf\n"
-
-
-# ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------
 
 class TestDispatch:
-    def test_no_subcommand(self):
-        code, _, err = run_cli()
-        assert code == 2
-        assert err.startswith("ERROR 2: ")
-
-    def test_unknown_subcommand(self):
-        code, _, err = run_cli("transmogrify")
-        assert code == 2
-
-    def test_non_finite_flag_rejected(self):
-        code, _, err = run_cli("simulate", "--a", "nan", "--b", "1",
-                               "--p0", "1")
-        assert code == 2
-
-    def test_error_lines_are_single_line(self):
-        for args in (("simulate", "--a", "0.5", "--b", "0.3", "--p0", "1"),
-                     ("fit", "--input", "/nonexistent/x.csv"),
-                     ("eta", "--art", "2", "--alpha", "1", "--a", "1",
-                      "--b", "0")):
-            _, _, err = run_cli(*args)
-            assert err.count("\n") == 1 and err.endswith("\n")
-
-    @pytest.mark.parametrize("argv", [
-        ("simulate", "--a", "0", "--b", "1000", "--p0", "1", "--steps", "10"),
-        ("fit", "--predict", "1e6"),
-        # an integer too large to convert to a float
-        ("simulate", "--a", "0.2", "--b", "0.6", "--p0", "1",
-         "--steps", "1" + "0" * 400),
-    ])
-    def test_overflow_is_an_error_line(self, tmp_path, argv):
-        if argv[0] == "fit":
-            argv = ("fit", "--input", exponential_csv(tmp_path / "s.csv"),
-                    *argv[1:])
-        code, out, err = run_cli_bytes(*argv)
-        assert code == 2 and out == b""
-        assert b"Traceback" not in err
-        assert err.count(b"ERROR 2: ") == 1 and err.count(b"\n") == 1
-
-    @pytest.mark.parametrize("flag, value, detail", [
-        ("--theta-lin", "1", "expected two comma-separated numbers, got '1'"),
-        ("--eta-exp", "1,x", "expected two comma-separated numbers, "
-                             "got '1,x'"),
-        ("--theta-const", "abc", "not a number: 'abc'"),
-    ])
-    def test_flag_value_errors(self, flag, value, detail):
-        code, out, err = run_cli("simulate", "--a", "0.2", "--b", "0.6",
-                                 "--p0", "1", flag, value)
-        assert (code, out) == (2, "")
-        assert err == f"ERROR 2: argument {flag}: {detail}\n"
-
-    @pytest.mark.parametrize("subcommand", ["fit", "rank"])
-    def test_empty_input(self, tmp_path, subcommand):
-        path = tmp_path / "empty.csv"
-        path.write_bytes(b"\n\n")
-        code, out, err = run_cli(subcommand, "--input", str(path))
-        assert (code, out) == (2, "")
-        assert err == f"ERROR 2: {str(path)!r} is empty\n"
-
     @pytest.mark.parametrize("exc, code, detail", [
         (SingularSystem("det=0.0"), 4, "det=0.0"),
         (OverflowError("math range error"), 2,
@@ -1136,12 +728,6 @@ class TestNegativeNumbers:
         spaced = run_cli(*argv, flag, value)
         assert spaced == run_cli(*argv, f"{flag}={value}")
         assert "expected one argument" not in spaced[2]
-
-    def test_option_like_value_still_rejected(self):
-        code, _, err = run_cli("verify", "--a", "-x", "--b", "0.5",
-                               "--p0", "1")
-        assert code == 2
-        assert err == "ERROR 2: argument --a: expected one argument\n"
 
 
 def number():

@@ -66,6 +66,16 @@ def test_pin(pin, tmp_path, monkeypatch):
         pin.code, text(pin.out, tmp_path), text(pin.err, tmp_path))
 
 
+def test_each_call_is_pinned_once():
+    """Entry ids are unique, and no two entries make the same call (argv and
+    files), which would run it twice under two names."""
+    ids = [pin.id for pin in PINS]
+    calls = [(shlex.split(pin.argv), pin.files or {}) for pin in PINS]
+    assert sorted({i for i in ids if ids.count(i) > 1}) == []
+    assert [pin.id for pin, call in zip(PINS, calls)
+            if calls.count(call) > 1] == []
+
+
 def test_every_golden_has_a_reader():
     """Each ``tests/data/golden_*`` file is an entry's expected text or has
     a reader listed in ``OTHER_READERS``, and each name there exists."""
