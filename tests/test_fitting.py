@@ -173,13 +173,16 @@ class TestFitAb:
     def test_power_of_two_scale_leaves_ab_bitwise(self, series, mode, data):
         # any 2**k that keeps every sample and difference quotient a normal
         # float64, in the series and in its scaled copy, scales out of (a, b)
-        # exactly
-        mags = np.abs(np.concatenate([series.values,
-                                      finite_diff(series, mode)]))
+        # exactly; the differences, taken before the division by the step,
+        # must stay finite too, or the scaled copy's quotients are inf
+        v = series.values
+        diffs = v[2:] - v[:-2] if mode is FdMode.CENTRAL else v[1:] - v[:-1]
+        mags = np.abs(np.concatenate([v, finite_diff(series, mode)]))
         assume(np.isfinite(mags).all() and mags.max() > 0.0)
         assume(mags[mags > 0.0].min() >= np.finfo(float).tiny)
         lo = -1021 - math.frexp(float(mags[mags > 0.0].min()))[1]
-        hi = 1024 - math.frexp(float(mags.max()))[1]
+        hi = 1024 - math.frexp(float(max(mags.max(),
+                                          np.abs(diffs).max())))[1]
         assume(lo <= hi)
         k = data.draw(st.integers(min_value=lo, max_value=hi))
         scaled = validate_series(series.times, np.ldexp(series.values, k))
